@@ -87,19 +87,6 @@ _SIM_DEFAULTS: dict = {
 }
 
 
-def _resolve_values(defaults: dict, file_values: dict, cli_values: dict) -> dict:
-    out = dict(defaults)
-    for source in (file_values, cli_values):
-        for key, value in source.items():
-            if value is None:
-                continue
-            if key not in defaults:
-                logger.warning("ignoring unknown config key %r", key)
-                continue
-            out[key] = value
-    return out
-
-
 def _parse_bounds(text: str):
     try:
         lo, hi = text.split(";")
@@ -130,13 +117,14 @@ def _cmd_simulate(args) -> int:
         for key in _SIM_DEFAULTS
         if hasattr(args, key)
     }
-    values = _resolve_values(_SIM_DEFAULTS, file_values, cli_values)
+    values = dataio.resolve_values(_SIM_DEFAULTS, file_values, cli_values)
 
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bounds = _parse_bounds(values["bounds"])
     vocabulary = [v.strip() for v in str(values["vocabulary"]).split(",") if v.strip()]
+    # every cast and constructor that can reject a flag or config value
     try:
+        seed = int(values["seed"])
+        _, s_kf_traj, s_kf_render, s_q_traj, s_q_render = _seed_children(seed, 5)
         spec = SceneSpec(
             n_landmarks=int(values["n_landmarks"]),
             bounds=bounds,
@@ -146,7 +134,7 @@ def _cmd_simulate(args) -> int:
             scale_range=(float(values["scale_min"]), float(values["scale_max"])),
             min_separation=float(values["min_separation"]),
             unique_labels=bool(values["unique_labels"]),
-            seed=int(values["seed"]),
+            seed=seed,
         )
         noise = NoiseSpec(
             bbox_jitter=float(values["bbox_jitter"]),
@@ -154,35 +142,30 @@ def _cmd_simulate(args) -> int:
             dropout=float(values["dropout"]),
             temperature=float(values["temperature"]),
         )
+        intrinsics = CameraIntrinsics(
+            fx=float(values["fx"]),
+            fy=float(values["fy"]),
+            cx=float(values["cx"]),
+            cy=float(values["cy"]),
+            width=int(values["image_width"]),
+            height=int(values["image_height"]),
+        )
+        radius = None if values["radius"] is None else float(values["radius"])
+        height = None if values["traj_height"] is None else float(values["traj_height"])
+        scene = generate_scene(spec)
+        kf_poses = generate_trajectory(
+            "orbit", int(values["n_keyframes"]), bounds, seed=s_kf_traj, radius=radius, height=height
+        )
+        q_poses = generate_trajectory(
+            str(values["trajectory"]),
+            int(values["n_frames"]),
+            bounds,
+            seed=s_q_traj,
+            radius=radius,
+            height=height,
+        )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    intrinsics = CameraIntrinsics(
-        fx=float(values["fx"]),
-        fy=float(values["fy"]),
-        cx=float(values["cx"]),
-        cy=float(values["cy"]),
-        width=int(values["image_width"]),
-        height=int(values["image_height"]),
-    )
-
-    seed = int(values["seed"])
-    _, s_kf_traj, s_kf_render, s_q_traj, s_q_render = _seed_children(seed, 5)
-    scene = generate_scene(spec)
-    radius = values["radius"]
-    height = values["traj_height"]
-    radius = None if radius is None else float(radius)
-    height = None if height is None else float(height)
-    kf_poses = generate_trajectory(
-        "orbit", int(values["n_keyframes"]), bounds, seed=s_kf_traj, radius=radius, height=height
-    )
-    q_poses = generate_trajectory(
-        str(values["trajectory"]),
-        int(values["n_frames"]),
-        bounds,
-        seed=s_q_traj,
-        radius=radius,
-        height=height,
-    )
     center = bool(values["center_boxes"])
     kf_frames = render_sequence(
         scene, kf_poses, intrinsics, noise, seed=s_kf_render, center_boxes=center
@@ -191,6 +174,8 @@ def _cmd_simulate(args) -> int:
         scene, q_poses, intrinsics, noise, seed=s_q_render, center_boxes=center
     )
 
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     dataio.save_intrinsics(out_dir / "intrinsics.json", intrinsics)
     dataio.save_scene(out_dir / "scene.json", scene)
 
@@ -396,18 +381,17 @@ def _prior_graph_for_config(args, config: MatcherConfig) -> SemanticGraph:
         )
     if not nodes:
         raise InputError("prior map has no landmarks")
-    return prior_graph_from_nodes(nodes, keyframes, k_edge=config.k_edge, global_knn=config.global_knn)
+    return prior_graph_from_nodes(nodes, keyframes, k_edge=config.k_edge)
 
 
 def _parse_sweep(specs: list[str]) -> dict[str, list]:
     out: dict[str, list] = {}
-    fields = set(MatcherConfig.__annotations__)
     for spec in specs:
         if "=" not in spec:
             raise InputError(f"bad sweep spec {spec!r}, expected name=v1,v2,...")
         name, values = spec.split("=", 1)
         name = name.strip()
-        if name not in fields:
+        if name not in dataio.MATCHER_DEFAULTS:
             raise InputError(f"unknown sweep parameter {name!r}")
         parsed = [dataio._parse_scalar(v.strip()) for v in values.split(",") if v.strip()]
         if not parsed:
@@ -455,7 +439,7 @@ def _cmd_localize(args) -> int:
         dataio.save_manifest(
             run_dir / "manifest.json",
             command="localize",
-            config={f: getattr(config, f) for f in MatcherConfig.__annotations__},
+            config={f: getattr(config, f) for f in dataio.MATCHER_DEFAULTS},
             seed=config.rng_seed,
             inputs=inputs,
         )

@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -402,9 +402,6 @@ def load_scene_landmarks(path) -> list[dict]:
 # config files and manifests
 
 
-_CONFIG_FIELDS = {f: t for f, t in MatcherConfig.__annotations__.items()}
-
-
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Flat key=value lines; '#' starts a comment; blank lines ignored."""
     out: dict = {}
@@ -455,21 +452,38 @@ def save_config_file(path, values: Mapping[str, object]):
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def resolve_matcher_config(
-    file_values: Mapping[str, object] | None, cli_values: Mapping[str, object] | None
-) -> MatcherConfig:
-    """Defaults, overridden by config file, overridden by explicit CLI values."""
-    merged: dict = {}
+# the matcher's knobs and their defaults, in field order
+MATCHER_DEFAULTS = {f.name: f.default for f in fields(MatcherConfig)}
+
+
+def resolve_values(
+    defaults: Mapping[str, object],
+    file_values: Mapping[str, object] | None,
+    cli_values: Mapping[str, object] | None,
+) -> dict:
+    """Defaults, overridden by config file, overridden by explicit CLI values.
+
+    A None value counts as not given. Keys without a default are logged and
+    ignored.
+    """
+    out = dict(defaults)
     for source in (file_values or {}, cli_values or {}):
         for key, value in source.items():
             if value is None:
                 continue
-            if key in _CONFIG_FIELDS:
-                merged[key] = value
+            if key in defaults:
+                out[key] = value
             else:
                 logger.warning("ignoring unknown config key %r", key)
+    return out
+
+
+def resolve_matcher_config(
+    file_values: Mapping[str, object] | None, cli_values: Mapping[str, object] | None
+) -> MatcherConfig:
+    """The matcher configuration from `resolve_values`; bad values raise InputError."""
     try:
-        return MatcherConfig(**merged)
+        return MatcherConfig(**resolve_values(MATCHER_DEFAULTS, file_values, cli_values))
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad configuration: {exc}") from exc
 

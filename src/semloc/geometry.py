@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,14 +204,6 @@ class BoundingBox:
         if x1 - x0 <= 0.0 or y1 - y0 <= 0.0:
             return None
         return BoundingBox(x0, y0, x1, y1)
-
-    def iou(self, other: "BoundingBox") -> float:
-        ix = min(self.x_max, other.x_max) - max(self.x_min, other.x_min)
-        iy = min(self.y_max, other.y_max) - max(self.y_min, other.y_min)
-        if ix <= 0.0 or iy <= 0.0:
-            return 0.0
-        inter = ix * iy
-        return inter / (self.area + other.area - inter)
 
     def as_list(self) -> list[float]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]

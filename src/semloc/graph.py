@@ -207,9 +207,6 @@ class SemanticGraph:
     def node(self, node_id: int):
         return self._by_id[node_id]
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._by_id
-
     def neighbors(self, node_id: int) -> list[int]:
         return list(self._adjacency[node_id])
 
@@ -256,73 +253,33 @@ def build_knn_edges(
 # graph builders
 
 
-@dataclass
-class LandmarkRecord:
-    """Raw map-side landmark: geometry plus per-detection label sets."""
-
-    id: int
-    position: np.ndarray
-    rotation: np.ndarray
-    scale: np.ndarray
-    observations: list[Collection[str]]
-
-
-def _keyframe_union_edges(
+def prior_graph_from_nodes(
     nodes: Sequence[PriorObjectNode],
     keyframes: Sequence[Collection[int]],
-    k_edge: int,
-    global_knn: bool,
-) -> set[tuple[int, int]]:
+    k_edge: int = 5,
+) -> SemanticGraph:
+    """Assemble the prior graph from prebuilt nodes and keyframe memberships.
+
+    Edges are the union over keyframes of per-keyframe k-NN among the
+    landmarks visible in that keyframe; without keyframes, a single k-NN over
+    all landmarks.
+    """
     by_id = {node.id: node for node in nodes}
     for members in keyframes:
         for lm_id in members:
             if lm_id not in by_id:
                 raise ValueError(f"keyframe references unknown landmark {lm_id}")
-    if global_knn or not keyframes:
+    if not keyframes:
         pos = np.stack([node.position for node in nodes]) if nodes else np.zeros((0, 3))
-        return build_knn_edges(pos, k_edge, ids=[node.id for node in nodes])
-    edges: set[tuple[int, int]] = set()
-    for members in keyframes:
-        ids = sorted(set(members))
-        if len(ids) < 2:
-            continue
-        pos = np.stack([by_id[i].position for i in ids])
-        edges |= build_knn_edges(pos, k_edge, ids=ids)
-    return edges
-
-
-def prior_graph_from_nodes(
-    nodes: Sequence[PriorObjectNode],
-    keyframes: Sequence[Collection[int]],
-    k_edge: int = 5,
-    global_knn: bool = False,
-) -> SemanticGraph:
-    """Assemble the prior graph from prebuilt nodes and keyframe memberships.
-
-    Edges are the union over keyframes of per-keyframe k-NN among the
-    landmarks visible in that keyframe; global_knn swaps in a single k-NN
-    over all landmarks instead.
-    """
-    edges = _keyframe_union_edges(nodes, keyframes, k_edge, global_knn)
+        edges = build_knn_edges(pos, k_edge, ids=[node.id for node in nodes])
+    else:
+        edges = set()
+        for members in keyframes:
+            ids = sorted(set(members))
+            if len(ids) >= 2:
+                pos = np.stack([by_id[i].position for i in ids])
+                edges |= build_knn_edges(pos, k_edge, ids=ids)
     return SemanticGraph(list(nodes), edges)
-
-
-def build_prior_graph(
-    landmarks: Sequence[LandmarkRecord],
-    keyframes: Sequence[Collection[int]],
-    k_edge: int = 5,
-    global_knn: bool = False,
-) -> SemanticGraph:
-    """Accumulate label frequencies and wire up the prior graph.
-
-    A landmark with zero observations cannot produce a frequency table and
-    raises.
-    """
-    nodes = []
-    for rec in landmarks:
-        freqs = accumulate_label_frequencies(rec.observations)
-        nodes.append(PriorObjectNode(rec.id, rec.position, rec.rotation, rec.scale, freqs))
-    return prior_graph_from_nodes(nodes, keyframes, k_edge=k_edge, global_knn=global_knn)
 
 
 @dataclass
@@ -375,7 +332,8 @@ def build_query_graph(
     Node ids are the original detection indices, so dropped detections leave
     gaps instead of shifting ground-truth alignment. Detections are dropped
     (with a logged warning) when the box degenerates after clamping, the
-    confidence vector is all-zero, or no positive-depth source exists.
+    confidence vector is all-zero, no positive-depth source exists, or the
+    position is not finite.
     """
     nodes: list[QueryDetectionNode] = []
     for idx, det in enumerate(detections):
@@ -401,6 +359,9 @@ def build_query_graph(
                 continue
             position = backproject_pixel(bbox.center, z, intrinsics)
         position = np.asarray(position, dtype=float).reshape(3)
+        if not np.all(np.isfinite(position)):
+            logger.warning("detection %d dropped: non-finite position", idx)
+            continue
         if position[2] <= 0.0:
             logger.warning("detection %d dropped: nonpositive depth", idx)
             continue

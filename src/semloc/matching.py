@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,14 +110,6 @@ def similarity_score(root_likelihood: float, selection: NeighborPairSelection) -
 
 
 @dataclass
-class PairScore:
-    prior_id: int
-    query_id: int
-    likelihood: float
-    similarity: float
-
-
-@dataclass
 class SimilarityTable:
     """Dense likelihood and similarity over all (prior, query) node pairs.
 
@@ -129,19 +121,6 @@ class SimilarityTable:
     query_ids: list[int]
     likelihood: np.ndarray
     similarity: np.ndarray
-    _prior_index: dict[int, int] = field(init=False, repr=False)
-    _query_index: dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._prior_index = {pid: i for i, pid in enumerate(self.prior_ids)}
-        self._query_index = {qid: j for j, qid in enumerate(self.query_ids)}
-
-    def pair_score(self, prior_id: int, query_id: int) -> PairScore:
-        i = self._prior_index[prior_id]
-        j = self._query_index[query_id]
-        return PairScore(
-            prior_id, query_id, float(self.likelihood[i, j]), float(self.similarity[i, j])
-        )
 
 
 def _likelihood_matrix(prior_graph: SemanticGraph, query_graph: SemanticGraph) -> np.ndarray:
@@ -253,16 +232,12 @@ class CandidateSet:
         return len(self.pairs)
 
 
-def extract_candidates(
-    table: SimilarityTable, tau: int, drop_zero_columns: bool = False
-) -> CandidateSet:
+def extract_candidates(table: SimilarityTable, tau: int) -> CandidateSet:
     """Keep the tau best-scored priors per query node.
 
     Rank ties at the cutoff are broken by the lower prior id, and exactly tau
     pairs are kept per query node (fewer only when the prior graph is
-    smaller). Zero-score pairs stay eligible; drop_zero_columns removes query
-    nodes whose entire column is zero instead of padding them with
-    arbitrary priors.
+    smaller). Zero-score pairs stay eligible.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -270,8 +245,6 @@ def extract_candidates(
     pairs: list[tuple[int, int]] = []
     for j, query_id in enumerate(table.query_ids):
         col = table.similarity[:, j]
-        if drop_zero_columns and (col.size == 0 or float(col.max()) <= 0.0):
-            continue
         order = np.lexsort((prior_arr, -col))
         for i in order[: min(tau, col.size)]:
             pairs.append((int(prior_arr[i]), query_id))

@@ -10,15 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    BoundingBox,
-    CameraIntrinsics,
-    Pose,
-    bbox_to_gaussian,
-    normalized_wasserstein,
-    project_quadric_to_bbox,
-)
+from .geometry import BoundingBox, CameraIntrinsics, Pose
 from .graph import NormalizedConfidence, SemanticGraph
+from .pose import _AlignmentScorer
 
 logger = logging.getLogger(__name__)
 
@@ -72,65 +66,28 @@ class AssociationCounts:
 
 def evaluate_associations(
     predicted: Mapping[int, Sequence[tuple[int, int]] | None],
-    gt_associations: Mapping[int, Mapping[int, int]] | None = None,
-    gt_poses: Mapping[int, Pose] | None = None,
-    prior_graph: SemanticGraph | None = None,
-    intrinsics: CameraIntrinsics | None = None,
-    detection_boxes: Mapping[int, Mapping[int, BoundingBox]] | None = None,
-    iou_threshold: float = 0.5,
+    gt_associations: Mapping[int, Mapping[int, int]],
 ) -> AssociationCounts:
     """Score predicted (prior_id, detection_index) pairs per frame.
 
-    With ground-truth associations a prediction is correct when its prior id
-    equals the detection's true landmark id. Without them, the predicted
-    landmark is projected under the ground-truth pose and matched to the
-    detection box by IoU against iou_threshold. Frames missing ground truth
-    are skipped with a warning.
+    A prediction is correct when its prior id equals the detection's true
+    landmark id. Frames missing ground truth are skipped with a warning.
     """
     counts = AssociationCounts()
     for frame_id in sorted(predicted):
-        pairs = predicted[frame_id] or []
+        if frame_id not in gt_associations:
+            logger.warning("frame %s missing ground-truth associations, skipped", frame_id)
+            continue
+        gt = gt_associations[frame_id]
         fc = FrameCounts(frame_id)
-        if gt_associations is not None:
-            if frame_id not in gt_associations:
-                logger.warning("frame %s missing ground-truth associations, skipped", frame_id)
-                continue
-            gt = gt_associations[frame_id]
-            matched: set[int] = set()
-            for prior_id, det_idx in pairs:
-                if det_idx in gt and gt[det_idx] == prior_id:
-                    fc.tp += 1
-                    matched.add(det_idx)
-                else:
-                    fc.fp += 1
-            fc.fn = sum(1 for det_idx in gt if det_idx not in matched)
-        else:
-            if (
-                gt_poses is None
-                or prior_graph is None
-                or intrinsics is None
-                or detection_boxes is None
-                or frame_id not in gt_poses
-                or frame_id not in detection_boxes
-            ):
-                logger.warning("frame %s missing data for IoU matching, skipped", frame_id)
-                continue
-            pose = gt_poses[frame_id]
-            boxes = detection_boxes[frame_id]
-            matched = set()
-            for prior_id, det_idx in pairs:
-                proj = None
-                if prior_graph.has_node(prior_id):
-                    proj = project_quadric_to_bbox(
-                        prior_graph.node(prior_id).quadric(), pose, intrinsics
-                    )
-                box = boxes.get(det_idx)
-                if proj is not None and box is not None and proj.iou(box) >= iou_threshold:
-                    fc.tp += 1
-                    matched.add(det_idx)
-                else:
-                    fc.fp += 1
-            fc.fn = sum(1 for det_idx in boxes if det_idx not in matched)
+        matched: set[int] = set()
+        for prior_id, det_idx in predicted[frame_id] or []:
+            if det_idx in gt and gt[det_idx] == prior_id:
+                fc.tp += 1
+                matched.add(det_idx)
+            else:
+                fc.fp += 1
+        fc.fn = sum(1 for det_idx in gt if det_idx not in matched)
         counts.per_frame.append(fc)
     return counts
 
@@ -219,31 +176,18 @@ def rematch_predictions(
 ) -> dict[int, list[tuple[int, int]]]:
     """Re-associate detections per frame by the best normalized-Wasserstein
     score between each detection box and every landmark projected under the
-    ground-truth pose. Used by the rematch MOTA mode."""
+    ground-truth pose (ties to the lower landmark id; detections with no
+    visible landmark stay unmatched). Used by the rematch MOTA mode."""
     out: dict[int, list[tuple[int, int]]] = {}
+    prior_ids = prior_graph.ids()
     for frame_id in sorted(detection_boxes):
         if frame_id not in gt_poses:
             logger.warning("frame %s missing ground-truth pose, skipped", frame_id)
             continue
-        pose = gt_poses[frame_id]
-        projected = []
-        for node in prior_graph.nodes:
-            box = project_quadric_to_bbox(node.quadric(), pose, intrinsics)
-            if box is not None:
-                projected.append((node.id, bbox_to_gaussian(box)))
-        pairs: list[tuple[int, int]] = []
-        for det_idx in sorted(detection_boxes[frame_id]):
-            gauss = bbox_to_gaussian(detection_boxes[frame_id][det_idx])
-            best_id = None
-            best_w = -1.0
-            for prior_id, pg in projected:
-                w = normalized_wasserstein(pg, gauss, C)
-                if w > best_w or (w == best_w and best_id is not None and prior_id < best_id):
-                    best_w = w
-                    best_id = prior_id
-            if best_id is not None:
-                pairs.append((best_id, det_idx))
-        out[frame_id] = pairs
+        boxes = detection_boxes[frame_id]
+        pairs = [(prior_id, det_idx) for det_idx in sorted(boxes) for prior_id in prior_ids]
+        scorer = _AlignmentScorer(pairs, prior_graph, boxes, intrinsics, C)
+        out[frame_id] = scorer.select(gt_poses[frame_id])[1]
     return out
 
 

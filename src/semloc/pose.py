@@ -8,27 +8,16 @@ boxes. Deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    bbox_to_gaussian,
-    normalized_wasserstein,
-    p3p_solve,
-    pixel_to_bearing,
-    project_quadric_to_bbox,
-    quat_to_rotmat,
-)
+from .geometry import CameraIntrinsics, Pose, p3p_solve, pixel_to_bearing, quat_to_rotmat
 from .graph import SemanticGraph
 from .matching import CandidateSet, extract_candidates, score_all_pairs
-
-logger = logging.getLogger(__name__)
 
 
 class LocalizationStatus(str, Enum):
@@ -48,6 +37,9 @@ class MatcherConfig:
     n_iter: sampling iterations; early_exit_was stops sooner once the best
         alignment exceeds it (None disables).
     k_edge: neighbors per node when wiring graphs.
+    rng_seed: seed of the sampling loop.
+    use_calp: add the neighbor-context term to the pair scores; False keeps
+        the likelihood alone (the ablation baseline).
     """
 
     K: int = 5
@@ -58,12 +50,11 @@ class MatcherConfig:
     rng_seed: int = 0
     early_exit_was: float | None = 0.99
     use_calp: bool = True
-    drop_zero_columns: bool = False
-    one_to_one: bool = False
-    clamp_boxes: bool = True
-    global_knn: bool = False
 
     def __post_init__(self):
+        for name in ("K", "tau", "n_iter", "k_edge", "rng_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.K <= 0 or self.tau <= 0 or self.k_edge <= 0:
             raise ValueError("K, tau, k_edge must be positive")
         if self.C <= 0.0:
@@ -113,105 +104,46 @@ def is_valid_sample(
     return True
 
 
-def calculate_was(
-    pose: Pose,
-    candidates: CandidateSet,
-    prior_graph: SemanticGraph,
-    query_graph: SemanticGraph,
-    intrinsics: CameraIntrinsics,
-    C: float,
-    clamp_boxes: bool = True,
-    one_to_one: bool = False,
-) -> tuple[float, list[tuple[int, int]]]:
-    """Alignment score of a pose against the candidate set.
-
-    Projects each candidate prior to a box, embeds boxes as Gaussians, and
-    scores each pair with exp(-W2/C). Per query node the best visible prior
-    is selected (ties to the lower prior id); the score is the mean over the
-    selected pairs. Returns 0 and no pairs when nothing is visible.
-
-    one_to_one greedily forbids reusing a prior across query nodes, in
-    descending score order.
-    """
-    proj_cache: dict[int, object] = {}
-
-    def _projected(prior_id: int):
-        if prior_id not in proj_cache:
-            box = project_quadric_to_bbox(
-                prior_graph.node(prior_id).quadric(), pose, intrinsics, clamp=clamp_boxes
-            )
-            proj_cache[prior_id] = None if box is None else bbox_to_gaussian(box)
-        return proj_cache[prior_id]
-
-    scored: list[tuple[int, int, float]] = []
-    for query_id in candidates.query_ids():
-        q_gauss = bbox_to_gaussian(query_graph.node(query_id).bbox)
-        for prior_id in candidates.candidates_for(query_id):
-            p_gauss = _projected(prior_id)
-            if p_gauss is None:
-                continue
-            scored.append((prior_id, query_id, normalized_wasserstein(p_gauss, q_gauss, C)))
-
-    if not scored:
-        return 0.0, []
-
-    if one_to_one:
-        scored.sort(key=lambda it: (-it[2], it[1], it[0]))
-        used_q: set[int] = set()
-        used_p: set[int] = set()
-        selected = []
-        for prior_id, query_id, w in scored:
-            if query_id in used_q or prior_id in used_p:
-                continue
-            used_q.add(query_id)
-            used_p.add(prior_id)
-            selected.append((prior_id, query_id, w))
-    else:
-        best: dict[int, tuple[int, float]] = {}
-        for prior_id, query_id, w in scored:
-            cur = best.get(query_id)
-            if cur is None or w > cur[1] or (w == cur[1] and prior_id < cur[0]):
-                best[query_id] = (prior_id, w)
-        selected = [(pid, qid, w) for qid, (pid, w) in best.items()]
-
-    selected.sort(key=lambda it: it[1])
-    score = sum(w for _, _, w in selected) / len(selected)
-    return score, [(pid, qid) for pid, qid, _ in selected]
-
-
 class _AlignmentScorer:
-    """Vectorized alignment scoring of many poses against fixed candidates."""
+    """Alignment of projected landmarks with detected boxes, for fixed pairs.
 
-    def __init__(self, candidates, prior_graph, query_graph, intrinsics, C, clamp_boxes=True):
+    The one implementation of the normalized-Wasserstein box alignment: each
+    prior of a (prior, query) pair is projected under a pose to its clamped
+    image box, both boxes are embedded as Gaussians, and the pair scores
+    exp(-W2/C). A prior is visible when its center is in front of the camera
+    and its projected box is a nondegenerate box inside the image.
+    """
+
+    def __init__(self, pairs, prior_graph, boxes, intrinsics, C):
+        """pairs: (prior_id, query_id) tuples; boxes: query_id -> BoundingBox."""
         self.C = C
-        self.clamp = clamp_boxes
         self.K = intrinsics.matrix()
         self.width = float(intrinsics.width)
         self.height = float(intrinsics.height)
-        unique_p = sorted({p for p, _ in candidates.pairs})
-        unique_q = sorted({q for _, q in candidates.pairs})
+        unique_p = sorted({p for p, _ in pairs})
+        unique_q = sorted({q for _, q in pairs})
         p_index = {p: i for i, p in enumerate(unique_p)}
         q_index = {q: j for j, q in enumerate(unique_q)}
         self.n_q = len(unique_q)
-        self.pair_p = np.array([p_index[p] for p, _ in candidates.pairs])
-        self.pair_q = np.array([q_index[q] for _, q in candidates.pairs])
-        self.quads = np.stack([prior_graph.node(p).quadric().q for p in unique_p])
-        self.centers = np.stack([prior_graph.node(p).position for p in unique_p])
-        means = []
-        halves = []
-        for q in unique_q:
-            box = query_graph.node(q).bbox
-            means.append(box.center)
-            halves.append([box.width / 2.0, box.height / 2.0])
-        self.q_means = np.asarray(means)
-        self.q_halves = np.asarray(halves)
+        self.prior_ids = np.array([p for p, _ in pairs], dtype=int)
+        self.query_ids = np.array([q for _, q in pairs], dtype=int)
+        self.pair_p = np.array([p_index[p] for p, _ in pairs], dtype=int)
+        self.pair_q = np.array([q_index[q] for _, q in pairs], dtype=int)
+        nodes = [prior_graph.node(p) for p in unique_p]
+        self.quads = np.array([node.quadric().q for node in nodes]).reshape(-1, 4, 4)
+        self.centers = np.array([node.position for node in nodes]).reshape(-1, 3)
+        q_boxes = [boxes[q] for q in unique_q]
+        self.q_means = np.array([box.center for box in q_boxes]).reshape(-1, 2)
+        self.q_halves = np.array([[b.width / 2.0, b.height / 2.0] for b in q_boxes]).reshape(-1, 2)
 
-    def score(self, poses: list[Pose]) -> np.ndarray:
-        n = len(poses)
+    def _pair_scores(self, poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-pair similarity (0 where the prior is not visible) and visibility, (n, pairs)."""
         rot = np.stack([quat_to_rotmat(p.rotation) for p in poses])
         trans = np.stack([p.translation for p in poses])
-        proj = self.K[None] @ np.concatenate([rot, trans[:, :, None]], axis=2)  # (n,3,4)
-        conic = np.einsum("nab,ubc,ndc->nuad", proj, self.quads, proj)  # (n,u,3,3)
+        proj = (self.K[None] @ np.concatenate([rot, trans[:, :, None]], axis=2))[:, None]
+        # project_quadric_to_bbox's products in its order: the same conic to the bit
+        conic = proj @ self.quads[None] @ proj.swapaxes(-1, -2)  # (n,u,3,3)
+        conic = 0.5 * (conic + conic.swapaxes(-1, -2))
         flip = np.where(conic[:, :, 2, 2] > 0.0, -1.0, 1.0)
         conic = conic * flip[:, :, None, None]
         c22 = conic[:, :, 2, 2]
@@ -226,15 +158,10 @@ class _AlignmentScorer:
             x1 = (conic[:, :, 0, 2] - sx) / c22
             y0 = (conic[:, :, 1, 2] + sy) / c22
             y1 = (conic[:, :, 1, 2] - sy) / c22
-        xa = np.minimum(x0, x1)
-        xb = np.maximum(x0, x1)
-        ya = np.minimum(y0, y1)
-        yb = np.maximum(y0, y1)
-        if self.clamp:
-            xa = np.clip(xa, 0.0, self.width)
-            xb = np.clip(xb, 0.0, self.width)
-            ya = np.clip(ya, 0.0, self.height)
-            yb = np.clip(yb, 0.0, self.height)
+        xa = np.clip(np.minimum(x0, x1), 0.0, self.width)
+        xb = np.clip(np.maximum(x0, x1), 0.0, self.width)
+        ya = np.clip(np.minimum(y0, y1), 0.0, self.height)
+        yb = np.clip(np.maximum(y0, y1), 0.0, self.height)
         ok &= (xb - xa > 0.0) & (yb - ya > 0.0)
 
         mean_x = 0.5 * (xa + xb)
@@ -250,20 +177,68 @@ class _AlignmentScorer:
             + (half_x[:, pp] - self.q_halves[pq, 0]) ** 2
             + (half_y[:, pp] - self.q_halves[pq, 1]) ** 2
         )
-        wn = np.exp(-np.sqrt(d2) / self.C)
         visible = ok[:, pp]
-        wn = np.where(visible, wn, 0.0)
+        return np.where(visible, np.exp(-np.sqrt(d2) / self.C), 0.0), visible
 
+    def _was(self, wn: np.ndarray, visible: np.ndarray) -> np.ndarray:
+        """Mean over query nodes with a visible prior of their best pair score; 0 if none."""
+        n = wn.shape[0]
         best = np.zeros((n, self.n_q))
         counts = np.zeros((n, self.n_q), dtype=int)
         rows = np.broadcast_to(np.arange(n)[:, None], wn.shape)
-        cols = np.broadcast_to(pq[None, :], wn.shape)
+        cols = np.broadcast_to(self.pair_q[None, :], wn.shape)
         np.maximum.at(best, (rows, cols), wn)
         np.add.at(counts, (rows, cols), visible.astype(int))
         have = counts > 0
         sums = np.where(have, best, 0.0).sum(axis=1)
         denom = have.sum(axis=1)
         return np.where(denom > 0, sums / np.maximum(denom, 1), 0.0)
+
+    def score(self, poses: list[Pose]) -> np.ndarray:
+        """WAS of each pose."""
+        return self._was(*self._pair_scores(poses))
+
+    def select(self, pose: Pose) -> tuple[float, list[tuple[int, int]]]:
+        """WAS of one pose and the pairs it selects.
+
+        Per query node the best visible prior is selected, ties to the lower
+        prior id; pairs are ordered by query id. Nothing visible gives 0 and
+        no pairs.
+        """
+        wn, visible = self._pair_scores([pose])
+        was = float(self._was(wn, visible)[0])
+        idx = np.flatnonzero(visible[0])
+        # best first within each query node: score descending, then prior id
+        idx = idx[np.lexsort((self.prior_ids[idx], -wn[0, idx], self.pair_q[idx]))]
+        first = np.ones(idx.size, dtype=bool)
+        first[1:] = self.pair_q[idx[1:]] != self.pair_q[idx[:-1]]
+        return was, [(int(self.prior_ids[i]), int(self.query_ids[i])) for i in idx[first]]
+
+
+def calculate_was(
+    pose: Pose,
+    candidates: CandidateSet,
+    prior_graph: SemanticGraph,
+    query_graph: SemanticGraph,
+    intrinsics: CameraIntrinsics,
+    C: float,
+    scorer: _AlignmentScorer | None = None,
+) -> tuple[float, list[tuple[int, int]]]:
+    """Alignment score of a pose against the candidate set, and its pairs.
+
+    See `_AlignmentScorer.select`: the score is the mean, over query nodes
+    with a visible candidate prior, of the best exp(-W2/C) box similarity.
+    scorer, when given, is one already built from these arguments.
+    """
+    if scorer is None:
+        scorer = _scorer(candidates, prior_graph, query_graph, intrinsics, C)
+    return scorer.select(pose)
+
+
+def _scorer(candidates, prior_graph, query_graph, intrinsics, C) -> _AlignmentScorer:
+    """The scorer of a candidate set against the query graph's boxes."""
+    boxes = {q: query_graph.node(q).bbox for q in candidates.query_ids()}
+    return _AlignmentScorer(candidates.pairs, prior_graph, boxes, intrinsics, C)
 
 
 def estimate_pose(
@@ -285,7 +260,7 @@ def estimate_pose(
             message=f"{len(query_graph)} query nodes, need 3",
         )
     table = score_all_pairs(prior_graph, query_graph, use_calp=config.use_calp)
-    candidates = extract_candidates(table, config.tau, drop_zero_columns=config.drop_zero_columns)
+    candidates = extract_candidates(table, config.tau)
     pairs = candidates.pairs
     if len(pairs) < 3:
         return LocalizationResult(
@@ -293,9 +268,7 @@ def estimate_pose(
             message=f"{len(pairs)} candidate pairs, need 3",
         )
 
-    scorer = _AlignmentScorer(
-        candidates, prior_graph, query_graph, intrinsics, config.C, config.clamp_boxes
-    )
+    scorer = _scorer(candidates, prior_graph, query_graph, intrinsics, config.C)
     bearings = {
         q: pixel_to_bearing(query_graph.node(q).bbox.center, intrinsics)
         for q in {q for _, q in pairs}
@@ -342,23 +315,21 @@ def estimate_pose(
             LocalizationStatus.DEGENERATE, history=history, n_valid_samples=n_valid
         )
 
-    final_w, correspondences = calculate_was(
-        best_pose,
-        candidates,
-        prior_graph,
-        query_graph,
-        intrinsics,
-        config.C,
-        clamp_boxes=config.clamp_boxes,
-        one_to_one=config.one_to_one,
+    was, correspondences = calculate_was(
+        best_pose, candidates, prior_graph, query_graph, intrinsics, config.C, scorer=scorer
     )
-    if abs(final_w - best_w) > 1e-6 and not config.one_to_one:
-        logger.warning("alignment recompute drifted: %.9f vs %.9f", final_w, best_w)
+    if len(correspondences) < 3:
+        return LocalizationResult(
+            LocalizationStatus.DEGENERATE,
+            history=history,
+            n_valid_samples=n_valid,
+            message=f"best pose commits {len(correspondences)} correspondences, need 3",
+        )
     return LocalizationResult(
         LocalizationStatus.SUCCESS,
         pose=best_pose,
         correspondences=correspondences,
-        was=final_w,
+        was=was,
         history=history,
         n_valid_samples=n_valid,
     )

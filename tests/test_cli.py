@@ -80,6 +80,28 @@ class TestSimulate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--fx", "-1"], None), (["--n-frames", "-1"], None), ([], "fx=abc\n")],
+        ids=["negative-fx", "negative-n-frames", "config-fx-abc"],
+    )
+    def test_bad_values_are_input_errors(self, tmp_path, capsys, flags, config):
+        argv = ["simulate", "--output", str(tmp_path / "x")] + SIM_FLAGS + flags
+        if config is not None:
+            (tmp_path / "sim.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "sim.cfg")]
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_unknown_config_key_is_ignored(self, dataset, tmp_path, caplog):
+        (tmp_path / "sim.cfg").write_text("one_to_one=true\n")
+        argv = ["simulate", "--output", str(tmp_path / "sim"), "--config", str(tmp_path / "sim.cfg")]
+        with caplog.at_level("WARNING"):
+            assert main(argv + SIM_FLAGS) == 0
+        assert "ignoring unknown config key 'one_to_one'" in caplog.text
+        for name in SIM_FILES[:-1]:  # the manifest names the config file
+            assert (tmp_path / "sim" / name).read_bytes() == (dataset / "sim" / name).read_bytes()
+
 
 class TestBuildMap:
     def test_map_contents(self, dataset):
@@ -169,6 +191,19 @@ class TestLocalize:
     def test_bad_sweep_spec_is_input_error(self, dataset, tmp_path):
         assert _localize(dataset, "unused", "--sweep", "bogus=1,2") == 1
         assert _localize(dataset, "unused", "--sweep", "K") == 1
+
+    def test_non_integer_count_is_input_error(self, dataset, tmp_path):
+        (tmp_path / "loc.cfg").write_text("tau=2.5\n")
+        assert _localize(dataset, "unused", "--config", str(tmp_path / "loc.cfg")) == 1
+        assert _localize(dataset, "unused", "--sweep", "tau=2.5") == 1
+
+    def test_unknown_config_key_is_ignored(self, dataset, tmp_path, caplog):
+        (tmp_path / "loc.cfg").write_text("one_to_one=true\n")
+        with caplog.at_level("WARNING"):
+            assert _localize(dataset, "run_unknown_key", "--config", str(tmp_path / "loc.cfg")) == 0
+        assert "ignoring unknown config key 'one_to_one'" in caplog.text
+        a = (dataset / "run_map" / "results.jsonl").read_bytes()
+        assert (dataset / "run_unknown_key" / "results.jsonl").read_bytes() == a
 
     def test_internal_error_exits_two(self, dataset, monkeypatch):
         def boom(*args, **kwargs):

@@ -145,14 +145,6 @@ class TestBoundingBox:
         assert clamped.as_list() == [0.0, 0.0, 10.0, 10.0]
         assert BoundingBox(-10.0, 0.0, -1.0, 5.0).clamped(640, 480) is None
 
-    def test_iou(self):
-        a = BoundingBox(0.0, 0.0, 10.0, 10.0)
-        b = BoundingBox(5.0, 0.0, 15.0, 10.0)
-        # intersection 50, union 150
-        assert a.iou(b) == pytest.approx(1.0 / 3.0)
-        assert a.iou(a) == pytest.approx(1.0)
-        assert a.iou(BoundingBox(20.0, 20.0, 30.0, 30.0)) == 0.0
-
 
 # ---------------------------------------------------------------------------
 # quadric projection

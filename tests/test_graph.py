@@ -10,17 +10,17 @@ from semloc import (
     BoundingBox,
     CameraIntrinsics,
     DetectionRecord,
-    LandmarkRecord,
     NormalizedConfidence,
     SemanticGraph,
     accumulate_label_frequencies,
     build_knn_edges,
-    build_prior_graph,
     build_query_graph,
     normalize_confidences,
     prior_graph_from_nodes,
     top_k_labels,
 )
+from semloc.cli import _accumulate_map
+from semloc.dataio import FrameRecord
 from semloc.graph import backproject_pixel, robust_bbox_depth
 
 from conftest import make_conf, make_table, prior_node, query_node
@@ -228,8 +228,8 @@ class TestPriorGraphBuilders:
         ]
         g = prior_graph_from_nodes(nodes, [[0, 1], [2, 3]], k_edge=2)
         assert g.edges == {(0, 1), (2, 3)}
-        g_all = prior_graph_from_nodes(nodes, [[0, 1], [2, 3]], k_edge=2, global_knn=True)
-        assert (0, 2) in g_all.edges
+        positions = np.stack([node.position for node in nodes])
+        assert (0, 2) in build_knn_edges(positions, 2, ids=[0, 1, 2, 3])
 
     def test_empty_keyframes_fall_back_to_global(self):
         nodes = [prior_node(i, (float(i), 0, 0), {"a": 1}) for i in range(3)]
@@ -242,21 +242,23 @@ class TestPriorGraphBuilders:
             prior_graph_from_nodes(nodes, [[0, 9]], k_edge=1)
 
     def test_build_prior_graph_accumulates(self):
-        rec = LandmarkRecord(
-            id=4,
-            position=np.zeros(3),
-            rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-            scale=np.array([0.1, 0.1, 0.1]),
-            observations=[{"cup"}, {"cup", "mug"}],
-        )
-        other = LandmarkRecord(
-            id=5,
-            position=np.ones(3),
-            rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-            scale=np.array([0.1, 0.1, 0.1]),
-            observations=[{"mug"}],
-        )
-        g = build_prior_graph([rec, other], [[4, 5]], k_edge=1)
+        # the map is accumulated from keyframe detections, then wired
+        geometry = {"rotation": np.array([1.0, 0.0, 0.0, 0.0]), "scale": np.array([0.1, 0.1, 0.1])}
+        landmarks = [
+            {"id": 4, "position": np.zeros(3), **geometry},
+            {"id": 5, "position": np.ones(3), **geometry},
+        ]
+
+        def det(*labels):
+            return DetectionRecord(BoundingBox(0.0, 0.0, 10.0, 10.0), [(l, 0.5) for l in labels])
+
+        frames = [
+            FrameRecord(0, 0.0, [det("cup"), det("mug")]),
+            FrameRecord(1, 0.1, [det("cup", "mug")]),
+        ]
+        nodes, keyframes = _accumulate_map(landmarks, frames, {0: {0: 4, 1: 5}, 1: {0: 4}}, k=5)
+        assert keyframes == [[4, 5], [4]]
+        g = prior_graph_from_nodes(nodes, keyframes, k_edge=1)
         assert g.node(4).frequencies.frequency("cup") == 1.0
         assert g.node(4).frequencies.frequency("mug") == 0.5
         assert g.node(5).frequencies.frequency("mug") == 1.0
@@ -340,6 +342,20 @@ class TestQueryGraphBuilder:
         box = det.bbox
         expected = backproject_pixel(box.center, 2.0, INTR)
         np.testing.assert_allclose(g.node(0).position, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_position_dropped(self, bad, caplog):
+        dets = [
+            self._det(100.0, position=(0.0, 0.0, 2.0)),
+            self._det(150.0, position=(bad, 0.0, 2.0)),
+            self._det(200.0, position=(0.2, 0.0, 2.0)),
+            self._det(250.0, position=(0.3, 0.0, 2.0)),
+        ]
+        with caplog.at_level(logging.WARNING, logger="semloc.graph"):
+            g = build_query_graph(dets, k=2, k_edge=3, intrinsics=INTR)
+        assert g.ids() == [0, 2, 3]
+        assert all(1 not in edge for edge in g.edges)
+        assert "detection 1 dropped: non-finite position" in caplog.text
 
     def test_nonpositive_depth_dropped(self, caplog):
         dets = [self._det(position=(0.0, 0.0, -1.0))]

@@ -265,7 +265,7 @@ class TestConfigText:
                 "tau = 2  # trailing comment",
                 "C=50.5",
                 "use_calp=true",
-                "one_to_one=FALSE",
+                "center_boxes=FALSE",
                 "early_exit_was=none",
                 "name=abc",
                 "# full comment",
@@ -278,7 +278,7 @@ class TestConfigText:
             "tau": 2,
             "C": 50.5,
             "use_calp": True,
-            "one_to_one": False,
+            "center_boxes": False,
             "early_exit_was": None,
             "name": "abc",
         }

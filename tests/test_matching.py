@@ -266,14 +266,6 @@ class TestScoreAllPairs:
         chunked = score_all_pairs(pg, qg, chunk_elems=16)
         np.testing.assert_array_equal(full.similarity, chunked.similarity)
 
-    def test_pair_score_accessor(self, rng):
-        pg, qg = _random_graphs(rng)
-        table = score_all_pairs(pg, qg)
-        pid, qid = table.prior_ids[1], table.query_ids[0]
-        ps = table.pair_score(pid, qid)
-        assert ps.prior_id == pid and ps.query_id == qid
-        assert ps.similarity == table.similarity[1, 0]
-
 
 # ---------------------------------------------------------------------------
 # candidate extraction
@@ -304,13 +296,6 @@ class TestExtractCandidates:
         table = _table([5, 6, 7], [10], [[0.0], [0.0], [0.0]])
         cands = extract_candidates(table, tau=2)
         assert cands.candidates_for(10) == [5, 6]
-
-    def test_drop_zero_columns(self):
-        table = _table([5, 6], [10, 11], [[0.0, 0.4], [0.0, 0.1]])
-        kept = extract_candidates(table, tau=2, drop_zero_columns=True)
-        assert kept.candidates_for(10) == []
-        assert kept.candidates_for(11) == [5, 6]
-        assert kept.query_ids() == [11]
 
     def test_monotone_transform_invariance(self, rng):
         sim = rng.random((6, 4))

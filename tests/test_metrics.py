@@ -49,25 +49,6 @@ class TestEvaluateAssociations:
         assert len(counts.per_frame) == 1
         assert "missing ground-truth" in caplog.text
 
-    def test_iou_fallback(self):
-        pose = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
-        a = prior_node(4, (0.3, -0.2, 0.0), {"x": 1})
-        b = prior_node(9, (-0.8, 0.4, 0.3), {"x": 1})
-        pg = graph([a, b], [])
-        boxes = {
-            0: project_quadric_to_bbox(a.quadric(), pose, INTR),
-            1: project_quadric_to_bbox(b.quadric(), pose, INTR),
-        }
-        counts = evaluate_associations(
-            {7: [(4, 0), (4, 1)]},
-            gt_poses={7: pose},
-            prior_graph=pg,
-            intrinsics=INTR,
-            detection_boxes={7: boxes},
-        )
-        # (4,0) projects onto det 0 exactly; (4,1) lands nowhere near det 1
-        assert (counts.tp, counts.fp, counts.fn) == (1, 1, 1)
-
 
 class TestMota:
     def test_formula(self):

@@ -7,19 +7,29 @@ from semloc import (
     CandidateSet,
     LocalizationStatus,
     MatcherConfig,
+    NoiseSpec,
     Pose,
+    SceneSpec,
     build_knn_edges,
+    build_query_graph,
     calculate_was,
     estimate_pose,
     extract_candidates,
+    generate_scene,
+    generate_trajectory,
     is_valid_sample,
+    prior_graph_from_nodes,
     project_quadric_to_bbox,
+    render_sequence,
     score_all_pairs,
 )
+from semloc.cli import _accumulate_map, _seed_children
+from semloc.dataio import FrameRecord
 from semloc.geometry import quat_distance
 from semloc.pose import _AlignmentScorer
 
 from conftest import VOCAB, graph, prior_node, query_node, random_rotation
+from oracles import scalar_calculate_was
 
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
@@ -58,6 +68,44 @@ def _perfect_scene(n=8, seed=3, center_boxes=False):
     return pg, qg, gt
 
 
+def _latency_scene_frame(seed: int, frame_id: int):
+    """Prior graph and query graph of one frame of the criterion-8 latency
+    scene (50 unique labels, 10 detections a frame), built with every seed
+    of its recipe set to `seed`."""
+    spec = SceneSpec(
+        n_landmarks=50,
+        bounds=((-3.0, -3.0, 0.0), (3.0, 3.0, 2.0)),
+        vocabulary=[f"obj{i:02d}" for i in range(50)],
+        unique_labels=True,
+        min_separation=0.25,
+        seed=seed,
+    )
+    scene = generate_scene(spec)
+    s1, s2, s3, s4, s5 = _seed_children(seed, 5)
+    kf_poses = generate_trajectory(
+        "orbit", 40, spec.bounds, seed=s1, radius=2.0, height=1.0
+    ) + generate_trajectory("orbit", 40, spec.bounds, seed=s2, radius=2.6, height=1.8)
+    kf_frames = render_sequence(scene, kf_poses, INTR, NoiseSpec(), seed=s3)
+    q_poses = generate_trajectory("orbit", 120, spec.bounds, seed=s4, radius=2.0, height=1.4)
+    noise = NoiseSpec(bbox_jitter=1.0, depth_sigma=0.03, temperature=0.3)
+    # one RNG stream per frame, so rendering a prefix renders the same frames
+    dets, _ = render_sequence(scene, q_poses[: frame_id + 1], INTR, noise, seed=s5)[frame_id]
+    landmarks = [
+        {"id": lm.id, "position": lm.position, "rotation": lm.rotation, "scale": lm.scale}
+        for lm in scene.landmarks
+    ]
+    config = MatcherConfig()
+    nodes, keyframes = _accumulate_map(
+        landmarks,
+        [FrameRecord(i, 0.1 * i, d) for i, (d, _) in enumerate(kf_frames)],
+        {i: assoc for i, (_, assoc) in enumerate(kf_frames)},
+        config.K,
+    )
+    prior = prior_graph_from_nodes(nodes, keyframes, k_edge=config.k_edge)
+    query = build_query_graph(dets[:10], k=config.K, k_edge=config.k_edge, intrinsics=INTR)
+    return prior, query
+
+
 class TestMatcherConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -66,6 +114,11 @@ class TestMatcherConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MatcherConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["K", "tau", "n_iter", "k_edge", "rng_seed"])
+    def test_rejects_non_integer_counts(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            MatcherConfig(**{name: 2.5})
 
     def test_status_wire_values(self):
         assert LocalizationStatus.SUCCESS.value == "success"
@@ -111,26 +164,35 @@ class TestIsValidSample:
         assert not is_valid_sample([(1, 10), (2, 11)], pg, qg, set())
 
 
+def _was(pose, cands, pg, qg):
+    """calculate_was, checked against the scalar oracle."""
+    score, pairs = calculate_was(pose, cands, pg, qg, INTR, C=100.0)
+    ref_score, ref_pairs = scalar_calculate_was(pose, cands, pg, qg, INTR, C=100.0)
+    assert score == pytest.approx(ref_score, abs=1e-9)
+    assert pairs == ref_pairs
+    return score, pairs
+
+
 class TestCalculateWas:
     def test_perfect_alignment_scores_one(self):
         pg, qg, gt = _perfect_scene()
         cands = extract_candidates(score_all_pairs(pg, qg), tau=2)
-        score, pairs = calculate_was(gt, cands, pg, qg, INTR, C=100.0)
+        score, pairs = _was(gt, cands, pg, qg)
         assert score == 1.0
-        assert set(pairs) == {(i + 1, 100 + i) for i in range(8)}
+        assert pairs == [(i + 1, 100 + i) for i in range(8)]
 
     def test_perturbed_pose_scores_lower(self):
         pg, qg, gt = _perfect_scene()
         cands = extract_candidates(score_all_pairs(pg, qg), tau=2)
         off = Pose.from_rt(np.eye(3), gt.translation + [0.2, 0.0, 0.0])
-        score, _ = calculate_was(off, cands, pg, qg, INTR, C=100.0)
+        score, _ = _was(off, cands, pg, qg)
         assert 0.0 < score < 1.0
 
     def test_nothing_visible(self):
         pg, qg, gt = _perfect_scene()
         cands = extract_candidates(score_all_pairs(pg, qg), tau=2)
         behind = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, -10.0]))
-        score, pairs = calculate_was(behind, cands, pg, qg, INTR, C=100.0)
+        score, pairs = _was(behind, cands, pg, qg)
         assert score == 0.0 and pairs == []
 
     def test_tie_selects_lower_prior_id(self):
@@ -142,10 +204,10 @@ class TestCalculateWas:
         pg = graph([twin_b, twin_a], [])
         qg = graph([query_node(10, gt.transform(pos), {"a": 1.0}, bbox=box)], [])
         cands = CandidateSet([(7, 10), (3, 10)], tau=2)
-        _, pairs = calculate_was(gt, cands, pg, qg, INTR, C=100.0)
+        _, pairs = _was(gt, cands, pg, qg)
         assert pairs == [(3, 10)]
 
-    def test_one_to_one_forbids_prior_reuse(self):
+    def test_prior_may_serve_several_query_nodes(self):
         gt = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
         pos_a = np.array([0.3, -0.2, 0.0])
         pos_b = np.array([-0.5, 0.1, 0.2])
@@ -160,15 +222,14 @@ class TestCalculateWas:
             [],
         )
         cands = CandidateSet([(3, 10), (7, 10), (3, 11), (7, 11)], tau=2)
-        _, greedy = calculate_was(gt, cands, pg, qg, INTR, C=100.0, one_to_one=True)
-        assert set(greedy) == {(3, 10), (7, 11)}
-        _, free = calculate_was(gt, cands, pg, qg, INTR, C=100.0)
-        assert set(free) == {(3, 10), (3, 11)}
+        score, pairs = _was(gt, cands, pg, qg)
+        assert score == 1.0
+        assert pairs == [(3, 10), (3, 11)]
 
 
 class TestAlignmentScorer:
-    @pytest.mark.parametrize("clamp", [True, False])
-    def test_matches_reference_loop(self, clamp, rng):
+    @pytest.mark.parametrize("off_image", [True, False])
+    def test_matches_reference_loop(self, off_image, rng):
         pg, qg, gt = _perfect_scene()
         cands = extract_candidates(score_all_pairs(pg, qg), tau=3)
         poses = [gt]
@@ -176,12 +237,24 @@ class TestAlignmentScorer:
             dr = random_rotation(rng) if rng.random() < 0.5 else np.eye(3)
             dt = rng.normal(0.0, 0.3, 3)
             poses.append(Pose.from_rt(dr @ gt.rotation_matrix(), gt.translation + dt))
+        if off_image:
+            # shifted views that push some landmarks (partly) out of the image
+            for shift in ([2.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 1.6, 0.0], [1.8, -1.4, 0.5]):
+                poses.append(Pose.from_rt(np.eye(3), gt.translation + shift))
         poses.append(Pose.from_rt(np.eye(3), np.array([0.0, 0.0, -10.0])))
-        scorer = _AlignmentScorer(cands, pg, qg, INTR, C=100.0, clamp_boxes=clamp)
+        boxes = {q: qg.node(q).bbox for q in cands.query_ids()}
+        scorer = _AlignmentScorer(cands.pairs, pg, boxes, INTR, C=100.0)
         batch = scorer.score(poses)
+        n_partly_visible = 0
         for i, pose in enumerate(poses):
-            ref, _ = calculate_was(pose, cands, pg, qg, INTR, C=100.0, clamp_boxes=clamp)
+            ref, ref_pairs = scalar_calculate_was(pose, cands, pg, qg, INTR, C=100.0)
+            was, pairs = scorer.select(pose)
             assert batch[i] == pytest.approx(ref, abs=1e-9)
+            assert was == pytest.approx(ref, abs=1e-9)
+            assert pairs == ref_pairs
+            n_partly_visible += 0 < len(pairs) < len(cands.query_ids())
+        if off_image:
+            assert n_partly_visible > 0  # some poses lose landmarks out of the image
 
 
 class TestEstimatePose:
@@ -229,19 +302,22 @@ class TestEstimatePose:
         assert "query nodes" in res.message
 
     def test_insufficient_candidate_pairs(self):
-        pg, _, gt = _perfect_scene()
-        # disjoint vocabulary, zero columns dropped: no candidates survive
-        qg = graph(
-            [
-                query_node(100 + i, gt.transform([0.1 * i, 0.0, 0.0]), {"zzz": 1.0})
-                for i in range(3)
-            ],
-            [],
-        )
-        cfg = MatcherConfig(drop_zero_columns=True)
-        res = estimate_pose(qg, pg, cfg, INTR)
+        _, qg, _ = _perfect_scene()
+        # an empty map offers no candidate priors
+        res = estimate_pose(qg, graph([], []), MatcherConfig(), INTR)
         assert res.status == LocalizationStatus.INSUFFICIENT_DETECTIONS
-        assert "candidate pairs" in res.message
+        assert res.message == "0 candidate pairs, need 3"
+
+    def test_fewer_than_three_committed_pairs_is_degenerate(self):
+        # the best pose of this frame aligns 2 of 10 detections (WAS 0.92):
+        # too few correspondences to call the frame localized
+        prior, query = _latency_scene_frame(seed=4, frame_id=42)
+        frame_seed = int(np.random.SeedSequence([0, 42]).generate_state(1, np.uint64)[0])
+        res = estimate_pose(query, prior, MatcherConfig(rng_seed=frame_seed), INTR)
+        assert res.status == LocalizationStatus.DEGENERATE
+        assert res.message == "best pose commits 2 correspondences, need 3"
+        assert res.pose is None and res.correspondences == []
+        assert res.history[-1][1] == pytest.approx(0.9216, abs=1e-4)
 
     def test_no_valid_sample_on_structural_mismatch(self):
         gt = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
