@@ -10,16 +10,12 @@ from .geometry import (
     BoundingBox,
     CameraIntrinsics,
     DualQuadric,
-    GaussianBox,
     Pose,
     absolute_orientation,
-    bbox_to_gaussian,
-    normalized_wasserstein,
     p3p_solve,
     pixel_to_bearing,
     project_quadric_to_bbox,
     quadric_from_params,
-    wasserstein2_squared,
 )
 from .graph import (
     DetectionRecord,
@@ -38,12 +34,8 @@ from .graph import (
 from .matching import (
     CandidateSet,
     SimilarityTable,
-    best_neighbor_set,
     extract_candidates,
-    multilabel_likelihood,
-    neighbor_weight,
     score_all_pairs,
-    similarity_score,
 )
 from .pose import (
     LocalizationResult,
@@ -54,7 +46,6 @@ from .pose import (
     is_valid_sample,
 )
 from .simulate import (
-    GroundTruth,
     Landmark,
     NoiseSpec,
     Scene,
@@ -82,8 +73,6 @@ __all__ = [
     "CandidateSet",
     "DetectionRecord",
     "DualQuadric",
-    "GaussianBox",
-    "GroundTruth",
     "LabelFrequencyTable",
     "Landmark",
     "LocalizationResult",
@@ -100,8 +89,6 @@ __all__ = [
     "SimilarityTable",
     "absolute_orientation",
     "accumulate_label_frequencies",
-    "bbox_to_gaussian",
-    "best_neighbor_set",
     "build_knn_edges",
     "build_query_graph",
     "calculate_was",
@@ -114,10 +101,7 @@ __all__ = [
     "look_at_pose",
     "mota",
     "mota_counts",
-    "multilabel_likelihood",
-    "neighbor_weight",
     "normalize_confidences",
-    "normalized_wasserstein",
     "p3p_solve",
     "pixel_to_bearing",
     "prior_graph_from_nodes",
@@ -127,9 +111,7 @@ __all__ = [
     "render_sequence",
     "score_all_pairs",
     "shannon_entropy",
-    "similarity_score",
     "success_rate",
     "top_k_labels",
     "translation_error",
-    "wasserstein2_squared",
 ]

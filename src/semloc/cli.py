@@ -119,10 +119,13 @@ def _cmd_simulate(args) -> int:
     }
     values = dataio.resolve_values(_SIM_DEFAULTS, file_values, cli_values)
 
-    bounds = _parse_bounds(values["bounds"])
+    bounds = _parse_bounds(str(values["bounds"]))
     vocabulary = [v.strip() for v in str(values["vocabulary"]).split(",") if v.strip()]
     # every cast and constructor that can reject a flag or config value
     try:
+        for key in ("unique_labels", "center_boxes"):
+            if not isinstance(values[key], bool):  # e.g. a config `none`
+                raise ValueError(f"{key} must be true or false")
         seed = int(values["seed"])
         _, s_kf_traj, s_kf_render, s_q_traj, s_q_render = _seed_children(seed, 5)
         spec = SceneSpec(
@@ -133,7 +136,7 @@ def _cmd_simulate(args) -> int:
             confusion_rate=float(values["confusion_rate"]),
             scale_range=(float(values["scale_min"]), float(values["scale_max"])),
             min_separation=float(values["min_separation"]),
-            unique_labels=bool(values["unique_labels"]),
+            unique_labels=values["unique_labels"],
             seed=seed,
         )
         noise = NoiseSpec(
@@ -164,9 +167,9 @@ def _cmd_simulate(args) -> int:
             radius=radius,
             height=height,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a `none` from the config file
         raise InputError(str(exc)) from exc
-    center = bool(values["center_boxes"])
+    center = values["center_boxes"]
     kf_frames = render_sequence(
         scene, kf_poses, intrinsics, noise, seed=s_kf_render, center_boxes=center
     )
@@ -452,9 +455,9 @@ def _cmd_localize(args) -> int:
     names = sorted(sweep)
     for combo in itertools.product(*(sweep[name] for name in names)):
         overrides = dict(zip(names, combo))
-        config = dataio.resolve_matcher_config(
-            file_values, {**cli_values, **overrides}
-        )
+        # a swept value, `none` included, replaces the file value and the flag
+        flags = {k: v for k, v in cli_values.items() if k not in overrides}
+        config = dataio.resolve_matcher_config({**file_values, **overrides}, flags)
         run_dir = out_dir / "_".join(f"{name}={overrides[name]}" for name in names)
         run_one(config, run_dir)
     return 0

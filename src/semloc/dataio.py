@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import BoundingBox, CameraIntrinsics, Pose, quat_normalize
+from .geometry import BoundingBox, CameraIntrinsics, Pose, quat_normalize, quat_to_rotmat
 from .graph import DetectionRecord, LabelFrequencyTable, PriorObjectNode
 from .pose import LocalizationStatus, MatcherConfig
 
@@ -241,18 +241,22 @@ def load_associations(path) -> dict[int, dict[int, int]]:
 # trajectories (TUM text format; file poses are camera-to-world)
 
 
+def _tum_row(pose: Pose) -> list[float]:
+    """A world-to-camera pose as the TUM values tx ty tz qx qy qz qw of its inverse."""
+    inv = pose.inverse()
+    t, q = inv.translation, inv.rotation
+    return [float(v) for v in (t[0], t[1], t[2], q[1], q[2], q[3], q[0])]
+
+
+def _pose_from_tum_row(values: Sequence[float]) -> Pose:
+    """The world-to-camera pose whose camera-to-world TUM values these are."""
+    tx, ty, tz, qx, qy, qz, qw = values
+    r = quat_to_rotmat(quat_normalize([qw, qx, qy, qz])).T
+    return Pose.from_rt(r, -r @ np.array([tx, ty, tz]))
+
+
 def save_trajectory(path, trajectory: Sequence[tuple[float, Pose]]):
-    lines = []
-    for ts, pose in trajectory:
-        inv = pose.inverse()  # camera-to-world
-        q = inv.rotation
-        t = inv.translation
-        lines.append(
-            " ".join(
-                f"{v:.9f}"
-                for v in (ts, t[0], t[1], t[2], q[1], q[2], q[3], q[0])
-            )
-        )
+    lines = [" ".join(f"{v:.9f}" for v in (ts, *_tum_row(pose))) for ts, pose in trajectory]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -270,10 +274,7 @@ def load_trajectory(path) -> list[tuple[float, Pose]]:
             vals = [float(v) for v in parts]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad number: {exc}") from exc
-        ts, tx, ty, tz, qx, qy, qz, qw = vals
-        cam_to_world = Pose(quat_normalize([qw, qx, qy, qz]), np.zeros(3))
-        r = cam_to_world.rotation_matrix().T
-        out.append((ts, Pose.from_rt(r, -r @ np.array([tx, ty, tz]))))
+        out.append((vals[0], _pose_from_tum_row(vals[1:])))
     return out
 
 
@@ -295,27 +296,13 @@ class FrameResult:
 def save_results(path, results: Sequence[FrameResult]):
     with Path(path).open("w") as fh:
         for res in results:
-            pose_row = None
-            if res.pose is not None:
-                inv = res.pose.inverse()
-                q = inv.rotation
-                t = inv.translation
-                pose_row = [
-                    float(t[0]),
-                    float(t[1]),
-                    float(t[2]),
-                    float(q[1]),
-                    float(q[2]),
-                    float(q[3]),
-                    float(q[0]),
-                ]
             fh.write(
                 _dump_json(
                     {
                         "frame_id": res.frame_id,
                         "timestamp": res.timestamp,
                         "status": res.status,
-                        "pose": pose_row,
+                        "pose": None if res.pose is None else _tum_row(res.pose),
                         "was": res.was,
                         "correspondences": [[int(p), int(q_)] for p, q_ in res.correspondences],
                         "mean_entropy": res.mean_entropy,
@@ -331,10 +318,7 @@ def load_results(path) -> list[FrameResult]:
         try:
             pose = None
             if row.get("pose") is not None:
-                tx, ty, tz, qx, qy, qz, qw = [float(v) for v in row["pose"]]
-                cam_to_world = Pose(quat_normalize([qw, qx, qy, qz]), np.zeros(3))
-                r = cam_to_world.rotation_matrix().T
-                pose = Pose.from_rt(r, -r @ np.array([tx, ty, tz]))
+                pose = _pose_from_tum_row([float(v) for v in row["pose"]])
             out.append(
                 FrameResult(
                     frame_id=int(row["frame_id"]),
@@ -438,20 +422,6 @@ def load_config_file(path) -> dict:
     return parse_config_text(path.read_text(), source=str(path))
 
 
-def save_config_file(path, values: Mapping[str, object]):
-    lines = []
-    for key in sorted(values):
-        val = values[key]
-        if val is None:
-            rendered = "none"
-        elif isinstance(val, bool):
-            rendered = "true" if val else "false"
-        else:
-            rendered = repr(val) if isinstance(val, float) else str(val)
-        lines.append(f"{key}={rendered}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
 # the matcher's knobs and their defaults, in field order
 MATCHER_DEFAULTS = {f.name: f.default for f in fields(MatcherConfig)}
 
@@ -463,18 +433,17 @@ def resolve_values(
 ) -> dict:
     """Defaults, overridden by config file, overridden by explicit CLI values.
 
-    A None value counts as not given. Keys without a default are logged and
+    A None CLI value is a flag that was not given; a None file value (`none`
+    in the file) sets the key to None. Keys without a default are logged and
     ignored.
     """
+    flags = {key: value for key, value in (cli_values or {}).items() if value is not None}
     out = dict(defaults)
-    for source in (file_values or {}, cli_values or {}):
-        for key, value in source.items():
-            if value is None:
-                continue
-            if key in defaults:
-                out[key] = value
-            else:
-                logger.warning("ignoring unknown config key %r", key)
+    for key, value in {**(file_values or {}), **flags}.items():
+        if key in defaults:
+            out[key] = value
+        else:
+            logger.warning("ignoring unknown config key %r", key)
     return out
 
 

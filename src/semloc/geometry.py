@@ -1,10 +1,9 @@
 """Projective geometry kernel.
 
 Dual-quadric landmarks, their projection to image-plane bounding boxes,
-Gaussian box embeddings with Wasserstein similarity, pixel bearings, and a
-minimal three-point pose solver. Everything is metric (meters) on the world
-side and pixels on the image side. Camera poses map world points into the
-camera frame (x right, y down, z forward).
+pixel bearings, and a minimal three-point pose solver. Everything is metric
+(meters) on the world side and pixels on the image side. Camera poses map
+world points into the camera frame (x right, y down, z forward).
 """
 
 from __future__ import annotations
@@ -210,20 +209,6 @@ class BoundingBox:
 
 
 @dataclass
-class GaussianBox:
-    """2D Gaussian embedding of a box: mean pixel and diagonal covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(2)
-        self.cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
-        if self.cov[0, 0] <= 0.0 or self.cov[1, 1] <= 0.0:
-            raise ValueError("covariance diagonal must be positive")
-
-
-@dataclass
 class DualQuadric:
     """Dual ellipsoid as a symmetric 4x4 matrix in world coordinates."""
 
@@ -262,17 +247,13 @@ def quadric_from_params(position, rotation, scale) -> DualQuadric:
 
 
 def project_quadric_to_bbox(
-    quadric: DualQuadric,
-    pose: Pose,
-    intrinsics: CameraIntrinsics,
-    clamp: bool = True,
+    quadric: DualQuadric, pose: Pose, intrinsics: CameraIntrinsics
 ) -> BoundingBox | None:
-    """Project a dual quadric and return its axis-aligned image box.
+    """Project a dual quadric and return its axis-aligned image box, unclamped.
 
-    Returns None when the quadric is not visible: center behind the camera,
-    a degenerate projected conic, or (with clamp) a box entirely outside the
-    image. The dual conic is sign-normalized so its (3,3) entry is negative
-    before the tangent-line extents are read off.
+    Returns None when the quadric is not visible: center behind the camera or
+    a degenerate projected conic. The dual conic is sign-normalized so its
+    (3,3) entry is negative before the tangent-line extents are read off.
     """
     center_cam = pose.transform(quadric.center)
     if center_cam[2] <= 0.0:
@@ -299,33 +280,7 @@ def project_quadric_to_bbox(
     y0, y1 = min(ya, yb), max(ya, yb)
     if x1 - x0 <= 0.0 or y1 - y0 <= 0.0:
         return None
-    box = BoundingBox(x0, y0, x1, y1)
-    if clamp:
-        return box.clamped(intrinsics.width, intrinsics.height)
-    return box
-
-
-def bbox_to_gaussian(bbox: BoundingBox) -> GaussianBox:
-    """Embed a box as N(center, diag((w/2)^2, (h/2)^2))."""
-    return GaussianBox(
-        bbox.center,
-        np.diag([(bbox.width / 2.0) ** 2, (bbox.height / 2.0) ** 2]),
-    )
-
-
-def wasserstein2_squared(a: GaussianBox, b: GaussianBox) -> float:
-    """Squared 2-Wasserstein distance between diagonal 2D Gaussians."""
-    dm = a.mean - b.mean
-    da = math.sqrt(a.cov[0, 0]) - math.sqrt(b.cov[0, 0])
-    db = math.sqrt(a.cov[1, 1]) - math.sqrt(b.cov[1, 1])
-    return float(dm @ dm + da * da + db * db)
-
-
-def normalized_wasserstein(a: GaussianBox, b: GaussianBox, scale: float) -> float:
-    """exp(-W2/scale) similarity in (0, 1]; scale is in pixels and positive."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    return math.exp(-math.sqrt(wasserstein2_squared(a, b)) / scale)
+    return BoundingBox(x0, y0, x1, y1)
 
 
 def pixel_to_bearing(pixel, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -367,6 +322,7 @@ def absolute_orientation(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, 
 # three-point pose
 
 _P3P_IMAG_TOL = 1e-9
+_P3P_REPROJ_TOL = 1e-6  # rad, largest bearing-to-reprojection angle of a kept pose
 
 
 def _polyval(coeffs: np.ndarray, x: float) -> float:
@@ -402,20 +358,19 @@ def _newton_polish(coeffs: np.ndarray, x: float, iters: int = 3) -> float:
     return best
 
 
-def p3p_solve(world_points, bearings, reproj_tol: float = 1e-6) -> list[Pose]:
+def p3p_solve(world_points, bearings) -> list[Pose]:
     """Solve perspective-three-point for world-to-camera poses.
 
     Args:
         world_points: (3, 3) array, one 3D point per row.
         bearings: (3, 3) array of unit rays in the camera frame, one per row,
             corresponding to the world points.
-        reproj_tol: maximum angular error (radians) between each bearing and
-            the reprojected point for a pose to be kept.
 
     Returns:
         Up to four poses. Collinear world points, complex depth roots, and
         solutions placing a point behind the camera yield fewer (possibly
-        zero) poses.
+        zero) poses. A pose is kept only when every bearing is within
+        _P3P_REPROJ_TOL radians of its reprojected point.
 
     The depth ratios follow from the triangle cosine constraints: with
     u = s1/s0 and v = s2/s0 the two independent ratio equations reduce to a
@@ -541,7 +496,7 @@ def p3p_solve(world_points, bearings, reproj_tol: float = 1e-6) -> list[Pose]:
             if np.any(reproj[:, 2] <= 0.0):
                 continue
             err = max(bearing_angle(f[i], reproj[i]) for i in range(3))
-            if err > reproj_tol:
+            if err > _P3P_REPROJ_TOL:
                 continue
             candidates.append((err, Pose.from_rt(r, t)))
 

@@ -12,7 +12,7 @@ import logging
 import math
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class LabelFrequencyTable:
-    """Per-landmark label frequencies accumulated over map detections.
+    """Per-landmark label counts accumulated over map detections.
 
-    entries hold (label, frequency) with frequency = count / total_detections;
-    raw counts are kept so the table stays exact under serialization.
+    A label's frequency is its count / total_detections; counts rather than
+    frequencies are kept so the table stays exact under serialization.
     """
 
-    entries: list[tuple[str, float]]
     total_detections: int
     per_label_counts: dict[str, int]
 
@@ -46,16 +45,7 @@ class LabelFrequencyTable:
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], total: int) -> "LabelFrequencyTable":
-        entries = [(label, counts[label] / total) for label in sorted(counts)]
-        return cls(entries, total, {label: int(counts[label]) for label in sorted(counts)})
-
-    def frequency(self, label: str) -> float:
-        if label not in self.per_label_counts:
-            return 0.0
-        return self.per_label_counts[label] / self.total_detections
-
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.entries]
+        return cls(total, {label: int(counts[label]) for label in sorted(counts)})
 
 
 def accumulate_label_frequencies(observations: Sequence[Iterable[str]]) -> LabelFrequencyTable:
@@ -101,26 +91,23 @@ class NormalizedConfidence:
         labels = [label for label, _ in self.entries]
         if len(labels) != len(set(labels)):
             raise ValueError("duplicate labels in confidence")
+        if not all(0.0 <= score <= 1.0 for _, score in self.entries):
+            raise ValueError("confidences must lie in [0, 1]")
         total = sum(score for _, score in self.entries)
         if self.entries and abs(total - 1.0) > 1e-9:
             raise ValueError("confidences must sum to one")
-
-    def score(self, label: str) -> float:
-        for lab, score in self.entries:
-            if lab == label:
-                return score
-        return 0.0
-
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.entries]
 
 
 def normalize_confidences(raw: Sequence[tuple[str, float]], k: int) -> NormalizedConfidence:
     """Keep the top-k raw scores and renormalize them to a unit sum.
 
-    Fewer than k labels are retained as-is. All-zero retained scores make the
-    normalization undefined and raise.
+    Fewer than k labels are retained as-is. A non-finite or negative raw
+    score, or all-zero retained scores, make the normalization undefined and
+    raise.
     """
+    for label, score in raw:
+        if not (math.isfinite(score) and score >= 0.0):
+            raise ValueError(f"score {score} for label {label!r} is not finite and nonnegative")
     kept = top_k_labels(raw, k)
     total = sum(score for _, score in kept)
     if total <= 0.0:
@@ -163,7 +150,6 @@ class QueryDetectionNode:
     bbox: BoundingBox
     position: np.ndarray  # camera frame, meters
     confidences: NormalizedConfidence
-    raw_labels: list[tuple[str, float]] = field(default_factory=list)
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(3)
@@ -331,9 +317,9 @@ def build_query_graph(
 
     Node ids are the original detection indices, so dropped detections leave
     gaps instead of shifting ground-truth alignment. Detections are dropped
-    (with a logged warning) when the box degenerates after clamping, the
-    confidence vector is all-zero, no positive-depth source exists, or the
-    position is not finite.
+    (with a logged warning) when the box degenerates after clamping, a label
+    score is non-finite or negative, the confidence vector is all-zero, no
+    positive-depth source exists, or the position is not finite.
     """
     nodes: list[QueryDetectionNode] = []
     for idx, det in enumerate(detections):
@@ -365,7 +351,7 @@ def build_query_graph(
         if position[2] <= 0.0:
             logger.warning("detection %d dropped: nonpositive depth", idx)
             continue
-        nodes.append(QueryDetectionNode(idx, bbox, position, conf, list(det.labels)))
+        nodes.append(QueryDetectionNode(idx, bbox, position, conf))
     if not nodes:
         return SemanticGraph([], set())
     positions = np.stack([node.position for node in nodes])

@@ -8,105 +8,13 @@ neighbor), and extraction of the top-ranked candidate pairs per query node.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabelFrequencyTable, NormalizedConfidence, SemanticGraph
+from .graph import SemanticGraph
 
 logger = logging.getLogger(__name__)
-
-
-def multilabel_likelihood(
-    frequencies: LabelFrequencyTable, confidences: NormalizedConfidence
-) -> float:
-    """Label match likelihood: sum of frequency * confidence over shared labels.
-
-    Bounded in [0, 1] because frequencies and confidences each lie in [0, 1]
-    and the confidences sum to one.
-    """
-    counts = frequencies.per_label_counts
-    total = frequencies.total_detections
-    acc = 0.0
-    for label, conf in confidences.entries:
-        count = counts.get(label)
-        if count is not None:
-            acc += (count / total) * conf
-    return acc
-
-
-def neighbor_weight(dist_prior: float, dist_query: float) -> float:
-    """Distance-consistency weight 1 / (1 + |dp - dq|), in (0, 1]."""
-    if dist_prior < 0.0 or dist_query < 0.0:
-        raise ValueError("distances must be nonnegative")
-    return 1.0 / (1.0 + abs(dist_prior - dist_query))
-
-
-@dataclass
-class NeighborSelection:
-    """One selected neighbor pair supporting a root pair."""
-
-    prior_neighbor: int
-    query_neighbor: int
-    weight: float
-    weighted_likelihood: float
-
-
-@dataclass
-class NeighborPairSelection:
-    """Best-support neighbor assignment for one root (prior, query) pair."""
-
-    root: tuple[int, int]
-    selections: list[NeighborSelection]
-
-
-def best_neighbor_set(
-    root: tuple[int, int],
-    prior_graph: SemanticGraph,
-    query_graph: SemanticGraph,
-    likelihood: Callable[[int, int], float],
-) -> NeighborPairSelection:
-    """Pick, per query neighbor, the prior neighbor maximizing weight * likelihood.
-
-    Weights compare root-to-neighbor Euclidean distances on both sides. Ties
-    on the product are broken by the lower prior-neighbor id. With no prior
-    neighbors the selection is empty.
-    """
-    prior_id, query_id = root
-    p_root = prior_graph.node(prior_id)
-    q_root = query_graph.node(query_id)
-    prior_nbrs = prior_graph.neighbors(prior_id)
-    query_nbrs = query_graph.neighbors(query_id)
-    selections: list[NeighborSelection] = []
-    if prior_nbrs:
-        p_dists = {
-            n: float(np.linalg.norm(prior_graph.node(n).position - p_root.position))
-            for n in prior_nbrs
-        }
-        for m in query_nbrs:
-            dq = float(np.linalg.norm(query_graph.node(m).position - q_root.position))
-            best: NeighborSelection | None = None
-            for n in prior_nbrs:  # ascending id order; strict > keeps the lower id on ties
-                w = neighbor_weight(p_dists[n], dq)
-                prod = w * likelihood(n, m)
-                if best is None or prod > best.weighted_likelihood:
-                    best = NeighborSelection(n, m, w, prod)
-            selections.append(best)
-    return NeighborPairSelection(root, selections)
-
-
-def similarity_score(root_likelihood: float, selection: NeighborPairSelection) -> float:
-    """Root likelihood plus the mean weighted likelihood of selected neighbors.
-
-    An empty selection contributes nothing, so the score falls back to the
-    root likelihood alone. Always >= root_likelihood.
-    """
-    if not selection.selections:
-        return root_likelihood
-    return root_likelihood + sum(s.weighted_likelihood for s in selection.selections) / len(
-        selection.selections
-    )
 
 
 @dataclass
@@ -124,7 +32,12 @@ class SimilarityTable:
 
 
 def _likelihood_matrix(prior_graph: SemanticGraph, query_graph: SemanticGraph) -> np.ndarray:
-    """Vectorized pairwise likelihoods via a shared-vocabulary dot product."""
+    """Pairwise label likelihoods via a shared-vocabulary dot product.
+
+    Entry (i, j) sums, over the labels prior i and query j share, prior i's
+    frequency times query j's confidence; it lies in [0, 1] because the
+    confidences sum to one.
+    """
     vocab: dict[str, int] = {}
     for node in prior_graph.nodes:
         for label in node.frequencies.per_label_counts:
@@ -171,7 +84,11 @@ def score_all_pairs(
 ) -> SimilarityTable:
     """Score every (prior, query) pair: likelihood plus neighbor-context term.
 
-    use_calp=False skips context propagation and copies the likelihood as the
+    The context term of a root pair is the mean, over the query root's
+    neighbors m, of the best w * likelihood(n, m) over the prior root's
+    neighbors n, with the distance-consistency weight
+    w = 1 / (1 + |d_prior(root, n) - d_query(root, m)|). A root without
+    neighbors on either side gets no context term. use_calp=False skips context propagation and copies the likelihood as the
     similarity, which is the ablation baseline. Work is chunked over prior
     rows to bound the intermediate (rows, cols, deg_p, deg_q) tensor.
     """

@@ -135,35 +135,26 @@ def mota_counts(
 ) -> MotaCounts:
     """Tracking counts from predicted correspondences.
 
-    FN and FP follow the association convention above. An identity switch is
-    charged at frame t when a ground-truth landmark that was assigned prior A
-    at its previous matched frame is assigned prior B != A at t; missed
-    frames in between do not reset the track.
+    FN and FP are `evaluate_associations`' per-frame counts. An identity
+    switch is charged at frame t when a ground-truth landmark that was
+    assigned prior A at its previous matched frame is assigned prior B != A
+    at t; missed frames in between do not reset the track.
     """
     out = MotaCounts()
     last_assigned: dict[int, int] = {}
-    for frame_id in sorted(predicted):
-        if frame_id not in gt_associations:
-            logger.warning("frame %s missing ground-truth associations, skipped", frame_id)
-            continue
-        gt = gt_associations[frame_id]
-        pairs = predicted[frame_id] or []
-        fp = 0
-        ids = 0
+    for fc in evaluate_associations(predicted, gt_associations).per_frame:
+        gt = gt_associations[fc.frame_id]
         assigned: dict[int, int] = {}
-        for prior_id, det_idx in pairs:
+        for prior_id, det_idx in predicted[fc.frame_id] or []:
             if det_idx in gt:
                 assigned[gt[det_idx]] = prior_id
-            if not (det_idx in gt and gt[det_idx] == prior_id):
-                fp += 1
-        correct_dets = {det_idx for prior_id, det_idx in pairs if gt.get(det_idx) == prior_id}
-        fn = sum(1 for det_idx in gt if det_idx not in correct_dets)
+        ids = 0
         for lm_id, prior_id in assigned.items():
             prev = last_assigned.get(lm_id)
             if prev is not None and prev != prior_id:
                 ids += 1
             last_assigned[lm_id] = prior_id
-        out.per_frame.append(MotaFrame(frame_id, len(gt), fn, fp, ids))
+        out.per_frame.append(MotaFrame(fc.frame_id, len(gt), fc.fn, fc.fp, ids))
     return out
 
 
@@ -207,9 +198,8 @@ def success_rate(
     errors: Sequence[tuple[int, float | None]],
     threshold: float,
     mode: str = "succ",
-    inclusive: bool = True,
 ) -> float:
-    """Fraction (percent) of frames whose translation error beats threshold.
+    """Fraction (percent) of frames whose translation error is at most threshold.
 
     mode 'succ' divides by frames that produced a pose; mode 'all' divides by
     every frame, counting failures (None) as misses. Empty input raises.
@@ -226,7 +216,7 @@ def success_rate(
                 denom += 1
             continue
         denom += 1
-        if (te <= threshold) if inclusive else (te < threshold):
+        if te <= threshold:
             hits += 1
     if denom == 0:
         return 0.0

@@ -61,6 +61,8 @@ class MatcherConfig:
             raise ValueError("C must be positive")
         if self.n_iter <= 0:
             raise ValueError("n_iter must be positive")
+        if not isinstance(self.use_calp, bool):  # a config `use_calp=none` is no switch
+            raise ValueError("use_calp must be true or false")
 
 
 @dataclass

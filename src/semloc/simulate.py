@@ -105,32 +105,8 @@ class Scene:
             for label in cluster:
                 self._cluster_of[label] = list(cluster)
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return np.mean([lm.position for lm in self.landmarks], axis=0)
-
     def cluster_members(self, label: str) -> list[str]:
         return self._cluster_of.get(label, [label])
-
-    def labels(self) -> dict[int, str]:
-        return {lm.id: lm.label for lm in self.landmarks}
-
-
-@dataclass
-class GroundTruth:
-    """Poses, per-frame detection-to-landmark maps, and true labels."""
-
-    poses: list[tuple[float, Pose]]
-    associations: list[dict[int, int]]
-    labels: dict[int, str]
-
-    def __post_init__(self):
-        if len(self.poses) != len(self.associations):
-            raise ValueError("poses and associations length mismatch")
-        for frame in self.associations:
-            for lm_id in frame.values():
-                if lm_id not in self.labels:
-                    raise ValueError(f"association references unknown landmark {lm_id}")
 
 
 def generate_scene(spec: SceneSpec) -> Scene:
@@ -262,8 +238,6 @@ def render_frame(
     pose: Pose,
     intrinsics: CameraIntrinsics,
     noise: NoiseSpec,
-    confusion_rate: float | None = None,
-    k: int | None = None,
     rng: np.random.Generator | None = None,
     center_boxes: bool = True,
 ) -> tuple[list[DetectionRecord], dict[int, int]]:
@@ -282,7 +256,6 @@ def render_frame(
     """
     if rng is None:
         rng = np.random.default_rng()
-    rho = scene.spec.confusion_rate if confusion_rate is None else confusion_rate
     detections: list[DetectionRecord] = []
     associations: dict[int, int] = {}
     for lm in scene.landmarks:
@@ -293,7 +266,7 @@ def render_frame(
         v = intrinsics.fy * cam[1] / cam[2] + intrinsics.cy
         if not (0.0 <= u < intrinsics.width and 0.0 <= v < intrinsics.height):
             continue
-        box = project_quadric_to_bbox(lm.quadric(), pose, intrinsics, clamp=False)
+        box = project_quadric_to_bbox(lm.quadric(), pose, intrinsics)
         if box is None:
             continue
         if center_boxes:
@@ -328,9 +301,7 @@ def render_frame(
         if depth <= 0.0:
             continue
         position = backproject_pixel(box.center, float(depth), intrinsics)
-        labels = _confidence_vector(scene, lm.label, noise, rho, rng)
-        if k is not None:
-            labels = labels[:k]
+        labels = _confidence_vector(scene, lm.label, noise, scene.spec.confusion_rate, rng)
         associations[len(detections)] = lm.id
         detections.append(DetectionRecord(box, labels, position))
     return detections, associations
@@ -342,25 +313,11 @@ def render_sequence(
     intrinsics: CameraIntrinsics,
     noise: NoiseSpec,
     seed: int = 0,
-    confusion_rate: float | None = None,
-    k: int | None = None,
     center_boxes: bool = True,
 ) -> list[tuple[list[DetectionRecord], dict[int, int]]]:
     """Render a pose list with one derived RNG stream per frame."""
-    root = np.random.SeedSequence(seed)
-    frames = []
-    for pose, child in zip(poses, root.spawn(len(poses))):
-        rng = np.random.default_rng(child)
-        frames.append(
-            render_frame(
-                scene,
-                pose,
-                intrinsics,
-                noise,
-                confusion_rate=confusion_rate,
-                k=k,
-                rng=rng,
-                center_boxes=center_boxes,
-            )
-        )
-    return frames
+    children = np.random.SeedSequence(seed).spawn(len(poses))
+    return [
+        render_frame(scene, pose, intrinsics, noise, np.random.default_rng(child), center_boxes)
+        for pose, child in zip(poses, children)
+    ]

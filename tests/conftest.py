@@ -82,7 +82,6 @@ def query_node(node_id: int, position, conf, bbox: BoundingBox | None = None) ->
         bbox=bbox if bbox is not None else BoundingBox(0.0, 0.0, 10.0, 10.0),
         position=np.asarray(position, dtype=float),
         confidences=confidences,
-        raw_labels=list(confidences.entries),
     )
 
 

@@ -19,36 +19,42 @@ import numpy as np
 import pytest
 
 from semloc import (
+    BoundingBox,
     CameraIntrinsics,
-    GaussianBox,
     MatcherConfig,
     NoiseSpec,
     NormalizedConfidence,
     LabelFrequencyTable,
     Pose,
     PriorObjectNode,
+    QueryDetectionNode,
     SceneSpec,
-    best_neighbor_set,
+    SemanticGraph,
     evaluate_associations,
     generate_scene,
     generate_trajectory,
-    multilabel_likelihood,
     p3p_solve,
     prior_graph_from_nodes,
     project_quadric_to_bbox,
     quadric_from_params,
     render_sequence,
+    score_all_pairs,
     shannon_entropy,
-    similarity_score,
     success_rate,
     translation_error,
-    wasserstein2_squared,
 )
 from semloc.cli import _accumulate_map, _localize_frame, _seed_children, main
 from semloc.dataio import FrameRecord
 
 import conftest
 from conftest import graph, query_node, random_conf, random_table
+from oracles import (
+    GaussianBox,
+    best_neighbor_set,
+    multilabel_likelihood,
+    similarity_score,
+    wasserstein2_squared,
+)
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
 
@@ -69,7 +75,12 @@ def _report(criterion: str, ok: bool, detail: str = "", soft: bool = False):
 
 
 def test_criterion_1_likelihood_oracle():
-    """10^5 random table/confidence pairs, independent double-loop oracle."""
+    """10^5 random table/confidence pairs, independent double-loop oracle.
+
+    After the timed window, the same cases go through the production path:
+    stacked into blocks of prior and query nodes, score_all_pairs' likelihood
+    diagonal must equal the oracle values.
+    """
     rng = np.random.default_rng(1)
     vocab = [f"w{i:02d}" for i in range(12)]
     n = 100_000
@@ -82,8 +93,8 @@ def test_criterion_1_likelihood_oracle():
     count_pool = rng.integers(1, 10, (n, 6))
     extras = rng.integers(0, 5, n)
     conf_pool = rng.random((n, 6)) + 1e-3
-    worst = 0.0
-    for i in range(n):
+
+    def case(i):
         kf = int(sizes_f[i])
         kc = int(sizes_c[i])
         counts = {vocab[j]: int(c) for j, c in zip(order_f[i, :kf], count_pool[i, :kf])}
@@ -94,6 +105,14 @@ def test_criterion_1_likelihood_oracle():
         conf = NormalizedConfidence(
             sorted(((l, float(v)) for l, v in zip(c_labels, w)), key=lambda e: (-e[1], e[0]))
         )
+        return counts, total, table, c_labels, w, conf
+
+    worst = 0.0
+    # only the oracle values are kept: holding 1e5 cases alive would slow the
+    # timed loop down through garbage collection
+    wants = np.empty(n)
+    for i in range(n):
+        counts, total, table, c_labels, w, conf = case(i)
         got = multilabel_likelihood(table, conf)
         want = 0.0
         for fl, fc in counts.items():
@@ -101,11 +120,34 @@ def test_criterion_1_likelihood_oracle():
                 if fl == cl:
                     want += (fc / total) * float(cv)
         worst = max(worst, abs(got - want))
+        wants[i] = want
     dt = time.perf_counter() - t0
-    ok = worst < 1e-12 and dt < 5.0
-    _report("criterion 1, likelihood oracle 1e5 cases", ok, f"max_err={worst:.2e} t={dt:.2f}s")
+
+    # production path: each block of cases as two edge-free graphs, case i of
+    # a block at row i and column i of score_all_pairs' likelihood table
+    rotation = np.array([1.0, 0.0, 0.0, 0.0])
+    scale = np.full(3, 0.1)
+    box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+    prod_worst = 0.0
+    for start in range(0, n, 1000):
+        priors, queries = [], []
+        for i in range(start, min(n, start + 1000)):
+            _, _, freq, _, _, conf = case(i)
+            priors.append(PriorObjectNode(i, np.zeros(3), rotation, scale, freq))
+            queries.append(QueryDetectionNode(i, box, np.array([0.0, 0.0, 1.0]), conf))
+        table = score_all_pairs(SemanticGraph(priors, set()), SemanticGraph(queries, set()))
+        err = np.abs(np.diag(table.likelihood) - wants[start : start + len(priors)])
+        prod_worst = max(prod_worst, float(err.max()))
+
+    ok = worst < 1e-12 and dt < 5.0 and prod_worst < 1e-12
+    _report(
+        "criterion 1, likelihood oracle 1e5 cases",
+        ok,
+        f"max_err={worst:.2e} production_err={prod_worst:.2e} t={dt:.2f}s",
+    )
     assert worst < 1e-12
     assert dt < 5.0
+    assert prod_worst < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -118,29 +160,39 @@ def test_criterion_2_neighbor_selection_oracle():
     The context score is a sum of independent per-query-neighbor terms, so
     enumerating all (prior, query) neighbor pairs and taking the exact
     tie-broken argmax per query neighbor covers every joint assignment.
+    After the timed window, score_all_pairs' similarity at each root pair
+    must equal the enumerated score.
     """
     vocab = [f"w{i:02d}" for i in range(12)]
-    rng = np.random.default_rng(77)
-    t0 = time.perf_counter()
-    for g in range(1000):
-        n_p = int(rng.integers(0, 21))
-        n_q = int(rng.integers(0, 21))
-        p_nodes = [
-            PriorObjectNode(
-                id=i,
-                position=rng.uniform(-3, 3, 3),
-                rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-                scale=np.full(3, 0.1),
-                frequencies=random_table(rng, vocab),
+
+    def star_graphs(rng):
+        for _ in range(1000):
+            n_p = int(rng.integers(0, 21))
+            n_q = int(rng.integers(0, 21))
+            p_nodes = [
+                PriorObjectNode(
+                    id=i,
+                    position=rng.uniform(-3, 3, 3),
+                    rotation=np.array([1.0, 0.0, 0.0, 0.0]),
+                    scale=np.full(3, 0.1),
+                    frequencies=random_table(rng, vocab),
+                )
+                for i in range(n_p + 1)
+            ]
+            q_nodes = [
+                query_node(
+                    100 + j, rng.uniform(-3, 3, 3) + [0.0, 0.0, 6.0], random_conf(rng, vocab)
+                )
+                for j in range(n_q + 1)
+            ]
+            yield (
+                graph(p_nodes, {(0, i + 1) for i in range(n_p)}),
+                graph(q_nodes, {(100, 101 + j) for j in range(n_q)}),
             )
-            for i in range(n_p + 1)
-        ]
-        q_nodes = [
-            query_node(100 + j, rng.uniform(-3, 3, 3) + [0.0, 0.0, 6.0], random_conf(rng, vocab))
-            for j in range(n_q + 1)
-        ]
-        pg = graph(p_nodes, {(0, i + 1) for i in range(n_p)})
-        qg = graph(q_nodes, {(100, 101 + j) for j in range(n_q)})
+
+    t0 = time.perf_counter()
+    wants = []
+    for g, (pg, qg) in enumerate(star_graphs(np.random.default_rng(77))):
 
         def like(n, m):
             return multilabel_likelihood(pg.node(n).frequencies, qg.node(m).confidences)
@@ -169,10 +221,22 @@ def test_criterion_2_neighbor_selection_oracle():
         got = [(s.prior_neighbor, s.query_neighbor, s.weighted_likelihood) for s in sel.selections]
         assert got == expected, f"graph {g}: selection mismatch"
         assert got_score == want_score, f"graph {g}: score mismatch"
+        wants.append(want_score)
     dt = time.perf_counter() - t0
-    ok = dt < 10.0
-    _report("criterion 2, neighbor selection oracle 1e3 graphs", ok, f"exact, t={dt:.2f}s")
+    # production path on the same graphs, regenerated rather than kept alive
+    # through the timed loop; the root pair (0, 100) is row 0, column 0
+    prod_worst = max(
+        abs(float(score_all_pairs(pg, qg).similarity[0, 0]) - want)
+        for (pg, qg), want in zip(star_graphs(np.random.default_rng(77)), wants)
+    )
+    ok = dt < 10.0 and prod_worst < 1e-12
+    _report(
+        "criterion 2, neighbor selection oracle 1e3 graphs",
+        ok,
+        f"exact, production_err={prod_worst:.2e} t={dt:.2f}s",
+    )
     assert dt < 10.0
+    assert prod_worst < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +270,7 @@ def test_criterion_3a_sphere_projection_oracle():
         if center[2] < r + 0.5:
             continue
         q = quadric_from_params(center, np.array([1.0, 0.0, 0.0, 0.0]), np.full(3, r))
-        box = project_quadric_to_bbox(q, Pose.identity(), INTR, clamp=False)
+        box = project_quadric_to_bbox(q, Pose.identity(), INTR)
         assert box is not None
         x_lo, x_hi = _sphere_extent(center[[0, 2]], r, INTR.fx, INTR.cx)
         y_lo, y_hi = _sphere_extent(center[[1, 2]], r, INTR.fy, INTR.cy)

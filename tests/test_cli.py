@@ -82,8 +82,20 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags, config",
-        [(["--fx", "-1"], None), (["--n-frames", "-1"], None), ([], "fx=abc\n")],
-        ids=["negative-fx", "negative-n-frames", "config-fx-abc"],
+        [
+            (["--fx", "-1"], None),
+            (["--n-frames", "-1"], None),
+            ([], "fx=abc\n"),
+            ([], "fx=none\n"),
+            ([], "center_boxes=none\n"),
+        ],
+        ids=[
+            "negative-fx",
+            "negative-n-frames",
+            "config-fx-abc",
+            "config-fx-none",
+            "config-center-boxes-none",
+        ],
     )
     def test_bad_values_are_input_errors(self, tmp_path, capsys, flags, config):
         argv = ["simulate", "--output", str(tmp_path / "x")] + SIM_FLAGS + flags
@@ -219,6 +231,18 @@ class TestLocalize:
             assert (run / "results.jsonl").exists()
             manifest = json.loads((run / "manifest.json").read_text())
             assert manifest["config"]["K"] == int(name.split("=")[1])
+
+    def test_none_disables_early_exit(self, dataset, tmp_path):
+        assert _localize(dataset, "sweep_exit", "--sweep", "early_exit_was=none,0.99") == 0
+        for name, want in (("early_exit_was=None", None), ("early_exit_was=0.99", 0.99)):
+            manifest = json.loads((dataset / "sweep_exit" / name / "manifest.json").read_text())
+            assert manifest["config"]["early_exit_was"] == want
+        (tmp_path / "loc.cfg").write_text("early_exit_was=none\n")
+        assert _localize(dataset, "run_no_exit", "--config", str(tmp_path / "loc.cfg")) == 0
+        manifest = json.loads((dataset / "run_no_exit" / "manifest.json").read_text())
+        assert manifest["config"]["early_exit_was"] is None
+        a = (dataset / "sweep_exit" / "early_exit_was=None" / "results.jsonl").read_bytes()
+        assert (dataset / "run_no_exit" / "results.jsonl").read_bytes() == a
 
 
 class TestEvaluate:

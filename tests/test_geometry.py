@@ -10,16 +10,12 @@ from scipy.spatial.transform import Rotation
 from semloc import (
     BoundingBox,
     CameraIntrinsics,
-    GaussianBox,
     Pose,
     absolute_orientation,
-    bbox_to_gaussian,
-    normalized_wasserstein,
     p3p_solve,
     pixel_to_bearing,
     project_quadric_to_bbox,
     quadric_from_params,
-    wasserstein2_squared,
 )
 from semloc.geometry import (
     bearing_angle,
@@ -30,6 +26,7 @@ from semloc.geometry import (
 )
 
 from conftest import random_pose, random_rotation
+from oracles import GaussianBox, bbox_to_gaussian, normalized_wasserstein, wasserstein2_squared
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
 INTR100 = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
@@ -165,7 +162,7 @@ class TestQuadricProjection:
         # f*r/sqrt(d^2-r^2) = 100/sqrt(24) for f=100, r=1, d=5
         half = 100.0 / math.sqrt(24.0)
         q = quadric_from_params([0.0, 0.0, 5.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        box = project_quadric_to_bbox(q, Pose.identity(), INTR100, clamp=False)
+        box = project_quadric_to_bbox(q, Pose.identity(), INTR100)
         assert box.x_min == pytest.approx(320.0 - half, abs=1e-9)
         assert box.x_max == pytest.approx(320.0 + half, abs=1e-9)
         assert box.y_min == pytest.approx(240.0 - half, abs=1e-9)
@@ -176,7 +173,7 @@ class TestQuadricProjection:
         # [DERIVED] tangent-line quadratic oracle, sphere center (0.4,-0.2,5.0),
         # r=1, f=100, c=(320,240)
         q = quadric_from_params([0.4, -0.2, 5.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        box = project_quadric_to_bbox(q, Pose.identity(), INTR100, clamp=False)
+        box = project_quadric_to_bbox(q, Pose.identity(), INTR100)
         expected = [307.85299045425916, 215.4039155464479, 348.81367621240753, 256.26275112021875]
         np.testing.assert_allclose(box.as_list(), expected, atol=1e-9)
 
@@ -186,7 +183,7 @@ class TestQuadricProjection:
         rell = rotz(0.7) @ rotx(-0.3)
         q = quadric_from_params([0.3, -0.1, 0.2], rotmat_to_quat(rell), [0.5, 0.3, 0.2])
         pose = Pose.from_rt(rotx(0.1) @ rotz(0.2), np.array([0.05, -0.1, 4.0]))
-        box = project_quadric_to_bbox(q, pose, INTR, clamp=False)
+        box = project_quadric_to_bbox(q, pose, INTR)
         expected = [316.675308227069, 165.262415998368, 412.493761712438, 273.717507365500]
         np.testing.assert_allclose(box.as_list(), expected, atol=1e-6)
 
@@ -197,8 +194,8 @@ class TestQuadricProjection:
     def test_clamp_behaviour(self):
         # sphere near the left edge: clamped box stops at x=0
         q = quadric_from_params([-15.5, 0.0, 5.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        full = project_quadric_to_bbox(q, Pose.identity(), INTR100, clamp=False)
-        clamped = project_quadric_to_bbox(q, Pose.identity(), INTR100, clamp=True)
+        full = project_quadric_to_bbox(q, Pose.identity(), INTR100)
+        clamped = full.clamped(INTR100.width, INTR100.height)
         assert full.x_min < 0.0
         assert clamped.x_min == 0.0
         assert clamped.x_max == full.x_max
@@ -208,8 +205,8 @@ class TestQuadricProjection:
         pos = np.array([0.3, -0.2, 4.0])
         q1 = quadric_from_params(pos, [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5])
         q2 = quadric_from_params(pos, rotmat_to_quat(random_rotation(rng)), [0.5, 0.5, 0.5])
-        b1 = project_quadric_to_bbox(q1, Pose.identity(), INTR, clamp=False)
-        b2 = project_quadric_to_bbox(q2, Pose.identity(), INTR, clamp=False)
+        b1 = project_quadric_to_bbox(q1, Pose.identity(), INTR)
+        b2 = project_quadric_to_bbox(q2, Pose.identity(), INTR)
         np.testing.assert_allclose(b1.as_list(), b2.as_list(), atol=1e-9)
 
 

@@ -35,10 +35,10 @@ INTR = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
 class TestLabelFrequencyTable:
     def test_exact_rationals(self):
         table = make_table({"a": 3, "b": 1}, total=4)
-        assert table.frequency("a") == 0.75
-        assert table.frequency("b") == 0.25
-        assert table.frequency("missing") == 0.0
-        assert table.labels() == ["a", "b"]
+        assert table.per_label_counts["a"] / table.total_detections == 0.75
+        assert table.per_label_counts["b"] / table.total_detections == 0.25
+        assert "missing" not in table.per_label_counts
+        assert list(table.per_label_counts) == ["a", "b"]
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -51,14 +51,13 @@ class TestLabelFrequencyTable:
     def test_accumulate(self):
         table = accumulate_label_frequencies([{"a"}, {"a", "b"}, {"b"}])
         assert table.total_detections == 3
-        assert table.frequency("a") == pytest.approx(2.0 / 3.0)
-        assert table.frequency("b") == pytest.approx(2.0 / 3.0)
+        assert table.per_label_counts == {"a": 2, "b": 2}
 
     def test_accumulate_ignores_multiplicity(self):
         # a label repeated within one detection still counts once
         table = accumulate_label_frequencies([["a", "a", "b"]])
-        assert table.frequency("a") == 1.0
-        assert table.frequency("b") == 1.0
+        assert table.total_detections == 1
+        assert table.per_label_counts == {"a": 1, "b": 1}
 
     def test_accumulate_empty_raises(self):
         with pytest.raises(ValueError, match="no detections"):
@@ -88,10 +87,10 @@ class TestConfidences:
 
     def test_normalize(self):
         conf = normalize_confidences([("a", 0.5), ("b", 0.3), ("c", 0.2)], k=2)
-        assert conf.labels() == ["a", "b"]
-        assert conf.score("a") == pytest.approx(0.625, abs=1e-12)
-        assert conf.score("b") == pytest.approx(0.375, abs=1e-12)
-        assert conf.score("c") == 0.0
+        assert [l for l, _ in conf.entries] == ["a", "b"]
+        scores = dict(conf.entries)
+        assert scores["a"] == pytest.approx(0.625, abs=1e-12)
+        assert scores["b"] == pytest.approx(0.375, abs=1e-12)
 
     def test_normalize_short_input(self):
         conf = normalize_confidences([("a", 2.0)], k=5)
@@ -106,6 +105,17 @@ class TestConfidences:
             NormalizedConfidence([("a", 0.5), ("a", 0.5)])
         with pytest.raises(ValueError):
             NormalizedConfidence([("a", 0.5), ("b", 0.1)])
+        for entries in ([("a", math.nan), ("b", 1.0)], [("a", 2.0), ("b", -1.0)]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                NormalizedConfidence(entries)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_normalize_rejects_non_finite_and_negative(self, bad):
+        with pytest.raises(ValueError, match="not finite and nonnegative"):
+            normalize_confidences([("a", bad), ("b", 0.5)], k=5)
+        # a bad score is rejected even when the top-k cut would drop it
+        with pytest.raises(ValueError, match="not finite and nonnegative"):
+            normalize_confidences([("b", 0.5), ("c", 0.4), ("a", bad)], k=1)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -259,9 +269,10 @@ class TestPriorGraphBuilders:
         nodes, keyframes = _accumulate_map(landmarks, frames, {0: {0: 4, 1: 5}, 1: {0: 4}}, k=5)
         assert keyframes == [[4, 5], [4]]
         g = prior_graph_from_nodes(nodes, keyframes, k_edge=1)
-        assert g.node(4).frequencies.frequency("cup") == 1.0
-        assert g.node(4).frequencies.frequency("mug") == 0.5
-        assert g.node(5).frequencies.frequency("mug") == 1.0
+        assert g.node(4).frequencies.total_detections == 2
+        assert g.node(4).frequencies.per_label_counts == {"cup": 2, "mug": 1}
+        assert g.node(5).frequencies.total_detections == 1
+        assert g.node(5).frequencies.per_label_counts == {"mug": 1}
         assert g.edges == {(4, 5)}
 
 
@@ -356,6 +367,14 @@ class TestQueryGraphBuilder:
         assert g.ids() == [0, 2, 3]
         assert all(1 not in edge for edge in g.edges)
         assert "detection 1 dropped: non-finite position" in caplog.text
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_label_score_dropped(self, bad, caplog):
+        dets = [self._det(100.0), self._det(labels=(("cup", bad), ("mug", 0.5))), self._det(300.0)]
+        with caplog.at_level(logging.WARNING, logger="semloc.graph"):
+            g = build_query_graph(dets, k=2, k_edge=2, intrinsics=INTR)
+        assert g.ids() == [0, 2]
+        assert "detection 1 dropped: score" in caplog.text
 
     def test_nonpositive_depth_dropped(self, caplog):
         dets = [self._det(position=(0.0, 0.0, -1.0))]

@@ -27,7 +27,6 @@ from semloc.dataio import (
     parse_config_text,
     resolve_matcher_config,
     save_associations,
-    save_config_file,
     save_detection_log,
     save_intrinsics,
     save_manifest,
@@ -287,12 +286,6 @@ class TestConfigText:
         with pytest.raises(InputError, match=r"cfg.ini:2: expected key=value"):
             parse_config_text("K=5\nno equals here\n", source="cfg.ini")
 
-    def test_file_round_trip(self, tmp_path):
-        p = tmp_path / "cfg.ini"
-        values = {"K": 3, "C": 75.5, "use_calp": False, "early_exit_was": None}
-        save_config_file(p, values)
-        assert load_config_file(p) == values
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="missing file"):
             load_config_file(tmp_path / "nope.ini")
@@ -307,6 +300,17 @@ class TestResolveMatcherConfig:
     def test_none_cli_values_do_not_override(self):
         cfg = resolve_matcher_config({"K": 3}, {"K": None})
         assert cfg.K == 3
+
+    def test_config_none_is_a_value(self):
+        # `none` in a file disables early exit; only a None flag means "not given"
+        cfg = resolve_matcher_config(parse_config_text("early_exit_was=none"), {})
+        assert cfg.early_exit_was is None
+        cfg = resolve_matcher_config(
+            parse_config_text("early_exit_was=none"), {"early_exit_was": None}
+        )
+        assert cfg.early_exit_was is None
+        with pytest.raises(InputError, match="use_calp must be true or false"):
+            resolve_matcher_config(parse_config_text("use_calp=none"), {})
 
     def test_unknown_key_warned_and_ignored(self, caplog):
         with caplog.at_level("WARNING", logger="semloc.dataio"):

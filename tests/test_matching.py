@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semloc import (
-    best_neighbor_set,
-    extract_candidates,
-    multilabel_likelihood,
-    neighbor_weight,
-    score_all_pairs,
-    similarity_score,
-)
+from semloc import extract_candidates, score_all_pairs
 from semloc.matching import SimilarityTable
 
 from conftest import (
@@ -26,6 +19,7 @@ from conftest import (
     random_conf,
     random_table,
 )
+from oracles import best_neighbor_set, multilabel_likelihood, neighbor_weight, similarity_score
 
 
 def node_likelihood(prior_graph, query_graph):

@@ -119,9 +119,6 @@ class TestSuccessRate:
     def test_all_mode_counts_failures(self):
         assert success_rate(self.ERRORS, 0.5, mode="all") == pytest.approx(50.0)
 
-    def test_exclusive_boundary(self):
-        assert success_rate(self.ERRORS, 0.5, inclusive=False) == pytest.approx(100.0 / 3)
-
     def test_all_failed_frames(self):
         assert success_rate([(0, None)], 0.5) == 0.0
 

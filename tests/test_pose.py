@@ -5,6 +5,7 @@ from semloc import (
     BoundingBox,
     CameraIntrinsics,
     CandidateSet,
+    DetectionRecord,
     LocalizationStatus,
     MatcherConfig,
     NoiseSpec,
@@ -23,7 +24,7 @@ from semloc import (
     render_sequence,
     score_all_pairs,
 )
-from semloc.cli import _accumulate_map, _seed_children
+from semloc.cli import _accumulate_map, _localize_frame, _seed_children
 from semloc.dataio import FrameRecord
 from semloc.geometry import quat_distance
 from semloc.pose import _AlignmentScorer
@@ -50,7 +51,7 @@ def _perfect_scene(n=8, seed=3, center_boxes=False):
     for i in range(n):
         label = VOCAB[i]
         p = prior_node(i + 1, pos[i], {label: 5}, total=5)
-        box = project_quadric_to_bbox(p.quadric(), gt, INTR, clamp=True)
+        box = project_quadric_to_bbox(p.quadric(), gt, INTR).clamped(INTR.width, INTR.height)
         assert box is not None
         if center_boxes:
             cam = gt.transform(pos[i])
@@ -119,6 +120,11 @@ class TestMatcherConfig:
     def test_rejects_non_integer_counts(self, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             MatcherConfig(**{name: 2.5})
+
+    @pytest.mark.parametrize("value", [None, 1])
+    def test_use_calp_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="use_calp must be true or false"):
+            MatcherConfig(use_calp=value)
 
     def test_status_wire_values(self):
         assert LocalizationStatus.SUCCESS.value == "success"
@@ -293,6 +299,26 @@ class TestEstimatePose:
         assert eager.status == LocalizationStatus.SUCCESS
         # a perfect frame should be accepted long before the budget runs out
         assert eager.history[-1][0] < 100
+
+    def test_all_nan_scores_are_insufficient_detections(self, caplog):
+        pg, qg, _ = _perfect_scene(center_boxes=True)
+
+        def frame(score):
+            dets = [
+                DetectionRecord(
+                    node.bbox, [(l, score) for l, _ in node.confidences.entries], node.position
+                )
+                for node in qg.nodes
+            ]
+            return FrameRecord(0, 0.0, dets)
+
+        config = MatcherConfig(tau=2, rng_seed=5)
+        assert _localize_frame(frame(1.0), pg, INTR, config, None).status == "success"
+        with caplog.at_level("WARNING", logger="semloc.graph"):
+            res = _localize_frame(frame(np.nan), pg, INTR, config, None)
+        assert res.status == "insufficient-detections"
+        assert res.pose is None and res.correspondences == [] and res.mean_entropy is None
+        assert caplog.text.count("not finite and nonnegative") == len(qg)
 
     def test_insufficient_query_nodes(self):
         pg, qg, _ = _perfect_scene()

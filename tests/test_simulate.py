@@ -5,7 +5,6 @@ import pytest
 
 from semloc import (
     CameraIntrinsics,
-    GroundTruth,
     Landmark,
     NoiseSpec,
     Pose,
@@ -237,7 +236,7 @@ class TestRenderFrame:
             scene, pose, INTR, NoiseSpec(), rng=np.random.default_rng(0), center_boxes=False
         )
         assert assoc == {0: 0}
-        expect = project_quadric_to_bbox(scene.landmarks[0].quadric(), pose, INTR, clamp=False)
+        expect = project_quadric_to_bbox(scene.landmarks[0].quadric(), pose, INTR)
         assert dets[0].bbox.as_list() == pytest.approx(expect.as_list(), abs=1e-12)
 
     def test_centered_boxes_are_geometrically_exact(self):
@@ -266,18 +265,6 @@ class TestRenderFrame:
         assert box.area < MIN_BBOX_AREA
         dets, _ = render_frame(scene, pose, INTR, NoiseSpec(), rng=np.random.default_rng(0))
         assert dets == []
-
-    def test_top_k_truncates_labels(self):
-        scene = _single_scene(clusters=[["a", "b", "c"]])
-        pose = _camera()
-        full, _ = render_frame(
-            scene, pose, INTR, NoiseSpec(temperature=1.0), rng=np.random.default_rng(3)
-        )
-        cut, _ = render_frame(
-            scene, pose, INTR, NoiseSpec(temperature=1.0), k=2, rng=np.random.default_rng(3)
-        )
-        assert len(full[0].labels) == 3
-        assert cut[0].labels == full[0].labels[:2]
 
     def test_jitter_perturbs_and_keeps_valid_boxes(self):
         scene = _single_scene()
@@ -335,14 +322,3 @@ class TestRenderSequence:
         clean = render_sequence(scene, [pose] * n, INTR, NoiseSpec(), seed=1)
         assert sum(len(dets) for dets, _ in clean) == n
 
-
-class TestGroundTruth:
-    def test_validates_lengths(self):
-        pose = _camera()
-        with pytest.raises(ValueError):
-            GroundTruth(poses=[(0.0, pose)], associations=[], labels={0: "a"})
-
-    def test_validates_landmark_ids(self):
-        pose = _camera()
-        with pytest.raises(ValueError):
-            GroundTruth(poses=[(0.0, pose)], associations=[{0: 99}], labels={0: "a"})
