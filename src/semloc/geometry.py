@@ -23,67 +23,92 @@ _UNIT_QUAT_TOL = 1e-9
 # quaternion helpers (w, x, y, z ordering throughout)
 
 
+def _dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, (..., k) x (..., k) -> (...).
+
+    Each is the BLAS dot that `a @ b` runs on two 1-D arrays, so a stack of
+    vectors gives the bits of the vectors taken one at a time; an
+    elementwise sum of products can round differently.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _norm(x) -> np.ndarray:
+    """Euclidean norm over the last axis; equal to np.linalg.norm of each vector."""
+    return np.sqrt(_dot(x, x))
+
+
 def quat_normalize(q) -> np.ndarray:
-    """Normalize a quaternion and fix its sign so the first nonzero entry is positive."""
-    q = np.asarray(q, dtype=float).reshape(4)
-    n = np.linalg.norm(q)
-    if n == 0.0:
+    """Normalize quaternions (..., 4) and fix each sign so the first nonzero entry is positive."""
+    q = np.asarray(q, dtype=float)
+    flat = q.reshape(-1, 4)
+    n = _norm(flat)
+    if (n == 0.0).any():
         raise ValueError("zero quaternion")
-    q = q / n
-    for v in q:
-        if v != 0.0:
-            if v < 0.0:
-                q = -q
-            break
-    return q
+    flat = flat / n[:, None]
+    first = flat[np.arange(len(flat)), (flat != 0.0).argmax(axis=1)]
+    return np.where(first[:, None] < 0.0, -flat, flat).reshape(q.shape)
 
 
 def quat_to_rotmat(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(4)
-    if abs(np.linalg.norm(q) - 1.0) > 1e-6:
+    """Unit quaternions (..., 4) to rotation matrices (..., 3, 3)."""
+    q = np.asarray(q, dtype=float)
+    q = q.reshape(4) if q.ndim < 2 else q
+    if np.any(np.abs(_norm(q) - 1.0) > 1e-6):
         raise ValueError("non-unit quaternion")
-    w, x, y, z = q
-    return np.array(
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    r = np.array(
         [
             [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
             [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
             [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
         ]
     )
+    return r if q.ndim == 1 else np.moveaxis(r, (0, 1), (-2, -1))
+
+
+# Shepperd's branches: row b holds, per quaternion component, the two matrix
+# entries (flat index a, b, sign) whose a + sign * b is its numerator; the
+# branch's own component (the diagonal) is s / 4 instead
+_SHEPPERD_A = np.array([[0, 7, 2, 3], [7, 0, 1, 2], [2, 1, 0, 5], [3, 2, 5, 0]])
+_SHEPPERD_B = np.array([[0, 5, 6, 1], [5, 0, 3, 6], [6, 3, 0, 7], [1, 6, 7, 0]])
+_SHEPPERD_SIGN = np.array(
+    [[-1.0, -1.0, -1.0, -1.0], [-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]]
+)
 
 
 def rotmat_to_quat(r) -> np.ndarray:
-    """Rotation matrix to unit quaternion (w, x, y, z), Shepperd's branching."""
-    r = np.asarray(r, dtype=float).reshape(3, 3)
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        )
-    elif r[0, 0] >= r[1, 1] and r[0, 0] >= r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array(
-            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-        )
-    elif r[1, 1] >= r[2, 2]:
-        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-        q = np.array(
-            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-        q = np.array(
-            [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
-        )
-    return quat_normalize(q)
+    """Rotation matrices (..., 3, 3) to unit quaternions (..., 4), Shepperd's branching.
+
+    The branch is w's when the trace is positive, else the axis of the
+    first largest diagonal entry.
+    """
+    r = np.asarray(r, dtype=float)
+    flat = r.reshape(-1, 9)
+    rows = np.arange(len(flat))
+    diag = flat[:, [0, 4, 8]]
+    tr = diag[:, 0] + diag[:, 1] + diag[:, 2]
+    axis = diag.argmax(axis=1)
+    # 1 + r_aa - r_bb - r_cc for each axis a
+    radicand = (1.0 + diag - diag[:, [1, 0, 0]] - diag[:, [2, 2, 1]])[rows, axis]
+    positive = tr > 0.0
+    s = np.sqrt(np.where(positive, tr + 1.0, radicand)) * 2.0
+    branch = np.where(positive, 0, axis + 1)
+    a = flat[rows[:, None], _SHEPPERD_A[branch]]
+    b = flat[rows[:, None], _SHEPPERD_B[branch]]
+    q = (a + _SHEPPERD_SIGN[branch] * b) / s[:, None]
+    q[rows, branch] = 0.25 * s
+    return quat_normalize(q).reshape(r.shape[:-2] + (4,))
 
 
-def quat_distance(q1, q2) -> float:
-    """Sign-invariant Euclidean distance between two unit quaternions."""
-    q1 = np.asarray(q1, dtype=float).reshape(4)
-    q2 = np.asarray(q2, dtype=float).reshape(4)
-    return float(min(np.linalg.norm(q1 - q2), np.linalg.norm(q1 + q2)))
+def quat_distance(q1, q2):
+    """Sign-invariant Euclidean distance between unit quaternions (..., 4)."""
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    d = np.minimum(_norm(q1 - q2), _norm(q1 + q2))
+    return float(d) if d.ndim == 0 else d
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +153,7 @@ class Pose:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(4)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        if abs(np.linalg.norm(self.rotation) - 1.0) > _UNIT_QUAT_TOL:
+        if abs(math.sqrt(self.rotation @ self.rotation) - 1.0) > _UNIT_QUAT_TOL:
             raise ValueError("non-unit quaternion beyond tolerance")
 
     @classmethod
@@ -290,32 +315,45 @@ def pixel_to_bearing(pixel, intrinsics: CameraIntrinsics) -> np.ndarray:
     return ray / np.linalg.norm(ray)
 
 
-def bearing_angle(u, v) -> float:
-    """Angle in radians between two direction vectors, stable near zero."""
+def bearing_angle(u, v):
+    """Angle in radians between direction vectors (..., 3), stable near zero.
+
+    A float for two vectors, an array for stacks.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    # scalar cross product: np.cross pays generic-dispatch overhead on every
-    # call and this sits inside the P3P inner loop
-    cx = u[1] * v[2] - u[2] * v[1]
-    cy = u[2] * v[0] - u[0] * v[2]
-    cz = u[0] * v[1] - u[1] * v[0]
-    s = math.sqrt(cx * cx + cy * cy + cz * cz)
-    return float(math.atan2(s, float(u @ v)))
+    cx = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
+    cy = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
+    cz = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    s = np.sqrt(cx * cx + cy * cy + cz * cz)
+    # libm's atan2: numpy's vectorized arctan2 can differ in the last bit,
+    # and these angles order the P3P solutions
+    angles = list(map(math.atan2, np.ravel(s).tolist(), np.ravel(_dot(u, v)).tolist()))
+    return angles[0] if s.ndim == 0 else np.reshape(angles, s.shape)
 
 
 def absolute_orientation(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares rigid transform with dst ~= R src + t (Kabsch)."""
+    """Least-squares rigid transform with dst ~= R src + t (Kabsch).
+
+    src and dst are (n, 3) point sets, or stacks (..., n, 3) that get one
+    transform each.
+    """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    cs = src.mean(axis=0)
-    cd = dst.mean(axis=0)
-    h = (src - cs).T @ (dst - cd)
+    # np.mean's arithmetic (sum, then divide by the count) without its overhead
+    cs = np.add.reduce(src, axis=-2) / src.shape[-2]
+    cd = np.add.reduce(dst, axis=-2) / dst.shape[-2]
+    h = (src - cs[..., None, :]).swapaxes(-1, -2) @ (dst - cd[..., None, :])
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        d = 1.0
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return r, cd - r @ cs
+    ut = u.swapaxes(-1, -2)
+    v = vt.swapaxes(-1, -2)
+    d = np.sign(np.linalg.det(v @ ut))
+    flip = np.zeros(d.shape + (3, 3))
+    flip[..., 0, 0] = 1.0
+    flip[..., 1, 1] = 1.0
+    flip[..., 2, 2] = np.where(d == 0.0, 1.0, d)
+    r = v @ flip @ ut
+    return r, cd - (r @ cs[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,197 +361,302 @@ def absolute_orientation(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, 
 
 _P3P_IMAG_TOL = 1e-9
 _P3P_REPROJ_TOL = 1e-6  # rad, largest bearing-to-reprojection angle of a kept pose
+_REFINE_FEW = 8  # below this many moving (u, v) pairs, _refine_uv steps them one by one
 
 
-def _polyval(coeffs: np.ndarray, x: float) -> float:
-    # lowest-order-first Horner
+def _max1(x: np.ndarray) -> np.ndarray:
+    """max(1.0, x) per element, as Python's max picks it (1.0 unless x > 1)."""
+    return np.where(x > 1.0, x, 1.0)
+
+
+def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # lowest-order-first Horner; coeffs (..., m) broadcast against x
     acc = 0.0
-    for c in coeffs[::-1]:
-        acc = acc * x + c
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = acc * x + coeffs[..., k]
     return acc
 
 
-def _newton_polish(coeffs: np.ndarray, x: float, iters: int = 3) -> float:
+def _convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.convolve of each row of a with the same row of v, to the bit.
+
+    np.convolve sums the partial overlaps at both ends with BLAS dots and
+    the full overlaps with a plain multiply-add loop; the two round
+    differently, so both are kept.
+    """
+    if v.shape[-1] > a.shape[-1]:
+        a, v = v, a
+    vr = v[..., ::-1]
+    la, lv = a.shape[-1], v.shape[-1]
+    out = [_dot(a[..., :k], vr[..., lv - k :]) for k in range(1, lv)]
+    for i in range(la - lv + 1):
+        acc = 0.0
+        for j in range(lv):
+            acc = acc + a[..., i + j] * vr[..., j]
+        out.append(acc)
+    out += [_dot(a[..., la - k :], vr[..., :k]) for k in range(lv - 1, 0, -1)]
+    return np.stack(out, axis=-1)
+
+
+def _quartic_roots(quartic: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the selected rows' polynomials (lowest order first), as polyroots gives them.
+
+    Returns (n, 4) complex roots and a mask of the roots present. Quartics
+    share one stacked eigvals call on their companion matrices; a row with
+    a zero leading coefficient drops to lower degree and, like a stack
+    that fails to converge, is rooted alone. A row polyroots rejects
+    (non-finite entries) has no roots.
+    """
+    n = len(quartic)
+    roots = np.zeros((n, 4), dtype=complex)
+    have = np.zeros((n, 4), dtype=bool)
+    lead = quartic[:, 4] != 0.0
+    comp = np.zeros((n, 4, 4))
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    comp[:, :, 3] -= quartic[:, :4] / quartic[:, 4:]
+    stacked = rows & lead & np.isfinite(comp).all(axis=(1, 2))
+    alone = list(np.flatnonzero(rows & ~lead))
+    if stacked.any():
+        try:
+            found = np.linalg.eigvals(comp[stacked])
+            found.sort(axis=-1)
+            roots[stacked] = found
+            have[stacked] = True
+        except np.linalg.LinAlgError:
+            alone = sorted(alone + list(np.flatnonzero(stacked)))
+    for i in alone:
+        try:
+            found = np.polynomial.polynomial.polyroots(quartic[i])
+        except np.linalg.LinAlgError:
+            continue
+        roots[i, : len(found)] = found
+        have[i, : len(found)] = True
+    return roots, have
+
+
+def _newton_polish(coeffs: np.ndarray, x: np.ndarray, iters: int = 3) -> np.ndarray:
     # Clustered roots make the derivative vanish, so only accept steps that
     # actually shrink the residual and never wander far from the seed.
-    deriv = coeffs[1:] * np.arange(1, len(coeffs))
+    deriv = coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
     best = x
-    best_f = abs(_polyval(coeffs, x))
+    f = _polyval(coeffs, x)
+    best_f = np.abs(f)
+    active = np.ones(x.shape, dtype=bool)
     for _ in range(iters):
-        f = _polyval(coeffs, x)
         fp = _polyval(deriv, x)
-        if fp == 0.0:
-            break
         step = f / fp
-        if abs(step) > 0.1 * max(1.0, abs(x)):
-            break
-        x -= step
-        fx = abs(_polyval(coeffs, x))
-        if fx < best_f:
-            best, best_f = x, fx
-        else:
-            break
-        if abs(step) < 1e-15 * max(1.0, abs(x)):
+        active &= (fp != 0.0) & ~(np.abs(step) > 0.1 * _max1(np.abs(x)))
+        x = np.where(active, x - step, x)
+        f = _polyval(coeffs, x)
+        fx = np.abs(f)
+        active &= fx < best_f
+        best = np.where(active, x, best)
+        best_f = np.where(active, fx, best_f)
+        active &= ~(np.abs(step) < 1e-15 * _max1(np.abs(x)))
+        if not active.any():
             break
     return best
 
 
-def p3p_solve(world_points, bearings) -> list[Pose]:
+def _uv_step(u, v, ca, cb, cg, big_a, big_b):
+    """One joint Newton step on the two ratio equations, on floats or arrays.
+
+    Returns the numerators of the u and v steps and their denominator.
+    """
+    kb_v = 1.0 + v * v - 2.0 * v * cb
+    g1 = u * u + v * v - 2.0 * u * v * ca - big_a * kb_v
+    g2 = u * u - 2.0 * u * cg + 1.0 - big_b * kb_v
+    j11 = 2.0 * u - 2.0 * v * ca
+    j12 = 2.0 * v - 2.0 * u * ca - big_a * (2.0 * v - 2.0 * cb)
+    j21 = 2.0 * u - 2.0 * cg
+    j22 = -big_b * (2.0 * v - 2.0 * cb)
+    return g1 * j22 - g2 * j12, g2 * j11 - g1 * j21, j11 * j22 - j12 * j21
+
+
+def _refine_uv(u: np.ndarray, v: np.ndarray, params: list[np.ndarray]):
+    """Re-converge (u, v) pairs, 1-D arrays, on the original ratio equations.
+
+    A clustered quartic can only pin v down to ~1e-8 in doubles and u
+    amplifies that error, so each pair takes up to 20 joint Newton steps,
+    stopping at a zero Jacobian or once both steps fall below 1e-15
+    relative. params holds (ca, cb, cg, big_a, big_b) per pair. Most pairs
+    settle in two or three steps while a few wander in the last bits for
+    all twenty, so the steps run on the whole stack while more than
+    _REFINE_FEW pairs move, and pair by pair on Python floats after that:
+    the same arithmetic, without a numpy call per operation.
+    """
+    u = u.copy()
+    v = v.copy()
+    moving = np.arange(len(u))
+    steps = 0
+    while steps < 20 and len(moving) > _REFINE_FEW:
+        mu, mv = u[moving], v[moving]
+        nu, nv, det = _uv_step(mu, mv, *(x[moving] for x in params))
+        du = nu / det
+        dv = nv / det
+        step = det != 0.0
+        u[moving] = np.where(step, mu - du, mu)
+        v[moving] = np.where(step, mv - dv, mv)
+        settled = (np.abs(du) < 1e-15 * _max1(np.abs(u[moving]))) & (
+            np.abs(dv) < 1e-15 * _max1(np.abs(v[moving]))
+        )
+        moving = moving[step & ~settled]
+        steps += 1
+    for i in moving.tolist():
+        ui, vi = float(u[i]), float(v[i])
+        pi = [float(x[i]) for x in params]
+        for _ in range(steps, 20):
+            nu, nv, det = _uv_step(ui, vi, *pi)
+            if det == 0.0:
+                break
+            du = nu / det
+            dv = nv / det
+            ui -= du
+            vi -= dv
+            if abs(du) < 1e-15 * max(1.0, abs(ui)) and abs(dv) < 1e-15 * max(1.0, abs(vi)):
+                break
+        u[i] = ui
+        v[i] = vi
+    return u, v
+
+
+def p3p_solve(world_points, bearings):
     """Solve perspective-three-point for world-to-camera poses.
 
     Args:
-        world_points: (3, 3) array, one 3D point per row.
-        bearings: (3, 3) array of unit rays in the camera frame, one per row,
-            corresponding to the world points.
+        world_points: (3, 3) array, one 3D point per row, or a stack
+            (n, 3, 3) of such samples.
+        bearings: unit rays in the camera frame, one per row, corresponding
+            to the world points; same shape as world_points.
 
     Returns:
-        Up to four poses. Collinear world points, complex depth roots, and
+        For one sample, a list of up to four poses; for a stack, one such
+        list per sample. Collinear world points, complex depth roots, and
         solutions placing a point behind the camera yield fewer (possibly
         zero) poses. A pose is kept only when every bearing is within
-        _P3P_REPROJ_TOL radians of its reprojected point.
+        _P3P_REPROJ_TOL radians of its reprojected point; poses are ordered
+        by that angle, and near-duplicates are dropped.
 
     The depth ratios follow from the triangle cosine constraints: with
     u = s1/s0 and v = s2/s0 the two independent ratio equations reduce to a
     quartic in v, assembled by polynomial convolution and rooted via the
     companion matrix, with a Newton polish on every accepted real root.
+    A stack is solved in one pass, each sample to the bit as if alone.
     """
-    pts = np.asarray(world_points, dtype=float).reshape(3, 3)
-    f = np.asarray(bearings, dtype=float).reshape(3, 3)
-    norms = np.linalg.norm(f, axis=1)
-    if np.any(norms == 0.0):
-        return []
-    f = f / norms[:, None]
+    pts = np.asarray(world_points, dtype=float)
+    single = pts.ndim < 3
+    pts = pts.reshape(-1, 3, 3)
+    f = np.asarray(bearings, dtype=float).reshape(-1, 3, 3)
+    with np.errstate(all="ignore"):  # rejected samples run along as NaN and inf
+        solutions = _p3p_stack(pts, f)
+    return solutions[0] if single else solutions
 
-    e01 = pts[1] - pts[0]
-    e02 = pts[2] - pts[0]
-    tx = e01[1] * e02[2] - e01[2] * e02[1]
-    ty = e01[2] * e02[0] - e01[0] * e02[2]
-    tz = e01[0] * e02[1] - e01[1] * e02[0]
-    tri = math.sqrt(tx * tx + ty * ty + tz * tz)
-    if tri <= 1e-9 * max(1.0, np.linalg.norm(e01) * np.linalg.norm(e02)):
-        return []
 
-    a = np.linalg.norm(pts[1] - pts[2])
-    b = np.linalg.norm(pts[0] - pts[2])
-    c = np.linalg.norm(pts[0] - pts[1])
-    if min(a, b, c) <= 0.0:
-        return []
-    ca = float(f[1] @ f[2])
-    cb = float(f[0] @ f[2])
-    cg = float(f[0] @ f[1])
+def _p3p_stack(pts: np.ndarray, f: np.ndarray) -> list[list[Pose]]:
+    """p3p_solve of (n, 3, 3) world points and bearings: one pose list per sample."""
+    n = len(pts)
+    norms = np.sqrt(np.add.reduce(f * f, axis=2))  # np.linalg.norm(f, axis=2)
+    ok = ~(norms == 0.0).any(axis=1)
+    f = f / norms[:, :, None]
 
-    big_a = (a / b) ** 2
-    big_b = (c / b) ** 2
-    kb = np.array([1.0, -2.0 * cb, 1.0])  # 1 - 2 cb v + v^2
-    n_poly = (big_a - big_b) * kb + np.array([1.0, 0.0, -1.0])
-    d_poly = np.array([2.0 * cg, -2.0 * ca])
-    tail = np.array([1.0, 0.0, 0.0]) - big_b * kb  # 1 - B Kb(v)
+    e01 = pts[:, 1] - pts[:, 0]
+    e02 = pts[:, 2] - pts[:, 0]
+    tx = e01[:, 1] * e02[:, 2] - e01[:, 2] * e02[:, 1]
+    ty = e01[:, 2] * e02[:, 0] - e01[:, 0] * e02[:, 2]
+    tz = e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0]
+    tri = np.sqrt(tx * tx + ty * ty + tz * tz)
+    n01, n02 = _norm(np.stack([e01, e02], axis=1)).T
+    ok &= ~(tri <= 1e-9 * _max1(n01 * n02))
 
-    quartic = np.zeros(5)
+    # side lengths opposite each point and the cosines between bearing pairs
+    a, b, c = _norm(pts[:, [1, 0, 0]] - pts[:, [2, 2, 1]]).T
+    ok &= (a > 0.0) & (b > 0.0) & (c > 0.0)
+    ca, cb, cg = _dot(f[:, [1, 0, 0]], f[:, [2, 2, 1]]).T
 
-    def _acc(poly: np.ndarray):
-        quartic[: len(poly)] += poly
+    # scalar ** is libm pow, which can differ from x * x in the last bit
+    big_a = np.array([x**2 for x in a / b])
+    big_b = np.array([x**2 for x in c / b])
+    one = np.ones(n)
+    kb = np.stack([one, -2.0 * cb, one], axis=1)  # 1 - 2 cb v + v^2
+    n_poly = (big_a - big_b)[:, None] * kb + np.array([1.0, 0.0, -1.0])
+    d_poly = np.stack([2.0 * cg, -2.0 * ca], axis=1)
+    tail = np.array([1.0, 0.0, 0.0]) - big_b[:, None] * kb  # 1 - B Kb(v)
 
-    _acc(np.convolve(n_poly, n_poly))
-    _acc(-2.0 * cg * np.convolve(n_poly, d_poly))
-    _acc(np.convolve(np.convolve(d_poly, d_poly), tail))
+    quartic = np.zeros((n, 5))
+    quartic += _convolve(n_poly, n_poly)
+    quartic[:, :4] += (-2.0 * cg)[:, None] * _convolve(n_poly, d_poly)
+    quartic += _convolve(_convolve(d_poly, d_poly), tail)
+    peak = np.max(np.abs(quartic), axis=1)
+    ok &= ~(peak == 0.0)
+    quartic = quartic / peak[:, None]
 
-    peak = np.max(np.abs(quartic))
-    if peak == 0.0:
-        return []
-    quartic = quartic / peak
+    # per sample and root (n, 4): real, positive, distinct depth ratios v
+    roots, keep = _quartic_roots(quartic, ok)
+    keep &= ~(np.abs(roots.imag) > _P3P_IMAG_TOL)
+    v = _newton_polish(quartic[:, None, :], roots.real)
+    keep &= ~(v <= 0.0)
+    for j in range(1, 4):
+        for i in range(j):
+            same = np.abs(v[:, j] - v[:, i]) <= 1e-8 * _max1(np.abs(v[:, j]))
+            keep[:, j] &= ~(keep[:, i] & same)
+    cb2, cg2, big_b2 = cb[:, None], cg[:, None], big_b[:, None]
+    kb_v = 1.0 + v * v - 2.0 * v * cb2
+    keep &= ~(kb_v <= 0.0)
 
-    try:
-        roots = np.polynomial.polynomial.polyroots(quartic)
-    except np.linalg.LinAlgError:
-        return []
+    # per sample, root and u (n, 4, 2): u from the linear equation, or both
+    # roots of the quadratic in u where its leading term vanishes
+    dv = _polyval(d_poly[:, None, :], v)
+    linear = np.abs(dv) > 1e-9
+    disc = cg2 * cg2 - (1.0 - big_b2 * kb_v)
+    sq = np.sqrt(disc)
+    u = np.stack([np.where(linear, _polyval(n_poly[:, None, :], v) / dv, cg2 + sq), cg2 - sq], -1)
+    real_u = ~linear & ~(disc < 0.0)
+    use = np.stack([keep & (linear | real_u), keep & real_u], axis=-1)
+    v = np.broadcast_to(v[:, :, None], u.shape).copy()
+    ca3, cb3, cg3 = ca[:, None, None], cb[:, None, None], cg[:, None, None]
+    big_a3, big_b3 = big_a[:, None, None], big_b[:, None, None]
+    params = [np.broadcast_to(x, u.shape)[use] for x in (ca3, cb3, cg3, big_a3, big_b3)]
+    u[use], v[use] = _refine_uv(u[use], v[use], params)
 
-    def _refine_uv(u: float, v: float) -> tuple[float, float]:
-        # Joint Newton on the two ratio equations. A clustered quartic can
-        # only pin v down to ~1e-8 in doubles and u amplifies that error, so
-        # the pair is re-converged on the original constraints instead.
-        for _ in range(20):
-            kb_v = 1.0 + v * v - 2.0 * v * cb
-            g1 = u * u + v * v - 2.0 * u * v * ca - big_a * kb_v
-            g2 = u * u - 2.0 * u * cg + 1.0 - big_b * kb_v
-            j11 = 2.0 * u - 2.0 * v * ca
-            j12 = 2.0 * v - 2.0 * u * ca - big_a * (2.0 * v - 2.0 * cb)
-            j21 = 2.0 * u - 2.0 * cg
-            j22 = -big_b * (2.0 * v - 2.0 * cb)
-            det = j11 * j22 - j12 * j21
-            if det == 0.0:
-                break
-            du = (g1 * j22 - g2 * j12) / det
-            dv = (g2 * j11 - g1 * j21) / det
-            u -= du
-            v -= dv
-            if abs(du) < 1e-15 * max(1.0, abs(u)) and abs(dv) < 1e-15 * max(1.0, abs(v)):
-                break
-        return u, v
+    use &= ~((u <= 0.0) | (v <= 0.0))
+    kb_v = 1.0 + v * v - 2.0 * v * cb3
+    use &= ~(kb_v <= 0.0)
+    s0 = b[:, None, None] / np.sqrt(kb_v)
+    resid = u * u + v * v - 2.0 * u * v * ca3 - big_a3 * kb_v
+    use &= ~(np.abs(resid) > 1e-6 * _max1(big_a3 * kb_v))
+    depths = np.stack([s0, u * s0, v * s0], axis=-1)
+    use &= ~(depths <= 0.0).any(axis=-1)
 
-    candidates: list[tuple[float, Pose]] = []
-    seen_v: list[float] = []
-    for root in roots:
-        if abs(root.imag) > _P3P_IMAG_TOL:
-            continue
-        v_seed = _newton_polish(quartic, float(root.real))
-        if v_seed <= 0.0:
-            continue
-        if any(abs(v_seed - w) <= 1e-8 * max(1.0, abs(v_seed)) for w in seen_v):
-            continue
-        seen_v.append(v_seed)
-        kb_v = 1.0 + v_seed * v_seed - 2.0 * v_seed * cb
-        if kb_v <= 0.0:
-            continue
-        dv = _polyval(d_poly, v_seed)
-        if abs(dv) > 1e-9:
-            us = [_polyval(n_poly, v_seed) / dv]
-        else:
-            # fall back to the quadratic in u and keep roots consistent
-            # with the remaining ratio equation
-            disc = cg * cg - (1.0 - big_b * kb_v)
-            if disc < 0.0:
-                continue
-            sq = math.sqrt(disc)
-            us = [cg + sq, cg - sq]
-        for u in us:
-            u, v = _refine_uv(u, v_seed)
-            if u <= 0.0 or v <= 0.0:
-                continue
-            kb_v = 1.0 + v * v - 2.0 * v * cb
-            if kb_v <= 0.0:
-                continue
-            s0 = b / math.sqrt(kb_v)
-            resid = u * u + v * v - 2.0 * u * v * ca - big_a * kb_v
-            if abs(resid) > 1e-6 * max(1.0, big_a * kb_v):
-                continue
-            depths = np.array([s0, u * s0, v * s0])
-            if np.any(depths <= 0.0):
-                continue
-            cam_pts = depths[:, None] * f
-            r, t = absolute_orientation(pts, cam_pts)
-            reproj = pts @ r.T + t
-            if np.any(reproj[:, 2] <= 0.0):
-                continue
-            err = max(bearing_angle(f[i], reproj[i]) for i in range(3))
-            if err > _P3P_REPROJ_TOL:
-                continue
-            candidates.append((err, Pose.from_rt(r, t)))
+    # one candidate per surviving (sample, root, u), in the order a loop
+    # over them would meet it
+    sample = np.nonzero(use)[0]
+    cam = depths[use][:, :, None] * f[sample]
+    r, t = absolute_orientation(pts[sample], cam)
+    reproj = pts[sample] @ r.swapaxes(-1, -2) + t[:, None, :]
+    err = bearing_angle(f[sample], reproj).max(axis=1)
+    good = ~(reproj[:, :, 2] <= 0.0).any(axis=1) & ~(err > _P3P_REPROJ_TOL)
+    sample, err, r, t = sample[good], err[good], r[good], t[good]
+    quat = rotmat_to_quat(r)
 
-    candidates.sort(key=lambda it: it[0])
-    kept: list[Pose] = []
-    for _, pose in candidates:
-        dup = False
-        for other in kept:
-            if (
-                np.linalg.norm(pose.translation - other.translation)
-                <= 1e-7 * (1.0 + np.linalg.norm(pose.translation))
-                and quat_distance(pose.rotation, other.rotation) <= 1e-7
-            ):
-                dup = True
-                break
-        if not dup:
-            kept.append(pose)
-        if len(kept) == 4:
-            break
-    return kept
+    # per sample, smallest error first (stable); keep up to four poses, each
+    # distinct from every pose kept before it
+    order = np.lexsort((err, sample))
+    sample, quat, t = sample[order], quat[order], t[order]
+    rank = np.arange(len(sample)) - np.searchsorted(sample, sample)
+    i, j = np.nonzero(np.triu(sample[:, None] == sample[None, :], 1))
+    near_t = _norm(t[j] - t[i]) <= 1e-7 * (1.0 + _norm(t[j]))
+    near_q = quat_distance(quat[j], quat[i]) <= 1e-7
+    dup = np.zeros((len(sample), len(sample)), dtype=bool)  # [i, j]: j duplicates i
+    dup[i, j] = near_t & near_q
+    kept = np.zeros(len(sample), dtype=bool)
+    n_kept = np.zeros(n, dtype=int)
+    for k in range(rank.max(initial=-1) + 1):
+        at = np.flatnonzero(rank == k)
+        new = ~(dup[:, at] & kept[:, None]).any(axis=0) & (n_kept[sample[at]] < 4)
+        kept[at] = new
+        n_kept[sample[at[new]]] += 1
+
+    solutions: list[list[Pose]] = [[] for _ in range(n)]
+    for k in np.flatnonzero(kept):
+        solutions[sample[k]].append(Pose(quat[k], t[k]))
+    return solutions

@@ -88,9 +88,11 @@ def score_all_pairs(
     neighbors m, of the best w * likelihood(n, m) over the prior root's
     neighbors n, with the distance-consistency weight
     w = 1 / (1 + |d_prior(root, n) - d_query(root, m)|). A root without
-    neighbors on either side gets no context term. use_calp=False skips context propagation and copies the likelihood as the
-    similarity, which is the ablation baseline. Work is chunked over prior
-    rows to bound the intermediate (rows, cols, deg_p, deg_q) tensor.
+    neighbors on either side gets no context term.
+
+    use_calp=False skips context propagation: the similarity is a copy of
+    the likelihood, which is the ablation baseline. Work is chunked over
+    prior rows to bound the intermediate (rows, cols, deg_p, deg_q) tensor.
     """
     like = _likelihood_matrix(prior_graph, query_graph)
     prior_ids = prior_graph.ids()

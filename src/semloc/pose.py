@@ -3,7 +3,8 @@
 Repeatedly samples three candidate pairs, checks structural validity,
 solves perspective-three-point, and keeps the pose with the best
 normalized-Wasserstein alignment between projected landmarks and detected
-boxes. Deterministic for a fixed seed.
+boxes. Valid samples are solved and scored in chunks. Deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ import numpy as np
 from .geometry import CameraIntrinsics, Pose, p3p_solve, pixel_to_bearing, quat_to_rotmat
 from .graph import SemanticGraph
 from .matching import CandidateSet, extract_candidates, score_all_pairs
+
+
+# valid samples whose P3P solves and alignment scores run as one batch
+_CHUNK = 16
 
 
 class LocalizationStatus(str, Enum):
@@ -57,12 +62,20 @@ class MatcherConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.K <= 0 or self.tau <= 0 or self.k_edge <= 0:
             raise ValueError("K, tau, k_edge must be positive")
-        if self.C <= 0.0:
-            raise ValueError("C must be positive")
+        if not _finite_real(self.C) or self.C <= 0.0:
+            raise ValueError("C must be a finite positive number")
+        if self.early_exit_was is not None and not _finite_real(self.early_exit_was):
+            raise ValueError("early_exit_was must be a finite number or none")
         if self.n_iter <= 0:
             raise ValueError("n_iter must be positive")
         if not isinstance(self.use_calp, bool):  # a config `use_calp=none` is no switch
             raise ValueError("use_calp must be true or false")
+
+
+def _finite_real(value) -> bool:
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    )
 
 
 @dataclass
@@ -140,7 +153,7 @@ class _AlignmentScorer:
 
     def _pair_scores(self, poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair similarity (0 where the prior is not visible) and visibility, (n, pairs)."""
-        rot = np.stack([quat_to_rotmat(p.rotation) for p in poses])
+        rot = quat_to_rotmat(np.stack([p.rotation for p in poses]))
         trans = np.stack([p.translation for p in poses])
         proj = (self.K[None] @ np.concatenate([rot, trans[:, :, None]], axis=2))[:, None]
         # project_quadric_to_bbox's products in its order: the same conic to the bit
@@ -254,7 +267,11 @@ def estimate_pose(
     Scores all pairs, extracts per-query candidates, then runs the seeded
     sampling loop. Every drawn 3-pair set counts as used whether or not it
     passes validity, so the loop never re-evaluates a set; it stops early on
-    a high enough alignment or when the triple space is exhausted.
+    a high enough alignment or when the triple space is exhausted. Valid
+    samples are solved and scored _CHUNK at a time, then walked in draw
+    order and cut where the early exit fires: the result is the one of
+    solving and scoring each valid sample as it is drawn. Draws past the
+    cut are wasted work and change nothing.
     """
     if len(query_graph) < 3:
         return LocalizationResult(
@@ -285,30 +302,42 @@ def estimate_pose(
     history: list[tuple[int, float]] = []
     n_valid = 0
 
-    for it in range(config.n_iter):
-        if len(used) >= total_triples:
+    it = 0
+    stop = False
+    while not stop:
+        # draw until a chunk of valid samples is full or the draws run out
+        chunk: list[tuple[int, list[tuple[int, int]]]] = []
+        while len(chunk) < _CHUNK and it < config.n_iter and len(used) < total_triples:
+            idx = rng.choice(n_pairs, size=3, replace=False)
+            sample = [pairs[i] for i in idx]
+            if is_valid_sample(sample, prior_graph, query_graph, used):
+                chunk.append((it, sample))
+            used.add(frozenset(sample))
+            it += 1
+        if not chunk:
             break
-        idx = rng.choice(n_pairs, size=3, replace=False)
-        sample = [pairs[i] for i in idx]
-        key = frozenset(sample)
-        valid = is_valid_sample(sample, prior_graph, query_graph, used)
-        used.add(key)
-        if not valid:
-            continue
-        n_valid += 1
-        world = np.stack([prior_graph.node(p).position for p, _ in sample])
-        rays = np.stack([bearings[q] for _, q in sample])
-        poses = p3p_solve(world, rays)
-        if not poses:
-            continue
-        scores = scorer.score(poses)
-        k = int(np.argmax(scores))
-        if scores[k] > best_w:
-            best_w = float(scores[k])
-            best_pose = poses[k]
-            history.append((it, best_w))
-        if config.early_exit_was is not None and best_w > config.early_exit_was:
-            break
+        world = np.array([[prior_graph.node(p).position for p, _ in s] for _, s in chunk])
+        rays = np.array([[bearings[q] for _, q in s] for _, s in chunk])
+        solved = p3p_solve(world, rays)
+        flat = [pose for poses in solved for pose in poses]
+        scores = scorer.score(flat) if flat else np.zeros(0)
+        # walk the chunk in draw order, as a loop solving one sample per draw
+        # would, and cut it where that loop would have stopped
+        start = 0
+        for (draw, _), poses in zip(chunk, solved):
+            n_valid += 1
+            if not poses:
+                continue
+            sample_scores = scores[start : start + len(poses)]
+            start += len(poses)
+            k = int(np.argmax(sample_scores))
+            if sample_scores[k] > best_w:
+                best_w = float(sample_scores[k])
+                best_pose = poses[k]
+                history.append((draw, best_w))
+            if config.early_exit_was is not None and best_w > config.early_exit_was:
+                stop = True
+                break
 
     if n_valid == 0:
         return LocalizationResult(LocalizationStatus.NO_VALID_SAMPLE, history=history)

@@ -6,6 +6,10 @@ Matching: `multilabel_likelihood`, `neighbor_weight`, `best_neighbor_set` and
 similarity tables at a time. Alignment: `bbox_to_gaussian`,
 `wasserstein2_squared` and `normalized_wasserstein` score one box pair, and
 `scalar_calculate_was` scores one pose the way `_AlignmentScorer` does.
+Pose search: `scalar_p3p_solve` solves one P3P sample the way the stacked
+`p3p_solve` solves each of its samples, and `serial_estimate_pose` runs the
+sampling loop one draw at a time, solving and scoring each valid sample
+before drawing the next.
 """
 
 from __future__ import annotations
@@ -16,8 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from semloc.geometry import BoundingBox, project_quadric_to_bbox
+from semloc.geometry import (
+    _P3P_IMAG_TOL,
+    _P3P_REPROJ_TOL,
+    BoundingBox,
+    CameraIntrinsics,
+    Pose,
+    absolute_orientation,
+    bearing_angle,
+    pixel_to_bearing,
+    project_quadric_to_bbox,
+    quat_distance,
+)
 from semloc.graph import LabelFrequencyTable, NormalizedConfidence, SemanticGraph
+from semloc.matching import extract_candidates, score_all_pairs
+from semloc.pose import (
+    LocalizationResult,
+    LocalizationStatus,
+    MatcherConfig,
+    _scorer,
+    calculate_was,
+    is_valid_sample,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +213,296 @@ def scalar_calculate_was(pose, candidates, prior_graph, query_graph, intrinsics,
         return 0.0, []
     score = sum(w for _, w in best.values()) / len(best)
     return score, [(best[q][0], q) for q in sorted(best)]
+
+
+# ---------------------------------------------------------------------------
+# three-point pose
+
+
+def _polyval(coeffs: np.ndarray, x: float) -> float:
+    # lowest-order-first Horner
+    acc = 0.0
+    for c in coeffs[::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _newton_polish(coeffs: np.ndarray, x: float, iters: int = 3) -> float:
+    # Clustered roots make the derivative vanish, so only accept steps that
+    # actually shrink the residual and never wander far from the seed.
+    deriv = coeffs[1:] * np.arange(1, len(coeffs))
+    best = x
+    best_f = abs(_polyval(coeffs, x))
+    for _ in range(iters):
+        f = _polyval(coeffs, x)
+        fp = _polyval(deriv, x)
+        if fp == 0.0:
+            break
+        step = f / fp
+        if abs(step) > 0.1 * max(1.0, abs(x)):
+            break
+        x -= step
+        fx = abs(_polyval(coeffs, x))
+        if fx < best_f:
+            best, best_f = x, fx
+        else:
+            break
+        if abs(step) < 1e-15 * max(1.0, abs(x)):
+            break
+    return best
+
+
+def scalar_p3p_solve(world_points, bearings) -> list[Pose]:
+    """Solve perspective-three-point for world-to-camera poses, one sample at a time.
+
+    Args:
+        world_points: (3, 3) array, one 3D point per row.
+        bearings: (3, 3) array of unit rays in the camera frame, one per row,
+            corresponding to the world points.
+
+    Returns:
+        Up to four poses. Collinear world points, complex depth roots, and
+        solutions placing a point behind the camera yield fewer (possibly
+        zero) poses. A pose is kept only when every bearing is within
+        _P3P_REPROJ_TOL radians of its reprojected point.
+
+    The depth ratios follow from the triangle cosine constraints: with
+    u = s1/s0 and v = s2/s0 the two independent ratio equations reduce to a
+    quartic in v, assembled by polynomial convolution and rooted via the
+    companion matrix, with a Newton polish on every accepted real root.
+    """
+    pts = np.asarray(world_points, dtype=float).reshape(3, 3)
+    f = np.asarray(bearings, dtype=float).reshape(3, 3)
+    norms = np.linalg.norm(f, axis=1)
+    if np.any(norms == 0.0):
+        return []
+    f = f / norms[:, None]
+
+    e01 = pts[1] - pts[0]
+    e02 = pts[2] - pts[0]
+    tx = e01[1] * e02[2] - e01[2] * e02[1]
+    ty = e01[2] * e02[0] - e01[0] * e02[2]
+    tz = e01[0] * e02[1] - e01[1] * e02[0]
+    tri = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if tri <= 1e-9 * max(1.0, np.linalg.norm(e01) * np.linalg.norm(e02)):
+        return []
+
+    a = np.linalg.norm(pts[1] - pts[2])
+    b = np.linalg.norm(pts[0] - pts[2])
+    c = np.linalg.norm(pts[0] - pts[1])
+    if min(a, b, c) <= 0.0:
+        return []
+    ca = float(f[1] @ f[2])
+    cb = float(f[0] @ f[2])
+    cg = float(f[0] @ f[1])
+
+    big_a = (a / b) ** 2
+    big_b = (c / b) ** 2
+    kb = np.array([1.0, -2.0 * cb, 1.0])  # 1 - 2 cb v + v^2
+    n_poly = (big_a - big_b) * kb + np.array([1.0, 0.0, -1.0])
+    d_poly = np.array([2.0 * cg, -2.0 * ca])
+    tail = np.array([1.0, 0.0, 0.0]) - big_b * kb  # 1 - B Kb(v)
+
+    quartic = np.zeros(5)
+
+    def _acc(poly: np.ndarray):
+        quartic[: len(poly)] += poly
+
+    _acc(np.convolve(n_poly, n_poly))
+    _acc(-2.0 * cg * np.convolve(n_poly, d_poly))
+    _acc(np.convolve(np.convolve(d_poly, d_poly), tail))
+
+    peak = np.max(np.abs(quartic))
+    if peak == 0.0:
+        return []
+    quartic = quartic / peak
+
+    try:
+        roots = np.polynomial.polynomial.polyroots(quartic)
+    except np.linalg.LinAlgError:
+        return []
+
+    def _refine_uv(u: float, v: float) -> tuple[float, float]:
+        # Joint Newton on the two ratio equations. A clustered quartic can
+        # only pin v down to ~1e-8 in doubles and u amplifies that error, so
+        # the pair is re-converged on the original constraints instead.
+        for _ in range(20):
+            kb_v = 1.0 + v * v - 2.0 * v * cb
+            g1 = u * u + v * v - 2.0 * u * v * ca - big_a * kb_v
+            g2 = u * u - 2.0 * u * cg + 1.0 - big_b * kb_v
+            j11 = 2.0 * u - 2.0 * v * ca
+            j12 = 2.0 * v - 2.0 * u * ca - big_a * (2.0 * v - 2.0 * cb)
+            j21 = 2.0 * u - 2.0 * cg
+            j22 = -big_b * (2.0 * v - 2.0 * cb)
+            det = j11 * j22 - j12 * j21
+            if det == 0.0:
+                break
+            du = (g1 * j22 - g2 * j12) / det
+            dv = (g2 * j11 - g1 * j21) / det
+            u -= du
+            v -= dv
+            if abs(du) < 1e-15 * max(1.0, abs(u)) and abs(dv) < 1e-15 * max(1.0, abs(v)):
+                break
+        return u, v
+
+    candidates: list[tuple[float, Pose]] = []
+    seen_v: list[float] = []
+    for root in roots:
+        if abs(root.imag) > _P3P_IMAG_TOL:
+            continue
+        v_seed = _newton_polish(quartic, float(root.real))
+        if v_seed <= 0.0:
+            continue
+        if any(abs(v_seed - w) <= 1e-8 * max(1.0, abs(v_seed)) for w in seen_v):
+            continue
+        seen_v.append(v_seed)
+        kb_v = 1.0 + v_seed * v_seed - 2.0 * v_seed * cb
+        if kb_v <= 0.0:
+            continue
+        dv = _polyval(d_poly, v_seed)
+        if abs(dv) > 1e-9:
+            us = [_polyval(n_poly, v_seed) / dv]
+        else:
+            # fall back to the quadratic in u and keep roots consistent
+            # with the remaining ratio equation
+            disc = cg * cg - (1.0 - big_b * kb_v)
+            if disc < 0.0:
+                continue
+            sq = math.sqrt(disc)
+            us = [cg + sq, cg - sq]
+        for u in us:
+            u, v = _refine_uv(u, v_seed)
+            if u <= 0.0 or v <= 0.0:
+                continue
+            kb_v = 1.0 + v * v - 2.0 * v * cb
+            if kb_v <= 0.0:
+                continue
+            s0 = b / math.sqrt(kb_v)
+            resid = u * u + v * v - 2.0 * u * v * ca - big_a * kb_v
+            if abs(resid) > 1e-6 * max(1.0, big_a * kb_v):
+                continue
+            depths = np.array([s0, u * s0, v * s0])
+            if np.any(depths <= 0.0):
+                continue
+            cam_pts = depths[:, None] * f
+            r, t = absolute_orientation(pts, cam_pts)
+            reproj = pts @ r.T + t
+            if np.any(reproj[:, 2] <= 0.0):
+                continue
+            err = max(bearing_angle(f[i], reproj[i]) for i in range(3))
+            if err > _P3P_REPROJ_TOL:
+                continue
+            candidates.append((err, Pose.from_rt(r, t)))
+
+    candidates.sort(key=lambda it: it[0])
+    kept: list[Pose] = []
+    for _, pose in candidates:
+        dup = False
+        for other in kept:
+            if (
+                np.linalg.norm(pose.translation - other.translation)
+                <= 1e-7 * (1.0 + np.linalg.norm(pose.translation))
+                and quat_distance(pose.rotation, other.rotation) <= 1e-7
+            ):
+                dup = True
+                break
+        if not dup:
+            kept.append(pose)
+        if len(kept) == 4:
+            break
+    return kept
+
+
+def serial_estimate_pose(
+    query_graph: SemanticGraph,
+    prior_graph: SemanticGraph,
+    config: MatcherConfig,
+    intrinsics: CameraIntrinsics,
+) -> LocalizationResult:
+    """Estimate the camera pose of a query frame against the prior map, one draw at a time.
+
+    Scores all pairs, extracts per-query candidates, then runs the seeded
+    sampling loop, solving and scoring each valid sample before the next
+    draw. Every drawn 3-pair set counts as used whether or not it passes
+    validity, so the loop never re-evaluates a set; it stops early on a
+    high enough alignment or when the triple space is exhausted.
+    """
+    if len(query_graph) < 3:
+        return LocalizationResult(
+            LocalizationStatus.INSUFFICIENT_DETECTIONS,
+            message=f"{len(query_graph)} query nodes, need 3",
+        )
+    table = score_all_pairs(prior_graph, query_graph, use_calp=config.use_calp)
+    candidates = extract_candidates(table, config.tau)
+    pairs = candidates.pairs
+    if len(pairs) < 3:
+        return LocalizationResult(
+            LocalizationStatus.INSUFFICIENT_DETECTIONS,
+            message=f"{len(pairs)} candidate pairs, need 3",
+        )
+
+    scorer = _scorer(candidates, prior_graph, query_graph, intrinsics, config.C)
+    bearings = {
+        q: pixel_to_bearing(query_graph.node(q).bbox.center, intrinsics)
+        for q in {q for _, q in pairs}
+    }
+
+    rng = np.random.default_rng(config.rng_seed)
+    used: set[frozenset] = set()
+    n_pairs = len(pairs)
+    total_triples = math.comb(n_pairs, 3)
+    best_w = 0.0
+    best_pose: Pose | None = None
+    history: list[tuple[int, float]] = []
+    n_valid = 0
+
+    for it in range(config.n_iter):
+        if len(used) >= total_triples:
+            break
+        idx = rng.choice(n_pairs, size=3, replace=False)
+        sample = [pairs[i] for i in idx]
+        key = frozenset(sample)
+        valid = is_valid_sample(sample, prior_graph, query_graph, used)
+        used.add(key)
+        if not valid:
+            continue
+        n_valid += 1
+        world = np.stack([prior_graph.node(p).position for p, _ in sample])
+        rays = np.stack([bearings[q] for _, q in sample])
+        poses = scalar_p3p_solve(world, rays)
+        if not poses:
+            continue
+        scores = scorer.score(poses)
+        k = int(np.argmax(scores))
+        if scores[k] > best_w:
+            best_w = float(scores[k])
+            best_pose = poses[k]
+            history.append((it, best_w))
+        if config.early_exit_was is not None and best_w > config.early_exit_was:
+            break
+
+    if n_valid == 0:
+        return LocalizationResult(LocalizationStatus.NO_VALID_SAMPLE, history=history)
+    if best_pose is None or best_w <= 0.0:
+        return LocalizationResult(
+            LocalizationStatus.DEGENERATE, history=history, n_valid_samples=n_valid
+        )
+
+    was, correspondences = calculate_was(
+        best_pose, candidates, prior_graph, query_graph, intrinsics, config.C, scorer=scorer
+    )
+    if len(correspondences) < 3:
+        return LocalizationResult(
+            LocalizationStatus.DEGENERATE,
+            history=history,
+            n_valid_samples=n_valid,
+            message=f"best pose commits {len(correspondences)} correspondences, need 3",
+        )
+    return LocalizationResult(
+        LocalizationStatus.SUCCESS,
+        pose=best_pose,
+        correspondences=correspondences,
+        was=was,
+        history=history,
+        n_valid_samples=n_valid,
+    )

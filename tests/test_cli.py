@@ -209,6 +209,13 @@ class TestLocalize:
         assert _localize(dataset, "unused", "--config", str(tmp_path / "loc.cfg")) == 1
         assert _localize(dataset, "unused", "--sweep", "tau=2.5") == 1
 
+    @pytest.mark.parametrize(
+        "line", ["C=nan", "C=inf", "early_exit_was=abc", "early_exit_was=nan"]
+    )
+    def test_non_finite_config_value_is_input_error(self, dataset, tmp_path, line):
+        (tmp_path / "loc.cfg").write_text(line + "\n")
+        assert _localize(dataset, "unused", "--config", str(tmp_path / "loc.cfg")) == 1
+
     def test_unknown_config_key_is_ignored(self, dataset, tmp_path, caplog):
         (tmp_path / "loc.cfg").write_text("one_to_one=true\n")
         with caplog.at_level("WARNING"):

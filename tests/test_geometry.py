@@ -26,7 +26,13 @@ from semloc.geometry import (
 )
 
 from conftest import random_pose, random_rotation
-from oracles import GaussianBox, bbox_to_gaussian, normalized_wasserstein, wasserstein2_squared
+from oracles import (
+    GaussianBox,
+    bbox_to_gaussian,
+    normalized_wasserstein,
+    scalar_p3p_solve,
+    wasserstein2_squared,
+)
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
 INTR100 = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
@@ -380,3 +386,105 @@ class TestP3P:
         for a, b in zip(sols1, sols2):
             np.testing.assert_array_equal(a.rotation, b.rotation)
             np.testing.assert_array_equal(a.translation, b.translation)
+
+
+def _unit(x):
+    x = np.asarray(x, dtype=float)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _crafted_p3p_samples():
+    """Samples that reach the solver's edge paths, as (world points, bearings)."""
+    samples = []
+    # collinear world points
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    samples.append((pts, _unit(pts + [0.0, 0.0, 5.0])))
+    # a zero bearing
+    samples.append(
+        (
+            np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 3.0]]),
+            np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+        )
+    )
+    # the second point behind the camera
+    pts = np.array([[0.0, 0.0, 4.0], [1.0, 0.0, -2.0], [0.0, 1.0, 3.0]])
+    samples.append((pts, _unit(pts)))
+    # sides a, b, c = 5, 4, 3 (so A - B = 1) and f1 . f2 = 0: the quartic's
+    # leading coefficient is exactly zero and polyroots drops its degree
+    samples.append(
+        (
+            np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]]),
+            np.array([_unit([0.3, 0.2, 1.0]), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        )
+    )
+    # orthonormal bearings: d(v) = 2 cg - 2 ca v is zero for every v, so u
+    # comes from the quadratic fallback
+    samples.append((np.array([[0.0, 0.0, 3.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), np.eye(3)[[2, 0, 1]]))
+    # an equilateral triangle seen from next to its axis: the two mirror
+    # solutions make a double root, which rounding splits into a complex
+    # pair or two real roots within 1e-8 (deduplicated); some of these
+    # also take the quadratic fallback
+    rng = np.random.default_rng(0)
+    tri = np.array([[1.0, 0.0, 0.0], [-0.5, math.sqrt(3) / 2, 0.0], [-0.5, -math.sqrt(3) / 2, 0.0]])
+    for _ in range(200):
+        scaled = tri * rng.uniform(0.5, 2.0)
+        cams = scaled + [10.0 ** rng.uniform(-17, -9), 0.0, rng.uniform(0.5, 4.0)]
+        samples.append((scaled, _unit(cams)))
+    return samples
+
+
+def _random_p3p_samples(rng, n):
+    """n random samples: bearings of a random camera, with a quarter of them
+    replaced by random unit rays (mostly unsolvable)."""
+    pts = rng.uniform(-3.0, 3.0, size=(n, 3, 3))
+    rot = Rotation.random(n, random_state=rng).as_matrix()
+    trans = rng.uniform(-1.0, 1.0, size=(n, 3)) + [0.0, 0.0, 6.0]
+    bearings = _unit(np.einsum("nij,nkj->nki", rot, pts) + trans[:, None, :])
+    noise = rng.random(n) < 0.25
+    bearings[noise] = _unit(rng.normal(size=(int(noise.sum()), 3, 3)))
+    return pts, bearings
+
+
+class TestP3PStack:
+    """The stacked solver against the one-sample-at-a-time oracle."""
+
+    def _assert_same(self, got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a.rotation, b.rotation, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(a.translation, b.translation, rtol=0.0, atol=1e-12)
+
+    def test_random_samples_match_scalar_oracle(self):
+        rng = np.random.default_rng(11)
+        pts, bearings = _random_p3p_samples(rng, 10_000)
+        # stacks of uneven sizes, one sample up to 40
+        bounds = np.cumsum(rng.integers(1, 41, size=600))
+        solved = []
+        for chunk in np.split(np.arange(len(pts)), bounds[bounds < len(pts)]):
+            solved += p3p_solve(pts[chunk], bearings[chunk])
+        assert len(solved) == len(pts)
+        n_poses = 0
+        for i, got in enumerate(solved):
+            want = scalar_p3p_solve(pts[i], bearings[i])
+            self._assert_same(got, want)
+            n_poses += len(want)
+        assert n_poses > len(pts)  # most camera samples have two or more poses
+
+    def test_crafted_samples_match_scalar_oracle(self):
+        samples = _crafted_p3p_samples()
+        stacked = p3p_solve(np.array([p for p, _ in samples]), np.array([b for _, b in samples]))
+        for (pts, bearings), got in zip(samples, stacked):
+            want = scalar_p3p_solve(pts, bearings)
+            self._assert_same(got, want)
+            self._assert_same(p3p_solve(pts, bearings), want)
+        assert [len(s) for s in stacked[:5]] == [0, 0, 0, 0, 0]
+        assert sum(len(s) for s in stacked[5:]) > 0
+
+    def test_single_sample_returns_flat_list(self, rng):
+        _, pts, cams = _non_degenerate_triple(rng)
+        bearings = cams / np.linalg.norm(cams, axis=1, keepdims=True)
+        single = p3p_solve(pts, bearings)
+        assert all(isinstance(pose, Pose) for pose in single)
+        [stacked] = p3p_solve(pts[None], bearings[None])
+        self._assert_same(single, stacked)
+        assert p3p_solve(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,10 +29,10 @@ from semloc import (
 from semloc.cli import _accumulate_map, _localize_frame, _seed_children
 from semloc.dataio import FrameRecord
 from semloc.geometry import quat_distance
-from semloc.pose import _AlignmentScorer
+from semloc.pose import _CHUNK, _AlignmentScorer
 
 from conftest import VOCAB, graph, prior_node, query_node, random_rotation
-from oracles import scalar_calculate_was
+from oracles import scalar_calculate_was, serial_estimate_pose
 
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
@@ -69,8 +71,8 @@ def _perfect_scene(n=8, seed=3, center_boxes=False):
     return pg, qg, gt
 
 
-def _latency_scene_frame(seed: int, frame_id: int):
-    """Prior graph and query graph of one frame of the criterion-8 latency
+def _latency_scene_frames(seed: int, frame_ids):
+    """Prior graph and query graphs of frames of the criterion-8 latency
     scene (50 unique labels, 10 detections a frame), built with every seed
     of its recipe set to `seed`."""
     spec = SceneSpec(
@@ -90,7 +92,7 @@ def _latency_scene_frame(seed: int, frame_id: int):
     q_poses = generate_trajectory("orbit", 120, spec.bounds, seed=s4, radius=2.0, height=1.4)
     noise = NoiseSpec(bbox_jitter=1.0, depth_sigma=0.03, temperature=0.3)
     # one RNG stream per frame, so rendering a prefix renders the same frames
-    dets, _ = render_sequence(scene, q_poses[: frame_id + 1], INTR, noise, seed=s5)[frame_id]
+    rendered = render_sequence(scene, q_poses[: max(frame_ids) + 1], INTR, noise, seed=s5)
     landmarks = [
         {"id": lm.id, "position": lm.position, "rotation": lm.rotation, "scale": lm.scale}
         for lm in scene.landmarks
@@ -103,8 +105,44 @@ def _latency_scene_frame(seed: int, frame_id: int):
         config.K,
     )
     prior = prior_graph_from_nodes(nodes, keyframes, k_edge=config.k_edge)
-    query = build_query_graph(dets[:10], k=config.K, k_edge=config.k_edge, intrinsics=INTR)
-    return prior, query
+    queries = [
+        build_query_graph(rendered[i][0][:10], k=config.K, k_edge=config.k_edge, intrinsics=INTR)
+        for i in frame_ids
+    ]
+    return prior, queries
+
+
+def _localize_seed(frame_id: int) -> int:
+    """The sampling seed `semloc localize` derives for a frame from rng_seed 0."""
+    return int(np.random.SeedSequence([0, frame_id]).generate_state(1, np.uint64)[0])
+
+
+def _three_landmark_frame(pts, prior_edges, query_edges):
+    """Query and prior graphs of three landmarks seen from 4 m, one label for all."""
+    gt = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
+    p_nodes = [prior_node(i + 1, pts[i], {"a": 1}) for i in range(3)]
+    q_nodes = [
+        query_node(
+            100 + i,
+            gt.transform(pts[i]),
+            {"a": 1.0},
+            bbox=project_quadric_to_bbox(p_nodes[i].quadric(), gt, INTR),
+        )
+        for i in range(3)
+    ]
+    return graph(q_nodes, query_edges), graph(p_nodes, prior_edges)
+
+
+def _edge_mismatch_frame():
+    """A fully wired prior triangle against an edgeless query: no sample is valid."""
+    pts = [np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+    return _three_landmark_frame(pts, [(1, 2), (1, 3), (2, 3)], [])
+
+
+def _collinear_frame():
+    """Collinear landmarks with matching wiring: valid samples that P3P never solves."""
+    pts = [np.array([-0.5 + 0.5 * i, 0.0, 0.0]) for i in range(3)]
+    return _three_landmark_frame(pts, [(1, 2), (2, 3)], [(100, 101), (101, 102)])
 
 
 class TestMatcherConfig:
@@ -120,6 +158,21 @@ class TestMatcherConfig:
     def test_rejects_non_integer_counts(self, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             MatcherConfig(**{name: 2.5})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, True, "abc", None])
+    def test_c_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="C must be a finite positive number"):
+            MatcherConfig(C=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "abc", False])
+    def test_early_exit_was_must_be_finite_or_none(self, value):
+        with pytest.raises(ValueError, match="early_exit_was must be a finite number or none"):
+            MatcherConfig(early_exit_was=value)
+
+    def test_early_exit_was_accepts_none_and_numbers(self):
+        assert MatcherConfig(early_exit_was=None).early_exit_was is None
+        assert MatcherConfig(early_exit_was=1).early_exit_was == 1
+        assert MatcherConfig(C=np.float64(50.0)).C == 50.0
 
     @pytest.mark.parametrize("value", [None, 1])
     def test_use_calp_must_be_a_bool(self, value):
@@ -337,48 +390,87 @@ class TestEstimatePose:
     def test_fewer_than_three_committed_pairs_is_degenerate(self):
         # the best pose of this frame aligns 2 of 10 detections (WAS 0.92):
         # too few correspondences to call the frame localized
-        prior, query = _latency_scene_frame(seed=4, frame_id=42)
-        frame_seed = int(np.random.SeedSequence([0, 42]).generate_state(1, np.uint64)[0])
-        res = estimate_pose(query, prior, MatcherConfig(rng_seed=frame_seed), INTR)
+        prior, [query] = _latency_scene_frames(seed=4, frame_ids=[42])
+        res = estimate_pose(query, prior, MatcherConfig(rng_seed=_localize_seed(42)), INTR)
         assert res.status == LocalizationStatus.DEGENERATE
         assert res.message == "best pose commits 2 correspondences, need 3"
         assert res.pose is None and res.correspondences == []
         assert res.history[-1][1] == pytest.approx(0.9216, abs=1e-4)
 
     def test_no_valid_sample_on_structural_mismatch(self):
-        gt = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
-        pts = [np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        p_nodes = [prior_node(i + 1, pts[i], {"a": 1}) for i in range(3)]
-        pg = graph(p_nodes, [(1, 2), (1, 3), (2, 3)])
-        q_nodes = [
-            query_node(
-                100 + i,
-                gt.transform(pts[i]),
-                {"a": 1.0},
-                bbox=project_quadric_to_bbox(p_nodes[i].quadric(), gt, INTR),
-            )
-            for i in range(3)
-        ]
-        qg = graph(q_nodes, [])
+        qg, pg = _edge_mismatch_frame()
         res = estimate_pose(qg, pg, MatcherConfig(tau=3, n_iter=500), INTR)
         assert res.status == LocalizationStatus.NO_VALID_SAMPLE
         assert res.n_valid_samples == 0
 
     def test_degenerate_when_p3p_never_solves(self):
-        gt = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
-        pts = [np.array([-0.5 + 0.5 * i, 0.0, 0.0]) for i in range(3)]
-        p_nodes = [prior_node(i + 1, pts[i], {"a": 1}) for i in range(3)]
-        pg = graph(p_nodes, [(1, 2), (2, 3)])
-        q_nodes = [
-            query_node(
-                100 + i,
-                gt.transform(pts[i]),
-                {"a": 1.0},
-                bbox=project_quadric_to_bbox(p_nodes[i].quadric(), gt, INTR),
-            )
-            for i in range(3)
-        ]
-        qg = graph(q_nodes, [(100, 101), (101, 102)])
+        qg, pg = _collinear_frame()
         res = estimate_pose(qg, pg, MatcherConfig(tau=3, n_iter=500), INTR)
         assert res.status == LocalizationStatus.DEGENERATE
         assert res.n_valid_samples > 0
+
+
+class TestChunkedLoopMatchesSerial:
+    """estimate_pose solves and scores valid samples a chunk at a time; it
+    must return what the loop solving one draw at a time returns."""
+
+    def _check(self, query, prior, config):
+        got = estimate_pose(query, prior, config, INTR)
+        want = serial_estimate_pose(query, prior, config, INTR)
+        assert got.status == want.status
+        assert got.message == want.message
+        assert got.n_valid_samples == want.n_valid_samples
+        assert got.correspondences == want.correspondences
+        assert [it for it, _ in got.history] == [it for it, _ in want.history]
+        np.testing.assert_allclose(
+            [w for _, w in got.history], [w for _, w in want.history], rtol=0.0, atol=1e-12
+        )
+        assert got.was == pytest.approx(want.was, abs=1e-12)
+        assert (got.pose is None) == (want.pose is None)
+        if want.pose is not None:
+            np.testing.assert_allclose(got.pose.rotation, want.pose.rotation, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(
+                got.pose.translation, want.pose.translation, rtol=0.0, atol=1e-9
+            )
+        return got
+
+    def test_criterion_8_frames(self):
+        frame_ids = [0, 23, 42, 77, 101]
+        prior, queries = _latency_scene_frames(seed=0, frame_ids=frame_ids)
+        for frame_id, query in zip(frame_ids, queries):
+            config = MatcherConfig(rng_seed=_localize_seed(frame_id))
+            self._check(query, prior, config)
+            self._check(query, prior, replace(config, early_exit_was=None))
+            # an exit threshold these frames reach within the budget
+            self._check(query, prior, replace(config, early_exit_was=0.9))
+
+    def test_early_exit_inside_a_chunk(self):
+        pg, qg, _ = _perfect_scene(center_boxes=True)
+        cut_inside = 0
+        for seed in range(12):
+            res = self._check(qg, pg, MatcherConfig(tau=3, rng_seed=seed))
+            assert res.history[-1][1] > 0.99  # the loop stopped on early exit
+            cut_inside += res.n_valid_samples % _CHUNK != 0
+        assert cut_inside > 0
+
+    def test_without_early_exit(self):
+        pg, qg, _ = _perfect_scene()
+        for seed in range(3):
+            self._check(qg, pg, MatcherConfig(tau=3, n_iter=120, rng_seed=seed, early_exit_was=None))
+
+    def test_triple_space_runs_out_before_n_iter(self):
+        pg, qg, _ = _perfect_scene(n=5)
+        config = MatcherConfig(tau=1, n_iter=200, rng_seed=3, early_exit_was=None)
+        assert len(extract_candidates(score_all_pairs(pg, qg), config.tau).pairs) <= 5
+        res = self._check(qg, pg, config)
+        assert 0 < res.n_valid_samples <= 10  # C(5, 3) triples
+
+    def test_no_valid_sample_and_degenerate(self):
+        qg, pg = _edge_mismatch_frame()
+        assert self._check(qg, pg, MatcherConfig(tau=3, n_iter=500)).status == (
+            LocalizationStatus.NO_VALID_SAMPLE
+        )
+        qg, pg = _collinear_frame()
+        assert self._check(qg, pg, MatcherConfig(tau=3, n_iter=500)).status == (
+            LocalizationStatus.DEGENERATE
+        )
