@@ -361,7 +361,6 @@ def absolute_orientation(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, 
 
 _P3P_IMAG_TOL = 1e-9
 _P3P_REPROJ_TOL = 1e-6  # rad, largest bearing-to-reprojection angle of a kept pose
-_REFINE_FEW = 8  # below this many moving (u, v) pairs, _refine_uv steps them one by one
 
 
 def _max1(x: np.ndarray) -> np.ndarray:
@@ -380,12 +379,15 @@ def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """np.convolve of each row of a with the same row of v, to the bit.
 
-    np.convolve sums the partial overlaps at both ends with BLAS dots and
-    the full overlaps with a plain multiply-add loop; the two round
-    differently, so both are kept.
+    Only for a shorter input of at most 3 entries: np.convolve then sums
+    the partial overlaps at both ends with BLAS dots and the full overlaps
+    with a plain multiply-add loop, and the two round differently, so both
+    are kept. For a longer kernel numpy takes a BLAS dot for every output,
+    which this loop does not reproduce.
     """
     if v.shape[-1] > a.shape[-1]:
         a, v = v, a
+    assert v.shape[-1] <= 3, "np.convolve rounds longer kernels differently"
     vr = v[..., ::-1]
     la, lv = a.shape[-1], v.shape[-1]
     out = [_dot(a[..., :k], vr[..., lv - k :]) for k in range(1, lv)]
@@ -458,66 +460,39 @@ def _newton_polish(coeffs: np.ndarray, x: np.ndarray, iters: int = 3) -> np.ndar
     return best
 
 
-def _uv_step(u, v, ca, cb, cg, big_a, big_b):
-    """One joint Newton step on the two ratio equations, on floats or arrays.
-
-    Returns the numerators of the u and v steps and their denominator.
-    """
-    kb_v = 1.0 + v * v - 2.0 * v * cb
-    g1 = u * u + v * v - 2.0 * u * v * ca - big_a * kb_v
-    g2 = u * u - 2.0 * u * cg + 1.0 - big_b * kb_v
-    j11 = 2.0 * u - 2.0 * v * ca
-    j12 = 2.0 * v - 2.0 * u * ca - big_a * (2.0 * v - 2.0 * cb)
-    j21 = 2.0 * u - 2.0 * cg
-    j22 = -big_b * (2.0 * v - 2.0 * cb)
-    return g1 * j22 - g2 * j12, g2 * j11 - g1 * j21, j11 * j22 - j12 * j21
-
-
 def _refine_uv(u: np.ndarray, v: np.ndarray, params: list[np.ndarray]):
     """Re-converge (u, v) pairs, 1-D arrays, on the original ratio equations.
 
     A clustered quartic can only pin v down to ~1e-8 in doubles and u
     amplifies that error, so each pair takes up to 20 joint Newton steps,
     stopping at a zero Jacobian or once both steps fall below 1e-15
-    relative. params holds (ca, cb, cg, big_a, big_b) per pair. Most pairs
-    settle in two or three steps while a few wander in the last bits for
-    all twenty, so the steps run on the whole stack while more than
-    _REFINE_FEW pairs move, and pair by pair on Python floats after that:
-    the same arithmetic, without a numpy call per operation.
+    relative. params holds (ca, cb, cg, big_a, big_b) per pair. The pairs
+    are stepped one by one on Python floats: most settle in two or three
+    steps, so a numpy call per operation would cost more than the loop.
     """
-    u = u.copy()
-    v = v.copy()
-    moving = np.arange(len(u))
-    steps = 0
-    while steps < 20 and len(moving) > _REFINE_FEW:
-        mu, mv = u[moving], v[moving]
-        nu, nv, det = _uv_step(mu, mv, *(x[moving] for x in params))
-        du = nu / det
-        dv = nv / det
-        step = det != 0.0
-        u[moving] = np.where(step, mu - du, mu)
-        v[moving] = np.where(step, mv - dv, mv)
-        settled = (np.abs(du) < 1e-15 * _max1(np.abs(u[moving]))) & (
-            np.abs(dv) < 1e-15 * _max1(np.abs(v[moving]))
-        )
-        moving = moving[step & ~settled]
-        steps += 1
-    for i in moving.tolist():
-        ui, vi = float(u[i]), float(v[i])
-        pi = [float(x[i]) for x in params]
-        for _ in range(steps, 20):
-            nu, nv, det = _uv_step(ui, vi, *pi)
+    out_u, out_v = [], []
+    rows = zip(u.tolist(), v.tolist(), *(x.tolist() for x in params))
+    for u, v, ca, cb, cg, big_a, big_b in rows:
+        for _ in range(20):
+            kb_v = 1.0 + v * v - 2.0 * v * cb
+            g1 = u * u + v * v - 2.0 * u * v * ca - big_a * kb_v
+            g2 = u * u - 2.0 * u * cg + 1.0 - big_b * kb_v
+            j11 = 2.0 * u - 2.0 * v * ca
+            j12 = 2.0 * v - 2.0 * u * ca - big_a * (2.0 * v - 2.0 * cb)
+            j21 = 2.0 * u - 2.0 * cg
+            j22 = -big_b * (2.0 * v - 2.0 * cb)
+            det = j11 * j22 - j12 * j21
             if det == 0.0:
                 break
-            du = nu / det
-            dv = nv / det
-            ui -= du
-            vi -= dv
-            if abs(du) < 1e-15 * max(1.0, abs(ui)) and abs(dv) < 1e-15 * max(1.0, abs(vi)):
+            du = (g1 * j22 - g2 * j12) / det
+            dv = (g2 * j11 - g1 * j21) / det
+            u -= du
+            v -= dv
+            if abs(du) < 1e-15 * max(1.0, abs(u)) and abs(dv) < 1e-15 * max(1.0, abs(v)):
                 break
-        u[i] = ui
-        v[i] = vi
-    return u, v
+        out_u.append(u)
+        out_v.append(v)
+    return np.array(out_u), np.array(out_v)
 
 
 def p3p_solve(world_points, bearings):
@@ -542,6 +517,11 @@ def p3p_solve(world_points, bearings):
     quartic in v, assembled by polynomial convolution and rooted via the
     companion matrix, with a Newton polish on every accepted real root.
     A stack is solved in one pass, each sample to the bit as if alone.
+    Stacks are the fast path: the numpy calls of a pass cost about the same
+    for one sample as for dozens, so solve many samples per call where
+    possible. A single sample takes about twice as long as a plain scalar
+    solver (tests/oracles.py) would; a stack of 16 about a quarter as long
+    per sample.
     """
     pts = np.asarray(world_points, dtype=float)
     single = pts.ndim < 3
