@@ -9,7 +9,6 @@ the best projected-box alignment.
 from .geometry import (
     BoundingBox,
     CameraIntrinsics,
-    DualQuadric,
     Pose,
     absolute_orientation,
     p3p_solve,
@@ -72,7 +71,6 @@ __all__ = [
     "CameraIntrinsics",
     "CandidateSet",
     "DetectionRecord",
-    "DualQuadric",
     "LabelFrequencyTable",
     "Landmark",
     "LocalizationResult",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -48,6 +49,7 @@ def _dump_json(obj) -> str:
 
 
 def _iter_jsonl(path):
+    """(line number, parsed row) of each nonblank line."""
     path = Path(path)
     _require(path.exists(), f"missing file: {path}")
     with path.open() as fh:
@@ -56,9 +58,10 @@ def _iter_jsonl(path):
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            yield lineno, row
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +186,7 @@ def save_detection_log(path, frames: Sequence[FrameRecord]):
 
 def load_detection_log(path) -> list[FrameRecord]:
     frames = []
-    for row in _iter_jsonl(path):
+    for lineno, row in _iter_jsonl(path):
         try:
             dets = []
             for rec in row.get("detections", []):
@@ -201,7 +204,7 @@ def load_detection_log(path) -> list[FrameRecord]:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: bad detection record: {exc}") from exc
+            raise InputError(f"{path}:{lineno}: bad detection record: {exc}") from exc
     return frames
 
 
@@ -227,13 +230,13 @@ def save_associations(path, associations: Mapping[int, Mapping[int, int]]):
 
 def load_associations(path) -> dict[int, dict[int, int]]:
     out: dict[int, dict[int, int]] = {}
-    for row in _iter_jsonl(path):
+    for lineno, row in _iter_jsonl(path):
         try:
             out.setdefault(int(row["frame_id"]), {})[int(row["detection_index"])] = int(
                 row["landmark_id"]
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: bad association record: {exc}") from exc
+            raise InputError(f"{path}:{lineno}: bad association record: {exc}") from exc
     return out
 
 
@@ -272,9 +275,11 @@ def load_trajectory(path) -> list[tuple[float, Pose]]:
         _require(len(parts) == 8, f"{path}:{lineno}: expected 8 fields")
         try:
             vals = [float(v) for v in parts]
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("non-finite value")
+            out.append((vals[0], _pose_from_tum_row(vals[1:])))
         except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad number: {exc}") from exc
-        out.append((vals[0], _pose_from_tum_row(vals[1:])))
+            raise InputError(f"{path}:{lineno}: bad row: {exc}") from exc
     return out
 
 
@@ -314,24 +319,27 @@ def save_results(path, results: Sequence[FrameResult]):
 
 def load_results(path) -> list[FrameResult]:
     out = []
-    for row in _iter_jsonl(path):
+    for lineno, row in _iter_jsonl(path):
         try:
             pose = None
             if row.get("pose") is not None:
                 pose = _pose_from_tum_row([float(v) for v in row["pose"]])
+            timestamp, was = float(row["timestamp"]), float(row.get("was", 0.0))
+            if not (math.isfinite(timestamp) and math.isfinite(was)):
+                raise ValueError("non-finite timestamp or was")
             out.append(
                 FrameResult(
                     frame_id=int(row["frame_id"]),
-                    timestamp=float(row["timestamp"]),
+                    timestamp=timestamp,
                     status=str(row["status"]),
                     pose=pose,
-                    was=float(row.get("was", 0.0)),
+                    was=was,
                     correspondences=[(int(p), int(q)) for p, q in row.get("correspondences", [])],
                     mean_entropy=row.get("mean_entropy"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: bad result record: {exc}") from exc
+            raise InputError(f"{path}:{lineno}: bad result record: {exc}") from exc
     return out
 
 
@@ -377,6 +385,8 @@ def load_scene_landmarks(path) -> list[dict]:
                     "label": str(lm["label"]),
                 }
             )
+            if not all(np.isfinite(out[-1][k]).all() for k in ("position", "rotation", "scale")):
+                raise ValueError(f"landmark {out[-1]['id']}: non-finite position, rotation or scale")
         return out
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad scene file: {exc}") from exc

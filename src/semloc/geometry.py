@@ -127,6 +127,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValueError("focal lengths and principal point must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -144,7 +146,8 @@ class Pose:
 
     rotation is a unit quaternion (w, x, y, z). Construction rejects
     quaternions off the unit sphere beyond 1e-9 rather than silently
-    renormalizing, so upstream conventions stay honest.
+    renormalizing, so upstream conventions stay honest, and translations
+    that are not finite.
     """
 
     rotation: np.ndarray
@@ -153,8 +156,11 @@ class Pose:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(4)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        if abs(math.sqrt(self.rotation @ self.rotation) - 1.0) > _UNIT_QUAT_TOL:
+        # written so that a NaN fails both checks
+        if not abs(math.sqrt(self.rotation @ self.rotation) - 1.0) <= _UNIT_QUAT_TOL:
             raise ValueError("non-unit quaternion beyond tolerance")
+        if not math.isfinite(self.translation.sum()):
+            raise ValueError("non-finite translation")
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -233,79 +239,75 @@ class BoundingBox:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
 
-@dataclass
-class DualQuadric:
-    """Dual ellipsoid as a symmetric 4x4 matrix in world coordinates."""
+def quadric_from_params(position, rotation, scale) -> np.ndarray:
+    """Dual ellipsoids (..., 4, 4) from centers (..., 3), quaternions (..., 4), semi-axes (..., 3).
 
-    q: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).reshape(4, 4)
-        if not np.allclose(self.q, self.q.T, atol=1e-9):
-            raise ValueError("dual quadric must be symmetric")
-
-    @property
-    def center(self) -> np.ndarray:
-        if abs(self.q[3, 3]) < 1e-12:
-            raise ValueError("quadric has no finite center")
-        return self.q[:3, 3] / self.q[3, 3]
-
-
-def quadric_from_params(position, rotation, scale) -> DualQuadric:
-    """Build a dual ellipsoid from center, orientation quaternion, and semi-axes.
-
-    scale holds the three semi-axis lengths in meters; all must be positive.
+    The semi-axis lengths are in meters and must all be positive. The
+    center q[:3, 3] / q[3, 3] of each result is its position to the bit.
     """
-    p = np.asarray(position, dtype=float).reshape(3)
-    s = np.asarray(scale, dtype=float).reshape(3)
-    if np.any(s <= 0.0):
+    p = np.asarray(position, dtype=float)
+    s = np.asarray(scale, dtype=float)
+    q = np.asarray(rotation, dtype=float)
+    if not np.all(s > 0.0):
         raise ValueError("semi-axes must be positive")
-    q = np.asarray(rotation, dtype=float).reshape(4)
-    if abs(np.linalg.norm(q) - 1.0) > _UNIT_QUAT_TOL:
+    if not np.all(np.abs(_norm(q) - 1.0) <= _UNIT_QUAT_TOL):
         raise ValueError("non-unit quaternion beyond tolerance")
-    z = np.eye(4)
-    z[:3, :3] = quat_to_rotmat(q)
-    z[:3, 3] = p
-    d = np.diag([s[0] ** 2, s[1] ** 2, s[2] ** 2, -1.0])
-    full = z @ d @ z.T
-    return DualQuadric(0.5 * (full + full.T))
+    lead = np.broadcast_shapes(p.shape[:-1], q.shape[:-1], s.shape[:-1])
+    z = np.broadcast_to(np.eye(4), lead + (4, 4)).copy()
+    z[..., :3, :3] = quat_to_rotmat(q)
+    z[..., :3, 3] = p
+    d = np.broadcast_to(np.diag([0.0, 0.0, 0.0, -1.0]), lead + (4, 4)).copy()
+    # libm pow, as Python floats square: numpy's array square (x * x) rounds
+    # differently on a few values, and the quadrics must not depend on the stack
+    d[..., [0, 1, 2], [0, 1, 2]] = np.reshape([v**2 for v in np.ravel(s).tolist()], s.shape)
+    full = z @ d @ z.swapaxes(-1, -2)
+    return 0.5 * (full + full.swapaxes(-1, -2))
+
+
+def _project_quadrics(
+    quads: np.ndarray, poses: list[Pose], intrinsics: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray]:
+    """Image boxes of dual quadrics (u, 4, 4) under n poses, unclamped.
+
+    Returns the extents (n, u, 4) as (x_min, y_min, x_max, y_max) and the
+    visibility (n, u): the center q[:3, 3] / q[3, 3] lies in front of the
+    camera and the projected dual conic is a nondegenerate ellipse. The
+    conic is sign-normalized so its (3, 3) entry is negative before the
+    tangent-line extents are read off. Extents where a quadric is not
+    visible are meaningless.
+    """
+    rot = quat_to_rotmat(np.stack([p.rotation for p in poses]))
+    trans = np.stack([p.translation for p in poses])
+    proj = (intrinsics.matrix()[None] @ np.concatenate([rot, trans[:, :, None]], axis=2))[:, None]
+    conic = proj @ quads[None] @ proj.swapaxes(-1, -2)  # (n, u, 3, 3)
+    conic = 0.5 * (conic + conic.swapaxes(-1, -2))
+    flip = np.where(conic[:, :, 2, 2] > 0.0, -1.0, 1.0)
+    conic = conic * flip[:, :, None, None]
+    c22 = conic[:, :, 2, 2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        centers = quads[:, :3, 3] / quads[:, 3, 3:]
+        cam_z = np.einsum("nj,uj->nu", rot[:, 2, :], centers) + trans[:, 2][:, None]
+        disc_x = conic[:, :, 0, 2] ** 2 - conic[:, :, 0, 0] * c22
+        disc_y = conic[:, :, 1, 2] ** 2 - conic[:, :, 1, 1] * c22
+        ok = (cam_z > 0.0) & (np.abs(c22) > 1e-12) & (disc_x > 0.0) & (disc_y > 0.0)
+        sx = np.sqrt(np.where(ok, disc_x, 1.0))
+        sy = np.sqrt(np.where(ok, disc_y, 1.0))
+        x0 = (conic[:, :, 0, 2] + sx) / c22
+        x1 = (conic[:, :, 0, 2] - sx) / c22
+        y0 = (conic[:, :, 1, 2] + sy) / c22
+        y1 = (conic[:, :, 1, 2] - sy) / c22
+    xa, xb = np.minimum(x0, x1), np.maximum(x0, x1)
+    ya, yb = np.minimum(y0, y1), np.maximum(y0, y1)
+    ok &= (xb - xa > 0.0) & (yb - ya > 0.0)
+    return np.stack([xa, ya, xb, yb], axis=-1), ok
 
 
 def project_quadric_to_bbox(
-    quadric: DualQuadric, pose: Pose, intrinsics: CameraIntrinsics
+    quadric: np.ndarray, pose: Pose, intrinsics: CameraIntrinsics
 ) -> BoundingBox | None:
-    """Project a dual quadric and return its axis-aligned image box, unclamped.
-
-    Returns None when the quadric is not visible: center behind the camera or
-    a degenerate projected conic. The dual conic is sign-normalized so its
-    (3,3) entry is negative before the tangent-line extents are read off.
-    """
-    center_cam = pose.transform(quadric.center)
-    if center_cam[2] <= 0.0:
-        return None
-    r = pose.rotation_matrix()
-    p = intrinsics.matrix() @ np.hstack([r, pose.translation.reshape(3, 1)])
-    c = p @ quadric.q @ p.T
-    c = 0.5 * (c + c.T)
-    if abs(c[2, 2]) < 1e-12:
-        return None
-    if c[2, 2] > 0.0:
-        c = -c
-    disc_x = c[0, 2] ** 2 - c[0, 0] * c[2, 2]
-    disc_y = c[1, 2] ** 2 - c[1, 1] * c[2, 2]
-    if disc_x <= 0.0 or disc_y <= 0.0:
-        return None
-    sx = math.sqrt(disc_x)
-    sy = math.sqrt(disc_y)
-    xa = (c[0, 2] + sx) / c[2, 2]
-    xb = (c[0, 2] - sx) / c[2, 2]
-    ya = (c[1, 2] + sy) / c[2, 2]
-    yb = (c[1, 2] - sy) / c[2, 2]
-    x0, x1 = min(xa, xb), max(xa, xb)
-    y0, y1 = min(ya, yb), max(ya, yb)
-    if x1 - x0 <= 0.0 or y1 - y0 <= 0.0:
-        return None
-    return BoundingBox(x0, y0, x1, y1)
+    """Image box of one dual quadric (4, 4), unclamped; None when it is not visible."""
+    ext, ok = _project_quadrics(np.reshape(quadric, (1, 4, 4)), [pose], intrinsics)
+    return BoundingBox(*ext[0, 0].tolist()) if ok[0, 0] else None
 
 
 def pixel_to_bearing(pixel, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, CameraIntrinsics, DualQuadric, quadric_from_params
+from .geometry import BoundingBox, CameraIntrinsics
 
 logger = logging.getLogger(__name__)
 
@@ -133,13 +133,12 @@ class PriorObjectNode:
         self.position = np.asarray(self.position, dtype=float).reshape(3)
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(4)
         self.scale = np.asarray(self.scale, dtype=float).reshape(3)
+        if not all(np.isfinite(v).all() for v in (self.position, self.rotation, self.scale)):
+            raise ValueError("position, rotation and scale must be finite")
         if np.any(self.scale <= 0.0):
             raise ValueError("scale must be positive")
         if abs(np.linalg.norm(self.rotation) - 1.0) > 1e-9:
             raise ValueError("non-unit rotation quaternion")
-
-    def quadric(self) -> DualQuadric:
-        return quadric_from_params(self.position, self.rotation, self.scale)
 
 
 @dataclass

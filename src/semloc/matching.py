@@ -16,6 +16,9 @@ from .graph import SemanticGraph
 
 logger = logging.getLogger(__name__)
 
+# elements of score_all_pairs' (rows, cols, deg_p, deg_q) tensor per chunk of prior rows
+_CHUNK_ELEMS = 10_000_000
+
 
 @dataclass
 class SimilarityTable:
@@ -80,7 +83,6 @@ def score_all_pairs(
     prior_graph: SemanticGraph,
     query_graph: SemanticGraph,
     use_calp: bool = True,
-    chunk_elems: int = 10_000_000,
 ) -> SimilarityTable:
     """Score every (prior, query) pair: likelihood plus neighbor-context term.
 
@@ -108,7 +110,7 @@ def score_all_pairs(
     q_counts = mask_q.sum(axis=1)  # selections per query root, shared across priors
     p_has = mask_p.any(axis=1)
 
-    rows_per_chunk = max(1, chunk_elems // max(1, n_q * kp * kq))
+    rows_per_chunk = max(1, _CHUNK_ELEMS // max(1, n_q * kp * kq))
     for start in range(0, n_p, rows_per_chunk):
         stop = min(n_p, start + rows_per_chunk)
         dp = dist_p[start:stop]  # (r, kp)

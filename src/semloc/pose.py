@@ -16,7 +16,14 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, p3p_solve, pixel_to_bearing, quat_to_rotmat
+from .geometry import (
+    CameraIntrinsics,
+    Pose,
+    _project_quadrics,
+    p3p_solve,
+    pixel_to_bearing,
+    quadric_from_params,
+)
 from .graph import SemanticGraph
 from .matching import CandidateSet, extract_candidates, score_all_pairs
 
@@ -132,9 +139,8 @@ class _AlignmentScorer:
     def __init__(self, pairs, prior_graph, boxes, intrinsics, C):
         """pairs: (prior_id, query_id) tuples; boxes: query_id -> BoundingBox."""
         self.C = C
-        self.K = intrinsics.matrix()
-        self.width = float(intrinsics.width)
-        self.height = float(intrinsics.height)
+        self.intrinsics = intrinsics
+        self.image_max = np.array([intrinsics.width, intrinsics.height] * 2, dtype=float)
         unique_p = sorted({p for p, _ in pairs})
         unique_q = sorted({q for _, q in pairs})
         p_index = {p: i for i, p in enumerate(unique_p)}
@@ -145,38 +151,19 @@ class _AlignmentScorer:
         self.pair_p = np.array([p_index[p] for p, _ in pairs], dtype=int)
         self.pair_q = np.array([q_index[q] for _, q in pairs], dtype=int)
         nodes = [prior_graph.node(p) for p in unique_p]
-        self.quads = np.array([node.quadric().q for node in nodes]).reshape(-1, 4, 4)
-        self.centers = np.array([node.position for node in nodes]).reshape(-1, 3)
+        self.quads = quadric_from_params(
+            np.reshape([node.position for node in nodes], (-1, 3)),
+            np.reshape([node.rotation for node in nodes], (-1, 4)),
+            np.reshape([node.scale for node in nodes], (-1, 3)),
+        )
         q_boxes = [boxes[q] for q in unique_q]
         self.q_means = np.array([box.center for box in q_boxes]).reshape(-1, 2)
         self.q_halves = np.array([[b.width / 2.0, b.height / 2.0] for b in q_boxes]).reshape(-1, 2)
 
     def _pair_scores(self, poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair similarity (0 where the prior is not visible) and visibility, (n, pairs)."""
-        rot = quat_to_rotmat(np.stack([p.rotation for p in poses]))
-        trans = np.stack([p.translation for p in poses])
-        proj = (self.K[None] @ np.concatenate([rot, trans[:, :, None]], axis=2))[:, None]
-        # project_quadric_to_bbox's products in its order: the same conic to the bit
-        conic = proj @ self.quads[None] @ proj.swapaxes(-1, -2)  # (n,u,3,3)
-        conic = 0.5 * (conic + conic.swapaxes(-1, -2))
-        flip = np.where(conic[:, :, 2, 2] > 0.0, -1.0, 1.0)
-        conic = conic * flip[:, :, None, None]
-        c22 = conic[:, :, 2, 2]
-        cam_z = np.einsum("nj,uj->nu", rot[:, 2, :], self.centers) + trans[:, 2][:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            disc_x = conic[:, :, 0, 2] ** 2 - conic[:, :, 0, 0] * c22
-            disc_y = conic[:, :, 1, 2] ** 2 - conic[:, :, 1, 1] * c22
-            ok = (cam_z > 0.0) & (np.abs(c22) > 1e-12) & (disc_x > 0.0) & (disc_y > 0.0)
-            sx = np.sqrt(np.where(ok, disc_x, 1.0))
-            sy = np.sqrt(np.where(ok, disc_y, 1.0))
-            x0 = (conic[:, :, 0, 2] + sx) / c22
-            x1 = (conic[:, :, 0, 2] - sx) / c22
-            y0 = (conic[:, :, 1, 2] + sy) / c22
-            y1 = (conic[:, :, 1, 2] - sy) / c22
-        xa = np.clip(np.minimum(x0, x1), 0.0, self.width)
-        xb = np.clip(np.maximum(x0, x1), 0.0, self.width)
-        ya = np.clip(np.minimum(y0, y1), 0.0, self.height)
-        yb = np.clip(np.maximum(y0, y1), 0.0, self.height)
+        ext, ok = _project_quadrics(self.quads, poses, self.intrinsics)
+        xa, ya, xb, yb = np.moveaxis(np.clip(ext, 0.0, self.image_max), -1, 0)
         ok &= (xb - xa > 0.0) & (yb - ya > 0.0)
 
         mean_x = 0.5 * (xa + xb)

@@ -17,9 +17,8 @@ import numpy as np
 from .geometry import (
     BoundingBox,
     CameraIntrinsics,
-    DualQuadric,
     Pose,
-    project_quadric_to_bbox,
+    _project_quadrics,
     quadric_from_params,
     quat_normalize,
 )
@@ -89,9 +88,6 @@ class Landmark:
     rotation: np.ndarray
     scale: np.ndarray
     label: str
-
-    def quadric(self) -> DualQuadric:
-        return quadric_from_params(self.position, self.rotation, self.scale)
 
 
 @dataclass
@@ -258,17 +254,21 @@ def render_frame(
         rng = np.random.default_rng()
     detections: list[DetectionRecord] = []
     associations: dict[int, int] = {}
-    for lm in scene.landmarks:
+    quads = quadric_from_params(
+        [lm.position for lm in scene.landmarks],
+        [lm.rotation for lm in scene.landmarks],
+        [lm.scale for lm in scene.landmarks],
+    )
+    extents, visible = _project_quadrics(quads, [pose], intrinsics)
+    for lm, ext, ok in zip(scene.landmarks, extents[0].tolist(), visible[0].tolist()):
         cam = pose.transform(lm.position)
-        if cam[2] <= 0.0:
+        if not ok or cam[2] <= 0.0:
             continue
         u = intrinsics.fx * cam[0] / cam[2] + intrinsics.cx
         v = intrinsics.fy * cam[1] / cam[2] + intrinsics.cy
         if not (0.0 <= u < intrinsics.width and 0.0 <= v < intrinsics.height):
             continue
-        box = project_quadric_to_bbox(lm.quadric(), pose, intrinsics)
-        if box is None:
-            continue
+        box = BoundingBox(*ext)
         if center_boxes:
             hw, hh = box.width / 2.0, box.height / 2.0
             box = BoundingBox(u - hw, v - hh, u + hw, v + hh)

@@ -9,6 +9,7 @@ from semloc import (
     PriorObjectNode,
     QueryDetectionNode,
     SemanticGraph,
+    quadric_from_params,
 )
 
 VOCAB = [f"class{i:02d}" for i in range(40)]
@@ -73,6 +74,11 @@ def prior_node(node_id: int, position, counts: dict, total: int | None = None) -
         scale=np.array([0.1, 0.1, 0.1]),
         frequencies=make_table(counts, total),
     )
+
+
+def quadric_of(obj) -> np.ndarray:
+    """Dual quadric of anything with position, rotation and scale (map node, landmark)."""
+    return quadric_from_params(obj.position, obj.rotation, obj.scale)
 
 
 def query_node(node_id: int, position, conf, bbox: BoundingBox | None = None) -> QueryDetectionNode:

@@ -3,9 +3,12 @@ checked against.
 
 Matching: `multilabel_likelihood`, `neighbor_weight`, `best_neighbor_set` and
 `similarity_score` compute one entry of `score_all_pairs`' likelihood and
-similarity tables at a time. Alignment: `bbox_to_gaussian`,
-`wasserstein2_squared` and `normalized_wasserstein` score one box pair, and
-`scalar_calculate_was` scores one pose the way `_AlignmentScorer` does.
+similarity tables at a time. Projection: `scalar_project_quadric_to_bbox`
+projects one dual quadric under one pose, as the stacked
+`geometry._project_quadrics` does for each of its (quadric, pose) pairs.
+Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
+`normalized_wasserstein` score one box pair, and `scalar_calculate_was`
+scores one pose the way `_AlignmentScorer` does.
 Pose search: `scalar_p3p_solve` solves one P3P sample the way the stacked
 `p3p_solve` solves each of its samples, and `serial_estimate_pose` runs the
 sampling loop one draw at a time, solving and scoring each valid sample
@@ -29,7 +32,7 @@ from semloc.geometry import (
     absolute_orientation,
     bearing_angle,
     pixel_to_bearing,
-    project_quadric_to_bbox,
+    quadric_from_params,
     quat_distance,
 )
 from semloc.graph import LabelFrequencyTable, NormalizedConfidence, SemanticGraph
@@ -140,6 +143,47 @@ def similarity_score(root_likelihood: float, selection: NeighborPairSelection) -
 
 
 # ---------------------------------------------------------------------------
+# quadric projection
+
+
+def scalar_project_quadric_to_bbox(
+    quadric: np.ndarray, pose: Pose, intrinsics: CameraIntrinsics
+) -> BoundingBox | None:
+    """Project a dual quadric (4, 4) and return its axis-aligned image box, unclamped.
+
+    Returns None when the quadric is not visible: center behind the camera or
+    a degenerate projected conic. The dual conic is sign-normalized so its
+    (3,3) entry is negative before the tangent-line extents are read off.
+    """
+    center_cam = pose.transform(quadric[:3, 3] / quadric[3, 3])
+    if center_cam[2] <= 0.0:
+        return None
+    r = pose.rotation_matrix()
+    p = intrinsics.matrix() @ np.hstack([r, pose.translation.reshape(3, 1)])
+    c = p @ quadric @ p.T
+    c = 0.5 * (c + c.T)
+    if abs(c[2, 2]) < 1e-12:
+        return None
+    if c[2, 2] > 0.0:
+        c = -c
+    disc_x = c[0, 2] ** 2 - c[0, 0] * c[2, 2]
+    disc_y = c[1, 2] ** 2 - c[1, 1] * c[2, 2]
+    if disc_x <= 0.0 or disc_y <= 0.0:
+        return None
+    sx = math.sqrt(disc_x)
+    sy = math.sqrt(disc_y)
+    xa = (c[0, 2] + sx) / c[2, 2]
+    xb = (c[0, 2] - sx) / c[2, 2]
+    ya = (c[1, 2] + sy) / c[2, 2]
+    yb = (c[1, 2] - sy) / c[2, 2]
+    x0, x1 = min(xa, xb), max(xa, xb)
+    y0, y1 = min(ya, yb), max(ya, yb)
+    if x1 - x0 <= 0.0 or y1 - y0 <= 0.0:
+        return None
+    return BoundingBox(x0, y0, x1, y1)
+
+
+# ---------------------------------------------------------------------------
 # Gaussian boxes and alignment
 
 
@@ -192,7 +236,9 @@ def scalar_calculate_was(pose, candidates, prior_graph, query_graph, intrinsics,
     projected = {}
     for prior_id, _ in candidates.pairs:
         if prior_id not in projected:
-            box = project_quadric_to_bbox(prior_graph.node(prior_id).quadric(), pose, intrinsics)
+            node = prior_graph.node(prior_id)
+            quadric = quadric_from_params(node.position, node.rotation, node.scale)
+            box = scalar_project_quadric_to_bbox(quadric, pose, intrinsics)
             if box is not None:
                 box = box.clamped(intrinsics.width, intrinsics.height)
             projected[prior_id] = None if box is None else bbox_to_gaussian(box)

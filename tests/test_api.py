@@ -8,7 +8,6 @@ PUBLIC = [
     "CameraIntrinsics",
     "CandidateSet",
     "DetectionRecord",
-    "DualQuadric",
     "LabelFrequencyTable",
     "Landmark",
     "LocalizationResult",

@@ -135,6 +135,23 @@ class TestBuildMap:
         )
         assert code == 1
 
+    def test_non_finite_scene_is_input_error(self, dataset, tmp_path, capsys):
+        sim = dataset / "sim"
+        data = json.loads((sim / "scene.json").read_text())
+        data["landmarks"][2]["scale"][0] = float("inf")
+        (tmp_path / "scene.json").write_text(json.dumps(data))
+        code = main(
+            [
+                "build-map",
+                "--scene", str(tmp_path / "scene.json"),
+                "--keyframes", str(sim / "keyframes.jsonl"),
+                "--associations", str(sim / "keyframe_associations.jsonl"),
+                "--output", str(tmp_path / "map.json"),
+            ]
+        )
+        assert code == 1
+        assert "scene.json: bad scene file" in capsys.readouterr().err
+
 
 class TestLocalize:
     def test_noise_free_run_succeeds(self, dataset):
@@ -215,6 +232,21 @@ class TestLocalize:
     def test_non_finite_config_value_is_input_error(self, dataset, tmp_path, line):
         (tmp_path / "loc.cfg").write_text(line + "\n")
         assert _localize(dataset, "unused", "--config", str(tmp_path / "loc.cfg")) == 1
+
+    def test_non_finite_map_is_input_error(self, dataset, tmp_path, capsys):
+        data = json.loads((dataset / "map.json").read_text())
+        data["landmarks"][0]["position"][1] = float("nan")
+        (tmp_path / "map.json").write_text(json.dumps(data))
+        assert _localize(dataset, "unused", "--map", str(tmp_path / "map.json")) == 1
+        assert "map.json: bad map file" in capsys.readouterr().err
+
+    def test_non_finite_intrinsics_is_input_error(self, dataset, tmp_path, capsys):
+        data = json.loads((dataset / "sim" / "intrinsics.json").read_text())
+        data["fx"] = float("nan")
+        (tmp_path / "intrinsics.json").write_text(json.dumps(data))
+        assert '"fx": NaN' in (tmp_path / "intrinsics.json").read_text()
+        assert _localize(dataset, "unused", "--intrinsics", str(tmp_path / "intrinsics.json")) == 1
+        assert "intrinsics.json: bad intrinsics" in capsys.readouterr().err
 
     def test_unknown_config_key_is_ignored(self, dataset, tmp_path, caplog):
         (tmp_path / "loc.cfg").write_text("one_to_one=true\n")
@@ -298,6 +330,22 @@ class TestEvaluate:
         assert set(combined["runs"]) == {"K=1", "K=3"}
         for name in ("K=1", "K=3"):
             assert (dataset / "eval_sweep" / name / "report.json").exists()
+
+    def test_non_finite_trajectory_is_input_error(self, dataset, tmp_path, capsys):
+        rows = (dataset / "sim" / "gt_trajectory.txt").read_text().splitlines()
+        rows[1] = " ".join(["nan"] * 8)
+        (tmp_path / "gt.txt").write_text("\n".join(rows) + "\n")
+        assert _localize(dataset, "run_nan_gt") == 0
+        code = main(
+            [
+                "evaluate",
+                "--results", str(dataset / "run_nan_gt"),
+                "--gt-trajectory", str(tmp_path / "gt.txt"),
+                "--output", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 1
+        assert "gt.txt:2: bad row: non-finite value" in capsys.readouterr().err
 
     def test_missing_results_is_input_error(self, tmp_path):
         assert main(["evaluate", "--results", str(tmp_path / "nothing")]) == 1

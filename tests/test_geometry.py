@@ -18,6 +18,7 @@ from semloc import (
     quadric_from_params,
 )
 from semloc.geometry import (
+    _project_quadrics,
     bearing_angle,
     quat_distance,
     quat_normalize,
@@ -31,6 +32,7 @@ from oracles import (
     bbox_to_gaussian,
     normalized_wasserstein,
     scalar_p3p_solve,
+    scalar_project_quadric_to_bbox,
     wasserstein2_squared,
 )
 
@@ -101,6 +103,13 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-unit"):
+            Pose(np.array([bad, 0.0, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite translation"):
+            Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, bad, 1.0]))
+
     def test_transform_inverse(self, rng):
         for _ in range(50):
             pose = random_pose(rng)
@@ -124,6 +133,16 @@ class TestPose:
         batch = pose.transform(pts)
         for i in range(4):
             np.testing.assert_allclose(pose.transform(pts[i]), batch[i], atol=1e-12)
+
+
+class TestCameraIntrinsics:
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        values = dict(fx=525.0, fy=525.0, cx=319.5, cy=239.5, width=640, height=480)
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CameraIntrinsics(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +176,48 @@ class TestQuadricProjection:
     def test_quadric_center(self, rng):
         pos = rng.normal(size=3)
         q = quadric_from_params(pos, rotmat_to_quat(random_rotation(rng)), [0.3, 0.2, 0.1])
-        np.testing.assert_allclose(q.center, pos, atol=1e-12)
+        np.testing.assert_array_equal(q[:3, 3] / q[3, 3], pos)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             quadric_from_params([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.1, -0.1, 0.1])
+
+    def test_stacked_build_matches_single_builds(self, rng):
+        pos = rng.normal(size=(50, 3))
+        rot = quat_normalize(rng.normal(size=(50, 4)))
+        scale = rng.uniform(0.01, 2.0, size=(50, 3))
+        stacked = quadric_from_params(pos, rot, scale)
+        single = [quadric_from_params(pos[i], rot[i], scale[i]) for i in range(50)]
+        np.testing.assert_array_equal(stacked, single)
+
+    def test_kernel_matches_scalar_oracle(self, rng):
+        # 100 ellipsoids under 100 poses: cameras inside the landmark volume see
+        # centers behind them, ellipsoids around the camera (degenerate conics)
+        # and boxes that run off the image
+        n = 100
+        pos = rng.uniform(-3.0, 3.0, size=(n, 3))
+        rot = quat_normalize(rng.normal(size=(n, 4)))
+        scale = rng.uniform(0.05, 1.5, size=(n, 3))
+        quads = quadric_from_params(pos, rot, scale)
+        poses = [
+            Pose.from_rt(r, -r @ rng.uniform(-4.0, 4.0, size=3))
+            for r in (random_rotation(rng) for _ in range(n))
+        ]
+        ext, ok = _project_quadrics(quads, poses, INTR)
+        kinds = {"behind": 0, "degenerate": 0, "off_image": 0}
+        for i, pose in enumerate(poses):
+            for j in range(n):
+                ref = scalar_project_quadric_to_bbox(quads[j], pose, INTR)
+                assert ok[i, j] == (ref is not None)
+                if ref is not None:
+                    np.testing.assert_allclose(ext[i, j], ref.as_list(), rtol=0.0, atol=1e-9)
+                    clamped = ref.clamped(INTR.width, INTR.height)
+                    kinds["off_image"] += clamped is not None and clamped.as_list() != ref.as_list()
+                elif pose.transform(pos[j])[2] <= 0.0:
+                    kinds["behind"] += 1
+                else:
+                    kinds["degenerate"] += 1
+        assert min(kinds.values()) > 0, kinds
 
     def test_on_axis_sphere_extent(self):
         # [DERIVED] tangent cone of a sphere at distance d: half extent

@@ -11,6 +11,7 @@ from semloc import (
     CameraIntrinsics,
     DetectionRecord,
     NormalizedConfidence,
+    PriorObjectNode,
     SemanticGraph,
     accumulate_label_frequencies,
     build_knn_edges,
@@ -201,6 +202,23 @@ class TestKnnEdges:
 
 # ---------------------------------------------------------------------------
 # semantic graphs
+
+
+class TestPriorObjectNode:
+    @pytest.mark.parametrize("field", ["position", "rotation", "scale"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        values = dict(
+            id=1,
+            position=np.zeros(3),
+            rotation=np.array([1.0, 0.0, 0.0, 0.0]),
+            scale=np.full(3, 0.1),
+            frequencies=make_table({"a": 1}),
+        )
+        values[field] = values[field].copy()
+        values[field][1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            PriorObjectNode(**values)
 
 
 class TestSemanticGraph:

@@ -9,6 +9,7 @@ from semloc import (
     CameraIntrinsics,
     DetectionRecord,
     MatcherConfig,
+    Pose,
     PriorObjectNode,
     generate_scene,
 )
@@ -207,6 +208,16 @@ class TestTrajectory:
         save_trajectory(p, [])
         assert load_trajectory(p) == []
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("0.0 0 0 nan 0 0 0 1", "non-finite value"), ("0.0 0 0 0 0 0 0 0", "zero quaternion")],
+    )
+    def test_bad_row_reports_line(self, tmp_path, row, reason):
+        p = tmp_path / "traj.txt"
+        p.write_text("# header\n0.0 0 0 0 0 0 0 1\n" + row + "\n")
+        with pytest.raises(InputError, match=f"traj.txt:3: bad row: {reason}"):
+            load_trajectory(p)
+
 
 class TestResults:
     def test_round_trip(self, tmp_path, rng):
@@ -231,6 +242,18 @@ class TestResults:
         p = tmp_path / "results.jsonl"
         p.write_text('{"frame_id": "x"}\n')
         with pytest.raises(InputError, match="bad result record"):
+            load_results(p)
+
+    @pytest.mark.parametrize(
+        "field, value", [("pose", [0, 0, 0, "nan", 0, 0, 1]), ("timestamp", "inf"), ("was", "nan")]
+    )
+    def test_non_finite_record_reports_line(self, tmp_path, field, value):
+        p = tmp_path / "results.jsonl"
+        save_results(p, [FrameResult(i, 0.1 * i, "success", Pose.identity(), 0.9) for i in range(2)])
+        rows = [json.loads(line) for line in p.read_text().splitlines()]
+        rows[1][field] = [float(v) for v in value] if isinstance(value, list) else float(value)
+        p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(InputError, match="results.jsonl:2: bad result record"):
             load_results(p)
 
 

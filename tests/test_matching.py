@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semloc.matching
 from semloc import extract_candidates, score_all_pairs
 from semloc.matching import SimilarityTable
 
@@ -254,10 +255,11 @@ class TestScoreAllPairs:
         table.similarity[0, 0] = 99.0
         assert table.likelihood[0, 0] != 99.0
 
-    def test_chunking_matches_single_pass(self, rng):
+    def test_chunking_matches_single_pass(self, rng, monkeypatch):
         pg, qg = _random_graphs(rng, n_p=8, n_q=6)
         full = score_all_pairs(pg, qg)
-        chunked = score_all_pairs(pg, qg, chunk_elems=16)
+        monkeypatch.setattr(semloc.matching, "_CHUNK_ELEMS", 16)
+        chunked = score_all_pairs(pg, qg)
         np.testing.assert_array_equal(full.similarity, chunked.similarity)
 
 

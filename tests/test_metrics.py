@@ -16,7 +16,7 @@ from semloc import (
 from semloc.geometry import project_quadric_to_bbox
 from semloc.metrics import MotaCounts, MotaFrame, mean_translation_error, rematch_predictions
 
-from conftest import graph, make_conf, prior_node
+from conftest import graph, make_conf, prior_node, quadric_of
 
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
@@ -86,8 +86,8 @@ class TestRematchPredictions:
         b = prior_node(9, (-0.8, 0.4, 0.3), {"x": 1})
         pg = graph([a, b], [])
         boxes = {
-            0: project_quadric_to_bbox(a.quadric(), pose, INTR),
-            1: project_quadric_to_bbox(b.quadric(), pose, INTR),
+            0: project_quadric_to_bbox(quadric_of(a), pose, INTR),
+            1: project_quadric_to_bbox(quadric_of(b), pose, INTR),
         }
         out = rematch_predictions({3: pose}, pg, INTR, {3: boxes})
         assert out == {3: [(4, 0), (9, 1)]}

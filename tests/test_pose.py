@@ -12,6 +12,7 @@ from semloc import (
     MatcherConfig,
     NoiseSpec,
     Pose,
+    PriorObjectNode,
     SceneSpec,
     build_knn_edges,
     build_query_graph,
@@ -23,6 +24,7 @@ from semloc import (
     is_valid_sample,
     prior_graph_from_nodes,
     project_quadric_to_bbox,
+    render_frame,
     render_sequence,
     score_all_pairs,
 )
@@ -31,7 +33,15 @@ from semloc.dataio import FrameRecord
 from semloc.geometry import quat_distance
 from semloc.pose import _CHUNK, _AlignmentScorer
 
-from conftest import VOCAB, graph, prior_node, query_node, random_rotation
+from conftest import (
+    VOCAB,
+    graph,
+    make_table,
+    prior_node,
+    quadric_of,
+    query_node,
+    random_rotation,
+)
 from oracles import scalar_calculate_was, serial_estimate_pose
 
 
@@ -53,7 +63,7 @@ def _perfect_scene(n=8, seed=3, center_boxes=False):
     for i in range(n):
         label = VOCAB[i]
         p = prior_node(i + 1, pos[i], {label: 5}, total=5)
-        box = project_quadric_to_bbox(p.quadric(), gt, INTR).clamped(INTR.width, INTR.height)
+        box = project_quadric_to_bbox(quadric_of(p), gt, INTR).clamped(INTR.width, INTR.height)
         assert box is not None
         if center_boxes:
             cam = gt.transform(pos[i])
@@ -126,7 +136,7 @@ def _three_landmark_frame(pts, prior_edges, query_edges):
             100 + i,
             gt.transform(pts[i]),
             {"a": 1.0},
-            bbox=project_quadric_to_bbox(p_nodes[i].quadric(), gt, INTR),
+            bbox=project_quadric_to_bbox(quadric_of(p_nodes[i]), gt, INTR),
         )
         for i in range(3)
     ]
@@ -259,7 +269,7 @@ class TestCalculateWas:
         pos = np.array([0.3, -0.2, 0.0])
         twin_a = prior_node(7, pos, {"a": 1})
         twin_b = prior_node(3, pos, {"a": 1})
-        box = project_quadric_to_bbox(twin_a.quadric(), gt, INTR)
+        box = project_quadric_to_bbox(quadric_of(twin_a), gt, INTR)
         pg = graph([twin_b, twin_a], [])
         qg = graph([query_node(10, gt.transform(pos), {"a": 1.0}, bbox=box)], [])
         cands = CandidateSet([(7, 10), (3, 10)], tau=2)
@@ -271,7 +281,7 @@ class TestCalculateWas:
         pos_a = np.array([0.3, -0.2, 0.0])
         pos_b = np.array([-0.5, 0.1, 0.2])
         pa, pb = prior_node(3, pos_a, {"a": 1}), prior_node(7, pos_b, {"a": 1})
-        box_a = project_quadric_to_bbox(pa.quadric(), gt, INTR)
+        box_a = project_quadric_to_bbox(quadric_of(pa), gt, INTR)
         pg = graph([pa, pb], [])
         qg = graph(
             [
@@ -314,6 +324,31 @@ class TestAlignmentScorer:
             n_partly_visible += 0 < len(pairs) < len(cands.query_ids())
         if off_image:
             assert n_partly_visible > 0  # some poses lose landmarks out of the image
+
+
+    def test_rendered_frames_score_exactly_one(self):
+        # the simulator and the scorer project through one kernel, so a
+        # noise-free conic box is its landmark's projection to the bit; two
+        # projections that square differently (libm pow against x * x) leave
+        # some frames at 1 - 1e-14 on this scene
+        bounds = ((-2.0, -2.0, 0.0), (2.0, 2.0, 1.5))
+        spec = SceneSpec(
+            n_landmarks=30, bounds=bounds, vocabulary=VOCAB[:30], unique_labels=True, seed=3
+        )
+        scene = generate_scene(spec)
+        nodes = [
+            PriorObjectNode(lm.id, lm.position, lm.rotation, lm.scale, make_table({lm.label: 1}))
+            for lm in scene.landmarks
+        ]
+        pg = graph(nodes, [])
+        for pose in generate_trajectory("orbit", 100, bounds, seed=3):
+            dets, assoc = render_frame(
+                scene, pose, INTR, NoiseSpec(), np.random.default_rng(0), center_boxes=False
+            )
+            assert len(dets) >= 20
+            pairs = [(lm_id, d) for d, lm_id in assoc.items()]
+            scorer = _AlignmentScorer(pairs, pg, {d: dets[d].bbox for d in assoc}, INTR, C=100.0)
+            assert scorer.score([pose])[0] == 1.0
 
 
 class TestEstimatePose:

@@ -19,6 +19,8 @@ from semloc import (
 from semloc.geometry import project_quadric_to_bbox
 from semloc.simulate import MIN_BBOX_AREA, _confidence_vector
 
+from conftest import quadric_of
+
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
 BOUNDS = ((-2.0, -2.0, 0.0), (2.0, 2.0, 1.5))
@@ -236,7 +238,7 @@ class TestRenderFrame:
             scene, pose, INTR, NoiseSpec(), rng=np.random.default_rng(0), center_boxes=False
         )
         assert assoc == {0: 0}
-        expect = project_quadric_to_bbox(scene.landmarks[0].quadric(), pose, INTR)
+        expect = project_quadric_to_bbox(quadric_of(scene.landmarks[0]), pose, INTR)
         assert dets[0].bbox.as_list() == pytest.approx(expect.as_list(), abs=1e-12)
 
     def test_centered_boxes_are_geometrically_exact(self):
@@ -261,7 +263,7 @@ class TestRenderFrame:
     def test_tiny_projection_dropped(self):
         scene = _single_scene(scale=0.01)
         pose = _camera()
-        box = project_quadric_to_bbox(scene.landmarks[0].quadric(), pose, INTR)
+        box = project_quadric_to_bbox(quadric_of(scene.landmarks[0]), pose, INTR)
         assert box.area < MIN_BBOX_AREA
         dets, _ = render_frame(scene, pose, INTR, NoiseSpec(), rng=np.random.default_rng(0))
         assert dets == []
