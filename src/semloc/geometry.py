@@ -198,7 +198,7 @@ class Pose:
 
 @dataclass
 class BoundingBox:
-    """Axis-aligned pixel box; min strictly below max on both axes."""
+    """Axis-aligned pixel box; finite, min strictly below max on both axes."""
 
     x_min: float
     y_min: float
@@ -206,6 +206,8 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.as_list()):
+            raise ValueError("bounding box coordinates must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate bounding box")
 
@@ -305,9 +307,12 @@ def _project_quadrics(
 def project_quadric_to_bbox(
     quadric: np.ndarray, pose: Pose, intrinsics: CameraIntrinsics
 ) -> BoundingBox | None:
-    """Image box of one dual quadric (4, 4), unclamped; None when it is not visible."""
+    """Image box of one dual quadric (4, 4), unclamped; None when it is not
+    visible or its extents are not finite."""
     ext, ok = _project_quadrics(np.reshape(quadric, (1, 4, 4)), [pose], intrinsics)
-    return BoundingBox(*ext[0, 0].tolist()) if ok[0, 0] else None
+    if not (ok[0, 0] and np.isfinite(ext[0, 0]).all()):
+        return None
+    return BoundingBox(*ext[0, 0].tolist())
 
 
 def pixel_to_bearing(pixel, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -158,7 +158,14 @@ class QueryDetectionNode:
 
 @dataclass
 class SemanticGraph:
-    """Nodes plus an undirected edge set over node ids."""
+    """Nodes plus an undirected edge set over node ids.
+
+    Construction also lists the directed edges as index arrays, ordered by
+    root in node order and then by neighbor id: `edge_root` and `edge_nbr`
+    are node indices, `edge_length` the root-to-neighbor distance and
+    `edge_slot` the edge's place among its root's edges. `degree` counts
+    each node's edges and `max_degree` is its maximum (0 without edges).
+    """
 
     nodes: list
     edges: set[tuple[int, int]]
@@ -182,6 +189,16 @@ class SemanticGraph:
             self._adjacency[b].append(a)
         for neighbors in self._adjacency.values():
             neighbors.sort()
+        index = {node.id: i for i, node in enumerate(self.nodes)}
+        lists = [self._adjacency[node.id] for node in self.nodes]
+        self.degree = np.array([len(l) for l in lists], dtype=int)
+        self.max_degree = int(self.degree.max(initial=0))
+        self.edge_root = np.repeat(np.arange(len(lists)), self.degree)
+        self.edge_nbr = np.array([index[n] for l in lists for n in l], dtype=int)
+        offsets = np.cumsum(self.degree) - self.degree
+        self.edge_slot = np.arange(self.edge_root.size) - offsets[self.edge_root]
+        pos = self.positions()
+        self.edge_length = np.linalg.norm(pos[self.edge_nbr] - pos[self.edge_root], axis=1)
 
     def __len__(self) -> int:
         return len(self.nodes)

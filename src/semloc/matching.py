@@ -3,6 +3,9 @@
 Pairwise multi-label likelihoods, context propagation over graph
 neighborhoods (distance-consistency weighted, best prior neighbor per query
 neighbor), and extraction of the top-ranked candidate pairs per query node.
+Context propagation runs over the graphs' directed edge lists
+(`SemanticGraph.edge_root` and friends), so no work is spent on padding to
+the largest degree.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .graph import SemanticGraph
 
 logger = logging.getLogger(__name__)
 
-# elements of score_all_pairs' (rows, cols, deg_p, deg_q) tensor per chunk of prior rows
+# elements of score_all_pairs' (prior edges, query edges) block per chunk of prior roots
 _CHUNK_ELEMS = 10_000_000
 
 
@@ -63,22 +66,6 @@ def _likelihood_matrix(prior_graph: SemanticGraph, query_graph: SemanticGraph) -
     return freq @ conf.T
 
 
-def _padded_neighbors(graph: SemanticGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Neighbor indices padded to max degree, with validity mask and distances."""
-    index = {node.id: i for i, node in enumerate(graph.nodes)}
-    lists = [[index[n] for n in graph.neighbors(node.id)] for node in graph.nodes]
-    width = max((len(l) for l in lists), default=0)
-    n = len(graph)
-    nbr = np.zeros((n, max(width, 1)), dtype=int)
-    mask = np.zeros((n, max(width, 1)), dtype=bool)
-    for i, l in enumerate(lists):
-        nbr[i, : len(l)] = l
-        mask[i, : len(l)] = True
-    pos = graph.positions()
-    dist = np.linalg.norm(pos[nbr] - pos[:, None, :], axis=2)
-    return nbr, mask, dist
-
-
 def score_all_pairs(
     prior_graph: SemanticGraph,
     query_graph: SemanticGraph,
@@ -92,40 +79,47 @@ def score_all_pairs(
     w = 1 / (1 + |d_prior(root, n) - d_query(root, m)|). A root without
     neighbors on either side gets no context term.
 
+    Works on the graphs' directed edge lists: w * likelihood is formed for
+    every (prior edge, query edge) pair, maxed over each prior root's run of
+    edges, and summed per query root over its edge slots, padded with zeros
+    to the largest query degree so the sum is taken in a fixed order. Prior
+    roots are chunked so that no chunk's (prior edges, query edges) block
+    exceeds _CHUNK_ELEMS, with at least one root per chunk.
+
     use_calp=False skips context propagation: the similarity is a copy of
-    the likelihood, which is the ablation baseline. Work is chunked over
-    prior rows to bound the intermediate (rows, cols, deg_p, deg_q) tensor.
+    the likelihood, which is the ablation baseline.
     """
     like = _likelihood_matrix(prior_graph, query_graph)
     prior_ids = prior_graph.ids()
     query_ids = query_graph.ids()
-    if not use_calp or len(prior_graph) == 0 or len(query_graph) == 0:
-        return SimilarityTable(prior_ids, query_ids, like, like.copy())
+    sim = like.copy()
+    pg, qg = prior_graph, query_graph
+    if not use_calp or qg.edge_root.size == 0:
+        return SimilarityTable(prior_ids, query_ids, like, sim)
 
-    nbr_p, mask_p, dist_p = _padded_neighbors(prior_graph)
-    nbr_q, mask_q, dist_q = _padded_neighbors(query_graph)
-    n_p, kp = nbr_p.shape
-    n_q, kq = nbr_q.shape
-    sim = np.empty_like(like)
-    q_counts = mask_q.sum(axis=1)  # selections per query root, shared across priors
-    p_has = mask_p.any(axis=1)
-
-    rows_per_chunk = max(1, _CHUNK_ELEMS // max(1, n_q * kp * kq))
-    for start in range(0, n_p, rows_per_chunk):
-        stop = min(n_p, start + rows_per_chunk)
-        dp = dist_p[start:stop]  # (r, kp)
-        w = 1.0 / (1.0 + np.abs(dp[:, None, :, None] - dist_q[None, :, None, :]))
-        lnm = like[nbr_p[start:stop]][:, :, nbr_q]  # (r, kp, n_q, kq)
-        lnm = np.transpose(lnm, (0, 2, 1, 3))
-        prod = np.where(mask_p[start:stop, None, :, None], w * lnm, -np.inf)
-        best = prod.max(axis=2)  # (r, n_q, kq), max over prior neighbors
-        best[:, ~mask_q] = 0.0
-        best[~p_has[start:stop], :, :] = 0.0
-        totals = best.sum(axis=2)
-        with np.errstate(invalid="ignore"):
-            term = np.where(q_counts[None, :] > 0, totals / np.maximum(q_counts[None, :], 1), 0.0)
-        term[~p_has[start:stop], :] = 0.0
-        sim[start:stop] = like[start:stop] + term
+    ends = np.cumsum(pg.degree)  # one past each prior root's last edge
+    firsts = ends - pg.degree
+    like_qn = like.T[qg.edge_nbr]  # (query edges, prior nodes): like[n, m] for m
+    q_counts = np.maximum(qg.degree, 1)
+    budget = max(1, _CHUNK_ELEMS // qg.edge_root.size)  # prior edges per chunk
+    start = 0
+    while start < len(pg):
+        stop = max(start + 1, int(np.searchsorted(ends, firsts[start] + budget, "right")))
+        rows = start + np.flatnonzero(pg.degree[start:stop])
+        start = stop
+        if rows.size == 0:
+            continue
+        first, last = firsts[rows[0]], ends[rows[-1]]
+        # (query edges, prior edges) of w * like[n, m], built in place
+        prod = pg.edge_length[None, first:last] - qg.edge_length[:, None]
+        np.abs(prod, out=prod)
+        prod += 1.0
+        np.divide(1.0, prod, out=prod)
+        prod *= like_qn[:, pg.edge_nbr[first:last]]
+        best = np.maximum.reduceat(prod, firsts[rows] - first, axis=1)  # max per prior root
+        slots = np.zeros((rows.size, len(qg), qg.max_degree))
+        slots[:, qg.edge_root, qg.edge_slot] = best.T
+        sim[rows] = like[rows] + slots.sum(axis=2) / q_counts
     return SimilarityTable(prior_ids, query_ids, like, sim)
 
 

@@ -262,7 +262,7 @@ def render_frame(
     extents, visible = _project_quadrics(quads, [pose], intrinsics)
     for lm, ext, ok in zip(scene.landmarks, extents[0].tolist(), visible[0].tolist()):
         cam = pose.transform(lm.position)
-        if not ok or cam[2] <= 0.0:
+        if not ok or cam[2] <= 0.0 or not all(map(math.isfinite, ext)):
             continue
         u = intrinsics.fx * cam[0] / cam[2] + intrinsics.cx
         v = intrinsics.fy * cam[1] / cam[2] + intrinsics.cy

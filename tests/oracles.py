@@ -3,7 +3,9 @@ checked against.
 
 Matching: `multilabel_likelihood`, `neighbor_weight`, `best_neighbor_set` and
 `similarity_score` compute one entry of `score_all_pairs`' likelihood and
-similarity tables at a time. Projection: `scalar_project_quadric_to_bbox`
+similarity tables at a time, and `padded_score_all_pairs` computes the whole
+similarity table over padded neighbor tensors, the bit-exact reference of
+the edge-list context propagation. Projection: `scalar_project_quadric_to_bbox`
 projects one dual quadric under one pose, as the stacked
 `geometry._project_quadrics` does for each of its (quadric, pose) pairs.
 Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
@@ -140,6 +142,49 @@ def similarity_score(root_likelihood: float, selection: NeighborPairSelection) -
     return root_likelihood + sum(s.weighted_likelihood for s in selection.selections) / len(
         selection.selections
     )
+
+
+def _padded_neighbors(graph: SemanticGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Neighbor indices padded to max degree, with validity mask and distances."""
+    index = {node.id: i for i, node in enumerate(graph.nodes)}
+    lists = [[index[n] for n in graph.neighbors(node.id)] for node in graph.nodes]
+    width = max((len(l) for l in lists), default=0)
+    n = len(graph)
+    nbr = np.zeros((n, max(width, 1)), dtype=int)
+    mask = np.zeros((n, max(width, 1)), dtype=bool)
+    for i, l in enumerate(lists):
+        nbr[i, : len(l)] = l
+        mask[i, : len(l)] = True
+    pos = graph.positions()
+    dist = np.linalg.norm(pos[nbr] - pos[:, None, :], axis=2)
+    return nbr, mask, dist
+
+
+def padded_score_all_pairs(prior_graph: SemanticGraph, query_graph: SemanticGraph) -> np.ndarray:
+    """Similarity table of `score_all_pairs` over padded neighbor tensors.
+
+    Builds the full (n_p, n_q, deg_p, deg_q) tensor of w * likelihood(n, m),
+    masks the padding, maxes over prior neighbors and sums over the query
+    neighbor slots. The edge-list production path must match it bit for bit.
+    """
+    like = score_all_pairs(prior_graph, query_graph, use_calp=False).likelihood
+    if len(prior_graph) == 0 or len(query_graph) == 0:
+        return like.copy()
+    nbr_p, mask_p, dist_p = _padded_neighbors(prior_graph)
+    nbr_q, mask_q, dist_q = _padded_neighbors(query_graph)
+    q_counts = mask_q.sum(axis=1)
+    p_has = mask_p.any(axis=1)
+    w = 1.0 / (1.0 + np.abs(dist_p[:, None, :, None] - dist_q[None, :, None, :]))
+    lnm = np.transpose(like[nbr_p][:, :, nbr_q], (0, 2, 1, 3))  # (n_p, n_q, kp, kq)
+    prod = np.where(mask_p[:, None, :, None], w * lnm, -np.inf)
+    best = prod.max(axis=2)  # (n_p, n_q, kq), max over prior neighbors
+    best[:, ~mask_q] = 0.0
+    best[~p_has, :, :] = 0.0
+    totals = best.sum(axis=2)
+    with np.errstate(invalid="ignore"):
+        term = np.where(q_counts[None, :] > 0, totals / np.maximum(q_counts[None, :], 1), 0.0)
+    term[~p_has, :] = 0.0
+    return like + term
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,17 @@ class TestLocalize:
         assert _localize(dataset, "unused", "--map", str(tmp_path / "map.json")) == 1
         assert "map.json: bad map file" in capsys.readouterr().err
 
+    def test_infinite_bbox_is_input_error(self, dataset, tmp_path, capsys):
+        lines = (dataset / "sim" / "query.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row["detections"][0]["bbox"][2] = float("inf")
+        lines[1] = json.dumps(row)
+        (tmp_path / "query.jsonl").write_text("\n".join(lines) + "\n")
+        assert "Infinity" in lines[1]
+        assert _localize(dataset, "unused", "--detections", str(tmp_path / "query.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert "query.jsonl:2: bad detection record" in err and "must be finite" in err
+
     def test_non_finite_intrinsics_is_input_error(self, dataset, tmp_path, capsys):
         data = json.loads((dataset / "sim" / "intrinsics.json").read_text())
         data["fx"] = float("nan")

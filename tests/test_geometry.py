@@ -167,6 +167,24 @@ class TestBoundingBox:
         assert clamped.as_list() == [0.0, 0.0, 10.0, 10.0]
         assert BoundingBox(-10.0, 0.0, -1.0, 5.0).clamped(640, 480) is None
 
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            (0.0, 0.0, math.inf, 10.0),
+            (-math.inf, 0.0, 5.0, 10.0),
+            (0.0, -math.inf, 5.0, math.inf),
+            (0.0, 0.0, 5.0, math.nan),
+        ],
+    )
+    def test_rejects_non_finite(self, coords):
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundingBox(*coords)
+
+    def test_clamped_never_raises_on_extreme_bounds(self):
+        box = BoundingBox(-1e308, 1.0, 1e308, 5.0)
+        assert box.clamped(640, 480).as_list() == [0.0, 1.0, 640.0, 5.0]
+        assert box.clamped(math.inf, math.inf).as_list() == [0.0, 1.0, 1e308, 5.0]
+
 
 # ---------------------------------------------------------------------------
 # quadric projection
@@ -230,6 +248,18 @@ class TestQuadricProjection:
         assert box.y_min == pytest.approx(240.0 - half, abs=1e-9)
         assert box.y_max == pytest.approx(240.0 + half, abs=1e-9)
         assert half == pytest.approx(20.412414523193153, abs=1e-12)
+
+    def test_infinite_extents_are_not_visible(self):
+        # the conic's (0, 2) entry squares to inf: the unclamped x extents
+        # are -inf and +inf, which no box can hold
+        q = np.eye(4)
+        q[0, 2] = q[2, 0] = 1e200
+        q[2, 2] = -1.0
+        q[2, 3] = q[3, 2] = 2.0
+        with np.errstate(over="ignore"):
+            ext, ok = _project_quadrics(q[None], [Pose.identity()], INTR100)
+            assert ok[0, 0] and np.isinf(ext[0, 0]).any()
+            assert project_quadric_to_bbox(q, Pose.identity(), INTR100) is None
 
     def test_off_axis_sphere_frozen(self):
         # [DERIVED] tangent-line quadratic oracle, sphere center (0.4,-0.2,5.0),

@@ -1,5 +1,6 @@
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -242,6 +243,53 @@ class TestSemanticGraph:
         assert not g.has_edge(1, 3)
         np.testing.assert_allclose(g.positions()[0], [5.0, 0.0, 0.0])
         assert len(g) == 3
+
+
+class TestEdgeArrays:
+    @staticmethod
+    def _expected(g):
+        """(root index, neighbor index, slot) per directed edge, from neighbors()."""
+        index = {nid: i for i, nid in enumerate(g.ids())}
+        return [
+            (i, index[n], slot)
+            for i, nid in enumerate(g.ids())
+            for slot, n in enumerate(g.neighbors(nid))
+        ]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_match_neighbors_and_positions(self, seed, n, k_edge):
+        r = np.random.default_rng(seed)
+        ids = [int(i) for i in r.permutation(40)[:n]]
+        nodes = [prior_node(i, r.uniform(-3, 3, 3), {"a": 1}) for i in ids]
+        knn = sorted(build_knn_edges(np.stack([x.position for x in nodes]), k_edge, ids=ids))
+        g = SemanticGraph(nodes, {e for e in knn if r.random() < 0.6})
+        expected = self._expected(g)
+        assert list(zip(g.edge_root, g.edge_nbr, g.edge_slot)) == expected
+        np.testing.assert_array_equal(g.degree, [len(g.neighbors(i)) for i in ids])
+        assert g.max_degree == max(len(g.neighbors(i)) for i in ids)
+        assert g.edge_root.size == 2 * len(g.edges)
+        pos = g.positions()
+        for root, nbr, length in zip(g.edge_root, g.edge_nbr, g.edge_length):
+            assert length == pytest.approx(np.linalg.norm(pos[nbr] - pos[root]), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_empty_without_edges(self, n):
+        g = SemanticGraph([prior_node(i, (i, 0, 0), {"a": 1}) for i in range(n)], set())
+        for arr in (g.edge_root, g.edge_nbr, g.edge_slot, g.edge_length):
+            assert arr.shape == (0,)
+        np.testing.assert_array_equal(g.degree, np.zeros(n, dtype=int))
+        assert g.max_degree == 0
+
+    def test_pickle_round_trip(self):
+        nodes = [prior_node(i, (i, 0.5 * i * i, 0), {"a": 1}) for i in (5, 1, 3, 7)]
+        g = SemanticGraph(nodes, {(1, 5), (3, 5), (1, 3)})  # 7 is isolated
+        h = pickle.loads(pickle.dumps(g))
+        for name in ("edge_root", "edge_nbr", "edge_slot", "edge_length", "degree"):
+            a, b = getattr(g, name), getattr(h, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert h.max_degree == g.max_degree == 2
+        assert list(zip(h.edge_root, h.edge_nbr, h.edge_slot)) == self._expected(h)
 
 
 class TestPriorGraphBuilders:

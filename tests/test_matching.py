@@ -20,7 +20,13 @@ from conftest import (
     random_conf,
     random_table,
 )
-from oracles import best_neighbor_set, multilabel_likelihood, neighbor_weight, similarity_score
+from oracles import (
+    best_neighbor_set,
+    multilabel_likelihood,
+    neighbor_weight,
+    padded_score_all_pairs,
+    similarity_score,
+)
 
 
 def node_likelihood(prior_graph, query_graph):
@@ -261,6 +267,96 @@ class TestScoreAllPairs:
         monkeypatch.setattr(semloc.matching, "_CHUNK_ELEMS", 16)
         chunked = score_all_pairs(pg, qg)
         np.testing.assert_array_equal(full.similarity, chunked.similarity)
+
+
+def _thinned_graphs(seed, n_p, n_q, keep_p, keep_q, same_labels, k_edge=4):
+    """Random prior and query graphs: k-NN wiring with each edge kept at a rate.
+
+    same_labels gives every prior one frequency table and every query one
+    confidence vector.
+    """
+    from semloc import build_knn_edges
+
+    r = np.random.default_rng(seed)
+    table, conf = random_table(r), random_conf(r)
+
+    def thinned(nodes, keep):
+        pos = np.stack([n.position for n in nodes])
+        edges = sorted(build_knn_edges(pos, k_edge, ids=[n.id for n in nodes]))
+        return graph(nodes, [e for e in edges if r.random() < keep])
+
+    p_nodes = []
+    for i in range(n_p):
+        t = table if same_labels else random_table(r)
+        p_nodes.append(
+            prior_node(i * 3 + 1, r.uniform(-3, 3, 3), dict(t.per_label_counts), t.total_detections)
+        )
+    q_nodes = [
+        query_node(j * 2, r.uniform(-3, 3, 3) + [0, 0, 6], conf if same_labels else random_conf(r))
+        for j in range(n_q)
+    ]
+    return thinned(p_nodes, keep_p), thinned(q_nodes, keep_q)
+
+
+class TestMatchesPaddedOracle:
+    """The edge-list context propagation against the padded-tensor oracle, bit for bit."""
+
+    @staticmethod
+    def _check(pg, qg, chunk_elems):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_elems is not None:
+                mp.setattr(semloc.matching, "_CHUNK_ELEMS", chunk_elems)
+            table = score_all_pairs(pg, qg)
+        assert np.array_equal(table.similarity, padded_score_all_pairs(pg, qg))
+
+    @pytest.mark.parametrize("chunk_elems", [None, 16])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_p=st.integers(1, 12),
+        n_q=st.integers(1, 14),
+        keep_p=st.sampled_from([0.0, 0.4, 0.8, 1.0]),
+        keep_q=st.sampled_from([0.0, 0.4, 0.8, 1.0]),
+        same_labels=st.booleans(),
+        k_edge=st.integers(1, 10),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_thinned_graphs(
+        self, chunk_elems, seed, n_p, n_q, keep_p, keep_q, same_labels, k_edge
+    ):
+        pg, qg = _thinned_graphs(seed, n_p, n_q, keep_p, keep_q, same_labels, k_edge)
+        self._check(pg, qg, chunk_elems)
+
+    @pytest.mark.parametrize("chunk_elems", [None, 16])
+    @pytest.mark.parametrize(
+        "n_p, n_q, keep_p, keep_q, same_labels, k_edge",
+        [
+            (6, 5, 0.0, 1.0, False, 4),  # edgeless prior
+            (6, 5, 1.0, 0.0, False, 4),  # edgeless query
+            (1, 1, 1.0, 1.0, False, 4),  # one node each
+            (1, 6, 1.0, 1.0, False, 4),
+            (7, 1, 1.0, 1.0, False, 4),
+            (8, 6, 0.3, 0.3, False, 2),  # isolated nodes on both sides
+            (8, 6, 1.0, 1.0, True, 4),  # identical labels everywhere
+            (12, 14, 1.0, 1.0, False, 10),  # degrees of 8 and more
+        ],
+    )
+    def test_corner_cases(self, chunk_elems, n_p, n_q, keep_p, keep_q, same_labels, k_edge):
+        for seed in range(5):
+            pg, qg = _thinned_graphs(seed, n_p, n_q, keep_p, keep_q, same_labels, k_edge)
+            self._check(pg, qg, chunk_elems)
+
+    def test_corner_cases_reach_their_structure(self):
+        thinned = [_thinned_graphs(seed, 8, 6, 0.3, 0.3, False, 2) for seed in range(5)]
+        assert all((pg.degree == 0).any() and pg.max_degree > 0 for pg, _ in thinned)
+        assert sum((qg.degree == 0).any() for _, qg in thinned) >= 3
+        for seed in range(5):
+            pg, qg = _thinned_graphs(seed, 12, 14, 1.0, 1.0, False, 10)
+            assert min(pg.max_degree, qg.max_degree) >= 8
+
+    def test_empty_graphs(self):
+        pg, qg = _thinned_graphs(0, 4, 3, 1.0, 1.0, False)
+        assert score_all_pairs(graph([], []), qg).similarity.shape == (0, 3)
+        assert score_all_pairs(pg, graph([], [])).similarity.shape == (4, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semloc import (
     BoundingBox,
@@ -443,6 +445,94 @@ class TestEstimatePose:
         res = estimate_pose(qg, pg, MatcherConfig(tau=3, n_iter=500), INTR)
         assert res.status == LocalizationStatus.DEGENERATE
         assert res.n_valid_samples > 0
+
+
+def _same_label_frame(seed: int, n: int):
+    """n landmarks that all carry one label, seen noise-free from 4 m."""
+    r = np.random.default_rng(seed)
+    gt = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
+    pos = np.column_stack(
+        [r.uniform(-1.2, 1.2, n), r.uniform(-1.0, 1.0, n), r.uniform(-0.3, 0.3, n)]
+    )
+    p_nodes = [prior_node(i + 1, pos[i], {"a": 3, "b": 1}, total=4) for i in range(n)]
+    q_nodes = [
+        query_node(
+            100 + i,
+            gt.transform(pos[i]),
+            {"a": 0.7, "b": 0.3},
+            bbox=project_quadric_to_bbox(quadric_of(p), gt, INTR).clamped(INTR.width, INTR.height),
+        )
+        for i, p in enumerate(p_nodes)
+    ]
+    pg = graph(p_nodes, build_knn_edges(pos, 3, ids=[p.id for p in p_nodes]))
+    q_pos = np.stack([q.position for q in q_nodes])
+    return graph(q_nodes, build_knn_edges(q_pos, 3, ids=[q.id for q in q_nodes])), pg
+
+
+class TestDegenerateStructure:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_p=st.integers(3, 9),
+        n_q=st.integers(3, 6),
+        complete_prior=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_no_matching_triangle_is_no_valid_sample(self, seed, n_p, n_q, complete_prior):
+        # one side is bipartite, so triangle-free; every triple of the other
+        # side is a triangle: no prior triple has a query triple's edge pattern
+        r = np.random.default_rng(seed)
+        p_nodes = [
+            prior_node(i, r.uniform(-1, 1, 3), {VOCAB[int(r.integers(0, 4))]: 1})
+            for i in range(n_p)
+        ]
+        q_nodes = [
+            query_node(100 + j, r.uniform(-1, 1, 3) + [0, 0, 4], {VOCAB[int(r.integers(0, 4))]: 1.0})
+            for j in range(n_q)
+        ]
+
+        def wire(ids, complete):
+            if complete:
+                return [(a, b) for k, a in enumerate(ids) for b in ids[k + 1 :]]
+            side = r.random(len(ids)) < 0.5
+            return [
+                (a, b)
+                for k, a in enumerate(ids)
+                for m, b in enumerate(ids[k + 1 :], start=k + 1)
+                if side[k] != side[m] and r.random() < 0.7
+            ]
+
+        pg = graph(p_nodes, wire([p.id for p in p_nodes], complete_prior))
+        qg = graph(q_nodes, wire([q.id for q in q_nodes], not complete_prior))
+        res = estimate_pose(qg, pg, MatcherConfig(rng_seed=seed), INTR)
+        assert res.status == LocalizationStatus.NO_VALID_SAMPLE
+        assert res.n_valid_samples == 0 and res.pose is None
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 9),
+        tau=st.integers(1, 4),
+        early_exit_was=st.sampled_from([None, 0.99]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_identical_labels_deterministic_and_honest(self, seed, n, tau, early_exit_was):
+        qg, pg = _same_label_frame(seed, n)
+        config = MatcherConfig(tau=tau, n_iter=60, rng_seed=seed, early_exit_was=early_exit_was)
+        a = estimate_pose(qg, pg, config, INTR)
+        b = estimate_pose(qg, pg, config, INTR)
+        assert (a.status, a.message, a.history) == (b.status, b.message, b.history)
+        assert (a.n_valid_samples, a.correspondences, a.was) == (
+            b.n_valid_samples,
+            b.correspondences,
+            b.was,
+        )
+        assert (a.pose is None) == (b.pose is None)
+        if a.pose is not None:
+            assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+            assert a.pose.translation.tobytes() == b.pose.translation.tobytes()
+        if a.status == LocalizationStatus.SUCCESS:
+            assert np.isfinite(a.pose.rotation).all() and np.isfinite(a.pose.translation).all()
+            assert len(a.correspondences) >= 3
+            assert 0.0 < a.was <= 1.0
 
 
 class TestChunkedLoopMatchesSerial:

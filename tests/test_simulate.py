@@ -268,6 +268,19 @@ class TestRenderFrame:
         dets, _ = render_frame(scene, pose, INTR, NoiseSpec(), rng=np.random.default_rng(0))
         assert dets == []
 
+    def test_infinite_projection_dropped(self, monkeypatch):
+        import semloc.simulate
+
+        scene = _single_scene()
+        pose = _camera()
+        extents, visible = semloc.simulate._project_quadrics(
+            quadric_of(scene.landmarks[0])[None], [pose], INTR
+        )
+        extents[0, 0, 2] = math.inf
+        monkeypatch.setattr(semloc.simulate, "_project_quadrics", lambda *a: (extents, visible))
+        dets, assoc = render_frame(scene, pose, INTR, NoiseSpec(), rng=np.random.default_rng(0))
+        assert dets == [] and assoc == {}
+
     def test_jitter_perturbs_and_keeps_valid_boxes(self):
         scene = _single_scene()
         pose = _camera()
