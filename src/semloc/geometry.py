@@ -286,7 +286,7 @@ def _project_quadrics(
     flip = np.where(conic[:, :, 2, 2] > 0.0, -1.0, 1.0)
     conic = conic * flip[:, :, None, None]
     c22 = conic[:, :, 2, 2]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         centers = quads[:, :3, 3] / quads[:, 3, 3:]
         cam_z = np.einsum("nj,uj->nu", rot[:, 2, :], centers) + trans[:, 2][:, None]
         disc_x = conic[:, :, 0, 2] ** 2 - conic[:, :, 0, 0] * c22

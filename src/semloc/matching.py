@@ -19,8 +19,13 @@ from .graph import SemanticGraph
 
 logger = logging.getLogger(__name__)
 
-# elements of score_all_pairs' (prior edges, query edges) block per chunk of prior roots
-_CHUNK_ELEMS = 10_000_000
+# elements of score_all_pairs' (query edges, prior edges) block per chunk of prior
+# roots. The block is built and reduced in several passes, so it pays to keep it
+# in cache: 250k float64 is 2 MB, one core's share of L2 on a 2-core Xeon
+# (2.0 GHz, 4 MB L2). There a wide-ambiguous call (about 400 query edges against
+# 2,490 prior edges) took a median 14.8 ms with 10M-element blocks, 12.3 ms with
+# 1M, and 10.1-10.8 ms anywhere from 100k to 500k.
+_CHUNK_ELEMS = 250_000
 
 
 @dataclass

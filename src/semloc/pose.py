@@ -3,8 +3,8 @@
 Repeatedly samples three candidate pairs, checks structural validity,
 solves perspective-three-point, and keeps the pose with the best
 normalized-Wasserstein alignment between projected landmarks and detected
-boxes. Valid samples are solved and scored in chunks. Deterministic for a
-fixed seed.
+boxes. Valid samples are solved and scored in chunks that double in size
+(see estimate_pose). Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,8 +28,12 @@ from .graph import SemanticGraph
 from .matching import CandidateSet, extract_candidates, score_all_pairs
 
 
-# valid samples whose P3P solves and alignment scores run as one batch
+# valid samples in the first chunk of P3P solves and alignment scores; each
+# further chunk doubles, up to _chunk_cap
 _CHUNK = 16
+# (poses x candidate pairs) elements a chunk's scoring may allocate, at up to
+# four poses per sample
+_HYPOTHESIS_ELEMS = 1 << 16
 
 
 class LocalizationStatus(str, Enum):
@@ -133,7 +137,8 @@ class _AlignmentScorer:
     prior of a (prior, query) pair is projected under a pose to its clamped
     image box, both boxes are embedded as Gaussians, and the pair scores
     exp(-W2/C). A prior is visible when its center is in front of the camera
-    and its projected box is a nondegenerate box inside the image.
+    and its projected box has finite extents and is a nondegenerate box
+    inside the image.
     """
 
     def __init__(self, pairs, prior_graph, boxes, intrinsics, C):
@@ -141,15 +146,17 @@ class _AlignmentScorer:
         self.C = C
         self.intrinsics = intrinsics
         self.image_max = np.array([intrinsics.width, intrinsics.height] * 2, dtype=float)
+        # grouped by query node, so the per-node reductions of _was are reduceats
+        pairs = sorted(pairs, key=lambda pair: pair[1])
         unique_p = sorted({p for p, _ in pairs})
         unique_q = sorted({q for _, q in pairs})
         p_index = {p: i for i, p in enumerate(unique_p)}
         q_index = {q: j for j, q in enumerate(unique_q)}
-        self.n_q = len(unique_q)
         self.prior_ids = np.array([p for p, _ in pairs], dtype=int)
         self.query_ids = np.array([q for _, q in pairs], dtype=int)
         self.pair_p = np.array([p_index[p] for p, _ in pairs], dtype=int)
         self.pair_q = np.array([q_index[q] for _, q in pairs], dtype=int)
+        self.q_starts = np.flatnonzero(np.diff(self.pair_q, prepend=-1))  # first pair per node
         nodes = [prior_graph.node(p) for p in unique_p]
         self.quads = quadric_from_params(
             np.reshape([node.position for node in nodes], (-1, 3)),
@@ -163,6 +170,7 @@ class _AlignmentScorer:
     def _pair_scores(self, poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair similarity (0 where the prior is not visible) and visibility, (n, pairs)."""
         ext, ok = _project_quadrics(self.quads, poses, self.intrinsics)
+        ok &= np.isfinite(ext).all(axis=-1)
         xa, ya, xb, yb = np.moveaxis(np.clip(ext, 0.0, self.image_max), -1, 0)
         ok &= (xb - xa > 0.0) & (yb - ya > 0.0)
 
@@ -184,14 +192,8 @@ class _AlignmentScorer:
 
     def _was(self, wn: np.ndarray, visible: np.ndarray) -> np.ndarray:
         """Mean over query nodes with a visible prior of their best pair score; 0 if none."""
-        n = wn.shape[0]
-        best = np.zeros((n, self.n_q))
-        counts = np.zeros((n, self.n_q), dtype=int)
-        rows = np.broadcast_to(np.arange(n)[:, None], wn.shape)
-        cols = np.broadcast_to(self.pair_q[None, :], wn.shape)
-        np.maximum.at(best, (rows, cols), wn)
-        np.add.at(counts, (rows, cols), visible.astype(int))
-        have = counts > 0
+        best = np.maximum.reduceat(wn, self.q_starts, axis=1)  # (n, query nodes)
+        have = np.logical_or.reduceat(visible, self.q_starts, axis=1)
         sums = np.where(have, best, 0.0).sum(axis=1)
         denom = have.sum(axis=1)
         return np.where(denom > 0, sums / np.maximum(denom, 1), 0.0)
@@ -243,6 +245,15 @@ def _scorer(candidates, prior_graph, query_graph, intrinsics, C) -> _AlignmentSc
     return _AlignmentScorer(candidates.pairs, prior_graph, boxes, intrinsics, C)
 
 
+def _chunk_cap(n_pairs: int) -> int:
+    """Most valid samples in one chunk of a frame with n_pairs candidate pairs.
+
+    Up to four poses per sample, each scored against every pair, stay within
+    _HYPOTHESIS_ELEMS; the first chunk, of _CHUNK samples, is never cut.
+    """
+    return max(_CHUNK, _HYPOTHESIS_ELEMS // (4 * n_pairs))
+
+
 def estimate_pose(
     query_graph: SemanticGraph,
     prior_graph: SemanticGraph,
@@ -254,11 +265,17 @@ def estimate_pose(
     Scores all pairs, extracts per-query candidates, then runs the seeded
     sampling loop. Every drawn 3-pair set counts as used whether or not it
     passes validity, so the loop never re-evaluates a set; it stops early on
-    a high enough alignment or when the triple space is exhausted. Valid
-    samples are solved and scored _CHUNK at a time, then walked in draw
-    order and cut where the early exit fires: the result is the one of
-    solving and scoring each valid sample as it is drawn. Draws past the
-    cut are wasted work and change nothing.
+    a high enough alignment or when the triple space is exhausted.
+
+    Valid samples are solved and scored a chunk at a time, then walked in
+    draw order and cut where the early exit fires: the result is the one of
+    solving and scoring each valid sample as it is drawn. The first chunk
+    holds _CHUNK valid samples and each further one twice as many, up to
+    _chunk_cap. A stacked P3P or scoring call has a fixed cost far above its
+    cost per sample, so a frame that spends its whole budget makes a few
+    large calls; small first chunks keep the work wasted past an early exit
+    small, since a frame never solves more than the rest of the chunk it
+    exits in.
     """
     if len(query_graph) < 3:
         return LocalizationResult(
@@ -279,11 +296,16 @@ def estimate_pose(
         q: pixel_to_bearing(query_graph.node(q).bbox.center, intrinsics)
         for q in {q for _, q in pairs}
     }
+    # per candidate pair: the prior's world point and the query's bearing
+    pair_world = np.array([prior_graph.node(p).position for p, _ in pairs])
+    pair_rays = np.array([bearings[q] for _, q in pairs])
 
     rng = np.random.default_rng(config.rng_seed)
     used: set[frozenset] = set()
     n_pairs = len(pairs)
     total_triples = math.comb(n_pairs, 3)
+    cap = _chunk_cap(n_pairs)
+    size = _CHUNK
     best_w = 0.0
     best_pose: Pose | None = None
     history: list[tuple[int, float]] = []
@@ -293,25 +315,26 @@ def estimate_pose(
     stop = False
     while not stop:
         # draw until a chunk of valid samples is full or the draws run out
-        chunk: list[tuple[int, list[tuple[int, int]]]] = []
-        while len(chunk) < _CHUNK and it < config.n_iter and len(used) < total_triples:
+        draws: list[int] = []
+        picks: list[np.ndarray] = []
+        while len(draws) < size and it < config.n_iter and len(used) < total_triples:
             idx = rng.choice(n_pairs, size=3, replace=False)
             sample = [pairs[i] for i in idx]
             if is_valid_sample(sample, prior_graph, query_graph, used):
-                chunk.append((it, sample))
+                draws.append(it)
+                picks.append(idx)
             used.add(frozenset(sample))
             it += 1
-        if not chunk:
+        if not draws:
             break
-        world = np.array([[prior_graph.node(p).position for p, _ in s] for _, s in chunk])
-        rays = np.array([[bearings[q] for _, q in s] for _, s in chunk])
-        solved = p3p_solve(world, rays)
+        picked = np.array(picks)
+        solved = p3p_solve(pair_world[picked], pair_rays[picked])
         flat = [pose for poses in solved for pose in poses]
         scores = scorer.score(flat) if flat else np.zeros(0)
         # walk the chunk in draw order, as a loop solving one sample per draw
         # would, and cut it where that loop would have stopped
         start = 0
-        for (draw, _), poses in zip(chunk, solved):
+        for draw, poses in zip(draws, solved):
             n_valid += 1
             if not poses:
                 continue
@@ -325,6 +348,7 @@ def estimate_pose(
             if config.early_exit_was is not None and best_w > config.early_exit_was:
                 stop = True
                 break
+        size = min(2 * size, cap)
 
     if n_valid == 0:
         return LocalizationResult(LocalizationStatus.NO_VALID_SAMPLE, history=history)

@@ -30,10 +30,11 @@ from semloc import (
     render_sequence,
     score_all_pairs,
 )
+import semloc.pose
 from semloc.cli import _accumulate_map, _localize_frame, _seed_children
 from semloc.dataio import FrameRecord
-from semloc.geometry import quat_distance
-from semloc.pose import _CHUNK, _AlignmentScorer
+from semloc.geometry import _project_quadrics, quat_distance
+from semloc.pose import _CHUNK, _AlignmentScorer, _chunk_cap
 
 from conftest import (
     VOCAB,
@@ -352,6 +353,80 @@ class TestAlignmentScorer:
             scorer = _AlignmentScorer(pairs, pg, {d: dets[d].bbox for d in assoc}, INTR, C=100.0)
             assert scorer.score([pose])[0] == 1.0
 
+    @staticmethod
+    def _matches_oracle(pairs, pg, qg, poses):
+        """score and select of a scorer over pairs, checked against the scalar oracle."""
+        cands = CandidateSet(list(pairs), tau=len(pairs))
+        scorer = _AlignmentScorer(pairs, pg, {q: qg.node(q).bbox for _, q in pairs}, INTR, C=100.0)
+        batch = scorer.score(poses)
+        for i, pose in enumerate(poses):
+            ref, ref_pairs = scalar_calculate_was(pose, cands, pg, qg, INTR, C=100.0)
+            was, selected = scorer.select(pose)
+            assert batch[i] == pytest.approx(ref, abs=1e-9)
+            assert was == pytest.approx(ref, abs=1e-9)
+            assert selected == ref_pairs
+        return batch
+
+    @staticmethod
+    def _poses(gt, rng, n=8):
+        return [gt] + [
+            Pose.from_rt(gt.rotation_matrix(), gt.translation + rng.normal(0.0, 0.2, 3))
+            for _ in range(n)
+        ]
+
+    def test_pairs_out_of_query_order(self, rng):
+        pg, qg, gt = _perfect_scene()
+        pairs = extract_candidates(score_all_pairs(pg, qg), tau=3).pairs
+        poses = self._poses(gt, rng)
+        in_order = self._matches_oracle(pairs, pg, qg, poses)
+        for _ in range(3):
+            shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+            assert shuffled != sorted(shuffled, key=lambda pair: pair[1])
+            assert np.array_equal(self._matches_oracle(shuffled, pg, qg, poses), in_order)
+
+    def test_query_node_with_a_single_candidate(self, rng):
+        pg, qg, gt = _perfect_scene()
+        pairs = extract_candidates(score_all_pairs(pg, qg), tau=3).pairs
+        # node 103 keeps only its own landmark, node 105 only a wrong one
+        pairs = [(p, q) for p, q in pairs if q not in (103, 105)] + [(4, 103), (1, 105)]
+        self._matches_oracle(pairs, pg, qg, self._poses(gt, rng))
+
+    def test_query_node_without_a_visible_prior(self, rng):
+        pg, qg, gt = _perfect_scene()
+        # landmarks 98 and 99 lie behind the camera of every pose tried
+        behind = [
+            prior_node(98, [0.5, 0.0, -8.0], {VOCAB[0]: 1}),
+            prior_node(99, [0.0, 0.0, -9.0], {VOCAB[2]: 1}),
+        ]
+        pg = graph(list(pg.nodes) + behind, pg.edges)
+        pairs = extract_candidates(score_all_pairs(pg, qg), tau=2).pairs
+        pairs = [(p, q) for p, q in pairs if q != 102] + [(98, 102), (99, 102)]
+        poses = self._poses(gt, rng)
+        self._matches_oracle(pairs, pg, qg, poses)
+        scorer = _AlignmentScorer(pairs, pg, {q: qg.node(q).bbox for _, q in pairs}, INTR, C=100.0)
+        for pose in poses:
+            assert 102 not in [q for _, q in scorer.select(pose)[1]]
+
+    def test_infinite_extents_are_not_visible(self):
+        # a dual quadric whose conic (0, 2) entry squares past the float range:
+        # the kernel returns x extents -inf and inf and calls the box visible
+        q = np.zeros((4, 4))
+        q[0, 2] = q[2, 0] = 1e200
+        q[1, 1] = 0.01
+        q[2, 2] = -1.0
+        q[:3, 3] = q[3, :3] = [0.0, 0.0, 2.0]
+        q[3, 3] = 1.0
+        pose = Pose.from_rt(np.eye(3), np.zeros(3))
+        ext, ok = _project_quadrics(q[None], [pose], INTR)  # no overflow warning escapes
+        assert ok[0, 0] and ext[0, 0, 0] == -np.inf and ext[0, 0, 2] == np.inf
+        pg = graph([prior_node(1, [0.0, 0.0, 2.0], {"a": 1})], [])
+        wide = BoundingBox(0.0, float(ext[0, 0, 1]), 640.0, float(ext[0, 0, 3]))
+        scorer = _AlignmentScorer([(1, 10)], pg, {10: wide}, INTR, C=100.0)
+        scorer.quads = q[None]
+        # clipped to the image, the box would match `wide` exactly and score 1
+        assert scorer.score([pose])[0] == 0.0
+        assert scorer.select(pose) == (0.0, [])
+
 
 class TestEstimatePose:
     def test_recovers_exact_pose(self):
@@ -535,67 +610,245 @@ class TestDegenerateStructure:
             assert 0.0 < a.was <= 1.0
 
 
-class TestChunkedLoopMatchesSerial:
-    """estimate_pose solves and scores valid samples a chunk at a time; it
-    must return what the loop solving one draw at a time returns."""
+def _seen_frame(pos, labels, clutter):
+    """Query and prior graphs of one-label landmarks seen noise-free from 4 m.
 
-    def _check(self, query, prior, config):
-        got = estimate_pose(query, prior, config, INTR)
-        want = serial_estimate_pose(query, prior, config, INTR)
-        assert got.status == want.status
-        assert got.message == want.message
-        assert got.n_valid_samples == want.n_valid_samples
-        assert got.correspondences == want.correspondences
-        assert [it for it, _ in got.history] == [it for it, _ in want.history]
+    Each landmark whose box is left in the image becomes a query node with
+    its own label; each clutter entry (camera-frame position, label, box) adds
+    a detection that no landmark explains. Both sides are wired to their 3
+    nearest neighbors.
+    """
+    gt = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
+    p_nodes = [prior_node(i + 1, p, {label: 1}) for i, (p, label) in enumerate(zip(pos, labels))]
+    q_nodes = []
+    for node, label in zip(p_nodes, labels):
+        box = project_quadric_to_bbox(quadric_of(node), gt, INTR)
+        box = box and box.clamped(INTR.width, INTR.height)
+        if box is not None:
+            position = gt.transform(node.position)
+            q_nodes.append(query_node(99 + node.id, position, {label: 1.0}, bbox=box))
+    for j, (position, label, box) in enumerate(clutter):
+        q_nodes.append(query_node(200 + j, position, {label: 1.0}, bbox=box))
+
+    def wired(nodes):
+        if not nodes:
+            return graph([], [])
+        positions = np.stack([node.position for node in nodes])
+        return graph(nodes, build_knn_edges(positions, 3, ids=[node.id for node in nodes]))
+
+    return wired(q_nodes), wired(p_nodes)
+
+
+def _assert_honest(res):
+    """A success has a finite pose and at least 3 correspondences."""
+    if res.status == LocalizationStatus.SUCCESS:
+        assert np.isfinite(res.pose.rotation).all() and np.isfinite(res.pose.translation).all()
+        assert len(res.correspondences) >= 3
+        assert 0.0 < res.was <= 1.0
+
+
+class TestDegenerateGeometry:
+    """Scenes P3P cannot (fully) solve: the chunked loop stays honest and
+    agrees with the serial oracle."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        n_off_line=st.integers(0, 2),
+        tau=st.integers(1, 3),
+        early_exit_was=st.sampled_from([None, 0.99]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_collinear_landmarks(self, seed, n, n_off_line, tau, early_exit_was):
+        r = np.random.default_rng(seed)
+        direction = r.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        on_line = r.uniform(-0.3, 0.3, 3) + r.uniform(-1.5, 1.5, (n, 1)) * direction
+        off_line = r.uniform([-1.2, -1.0, -0.3], [1.2, 1.0, 0.3], (n_off_line, 3))
+        pos = np.concatenate([on_line, off_line])
+        labels = [VOCAB[int(k)] for k in r.integers(0, 3, len(pos))]
+        qg, pg = _seen_frame(pos, labels, clutter=[])
+        config = MatcherConfig(tau=tau, n_iter=60, rng_seed=seed, early_exit_was=early_exit_was)
+        res = _matches_serial(qg, pg, config)
+        _assert_honest(res)
+        if n_off_line == 0:  # every triple is collinear: P3P never solves
+            assert res.status != LocalizationStatus.SUCCESS and res.pose is None
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_visible=st.integers(0, 2),
+        n_hidden=st.integers(3, 6),
+        n_extra_clutter=st.integers(0, 2),
+        tau=st.integers(1, 3),
+        early_exit_was=st.sampled_from([None, 0.99]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fewer_than_three_visible_landmarks(
+        self, seed, n_visible, n_hidden, n_extra_clutter, tau, early_exit_was
+    ):
+        # hidden landmarks lie behind the camera; clutter detections make up
+        # the query's three or more nodes
+        r = np.random.default_rng(seed)
+        visible = r.uniform([-1.2, -1.0, -0.3], [1.2, 1.0, 0.3], (n_visible, 3))
+        hidden = r.uniform([-2.0, -2.0, -9.0], [2.0, 2.0, -6.0], (n_hidden, 3))
+        pos = np.concatenate([visible, hidden])
+        labels = [VOCAB[int(k)] for k in r.integers(0, 3, len(pos))]
+        clutter = []
+        for _ in range(3 - n_visible + n_extra_clutter):
+            x0, y0 = r.uniform(0.0, 560.0), r.uniform(0.0, 400.0)
+            w, h = r.uniform(10.0, 80.0, 2)
+            position = r.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 5.0])
+            box = BoundingBox(x0, y0, x0 + w, y0 + h)
+            clutter.append((position, VOCAB[int(r.integers(0, 3))], box))
+        qg, pg = _seen_frame(pos, labels, clutter)
+        config = MatcherConfig(tau=tau, n_iter=60, rng_seed=seed, early_exit_was=early_exit_was)
+        _assert_honest(_matches_serial(qg, pg, config))
+
+
+def _matches_serial(query, prior, config):
+    """estimate_pose, checked against the loop solving one draw at a time."""
+    got = estimate_pose(query, prior, config, INTR)
+    want = serial_estimate_pose(query, prior, config, INTR)
+    assert got.status == want.status
+    assert got.message == want.message
+    assert got.n_valid_samples == want.n_valid_samples
+    assert got.correspondences == want.correspondences
+    assert [it for it, _ in got.history] == [it for it, _ in want.history]
+    np.testing.assert_allclose(
+        [w for _, w in got.history], [w for _, w in want.history], rtol=0.0, atol=1e-12
+    )
+    assert got.was == pytest.approx(want.was, abs=1e-12)
+    assert (got.pose is None) == (want.pose is None)
+    if want.pose is not None:
+        np.testing.assert_allclose(got.pose.rotation, want.pose.rotation, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(
-            [w for _, w in got.history], [w for _, w in want.history], rtol=0.0, atol=1e-12
+            got.pose.translation, want.pose.translation, rtol=0.0, atol=1e-9
         )
-        assert got.was == pytest.approx(want.was, abs=1e-12)
-        assert (got.pose is None) == (want.pose is None)
-        if want.pose is not None:
-            np.testing.assert_allclose(got.pose.rotation, want.pose.rotation, rtol=0.0, atol=1e-9)
-            np.testing.assert_allclose(
-                got.pose.translation, want.pose.translation, rtol=0.0, atol=1e-9
-            )
-        return got
+    return got
+
+
+def _n_pairs(query, prior, tau):
+    return len(extract_candidates(score_all_pairs(prior, query), tau).pairs)
+
+
+def _chunk_ends(n_pairs: int, n_valid: int) -> list[int]:
+    """Valid-sample counts at which the sampling loop's chunks end, through n_valid."""
+    ends, size = [_CHUNK], _CHUNK
+    while ends[-1] < n_valid:
+        size = min(2 * size, _chunk_cap(n_pairs))
+        ends.append(ends[-1] + size)
+    return ends
+
+
+def _record_stacks(monkeypatch) -> list[int]:
+    """Samples per p3p_solve call that estimate_pose makes from now on."""
+    sizes: list[int] = []
+    solve = semloc.pose.p3p_solve
+
+    def recording(world_points, bearings):
+        sizes.append(len(world_points))
+        return solve(world_points, bearings)
+
+    monkeypatch.setattr(semloc.pose, "p3p_solve", recording)
+    return sizes
+
+
+class TestChunkedLoopMatchesSerial:
+    """estimate_pose solves and scores valid samples a chunk at a time, the
+    chunks doubling from _CHUNK up to a cap; it must return what the loop
+    solving one draw at a time returns."""
 
     def test_criterion_8_frames(self):
         frame_ids = [0, 23, 42, 77, 101]
         prior, queries = _latency_scene_frames(seed=0, frame_ids=frame_ids)
         for frame_id, query in zip(frame_ids, queries):
             config = MatcherConfig(rng_seed=_localize_seed(frame_id))
-            self._check(query, prior, config)
-            self._check(query, prior, replace(config, early_exit_was=None))
+            _matches_serial(query, prior, config)
+            _matches_serial(query, prior, replace(config, early_exit_was=None))
             # an exit threshold these frames reach within the budget
-            self._check(query, prior, replace(config, early_exit_was=0.9))
+            _matches_serial(query, prior, replace(config, early_exit_was=0.9))
 
     def test_early_exit_inside_a_chunk(self):
         pg, qg, _ = _perfect_scene(center_boxes=True)
+        n_pairs = _n_pairs(qg, pg, tau=3)
         cut_inside = 0
         for seed in range(12):
-            res = self._check(qg, pg, MatcherConfig(tau=3, rng_seed=seed))
+            res = _matches_serial(qg, pg, MatcherConfig(tau=3, rng_seed=seed))
             assert res.history[-1][1] > 0.99  # the loop stopped on early exit
-            cut_inside += res.n_valid_samples % _CHUNK != 0
+            cut_inside += res.n_valid_samples not in _chunk_ends(n_pairs, res.n_valid_samples)
         assert cut_inside > 0
+
+    def test_early_exit_inside_grown_chunks(self):
+        # ten landmarks and four candidates each: some seeds exit after 16
+        # valid samples, inside the second (32) or the third (64) chunk
+        pg, qg, _ = _perfect_scene(n=10, center_boxes=True)
+        n_pairs = _n_pairs(qg, pg, tau=4)
+        cut_in = set()
+        for seed in range(30):
+            res = _matches_serial(qg, pg, MatcherConfig(tau=4, n_iter=1000, rng_seed=seed))
+            assert res.history[-1][1] > 0.99
+            ends = _chunk_ends(n_pairs, res.n_valid_samples)
+            if res.n_valid_samples not in ends:
+                cut_in.add(len(ends) - 1)  # index of the chunk the cut falls in
+        assert {1, 2} <= cut_in
 
     def test_without_early_exit(self):
         pg, qg, _ = _perfect_scene()
         for seed in range(3):
-            self._check(qg, pg, MatcherConfig(tau=3, n_iter=120, rng_seed=seed, early_exit_was=None))
+            _matches_serial(
+                qg, pg, MatcherConfig(tau=3, n_iter=120, rng_seed=seed, early_exit_was=None)
+            )
+
+    def test_full_budget_spans_three_chunks(self, monkeypatch):
+        pg, qg, _ = _perfect_scene()
+        stacks = _record_stacks(monkeypatch)
+        config = MatcherConfig(tau=3, n_iter=310, rng_seed=2, early_exit_was=None)
+        res = _matches_serial(qg, pg, config)
+        assert res.n_valid_samples == 50
+        assert stacks == [16, 32, 2]
+
+    def test_stack_sizes_follow_the_schedule(self, monkeypatch):
+        pg, qg, _ = _perfect_scene(n=10, center_boxes=True)
+        n_pairs = _n_pairs(qg, pg, tau=4)
+        stacks = _record_stacks(monkeypatch)
+        for seed in range(10):
+            stacks.clear()
+            res = estimate_pose(qg, pg, MatcherConfig(tau=4, n_iter=1000, rng_seed=seed), INTR)
+            ends = _chunk_ends(n_pairs, res.n_valid_samples)
+            # the chunk the early exit cuts is drawn and solved in full, too
+            assert stacks == np.diff([0] + ends).tolist()
+
+    def test_large_budget_never_exceeds_the_cap(self, monkeypatch):
+        pg, qg, _ = _perfect_scene()
+        n_pairs = _n_pairs(qg, pg, tau=3)
+        # a budget that caps this frame's chunks at 40 samples
+        monkeypatch.setattr(semloc.pose, "_HYPOTHESIS_ELEMS", 40 * 4 * n_pairs + 3)
+        assert _chunk_cap(n_pairs) == 40
+        stacks = _record_stacks(monkeypatch)
+        config = MatcherConfig(tau=3, n_iter=3000, rng_seed=0, early_exit_was=None)
+        res = _matches_serial(qg, pg, config)
+        assert sum(stacks) == res.n_valid_samples > 150
+        assert stacks[:3] == [16, 32, 40] and max(stacks) == 40
+
+    def test_chunk_cap_bounds_the_scoring_block(self):
+        for n_pairs in (3, 30, 192, 1000, 10_000):
+            cap = _chunk_cap(n_pairs)
+            assert cap >= _CHUNK
+            assert cap == _CHUNK or cap * 4 * n_pairs <= semloc.pose._HYPOTHESIS_ELEMS
 
     def test_triple_space_runs_out_before_n_iter(self):
         pg, qg, _ = _perfect_scene(n=5)
         config = MatcherConfig(tau=1, n_iter=200, rng_seed=3, early_exit_was=None)
-        assert len(extract_candidates(score_all_pairs(pg, qg), config.tau).pairs) <= 5
-        res = self._check(qg, pg, config)
+        assert _n_pairs(qg, pg, config.tau) <= 5
+        res = _matches_serial(qg, pg, config)
         assert 0 < res.n_valid_samples <= 10  # C(5, 3) triples
 
     def test_no_valid_sample_and_degenerate(self):
         qg, pg = _edge_mismatch_frame()
-        assert self._check(qg, pg, MatcherConfig(tau=3, n_iter=500)).status == (
+        assert _matches_serial(qg, pg, MatcherConfig(tau=3, n_iter=500)).status == (
             LocalizationStatus.NO_VALID_SAMPLE
         )
         qg, pg = _collinear_frame()
-        assert self._check(qg, pg, MatcherConfig(tau=3, n_iter=500)).status == (
+        assert _matches_serial(qg, pg, MatcherConfig(tau=3, n_iter=500)).status == (
             LocalizationStatus.DEGENERATE
         )
