@@ -264,22 +264,24 @@ def _accumulate_map(
         if not obs:
             logger.warning("landmark %d has no observations, dropped from map", lm["id"])
             continue
-        nodes.append(
-            PriorObjectNode(
+        try:
+            node = PriorObjectNode(
                 id=lm["id"],
                 position=lm["position"],
                 rotation=lm["rotation"],
                 scale=lm["scale"],
                 frequencies=accumulate_label_frequencies(obs),
             )
-        )
+        except ValueError as exc:
+            raise InputError(f"landmark {lm['id']}: {exc}") from exc
+        nodes.append(node)
         kept.add(lm["id"])
     keyframes = [[i for i in members if i in kept] for members in keyframes]
     return nodes, keyframes
 
 
 def _cmd_build_map(args) -> int:
-    k = args.K if args.K is not None else 5
+    k = dataio.resolve_matcher_config({}, {"K": args.K}).K
     scene_landmarks = dataio.load_scene_landmarks(args.scene)
     kf_frames = dataio.load_detection_log(args.keyframes)
     kf_assoc = dataio.load_associations(args.associations)

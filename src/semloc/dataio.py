@@ -327,18 +327,25 @@ def load_results(path) -> list[FrameResult]:
             timestamp, was = float(row["timestamp"]), float(row.get("was", 0.0))
             if not (math.isfinite(timestamp) and math.isfinite(was)):
                 raise ValueError("non-finite timestamp or was")
+            entropy = row.get("mean_entropy")
+            if entropy is not None:
+                if isinstance(entropy, bool) or not isinstance(entropy, (int, float)):
+                    raise ValueError(f"mean_entropy {entropy!r} is not a number")
+                entropy = float(entropy)
+                if not math.isfinite(entropy):
+                    raise ValueError("non-finite mean_entropy")
             out.append(
                 FrameResult(
                     frame_id=int(row["frame_id"]),
                     timestamp=timestamp,
-                    status=str(row["status"]),
+                    status=LocalizationStatus(row["status"]).value,
                     pose=pose,
                     was=was,
                     correspondences=[(int(p), int(q)) for p, q in row.get("correspondences", [])],
-                    mean_entropy=row.get("mean_entropy"),
+                    mean_entropy=entropy,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
             raise InputError(f"{path}:{lineno}: bad result record: {exc}") from exc
     return out
 

@@ -137,6 +137,9 @@ class PriorObjectNode:
             raise ValueError("position, rotation and scale must be finite")
         if np.any(self.scale <= 0.0):
             raise ValueError("scale must be positive")
+        # Python floats square to inf where the quadric builder would overflow
+        if not all(math.isfinite(s * s) for s in self.scale.tolist()):
+            raise ValueError("scale squared must be finite")
         if abs(np.linalg.norm(self.rotation) - 1.0) > 1e-9:
             raise ValueError("non-unit rotation quaternion")
 
@@ -174,29 +177,27 @@ class SemanticGraph:
         ids = [node.id for node in self.nodes]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate node ids")
-        self._by_id = {node.id: node for node in self.nodes}
+        self._index = {node_id: i for i, node_id in enumerate(ids)}
         normalized = set()
         for a, b in self.edges:
             if a == b:
                 raise ValueError("self edge")
-            if a not in self._by_id or b not in self._by_id:
+            if a not in self._index or b not in self._index:
                 raise ValueError("edge references unknown node")
             normalized.add((a, b) if a < b else (b, a))
         self.edges = normalized
-        self._adjacency: dict[int, list[int]] = {node.id: [] for node in self.nodes}
-        for a, b in self.edges:
-            self._adjacency[a].append(b)
-            self._adjacency[b].append(a)
-        for neighbors in self._adjacency.values():
-            neighbors.sort()
-        index = {node.id: i for i, node in enumerate(self.nodes)}
-        lists = [self._adjacency[node.id] for node in self.nodes]
-        self.degree = np.array([len(l) for l in lists], dtype=int)
+        pairs = np.array(
+            [(self._index[a], self._index[b]) for a, b in normalized], dtype=int
+        ).reshape(-1, 2)
+        root = np.concatenate((pairs[:, 0], pairs[:, 1]))
+        nbr = np.concatenate((pairs[:, 1], pairs[:, 0]))
+        order = np.lexsort((np.asarray(ids)[nbr], root))
+        self.edge_root = root[order]
+        self.edge_nbr = nbr[order]
+        self.degree = np.bincount(self.edge_root, minlength=len(ids))
         self.max_degree = int(self.degree.max(initial=0))
-        self.edge_root = np.repeat(np.arange(len(lists)), self.degree)
-        self.edge_nbr = np.array([index[n] for l in lists for n in l], dtype=int)
-        offsets = np.cumsum(self.degree) - self.degree
-        self.edge_slot = np.arange(self.edge_root.size) - offsets[self.edge_root]
+        self._offsets = np.cumsum(self.degree) - self.degree
+        self.edge_slot = np.arange(self.edge_root.size) - self._offsets[self.edge_root]
         pos = self.positions()
         self.edge_length = np.linalg.norm(pos[self.edge_nbr] - pos[self.edge_root], axis=1)
 
@@ -207,10 +208,12 @@ class SemanticGraph:
         return [node.id for node in self.nodes]
 
     def node(self, node_id: int):
-        return self._by_id[node_id]
+        return self.nodes[self._index[node_id]]
 
     def neighbors(self, node_id: int) -> list[int]:
-        return list(self._adjacency[node_id])
+        i = self._index[node_id]
+        start = self._offsets[i]
+        return [self.nodes[j].id for j in self.edge_nbr[start : start + self.degree[i]]]
 
     def has_edge(self, a: int, b: int) -> bool:
         return ((a, b) if a < b else (b, a)) in self.edges
@@ -236,19 +239,16 @@ def build_knn_edges(
     node_ids = list(range(n)) if ids is None else list(ids)
     if len(node_ids) != n:
         raise ValueError("ids length mismatch")
-    edges: set[tuple[int, int]] = set()
     if n < 2:
-        return edges
+        return set()
     diffs = pos[:, None, :] - pos[None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=2))
     id_arr = np.asarray(node_ids)
-    for i in range(n):
-        row = np.delete(np.arange(n), i)
-        order = np.lexsort((id_arr[row], dists[i, row]))
-        for j in row[order[:k_edge]]:
-            a, b = node_ids[i], node_ids[int(j)]
-            edges.add((a, b) if a < b else (b, a))
-    return edges
+    # per row: other nodes before self, then by distance, then by neighbor id
+    keys = (np.broadcast_to(id_arr, (n, n)), dists, np.eye(n, dtype=bool))
+    nbr = id_arr[np.lexsort(keys)[:, : min(k_edge, n - 1)]]
+    root = np.broadcast_to(id_arr[:, None], nbr.shape)
+    return set(zip(np.minimum(root, nbr).ravel().tolist(), np.maximum(root, nbr).ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +263,8 @@ def prior_graph_from_nodes(
     """Assemble the prior graph from prebuilt nodes and keyframe memberships.
 
     Edges are the union over keyframes of per-keyframe k-NN among the
-    landmarks visible in that keyframe; without keyframes, a single k-NN over
-    all landmarks.
+    landmarks visible in that keyframe. A map without keyframes counts as one
+    keyframe that sees every landmark.
     """
     by_id = {node.id: node for node in nodes}
     for members in keyframes:
@@ -272,15 +272,11 @@ def prior_graph_from_nodes(
             if lm_id not in by_id:
                 raise ValueError(f"keyframe references unknown landmark {lm_id}")
     if not keyframes:
-        pos = np.stack([node.position for node in nodes]) if nodes else np.zeros((0, 3))
-        edges = build_knn_edges(pos, k_edge, ids=[node.id for node in nodes])
-    else:
-        edges = set()
-        for members in keyframes:
-            ids = sorted(set(members))
-            if len(ids) >= 2:
-                pos = np.stack([by_id[i].position for i in ids])
-                edges |= build_knn_edges(pos, k_edge, ids=ids)
+        keyframes = [list(by_id)]
+    edges = set()
+    for members in keyframes:
+        ids = sorted(set(members))
+        edges |= build_knn_edges([by_id[i].position for i in ids], k_edge, ids=ids)
     return SemanticGraph(list(nodes), edges)
 
 
@@ -368,8 +364,5 @@ def build_query_graph(
             logger.warning("detection %d dropped: nonpositive depth", idx)
             continue
         nodes.append(QueryDetectionNode(idx, bbox, position, conf))
-    if not nodes:
-        return SemanticGraph([], set())
-    positions = np.stack([node.position for node in nodes])
-    edges = build_knn_edges(positions, k_edge, ids=[node.id for node in nodes])
+    edges = build_knn_edges([node.position for node in nodes], k_edge, ids=[node.id for node in nodes])
     return SemanticGraph(nodes, edges)

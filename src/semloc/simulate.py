@@ -49,6 +49,12 @@ class SceneSpec:
             raise ValueError("n_landmarks must be positive")
         if not (0.0 <= self.confusion_rate <= 1.0):
             raise ValueError("confusion_rate outside [0, 1]")
+        if not all(math.isfinite(v) for corner in self.bounds for v in corner):
+            raise ValueError("bounds must be finite")
+        if not all(math.isfinite(float(s) * float(s)) for s in self.scale_range):
+            raise ValueError("scale_range and its square must be finite")
+        if not math.isfinite(self.min_separation):
+            raise ValueError("min_separation must be finite")
         if self.scale_range[0] <= 0.0 or self.scale_range[1] < self.scale_range[0]:
             raise ValueError("bad scale_range")
         if not self.vocabulary:
@@ -75,6 +81,10 @@ class NoiseSpec:
     temperature: float = 0.0  # confidence spread; 0 collapses to one-hot
 
     def __post_init__(self):
+        if not all(
+            math.isfinite(v) for v in (self.bbox_jitter, self.depth_sigma, self.dropout, self.temperature)
+        ):
+            raise ValueError("noise parameters must be finite")
         if self.bbox_jitter < 0.0 or self.depth_sigma < 0.0 or self.temperature < 0.0:
             raise ValueError("noise sigmas must be nonnegative")
         if not (0.0 <= self.dropout < 1.0):

@@ -88,6 +88,14 @@ class TestSimulate:
             ([], "fx=abc\n"),
             ([], "fx=none\n"),
             ([], "center_boxes=none\n"),
+            (["--temperature", "nan"], None),
+            (["--bbox-jitter", "nan"], None),
+            (["--depth-sigma", "nan"], None),
+            (["--bbox-jitter", "inf"], None),
+            (["--scale-min", "nan", "--scale-max", "nan"], None),
+            (["--scale-max", "1e200"], None),
+            (["--min-separation", "nan"], None),
+            (["--bounds=-2,-2,0;2,2,inf"], None),
         ],
         ids=[
             "negative-fx",
@@ -95,6 +103,14 @@ class TestSimulate:
             "config-fx-abc",
             "config-fx-none",
             "config-center-boxes-none",
+            "temperature-nan",
+            "bbox-jitter-nan",
+            "depth-sigma-nan",
+            "bbox-jitter-inf",
+            "scale-range-nan",
+            "scale-max-squares-to-inf",
+            "min-separation-nan",
+            "bounds-inf",
         ],
     )
     def test_bad_values_are_input_errors(self, tmp_path, capsys, flags, config):
@@ -151,6 +167,55 @@ class TestBuildMap:
         )
         assert code == 1
         assert "scene.json: bad scene file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [0.0, 1e200], ids=["zero", "squares-to-inf"])
+    def test_bad_scene_scale_is_input_error(self, dataset, tmp_path, capsys, scale):
+        sim = dataset / "sim"
+        data = json.loads((sim / "scene.json").read_text())
+        data["landmarks"][2]["scale"][0] = scale
+        (tmp_path / "scene.json").write_text(json.dumps(data))
+        lm_id = data["landmarks"][2]["id"]
+        code = main(
+            [
+                "build-map",
+                "--scene", str(tmp_path / "scene.json"),
+                "--keyframes", str(sim / "keyframes.jsonl"),
+                "--associations", str(sim / "keyframe_associations.jsonl"),
+                "--output", str(tmp_path / "map.json"),
+            ]
+        )
+        assert code == 1
+        assert f"landmark {lm_id}: scale" in capsys.readouterr().err
+        assert not (tmp_path / "map.json").exists()
+        code = main(
+            [
+                "localize",
+                "--detections", str(sim / "query.jsonl"),
+                "--intrinsics", str(sim / "intrinsics.json"),
+                "--scene", str(tmp_path / "scene.json"),
+                "--keyframes", str(sim / "keyframes.jsonl"),
+                "--keyframe-associations", str(sim / "keyframe_associations.jsonl"),
+                "--output", str(tmp_path / "run"),
+                "--threads", "1",
+            ]
+        )
+        assert code == 1
+        assert f"landmark {lm_id}: scale" in capsys.readouterr().err
+
+    def test_zero_k_is_input_error(self, dataset, tmp_path, capsys):
+        sim = dataset / "sim"
+        code = main(
+            [
+                "build-map",
+                "--scene", str(sim / "scene.json"),
+                "--keyframes", str(sim / "keyframes.jsonl"),
+                "--associations", str(sim / "keyframe_associations.jsonl"),
+                "--output", str(tmp_path / "map.json"),
+                "--K", "0",
+            ]
+        )
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestLocalize:
@@ -239,6 +304,13 @@ class TestLocalize:
         (tmp_path / "map.json").write_text(json.dumps(data))
         assert _localize(dataset, "unused", "--map", str(tmp_path / "map.json")) == 1
         assert "map.json: bad map file" in capsys.readouterr().err
+
+    def test_map_scale_squaring_to_inf_is_input_error(self, dataset, tmp_path, capsys):
+        data = json.loads((dataset / "map.json").read_text())
+        data["landmarks"][0]["scale"][0] = 1e200
+        (tmp_path / "map.json").write_text(json.dumps(data))
+        assert _localize(dataset, "unused", "--map", str(tmp_path / "map.json")) == 1
+        assert "map.json: bad map file: scale squared must be finite" in capsys.readouterr().err
 
     def test_infinite_bbox_is_input_error(self, dataset, tmp_path, capsys):
         lines = (dataset / "sim" / "query.jsonl").read_text().splitlines()

@@ -221,6 +221,11 @@ class TestPriorObjectNode:
         with pytest.raises(ValueError, match="must be finite"):
             PriorObjectNode(**values)
 
+    @pytest.mark.parametrize("scale", [1e200, 2e154])
+    def test_rejects_scale_whose_square_overflows(self, scale):
+        with pytest.raises(ValueError, match="scale squared must be finite"):
+            PriorObjectNode(1, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), [0.1, scale, 0.1], make_table({"a": 1}))
+
 
 class TestSemanticGraph:
     def test_validation(self):
@@ -247,13 +252,23 @@ class TestSemanticGraph:
 
 class TestEdgeArrays:
     @staticmethod
-    def _expected(g):
-        """(root index, neighbor index, slot) per directed edge, from neighbors()."""
+    def _adjacency(g):
+        """Sorted neighbor ids per node id, read off the undirected edge set."""
+        adjacency = {nid: [] for nid in g.ids()}
+        for a, b in g.edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        return {nid: sorted(nbrs) for nid, nbrs in adjacency.items()}
+
+    @classmethod
+    def _expected(cls, g):
+        """(root index, neighbor index, slot) per directed edge, from the edge set."""
         index = {nid: i for i, nid in enumerate(g.ids())}
+        adjacency = cls._adjacency(g)
         return [
             (i, index[n], slot)
             for i, nid in enumerate(g.ids())
-            for slot, n in enumerate(g.neighbors(nid))
+            for slot, n in enumerate(adjacency[nid])
         ]
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 6))
@@ -266,6 +281,7 @@ class TestEdgeArrays:
         g = SemanticGraph(nodes, {e for e in knn if r.random() < 0.6})
         expected = self._expected(g)
         assert list(zip(g.edge_root, g.edge_nbr, g.edge_slot)) == expected
+        assert {i: g.neighbors(i) for i in ids} == self._adjacency(g)
         np.testing.assert_array_equal(g.degree, [len(g.neighbors(i)) for i in ids])
         assert g.max_degree == max(len(g.neighbors(i)) for i in ids)
         assert g.edge_root.size == 2 * len(g.edges)
@@ -311,6 +327,20 @@ class TestPriorGraphBuilders:
         nodes = [prior_node(i, (float(i), 0, 0), {"a": 1}) for i in range(3)]
         g = prior_graph_from_nodes(nodes, [], k_edge=1)
         assert g.edges == {(0, 1), (1, 2)}
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_no_keyframes_is_one_keyframe_of_every_landmark(self, seed, n, k_edge):
+        r = np.random.default_rng(seed)
+        ids = [int(i) for i in r.permutation(40)[:n]]
+        # grid positions force distance ties
+        nodes = [prior_node(i, r.integers(0, 3, 3).astype(float), {"a": 1}) for i in ids]
+        a = prior_graph_from_nodes(nodes, [], k_edge=k_edge)
+        b = prior_graph_from_nodes(nodes, [ids], k_edge=k_edge)
+        assert a.edges == b.edges
+        for name in ("edge_root", "edge_nbr", "edge_slot", "edge_length", "degree"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
     def test_unknown_keyframe_member_raises(self):
         nodes = [prior_node(0, (0, 0, 0), {"a": 1})]

@@ -8,6 +8,7 @@ from semloc import (
     BoundingBox,
     CameraIntrinsics,
     DetectionRecord,
+    LocalizationStatus,
     MatcherConfig,
     Pose,
     PriorObjectNode,
@@ -255,6 +256,38 @@ class TestResults:
         p.write_text("".join(json.dumps(r) + "\n" for r in rows))
         with pytest.raises(InputError, match="results.jsonl:2: bad result record"):
             load_results(p)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean_entropy", "0.5"),
+            ("mean_entropy", float("nan")),
+            ("mean_entropy", float("inf")),
+            ("mean_entropy", True),
+            ("mean_entropy", 10**400),
+            ("status", "lost"),
+            ("status", None),
+        ],
+        ids=["entropy-str", "entropy-nan", "entropy-inf", "entropy-bool", "entropy-huge-int",
+             "status-unknown", "status-null"],
+    )
+    def test_bad_entropy_or_status_reports_line(self, tmp_path, field, value):
+        p = tmp_path / "results.jsonl"
+        save_results(p, [FrameResult(i, 0.1 * i, "success", Pose.identity(), 0.9, [], 0.2) for i in range(2)])
+        rows = [json.loads(line) for line in p.read_text().splitlines()]
+        rows[1][field] = value
+        p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(InputError, match="results.jsonl:2: bad result record"):
+            load_results(p)
+
+    def test_every_status_and_integer_entropy_load(self, tmp_path):
+        p = tmp_path / "results.jsonl"
+        rows = [{"frame_id": i, "timestamp": 0.1 * i, "status": s.value, "mean_entropy": 1}
+                for i, s in enumerate(LocalizationStatus)]
+        p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        loaded = load_results(p)
+        assert [r.status for r in loaded] == [s.value for s in LocalizationStatus]
+        assert all(r.mean_entropy == 1.0 and isinstance(r.mean_entropy, float) for r in loaded)
 
 
 class TestScene:
