@@ -87,18 +87,6 @@ _SIM_DEFAULTS: dict = {
 }
 
 
-def _parse_bounds(text: str):
-    try:
-        lo, hi = text.split(";")
-        lo = tuple(float(v) for v in lo.split(","))
-        hi = tuple(float(v) for v in hi.split(","))
-        if len(lo) != 3 or len(hi) != 3:
-            raise ValueError("need 3 coordinates per corner")
-        return lo, hi
-    except ValueError as exc:
-        raise InputError(f"bad bounds {text!r}: {exc}") from exc
-
-
 def _parse_clusters(text: str) -> list[list[str]]:
     if not text.strip():
         return []
@@ -119,10 +107,13 @@ def _cmd_simulate(args) -> int:
     }
     values = dataio.resolve_values(_SIM_DEFAULTS, file_values, cli_values)
 
-    bounds = _parse_bounds(str(values["bounds"]))
     vocabulary = [v.strip() for v in str(values["vocabulary"]).split(",") if v.strip()]
     # every cast and constructor that can reject a flag or config value
-    try:
+    source = f"flags and {args.config}" if args.config else "flags"
+    with dataio._malformed(f"bad simulate settings ({source})"):
+        bounds = tuple(tuple(map(float, c.split(","))) for c in str(values["bounds"]).split(";"))
+        if [len(corner) for corner in bounds] != [3, 3]:
+            raise ValueError(f"bounds {values['bounds']!r} need two corners of 3 coordinates")
         for key in ("unique_labels", "center_boxes"):
             if not isinstance(values[key], bool):  # e.g. a config `none`
                 raise ValueError(f"{key} must be true or false")
@@ -167,8 +158,6 @@ def _cmd_simulate(args) -> int:
             radius=radius,
             height=height,
         )
-    except (TypeError, ValueError) as exc:  # TypeError: a `none` from the config file
-        raise InputError(str(exc)) from exc
     center = values["center_boxes"]
     kf_frames = render_sequence(
         scene, kf_poses, intrinsics, noise, seed=s_kf_render, center_boxes=center
@@ -258,13 +247,12 @@ def _accumulate_map(
             members.add(lm_id)
         keyframes.append(sorted(members))
     nodes = []
-    kept: set[int] = set()
     for lm in scene_landmarks:
         obs = observations[lm["id"]]
         if not obs:
             logger.warning("landmark %d has no observations, dropped from map", lm["id"])
             continue
-        try:
+        with dataio._malformed(f"landmark {lm['id']}"):
             node = PriorObjectNode(
                 id=lm["id"],
                 position=lm["position"],
@@ -272,10 +260,8 @@ def _accumulate_map(
                 scale=lm["scale"],
                 frequencies=accumulate_label_frequencies(obs),
             )
-        except ValueError as exc:
-            raise InputError(f"landmark {lm['id']}: {exc}") from exc
         nodes.append(node)
-        kept.add(lm["id"])
+    kept = {node.id for node in nodes}
     keyframes = [[i for i in members if i in kept] for members in keyframes]
     return nodes, keyframes
 
@@ -304,11 +290,7 @@ def _localize_frame(
     config: MatcherConfig,
     depth_dir: Path | None,
 ) -> FrameResult:
-    depth = None
-    if frame.depth_file is not None:
-        if depth_dir is None:
-            raise InputError(f"frame {frame.frame_id} references a depth file but none can be located")
-        depth = np.load(Path(depth_dir) / frame.depth_file)
+    depth = None if frame.depth_file is None else dataio.load_depth(Path(depth_dir) / frame.depth_file)
     query_graph = build_query_graph(
         frame.detections, k=config.K, k_edge=config.k_edge, depth=depth, intrinsics=intrinsics
     )
@@ -369,7 +351,7 @@ def _prior_graph_for_config(args, config: MatcherConfig) -> SemanticGraph:
     """Load the map, or rebuild it from the keyframe pass at config.K."""
     if args.map is not None:
         nodes, keyframes, meta = dataio.load_map(args.map)
-        if meta.get("K") is not None and int(meta["K"]) != config.K:
+        if meta.get("K") not in (None, config.K):
             logger.warning(
                 "map was built at K=%s but localizing at K=%d; pass --scene/--keyframes to rebuild",
                 meta["K"],

@@ -9,10 +9,13 @@ wall-clock anywhere).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import logging
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -35,13 +38,31 @@ def _require(cond: bool, message: str):
         raise InputError(message)
 
 
-def _load_json(path) -> object:
+@contextlib.contextmanager
+def _malformed(context):
+    """Raise what bad input raises in the block (a bad path, cast, lookup or decode, a float
+    overflow, a list for an object, deep JSON, a huge .npy) as InputError("context: reason").
+    A callable `context` is called on error, so one block over a file's rows names the line."""
+    try:
+        yield
+    except (OSError, LookupError, TypeError, ValueError, ArithmeticError, AttributeError,
+            RecursionError, MemoryError) as exc:
+        raise InputError(f"{context() if callable(context) else context}: {exc}") from exc
+
+
+def _read(path) -> bytes:
+    """The contents of an input file; a missing or unreadable file is an InputError."""
     path = Path(path)
     _require(path.exists(), f"missing file: {path}")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    with _malformed(f"{path}: unreadable"):
+        return path.read_bytes()
+
+
+def _load_json(path) -> dict:
+    with _malformed(f"{path}: invalid JSON"):
+        data = json.loads(_read(path).decode("utf-8"))
+    _require(isinstance(data, dict), f"{path}: expected a JSON object")
+    return data
 
 
 def _dump_json(obj) -> str:
@@ -49,19 +70,14 @@ def _dump_json(obj) -> str:
 
 
 def _iter_jsonl(path):
-    """(line number, parsed row) of each nonblank line."""
-    path = Path(path)
-    _require(path.exists(), f"missing file: {path}")
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, row
+    """(line number, parsed object) of each nonblank line."""
+    with _malformed(lambda: f"{path}:{lineno}: invalid JSON"):
+        for lineno, raw in enumerate(_read(path).splitlines(), start=1):
+            if raw.strip():
+                row = json.loads(raw.decode("utf-8"))
+                if not isinstance(row, dict):
+                    raise InputError(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, row
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +98,7 @@ def save_intrinsics(path, intrinsics: CameraIntrinsics):
 
 def load_intrinsics(path) -> CameraIntrinsics:
     data = _load_json(path)
-    _require(isinstance(data, dict), f"{path}: intrinsics must be an object")
-    try:
+    with _malformed(f"{path}: bad intrinsics"):
         return CameraIntrinsics(
             fx=float(data["fx"]),
             fy=float(data["fy"]),
@@ -92,8 +107,6 @@ def load_intrinsics(path) -> CameraIntrinsics:
             width=int(data["width"]),
             height=int(data["height"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad intrinsics: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +138,18 @@ def save_map(path, nodes: Sequence[PriorObjectNode], keyframes: Sequence[Sequenc
     Path(path).write_text(_dump_json(payload) + "\n")
 
 
+def _unique_ids(ids: list[int]) -> set[int]:
+    if len(known := set(ids)) < len(ids):
+        raise ValueError(f"duplicate landmark id {Counter(ids).most_common(1)[0][0]}")
+    return known
+
+
 def load_map(path) -> tuple[list[PriorObjectNode], list[list[int]], dict]:
     data = _load_json(path)
-    _require(isinstance(data, dict) and "landmarks" in data, f"{path}: not a map file")
+    _require("landmarks" in data, f"{path}: not a map file")
+    _require(isinstance(data.get("meta", {}), dict), f"{path}: bad map file: meta must be an object")
     nodes = []
-    try:
+    with _malformed(f"{path}: bad map file"):
         for lm in data["landmarks"]:
             counts = {str(k): int(v) for k, v in lm["label_counts"].items()}
             freqs = LabelFrequencyTable.from_counts(counts, int(lm["total_detections"]))
@@ -145,8 +165,9 @@ def load_map(path) -> tuple[list[PriorObjectNode], list[list[int]], dict]:
         keyframes = [
             [int(v) for v in kf["landmark_ids"]] for kf in data.get("keyframes", [])
         ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad map file: {exc}") from exc
+        unknown = set().union(*keyframes) - _unique_ids([node.id for node in nodes])
+        if unknown:
+            raise ValueError(f"keyframe references unknown landmark {min(unknown)}")
     return nodes, keyframes, dict(data.get("meta", {}))
 
 
@@ -186,15 +207,17 @@ def save_detection_log(path, frames: Sequence[FrameRecord]):
 
 def load_detection_log(path) -> list[FrameRecord]:
     frames = []
-    for lineno, row in _iter_jsonl(path):
-        try:
+    with _malformed(lambda: f"{path}:{lineno}: bad detection record"):
+        for lineno, row in _iter_jsonl(path):
             dets = []
             for rec in row.get("detections", []):
                 bbox = BoundingBox(*[float(v) for v in rec["bbox"]])
                 labels = [(str(e["label"]), float(e["score"])) for e in rec["labels"]]
                 pos = rec.get("position")
-                position = None if pos is None else np.asarray(pos, dtype=float)
+                position = None if pos is None else np.asarray(pos, dtype=float).reshape(3)
                 dets.append(DetectionRecord(bbox, labels, position))
+            if not isinstance(row.get("depth_file"), (str, type(None))):
+                raise TypeError("depth_file must be a file name")
             frames.append(
                 FrameRecord(
                     frame_id=int(row["frame_id"]),
@@ -203,9 +226,16 @@ def load_detection_log(path) -> list[FrameRecord]:
                     depth_file=row.get("depth_file"),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: bad detection record: {exc}") from exc
     return frames
+
+
+def load_depth(path) -> np.ndarray:
+    """A depth map: a 2-D integer or float array in a .npy file; pickled data is refused."""
+    with _malformed(f"{path}: bad depth map"):
+        depth = np.lib.format.read_array(io.BytesIO(_read(path)), allow_pickle=False)
+        if depth.ndim != 2 or depth.dtype.kind not in "iuf":
+            raise ValueError(f"expected a 2-D numeric array, got {depth.dtype} of shape {depth.shape}")
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +260,11 @@ def save_associations(path, associations: Mapping[int, Mapping[int, int]]):
 
 def load_associations(path) -> dict[int, dict[int, int]]:
     out: dict[int, dict[int, int]] = {}
-    for lineno, row in _iter_jsonl(path):
-        try:
+    with _malformed(lambda: f"{path}:{lineno}: bad association record"):
+        for lineno, row in _iter_jsonl(path):
             out.setdefault(int(row["frame_id"]), {})[int(row["detection_index"])] = int(
                 row["landmark_id"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: bad association record: {exc}") from exc
     return out
 
 
@@ -255,7 +283,8 @@ def _pose_from_tum_row(values: Sequence[float]) -> Pose:
     """The world-to-camera pose whose camera-to-world TUM values these are."""
     tx, ty, tz, qx, qy, qz, qw = values
     r = quat_to_rotmat(quat_normalize([qw, qx, qy, qz])).T
-    return Pose.from_rt(r, -r @ np.array([tx, ty, tz]))
+    with np.errstate(over="raise"):  # a translation too large to rotate is malformed
+        return Pose.from_rt(r, -r @ np.array([tx, ty, tz]))
 
 
 def save_trajectory(path, trajectory: Sequence[tuple[float, Pose]]):
@@ -264,22 +293,19 @@ def save_trajectory(path, trajectory: Sequence[tuple[float, Pose]]):
 
 
 def load_trajectory(path) -> list[tuple[float, Pose]]:
-    path = Path(path)
-    _require(path.exists(), f"missing file: {path}")
     out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        _require(len(parts) == 8, f"{path}:{lineno}: expected 8 fields")
-        try:
+    # bytes: float() takes them, and a non-UTF-8 byte fails the row that holds it
+    with _malformed(lambda: f"{path}:{lineno}: bad row"):
+        for lineno, line in enumerate(_read(path).splitlines(), start=1):
+            parts = line.split()
+            if not parts or parts[0].startswith(b"#"):
+                continue
+            if len(parts) != 8:
+                raise ValueError("expected 8 fields")
             vals = [float(v) for v in parts]
             if not all(map(math.isfinite, vals)):
                 raise ValueError("non-finite value")
             out.append((vals[0], _pose_from_tum_row(vals[1:])))
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad row: {exc}") from exc
     return out
 
 
@@ -319,21 +345,19 @@ def save_results(path, results: Sequence[FrameResult]):
 
 def load_results(path) -> list[FrameResult]:
     out = []
-    for lineno, row in _iter_jsonl(path):
-        try:
+    with _malformed(lambda: f"{path}:{lineno}: bad result record"):
+        for lineno, row in _iter_jsonl(path):
             pose = None
             if row.get("pose") is not None:
                 pose = _pose_from_tum_row([float(v) for v in row["pose"]])
             timestamp, was = float(row["timestamp"]), float(row.get("was", 0.0))
-            if not (math.isfinite(timestamp) and math.isfinite(was)):
-                raise ValueError("non-finite timestamp or was")
             entropy = row.get("mean_entropy")
             if entropy is not None:
                 if isinstance(entropy, bool) or not isinstance(entropy, (int, float)):
                     raise ValueError(f"mean_entropy {entropy!r} is not a number")
                 entropy = float(entropy)
-                if not math.isfinite(entropy):
-                    raise ValueError("non-finite mean_entropy")
+            if not all(map(math.isfinite, (timestamp, was, entropy or 0.0))):
+                raise ValueError("non-finite timestamp, was or mean_entropy")
             out.append(
                 FrameResult(
                     frame_id=int(row["frame_id"]),
@@ -345,8 +369,6 @@ def load_results(path) -> list[FrameResult]:
                     mean_entropy=entropy,
                 )
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
-            raise InputError(f"{path}:{lineno}: bad result record: {exc}") from exc
     return out
 
 
@@ -379,9 +401,9 @@ def save_scene(path, scene):
 
 def load_scene_landmarks(path) -> list[dict]:
     data = _load_json(path)
-    _require(isinstance(data, dict) and "landmarks" in data, f"{path}: not a scene file")
+    _require("landmarks" in data, f"{path}: not a scene file")
     out = []
-    try:
+    with _malformed(f"{path}: bad scene file"):
         for lm in data["landmarks"]:
             out.append(
                 {
@@ -394,9 +416,8 @@ def load_scene_landmarks(path) -> list[dict]:
             )
             if not all(np.isfinite(out[-1][k]).all() for k in ("position", "rotation", "scale")):
                 raise ValueError(f"landmark {out[-1]['id']}: non-finite position, rotation or scale")
-        return out
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad scene file: {exc}") from exc
+        _unique_ids([lm["id"] for lm in out])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +443,17 @@ def _parse_scalar(value: str):
         return low == "true"
     if low in ("none", "null"):
         return None
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
+    for cast in (int, float):
+        try:
+            return cast(value)
+        except ValueError:
+            pass
     return value
 
 
 def load_config_file(path) -> dict:
-    path = Path(path)
-    _require(path.exists(), f"missing file: {path}")
-    return parse_config_text(path.read_text(), source=str(path))
+    with _malformed(str(path)):
+        return parse_config_text(_read(path).decode("utf-8"), source=str(path))
 
 
 # the matcher's knobs and their defaults, in field order
@@ -468,10 +485,8 @@ def resolve_matcher_config(
     file_values: Mapping[str, object] | None, cli_values: Mapping[str, object] | None
 ) -> MatcherConfig:
     """The matcher configuration from `resolve_values`; bad values raise InputError."""
-    try:
+    with _malformed("bad configuration"):
         return MatcherConfig(**resolve_values(MATCHER_DEFAULTS, file_values, cli_values))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad configuration: {exc}") from exc
 
 
 def save_manifest(path, command: str, config: Mapping[str, object], seed: int, inputs: Mapping[str, object]):

@@ -44,9 +44,10 @@ def quat_normalize(q) -> np.ndarray:
     """Normalize quaternions (..., 4) and fix each sign so the first nonzero entry is positive."""
     q = np.asarray(q, dtype=float)
     flat = q.reshape(-1, 4)
-    n = _norm(flat)
-    if (n == 0.0).any():
-        raise ValueError("zero quaternion")
+    with np.errstate(over="ignore"):  # a norm that overflows is rejected like a zero one
+        n = _norm(flat)
+    if ((n == 0.0) | np.isinf(n)).any():
+        raise ValueError("zero quaternion or norm overflow")
     flat = flat / n[:, None]
     first = flat[np.arange(len(flat)), (flat != 0.0).argmax(axis=1)]
     return np.where(first[:, None] < 0.0, -flat, flat).reshape(q.shape)

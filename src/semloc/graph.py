@@ -331,7 +331,8 @@ def build_query_graph(
     gaps instead of shifting ground-truth alignment. Detections are dropped
     (with a logged warning) when the box degenerates after clamping, a label
     score is non-finite or negative, the confidence vector is all-zero, no
-    positive-depth source exists, or the position is not finite.
+    positive-depth source exists, or the position is not finite or so far
+    away that distances between positions overflow.
     """
     nodes: list[QueryDetectionNode] = []
     for idx, det in enumerate(detections):
@@ -357,8 +358,9 @@ def build_query_graph(
                 continue
             position = backproject_pixel(bbox.center, z, intrinsics)
         position = np.asarray(position, dtype=float).reshape(3)
-        if not np.all(np.isfinite(position)):
-            logger.warning("detection %d dropped: non-finite position", idx)
+        # 4 |p|^2 bounds the squared distance between two kept positions
+        if not math.isfinite(4.0 * sum(v * v for v in position.tolist())):
+            logger.warning("detection %d dropped: non-finite position or distance", idx)
             continue
         if position[2] <= 0.0:
             logger.warning("detection %d dropped: nonpositive depth", idx)

@@ -1,10 +1,13 @@
+import io
 import json
+import pickle
 
+import numpy as np
 import pytest
 
-from semloc import cli
+from semloc import Pose, cli
 from semloc.cli import main
-from semloc.dataio import load_map, load_results
+from semloc.dataio import FrameResult, load_map, load_results, save_results
 
 
 SIM_FLAGS = [
@@ -445,3 +448,155 @@ class TestParser:
 
     def test_missing_subcommand_is_input_error(self):
         assert main([]) == 1
+
+
+def _raw(obj) -> bytes:
+    """JSON in which each string "1e400" is the bare number 1e400, which parses as inf."""
+    return json.dumps(obj).replace('"1e400"', "1e400").encode()
+
+
+def _row(path, lineno, edit) -> bytes:
+    """The JSONL file with row `lineno` replaced by edit(row)."""
+    lines = path.read_bytes().splitlines()
+    lines[lineno - 1] = _raw(edit(json.loads(lines[lineno - 1])))
+    return b"\n".join(lines) + b"\n"
+
+
+def _doc(path, edit) -> bytes:
+    return _raw(edit(json.loads(path.read_text())))
+
+
+def _set(obj, keys, value):
+    """obj, with the item that `keys` lead to set to value."""
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return obj
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+NOT_UTF8 = b"\xff\xfe\x00garbage\n"
+HUGE = 10**400  # json.dumps writes all its digits; float() of it overflows
+
+
+def _first_label(m):
+    return next(iter(m["landmarks"][0]["label_counts"]))
+
+
+# (id, input replaced, its contents made from the dataset root, what the error line names)
+BAD_INPUTS = [
+    ("detections-list-row", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: [r]), "query.jsonl:2: expected a JSON object"),
+    ("detections-huge-bbox", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("detections", 0, "bbox", 2), HUGE)),
+     "query.jsonl:2: bad detection record"),
+    ("detections-not-utf8", "query.jsonl",
+     lambda d: (d / "sim" / "query.jsonl").read_bytes() + NOT_UTF8, "query.jsonl:6: invalid JSON"),
+    ("results-list-row", "results.jsonl", lambda d: b"[1, 2]\n", "results.jsonl:1: expected a JSON object"),
+    ("associations-not-utf8", "gt_associations.jsonl",
+     lambda d: NOT_UTF8, "gt_associations.jsonl:1: invalid JSON"),
+    ("associations-landmark-1e400", "gt_associations.jsonl",
+     lambda d: _row(d / "sim" / "gt_associations.jsonl", 2, lambda r: _set(r, ("landmark_id",), "1e400")),
+     "gt_associations.jsonl:2: bad association record"),
+    ("trajectory-not-utf8", "gt_trajectory.txt",
+     lambda d: b"1000.0 0 0 0 0 0 0 1\n1000.1 0 0 0\xff 0 0 0 1\n", "gt_trajectory.txt:2: bad row"),
+    ("config-not-utf8", "loc.cfg", lambda d: b"K=5\n" + NOT_UTF8, "loc.cfg: 'utf-8' codec"),
+    ("simulate-config-n-frames-1e400", "sim.cfg", lambda d: b"n_frames=1e400\n",
+     "sim.cfg): cannot convert float infinity to integer"),
+    ("scene-huge-position", "scene.json",
+     lambda d: _doc(d / "sim" / "scene.json", lambda s: _set(s, ("landmarks", 1, "position", 0), HUGE)),
+     "scene.json: bad scene file"),
+    ("map-label-counts-list", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("landmarks", 0, "label_counts"), [["chair", 1]])),
+     "map.json: bad map file"),
+    ("map-meta-list", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("meta",), [["K", 5]])), "map.json: bad map file"),
+    ("map-label-count-1e400", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("landmarks", 0, "label_counts", _first_label(m)), "1e400")),
+     "map.json: bad map file"),
+    ("map-huge-position", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("landmarks", 0, "position", 2), HUGE)),
+     "map.json: bad map file"),
+    ("map-keyframe-names-missing-landmark", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("keyframes", 0, "landmark_ids", 0), 999)),
+     "map.json: bad map file: keyframe references unknown landmark 999"),
+    ("map-duplicate-landmark-id", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("landmarks", 1, "id"), m["landmarks"][0]["id"])),
+     "map.json: bad map file: duplicate landmark id"),
+    ("intrinsics-huge-fx", "intrinsics.json",
+     lambda d: _doc(d / "sim" / "intrinsics.json", lambda i: _set(i, ("fx",), HUGE)),
+     "intrinsics.json: bad intrinsics"),
+    ("intrinsics-directory", "intrinsics.json", None, "intrinsics.json: unreadable"),
+]
+
+# (id, depth_file named by row 2 of the detection log, contents of d.npy, what stderr must name)
+BAD_DEPTH = [
+    ("missing-npy", "missing.npy", None, "missing.npy"),
+    ("depth-file-number", 5, None, "query.jsonl:2: bad detection record: depth_file"),
+    ("garbage-npy", "d.npy", b"not an array at all", "d.npy: bad depth map"),
+    ("pickled-npy", "d.npy", _npy(np.array([{"depth": 1.0}], dtype=object)), "d.npy: bad depth map"),
+    ("pickle-not-npy", "d.npy", pickle.dumps(np.ones((4, 4))), "d.npy: bad depth map"),
+    ("one-d-npy", "d.npy", _npy(np.ones(5)), "d.npy: bad depth map: expected a 2-D"),
+]
+
+
+def _argv_for(dataset, tmp_path, name, bad):
+    """A command that reads `bad` as its input `name` and every other input from the dataset."""
+    sim = dataset / "sim"
+    if name == "sim.cfg":
+        return ["simulate", "--output", str(tmp_path / "x"), "--n-landmarks", "12", "--config", str(bad)]
+    if name == "scene.json":
+        return ["build-map", "--scene", str(bad), "--keyframes", str(sim / "keyframes.jsonl"),
+                "--associations", str(sim / "keyframe_associations.jsonl"),
+                "--output", str(tmp_path / "map.json")]
+    if name in ("results.jsonl", "gt_associations.jsonl", "gt_trajectory.txt"):
+        results = tmp_path / "results.jsonl"
+        if name != "results.jsonl":
+            save_results(results, [FrameResult(0, 1000.0, "success", Pose.identity(), 0.9, [(0, 0)])])
+        inputs = {"results.jsonl": results, "gt_associations.jsonl": sim / "gt_associations.jsonl",
+                  "gt_trajectory.txt": sim / "gt_trajectory.txt", name: bad}
+        return ["evaluate", "--results", str(inputs["results.jsonl"]),
+                "--gt-associations", str(inputs["gt_associations.jsonl"]),
+                "--gt-trajectory", str(inputs["gt_trajectory.txt"]), "--output", str(tmp_path / "eval")]
+    inputs = {"query.jsonl": sim / "query.jsonl", "intrinsics.json": sim / "intrinsics.json",
+              "map.json": dataset / "map.json", name: bad}
+    argv = ["localize", "--detections", str(inputs["query.jsonl"]),
+            "--intrinsics", str(inputs["intrinsics.json"]), "--map", str(inputs["map.json"]),
+            "--output", str(tmp_path / "run"), "--threads", "1"]
+    return argv + (["--config", str(bad)] if name == "loc.cfg" else [])
+
+
+def _assert_input_error(capsys, argv, fragment):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and fragment in errors[0], err
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("name, make, fragment", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
+    def test_exits_one_naming_the_file(self, dataset, tmp_path, capsys, name, make, fragment):
+        bad = tmp_path / name
+        if make is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(make(dataset))
+        _assert_input_error(capsys, _argv_for(dataset, tmp_path, name, bad), fragment)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("depth_file, contents, fragment", [c[1:] for c in BAD_DEPTH], ids=[c[0] for c in BAD_DEPTH])
+    def test_bad_depth_exits_one(self, dataset, tmp_path, capsys, threads, depth_file, contents, fragment):
+        query = tmp_path / "query.jsonl"
+        query.write_bytes(_row(dataset / "sim" / "query.jsonl", 2, lambda r: {**r, "depth_file": depth_file}))
+        if contents is not None:
+            (tmp_path / "d.npy").write_bytes(contents)
+        argv = _argv_for(dataset, tmp_path, "query.jsonl", query)
+        argv[argv.index("--threads") + 1] = threads
+        _assert_input_error(capsys, argv, fragment)

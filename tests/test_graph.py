@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from semloc import (
@@ -487,3 +487,60 @@ class TestQueryGraphBuilder:
         ]
         g = build_query_graph(dets, k=2, k_edge=1, intrinsics=INTR)
         assert g.edges == {(0, 1), (1, 2)}
+
+    @staticmethod
+    def _mostly(good, *bad):
+        """Draws from `good` about three times in four, else one of the bad values."""
+        return st.sampled_from([None] * 3 * len(bad) + list(bad)).flatmap(
+            lambda b: good if b is None else st.just(b)
+        )
+
+    _SCORE = _mostly(st.floats(0.01, 1.0), 0.0, math.nan, math.inf, -math.inf, -1.0, 1e308)
+    _COORD = _mostly(st.floats(-5.0, 5.0), math.nan, math.inf, -math.inf, 1e154, -1e200)
+    _DETECTIONS = st.lists(
+        st.builds(
+            lambda x, y, w, h, labels, position: DetectionRecord(
+                BoundingBox(x, y, x + w, y + h),
+                labels,
+                None if position is None else np.array(position),
+            ),
+            st.floats(-100.0, 700.0),
+            st.floats(-100.0, 500.0),
+            st.floats(0.5, 300.0),
+            st.floats(0.5, 300.0),
+            _mostly(
+                st.lists(st.tuples(st.sampled_from(["cup", "mug", "tv"]), _SCORE), min_size=1, max_size=3),
+                [],
+            ),
+            _mostly(st.tuples(_COORD, _COORD, _mostly(st.floats(0.1, 5.0), 0.0, -1.0, math.nan, 1e154)), None),
+        ),
+        max_size=8,
+    )
+    _DEPTH = st.none() | st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+        lambda shape: st.lists(
+            st.sampled_from([math.nan, 0.0, -1.0]) | st.floats(0.01, 50.0),
+            min_size=shape[0] * shape[1],
+            max_size=shape[0] * shape[1],
+        ).map(lambda values: np.array(values).reshape(shape))
+    )
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        dets=_DETECTIONS,
+        depth=_DEPTH,
+        intrinsics=st.sampled_from([INTR, None]),
+        k=st.integers(1, 3),
+        k_edge=st.integers(1, 3),
+    )
+    def test_fuzz_keeps_finite_positive_depth_and_logs_every_drop(
+        self, caplog, dets, depth, intrinsics, k, k_edge
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="semloc.graph"):
+            g = build_query_graph(dets, k=k, k_edge=k_edge, depth=depth, intrinsics=intrinsics)
+        for node in g.nodes:
+            assert np.isfinite(node.position).all() and node.position[2] > 0.0
+        dropped = sorted(set(range(len(dets))) - set(g.ids()))
+        messages = [r.getMessage() for r in caplog.records]
+        assert [int(m.split()[1]) for m in messages] == dropped
+        assert all(m.split(" dropped: ", 1)[1] for m in messages)

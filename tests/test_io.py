@@ -1,8 +1,11 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from semloc import (
     BoundingBox,
@@ -20,6 +23,7 @@ from semloc.dataio import (
     InputError,
     load_associations,
     load_config_file,
+    load_depth,
     load_detection_log,
     load_intrinsics,
     load_map,
@@ -416,3 +420,125 @@ class TestManifestAndReports:
             rows = list(csv.DictReader(fh))
         assert rows[0]["frame_id"] == "0" and rows[0]["te"] == "0.01"
         assert rows[1]["te"] == "" and rows[1]["status"] == "degenerate"
+
+
+class TestDepth:
+    def test_round_trip(self, tmp_path):
+        depth = np.arange(12, dtype=np.float32).reshape(3, 4)
+        np.save(tmp_path / "d.npy", depth)
+        loaded = load_depth(tmp_path / "d.npy")
+        assert loaded.dtype == np.float32
+        np.testing.assert_array_equal(loaded, depth)
+
+    def test_header_asking_for_more_memory_than_exists(self, tmp_path):
+        # an 8 TiB shape in a header of unchanged length, followed by 48 bytes of data
+        buf = io.BytesIO()
+        np.save(buf, np.zeros((2, 3)))
+        huge = b"(1048576, 1048576), }"
+        raw = buf.getvalue().replace(b"(2, 3), }" + b" " * (len(huge) - 9), huge)
+        assert huge in raw
+        (tmp_path / "d.npy").write_bytes(raw)
+        with pytest.raises(InputError, match="d.npy: bad depth map"):
+            load_depth(tmp_path / "d.npy")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every loader either loads a file or raises InputError
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([10**400, -(10**400), 2**64, 1e300, -1.7976931348623157e308, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one node replaced by random JSON, dropped from its list or object, or wrapped in a list."""
+    action = draw(st.sampled_from(["descend", "descend", "descend", "replace", "wrap"]))
+    if action == "replace" or not isinstance(doc, (dict, list)) or not doc:
+        return draw(JSON_VALUES)
+    if action == "wrap":
+        return [doc]
+    out = doc.copy()
+    key = draw(st.sampled_from(sorted(out) if isinstance(out, dict) else range(len(out))))
+    if draw(st.integers(0, 4)) == 0:
+        del out[key]
+    else:
+        out[key] = draw(mutated(doc[key]))
+    return out
+
+
+def _json_doc(doc):
+    return mutated(doc).map(lambda d: json.dumps(d).encode())
+
+
+def _jsonl(row):
+    # a good row, then the mutated one
+    return mutated(row).map(lambda r: (json.dumps(row) + "\n" + json.dumps(r) + "\n").encode())
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+_LANDMARK = {"id": 1, "position": [0.1, 0.2, 1.0], "rotation": [1.0, 0.0, 0.0, 0.0], "scale": [0.1, 0.2, 0.1]}
+_NPY = st.builds(
+    lambda shape, dtype: _npy(np.ones(shape, dtype)),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.sampled_from(["<f8", "<f4", "<i2", "|u1", "|b1", "<c16", "O", "<U2"]),
+)
+FUZZ = {
+    "intrinsics": (load_intrinsics, _json_doc(
+        {"fx": 525.0, "fy": 525.0, "cx": 319.5, "cy": 239.5, "width": 640, "height": 480})),
+    "map": (load_map, _json_doc({
+        "landmarks": [
+            {**_LANDMARK, "total_detections": 3, "label_counts": {"chair": 2, "stool": 1}},
+            {**_LANDMARK, "id": 2, "total_detections": 1, "label_counts": {"tv": 1}},
+        ],
+        "keyframes": [{"id": 0, "landmark_ids": [1, 2]}],
+        "meta": {"K": 5},
+    })),
+    "scene": (load_scene_landmarks, _json_doc({"landmarks": [{**_LANDMARK, "label": "chair"}]})),
+    "detection_log": (load_detection_log, _jsonl({
+        "frame_id": 0,
+        "timestamp": 0.5,
+        "detections": [{"bbox": [1, 2, 30, 40], "labels": [{"label": "cup", "score": 0.9}], "position": [0, 0, 2]}],
+        "depth_file": "d.npy",
+    })),
+    "associations": (load_associations, _jsonl({"frame_id": 0, "detection_index": 1, "landmark_id": 3})),
+    "results": (load_results, _jsonl({
+        "frame_id": 0, "timestamp": 0.5, "status": "success", "pose": [0, 0, 0, 0, 0, 0, 1],
+        "was": 0.9, "correspondences": [[1, 0]], "mean_entropy": 0.2,
+    })),
+    "trajectory": (load_trajectory, mutated([0.0, 0, 0, 0, 0, 0, 0, 1]).map(
+        lambda r: ("# ts tx ty tz qx qy qz qw\n" + (" ".join(map(str, r)) if isinstance(r, list) else str(r))).encode()
+    )),
+    "config": (load_config_file, st.lists(
+        st.tuples(st.text(max_size=4), JSON_LEAVES).map(lambda kv: f"{kv[0]}={kv[1]}"), max_size=3
+    ).map(lambda lines: "\n".join(lines).encode())),
+    "depth": (load_depth, _NPY | st.tuples(_NPY, st.integers(0, 140)).map(lambda t: t[0][: t[1]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loader_loads_or_raises_input_error(name, data, tmp_path):
+    loader, contents = FUZZ[name]
+    path = tmp_path / "input"
+    path.write_bytes(data.draw(contents | st.binary(max_size=48)))
+    try:
+        loader(path)
+    except InputError as exc:
+        assert str(path) in str(exc)
