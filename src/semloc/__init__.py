@@ -58,7 +58,6 @@ from .simulate import (
 from .metrics import (
     evaluate_associations,
     mota,
-    mota_counts,
     shannon_entropy,
     success_rate,
     translation_error,
@@ -98,7 +97,6 @@ __all__ = [
     "is_valid_sample",
     "look_at_pose",
     "mota",
-    "mota_counts",
     "normalize_confidences",
     "p3p_solve",
     "pixel_to_bearing",

@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -33,7 +34,6 @@ from .metrics import (
     evaluate_associations,
     mean_translation_error,
     mota,
-    mota_counts,
     rematch_predictions,
     shannon_entropy,
     success_rate,
@@ -117,10 +117,10 @@ def _cmd_simulate(args) -> int:
         for key in ("unique_labels", "center_boxes"):
             if not isinstance(values[key], bool):  # e.g. a config `none`
                 raise ValueError(f"{key} must be true or false")
-        seed = int(values["seed"])
+        seed = dataio._int(values["seed"])
         _, s_kf_traj, s_kf_render, s_q_traj, s_q_render = _seed_children(seed, 5)
         spec = SceneSpec(
-            n_landmarks=int(values["n_landmarks"]),
+            n_landmarks=dataio._int(values["n_landmarks"]),
             bounds=bounds,
             vocabulary=vocabulary,
             clusters=_parse_clusters(str(values["clusters"])),
@@ -141,18 +141,18 @@ def _cmd_simulate(args) -> int:
             fy=float(values["fy"]),
             cx=float(values["cx"]),
             cy=float(values["cy"]),
-            width=int(values["image_width"]),
-            height=int(values["image_height"]),
+            width=dataio._int(values["image_width"]),
+            height=dataio._int(values["image_height"]),
         )
         radius = None if values["radius"] is None else float(values["radius"])
         height = None if values["traj_height"] is None else float(values["traj_height"])
         scene = generate_scene(spec)
         kf_poses = generate_trajectory(
-            "orbit", int(values["n_keyframes"]), bounds, seed=s_kf_traj, radius=radius, height=height
+            "orbit", dataio._int(values["n_keyframes"]), bounds, seed=s_kf_traj, radius=radius, height=height
         )
         q_poses = generate_trajectory(
             str(values["trajectory"]),
-            int(values["n_frames"]),
+            dataio._int(values["n_frames"]),
             bounds,
             seed=s_q_traj,
             radius=radius,
@@ -401,13 +401,12 @@ def _cli_matcher_values(args) -> dict:
 def _cmd_localize(args) -> int:
     file_values = dataio.load_config_file(args.config) if args.config else {}
     cli_values = _cli_matcher_values(args)
-    base_config = dataio.resolve_matcher_config(file_values, cli_values)
+    source = f"flags and {args.config}" if args.config else "flags"
     frames = dataio.load_detection_log(args.detections)
     intrinsics = dataio.load_intrinsics(args.intrinsics)
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     depth_dir = Path(args.detections).parent
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {
         "detections": str(args.detections),
         "intrinsics": str(args.intrinsics),
@@ -417,8 +416,14 @@ def _cmd_localize(args) -> int:
     }
 
     sweep = _parse_sweep(args.sweep or [])
-
-    def run_one(config: MatcherConfig, run_dir: Path):
+    names = sorted(sweep)
+    # without a sweep, the one empty combination is one run straight into out_dir
+    for combo in itertools.product(*(sweep[name] for name in names)):
+        overrides = dict(zip(names, combo))
+        # a swept value, `none` included, replaces the file value and the flag
+        flags = {k: v for k, v in cli_values.items() if k not in overrides}
+        config = dataio.resolve_matcher_config({**file_values, **overrides}, flags, source)
+        run_dir = out_dir / "_".join(f"{name}={overrides[name]}" for name in names)
         run_dir.mkdir(parents=True, exist_ok=True)
         prior_graph = _prior_graph_for_config(args, config)
         results = _run_localization(frames, prior_graph, intrinsics, config, threads, depth_dir)
@@ -432,18 +437,6 @@ def _cmd_localize(args) -> int:
         )
         n_success = sum(1 for r in results if r.status == "success")
         print(f"localized {n_success}/{len(results)} frames -> {run_dir / 'results.jsonl'}")
-
-    if not sweep:
-        run_one(base_config, out_dir)
-        return 0
-    names = sorted(sweep)
-    for combo in itertools.product(*(sweep[name] for name in names)):
-        overrides = dict(zip(names, combo))
-        # a swept value, `none` included, replaces the file value and the flag
-        flags = {k: v for k, v in cli_values.items() if k not in overrides}
-        config = dataio.resolve_matcher_config({**file_values, **overrides}, flags)
-        run_dir = out_dir / "_".join(f"{name}={overrides[name]}" for name in names)
-        run_one(config, run_dir)
     return 0
 
 
@@ -477,6 +470,14 @@ def _match_poses(
     return out
 
 
+def _mota_or_none(counts, mode: str) -> float | None:
+    try:
+        return mota(counts)
+    except ValueError as exc:
+        logger.warning("%s MOTA unavailable: %s", mode, exc)
+        return None
+
+
 def _evaluate_run(results_path: Path, args) -> tuple[dict, list[dict]]:
     results = dataio.load_results(results_path)
     if not results:
@@ -484,18 +485,16 @@ def _evaluate_run(results_path: Path, args) -> tuple[dict, list[dict]]:
     gt_traj = dataio.load_trajectory(args.gt_trajectory) if args.gt_trajectory else []
     gt_assoc = dataio.load_associations(args.gt_associations) if args.gt_associations else None
 
-    timestamps = {r.frame_id: r.timestamp for r in results}
-    gt_poses = _match_poses(timestamps, gt_traj)
+    gt_poses = _match_poses({r.frame_id: r.timestamp for r in results}, gt_traj)
     predicted = {r.frame_id: r.correspondences for r in results}
 
-    report: dict = {"n_frames": len(results), "statuses": {}}
-    for r in results:
-        report["statuses"][r.status] = report["statuses"].get(r.status, 0) + 1
-
-    per_frame_assoc: dict[int, tuple[int, int, int]] = {}
-    if gt_assoc is not None:
+    report: dict = {"n_frames": len(results), "statuses": dict(Counter(r.status for r in results))}
+    per_frame = {}
+    if gt_assoc is None:
+        logger.warning("no ground-truth associations given, skipping F1 and MOTA")
+    else:
         counts = evaluate_associations(predicted, gt_associations=gt_assoc)
-        per_frame_assoc = {fc.frame_id: (fc.tp, fc.fp, fc.fn) for fc in counts.per_frame}
+        per_frame = {fc.frame_id: fc for fc in counts.per_frame}
         report["association"] = {
             "precision": counts.precision,
             "recall": counts.recall,
@@ -504,30 +503,18 @@ def _evaluate_run(results_path: Path, args) -> tuple[dict, list[dict]]:
             "fp": counts.fp,
             "fn": counts.fn,
         }
-        try:
-            report["mota_direct"] = mota(mota_counts(predicted, gt_assoc))
-        except ValueError as exc:
-            logger.warning("direct MOTA unavailable: %s", exc)
-            report["mota_direct"] = None
-    else:
-        logger.warning("no ground-truth associations given, skipping F1 and MOTA")
-
-    if gt_assoc is not None and args.map and args.intrinsics and args.detections:
-        nodes, keyframes, _ = dataio.load_map(args.map)
-        prior_graph = prior_graph_from_nodes(nodes, keyframes)
-        intrinsics = dataio.load_intrinsics(args.intrinsics)
-        det_frames = dataio.load_detection_log(args.detections)
-        boxes = {
-            f.frame_id: {i: det.bbox for i, det in enumerate(f.detections)}
-            for f in det_frames
-            if f.frame_id in predicted
-        }
-        rematched = rematch_predictions(gt_poses, prior_graph, intrinsics, boxes)
-        try:
-            report["mota_rematch"] = mota(mota_counts(rematched, gt_assoc))
-        except ValueError as exc:
-            logger.warning("rematch MOTA unavailable: %s", exc)
-            report["mota_rematch"] = None
+        report["mota_direct"] = _mota_or_none(counts, "direct")
+        if args.map and args.intrinsics and args.detections:
+            nodes, keyframes, _ = dataio.load_map(args.map)
+            prior_graph = prior_graph_from_nodes(nodes, keyframes)
+            intrinsics = dataio.load_intrinsics(args.intrinsics)
+            boxes = {
+                f.frame_id: {i: det.bbox for i, det in enumerate(f.detections)}
+                for f in dataio.load_detection_log(args.detections)
+                if f.frame_id in predicted
+            }
+            rematched = rematch_predictions(gt_poses, prior_graph, intrinsics, boxes)
+            report["mota_rematch"] = _mota_or_none(evaluate_associations(rematched, gt_assoc), "rematch")
 
     errors: list[tuple[int, float | None]] = []
     for r in results:
@@ -550,8 +537,8 @@ def _evaluate_run(results_path: Path, args) -> tuple[dict, list[dict]]:
 
     rows = []
     for r in results:
-        tp, fp, fn = per_frame_assoc.get(r.frame_id, ("", "", ""))
         te = te_by_frame.get(r.frame_id)
+        fc = per_frame.get(r.frame_id)
         rows.append(
             {
                 "frame_id": r.frame_id,
@@ -560,9 +547,8 @@ def _evaluate_run(results_path: Path, args) -> tuple[dict, list[dict]]:
                 "te": "" if te is None else te,
                 "was": r.was,
                 "n_correspondences": len(r.correspondences),
-                "tp": tp,
-                "fp": fp,
-                "fn": fn,
+                # a frame without ground truth leaves its counts blank
+                **({} if fc is None else {"tp": fc.tp, "fp": fc.fp, "fn": fc.fn}),
             }
         )
     return report, rows
@@ -570,12 +556,10 @@ def _evaluate_run(results_path: Path, args) -> tuple[dict, list[dict]]:
 
 def _find_runs(results_arg: str) -> list[tuple[str, Path]]:
     path = Path(results_arg)
-    if path.is_file():
-        return [("", path)]
+    direct = path if path.is_file() else path / "results.jsonl"
+    if direct.exists():
+        return [("", direct)]
     if path.is_dir():
-        direct = path / "results.jsonl"
-        if direct.exists():
-            return [("", direct)]
         runs = [
             (sub.name, sub / "results.jsonl")
             for sub in sorted(path.iterdir())
@@ -591,14 +575,8 @@ def _cmd_evaluate(args) -> int:
     out_dir = Path(args.output) if args.output else Path(args.results)
     if out_dir.is_file():
         out_dir = out_dir.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if len(runs) == 1 and runs[0][0] == "":
-        report, rows = _evaluate_run(runs[0][1], args)
-        dataio.save_metrics_report(out_dir / "report.json", report)
-        dataio.save_per_frame_csv(out_dir / "per_frame.csv", rows)
-        _print_report("", report)
-        return 0
     combined: dict = {"runs": {}}
+    # one results file (or a run directory holding one) is an unnamed run written into out_dir
     for name, results_path in runs:
         report, rows = _evaluate_run(results_path, args)
         run_out = out_dir / name
@@ -607,7 +585,8 @@ def _cmd_evaluate(args) -> int:
         dataio.save_per_frame_csv(run_out / "per_frame.csv", rows)
         combined["runs"][name] = report
         _print_report(name, report)
-    dataio.save_metrics_report(out_dir / "report.json", combined)
+    if runs[0][0]:
+        dataio.save_metrics_report(out_dir / "report.json", combined)
     return 0
 
 

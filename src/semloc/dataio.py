@@ -50,6 +50,23 @@ def _malformed(context):
         raise InputError(f"{context() if callable(context) else context}: {exc}") from exc
 
 
+def _int(value) -> int:
+    """An id, count or size: an integer, or a float with an integral value.
+    Booleans, strings and fractions raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not an integer")
+    if (out := int(value)) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
+def _list(value) -> list:
+    """A list field; a string, object or number in its place raises."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return value
+
+
 def _read(path) -> bytes:
     """The contents of an input file; a missing or unreadable file is an InputError."""
     path = Path(path)
@@ -104,8 +121,8 @@ def load_intrinsics(path) -> CameraIntrinsics:
             fy=float(data["fy"]),
             cx=float(data["cx"]),
             cy=float(data["cy"]),
-            width=int(data["width"]),
-            height=int(data["height"]),
+            width=_int(data["width"]),
+            height=_int(data["height"]),
         )
 
 
@@ -151,11 +168,11 @@ def load_map(path) -> tuple[list[PriorObjectNode], list[list[int]], dict]:
     nodes = []
     with _malformed(f"{path}: bad map file"):
         for lm in data["landmarks"]:
-            counts = {str(k): int(v) for k, v in lm["label_counts"].items()}
-            freqs = LabelFrequencyTable.from_counts(counts, int(lm["total_detections"]))
+            counts = {str(k): _int(v) for k, v in lm["label_counts"].items()}
+            freqs = LabelFrequencyTable.from_counts(counts, _int(lm["total_detections"]))
             nodes.append(
                 PriorObjectNode(
-                    id=int(lm["id"]),
+                    id=_int(lm["id"]),
                     position=np.asarray(lm["position"], dtype=float),
                     rotation=quat_normalize(np.asarray(lm["rotation"], dtype=float)),
                     scale=np.asarray(lm["scale"], dtype=float),
@@ -163,7 +180,7 @@ def load_map(path) -> tuple[list[PriorObjectNode], list[list[int]], dict]:
                 )
             )
         keyframes = [
-            [int(v) for v in kf["landmark_ids"]] for kf in data.get("keyframes", [])
+            [_int(v) for v in _list(kf["landmark_ids"])] for kf in data.get("keyframes", [])
         ]
         unknown = set().union(*keyframes) - _unique_ids([node.id for node in nodes])
         if unknown:
@@ -211,7 +228,7 @@ def load_detection_log(path) -> list[FrameRecord]:
         for lineno, row in _iter_jsonl(path):
             dets = []
             for rec in row.get("detections", []):
-                bbox = BoundingBox(*[float(v) for v in rec["bbox"]])
+                bbox = BoundingBox(*[float(v) for v in _list(rec["bbox"])])
                 labels = [(str(e["label"]), float(e["score"])) for e in rec["labels"]]
                 pos = rec.get("position")
                 position = None if pos is None else np.asarray(pos, dtype=float).reshape(3)
@@ -220,7 +237,7 @@ def load_detection_log(path) -> list[FrameRecord]:
                 raise TypeError("depth_file must be a file name")
             frames.append(
                 FrameRecord(
-                    frame_id=int(row["frame_id"]),
+                    frame_id=_int(row["frame_id"]),
                     timestamp=float(row["timestamp"]),
                     detections=dets,
                     depth_file=row.get("depth_file"),
@@ -262,7 +279,7 @@ def load_associations(path) -> dict[int, dict[int, int]]:
     out: dict[int, dict[int, int]] = {}
     with _malformed(lambda: f"{path}:{lineno}: bad association record"):
         for lineno, row in _iter_jsonl(path):
-            out.setdefault(int(row["frame_id"]), {})[int(row["detection_index"])] = int(
+            out.setdefault(_int(row["frame_id"]), {})[_int(row["detection_index"])] = _int(
                 row["landmark_id"]
             )
     return out
@@ -349,7 +366,7 @@ def load_results(path) -> list[FrameResult]:
         for lineno, row in _iter_jsonl(path):
             pose = None
             if row.get("pose") is not None:
-                pose = _pose_from_tum_row([float(v) for v in row["pose"]])
+                pose = _pose_from_tum_row([float(v) for v in _list(row["pose"])])
             timestamp, was = float(row["timestamp"]), float(row.get("was", 0.0))
             entropy = row.get("mean_entropy")
             if entropy is not None:
@@ -360,12 +377,14 @@ def load_results(path) -> list[FrameResult]:
                 raise ValueError("non-finite timestamp, was or mean_entropy")
             out.append(
                 FrameResult(
-                    frame_id=int(row["frame_id"]),
+                    frame_id=_int(row["frame_id"]),
                     timestamp=timestamp,
                     status=LocalizationStatus(row["status"]).value,
                     pose=pose,
                     was=was,
-                    correspondences=[(int(p), int(q)) for p, q in row.get("correspondences", [])],
+                    correspondences=[
+                        (_int(p), _int(q)) for p, q in _list(row.get("correspondences", []))
+                    ],
                     mean_entropy=entropy,
                 )
             )
@@ -407,7 +426,7 @@ def load_scene_landmarks(path) -> list[dict]:
         for lm in data["landmarks"]:
             out.append(
                 {
-                    "id": int(lm["id"]),
+                    "id": _int(lm["id"]),
                     "position": np.asarray(lm["position"], dtype=float),
                     "rotation": quat_normalize(np.asarray(lm["rotation"], dtype=float)),
                     "scale": np.asarray(lm["scale"], dtype=float),
@@ -482,10 +501,12 @@ def resolve_values(
 
 
 def resolve_matcher_config(
-    file_values: Mapping[str, object] | None, cli_values: Mapping[str, object] | None
+    file_values: Mapping[str, object] | None,
+    cli_values: Mapping[str, object] | None,
+    source: str = "flags",
 ) -> MatcherConfig:
-    """The matcher configuration from `resolve_values`; bad values raise InputError."""
-    with _malformed("bad configuration"):
+    """The matcher configuration from `resolve_values`; bad values raise InputError naming `source`."""
+    with _malformed(f"bad configuration ({source})"):
         return MatcherConfig(**resolve_values(MATCHER_DEFAULTS, file_values, cli_values))
 
 

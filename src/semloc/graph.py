@@ -140,6 +140,9 @@ class PriorObjectNode:
         # Python floats square to inf where the quadric builder would overflow
         if not all(math.isfinite(s * s) for s in self.scale.tolist()):
             raise ValueError("scale squared must be finite")
+        # 4 |p|^2 bounds the squared distance to any other such landmark, as in build_query_graph
+        if not math.isfinite(4.0 * sum(v * v for v in self.position.tolist())):
+            raise ValueError("position so far out that distances to it overflow")
         if abs(np.linalg.norm(self.rotation) - 1.0) > 1e-9:
             raise ValueError("non-unit rotation quaternion")
 

@@ -19,10 +19,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class FrameCounts:
+    """One frame's counts; `n_gt` is its ground-truth detections, `ids` its identity switches."""
+
     frame_id: int
     tp: int = 0
     fp: int = 0
     fn: int = 0
+    n_gt: int = 0
+    ids: int = 0
 
 
 @dataclass
@@ -49,6 +53,14 @@ class AssociationCounts:
         return sum(f.fn for f in self.per_frame)
 
     @property
+    def n_gt(self) -> int:
+        return sum(f.n_gt for f in self.per_frame)
+
+    @property
+    def ids(self) -> int:
+        return sum(f.ids for f in self.per_frame)
+
+    @property
     def precision(self) -> float:
         denom = self.tp + self.fp
         return self.tp / denom if denom else 0.0
@@ -68,94 +80,46 @@ def evaluate_associations(
     predicted: Mapping[int, Sequence[tuple[int, int]] | None],
     gt_associations: Mapping[int, Mapping[int, int]],
 ) -> AssociationCounts:
-    """Score predicted (prior_id, detection_index) pairs per frame.
+    """Score predicted (prior_id, detection_index) pairs per frame, in frame order.
 
     A prediction is correct when its prior id equals the detection's true
-    landmark id. Frames missing ground truth are skipped with a warning.
+    landmark id. An identity switch is charged at frame t when a ground-truth
+    landmark that was assigned prior A at its previous matched frame is
+    assigned prior B != A at t; missed frames in between do not reset the
+    track. Frames missing ground truth are skipped with a warning.
     """
     counts = AssociationCounts()
+    last_assigned: dict[int, int] = {}
     for frame_id in sorted(predicted):
         if frame_id not in gt_associations:
             logger.warning("frame %s missing ground-truth associations, skipped", frame_id)
             continue
         gt = gt_associations[frame_id]
-        fc = FrameCounts(frame_id)
+        fc = FrameCounts(frame_id, n_gt=len(gt))
         matched: set[int] = set()
+        assigned: dict[int, int] = {}
         for prior_id, det_idx in predicted[frame_id] or []:
-            if det_idx in gt and gt[det_idx] == prior_id:
-                fc.tp += 1
-                matched.add(det_idx)
-            else:
-                fc.fp += 1
+            if det_idx in gt:
+                assigned[gt[det_idx]] = prior_id
+                if gt[det_idx] == prior_id:
+                    fc.tp += 1
+                    matched.add(det_idx)
+                    continue
+            fc.fp += 1
         fc.fn = sum(1 for det_idx in gt if det_idx not in matched)
+        fc.ids = sum(
+            last_assigned.get(lm_id, prior_id) != prior_id for lm_id, prior_id in assigned.items()
+        )
+        last_assigned.update(assigned)
         counts.per_frame.append(fc)
     return counts
 
 
-@dataclass
-class MotaFrame:
-    frame_id: int
-    n_gt: int
-    fn: int
-    fp: int
-    ids: int
-
-
-@dataclass
-class MotaCounts:
-    per_frame: list[MotaFrame] = field(default_factory=list)
-
-    @property
-    def n_gt(self) -> int:
-        return sum(f.n_gt for f in self.per_frame)
-
-    @property
-    def fn(self) -> int:
-        return sum(f.fn for f in self.per_frame)
-
-    @property
-    def fp(self) -> int:
-        return sum(f.fp for f in self.per_frame)
-
-    @property
-    def ids(self) -> int:
-        return sum(f.ids for f in self.per_frame)
-
-
-def mota(counts: MotaCounts) -> float:
+def mota(counts: AssociationCounts) -> float:
     """1 - (FN + FP + IDS) / GT; undefined (and raising) for zero GT."""
     if counts.n_gt == 0:
         raise ValueError("MOTA undefined with zero ground-truth detections")
     return 1.0 - (counts.fn + counts.fp + counts.ids) / counts.n_gt
-
-
-def mota_counts(
-    predicted: Mapping[int, Sequence[tuple[int, int]] | None],
-    gt_associations: Mapping[int, Mapping[int, int]],
-) -> MotaCounts:
-    """Tracking counts from predicted correspondences.
-
-    FN and FP are `evaluate_associations`' per-frame counts. An identity
-    switch is charged at frame t when a ground-truth landmark that was
-    assigned prior A at its previous matched frame is assigned prior B != A
-    at t; missed frames in between do not reset the track.
-    """
-    out = MotaCounts()
-    last_assigned: dict[int, int] = {}
-    for fc in evaluate_associations(predicted, gt_associations).per_frame:
-        gt = gt_associations[fc.frame_id]
-        assigned: dict[int, int] = {}
-        for prior_id, det_idx in predicted[fc.frame_id] or []:
-            if det_idx in gt:
-                assigned[gt[det_idx]] = prior_id
-        ids = 0
-        for lm_id, prior_id in assigned.items():
-            prev = last_assigned.get(lm_id)
-            if prev is not None and prev != prior_id:
-                ids += 1
-            last_assigned[lm_id] = prior_id
-        out.per_frame.append(MotaFrame(fc.frame_id, len(gt), fc.fn, fc.fp, ids))
-    return out
 
 
 def rematch_predictions(

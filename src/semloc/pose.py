@@ -69,7 +69,8 @@ class MatcherConfig:
 
     def __post_init__(self):
         for name in ("K", "tau", "n_iter", "k_edge", "rng_seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.K <= 0 or self.tau <= 0 or self.k_edge <= 0:
             raise ValueError("K, tau, k_edge must be positive")

@@ -35,7 +35,6 @@ PUBLIC = [
     "is_valid_sample",
     "look_at_pose",
     "mota",
-    "mota_counts",
     "normalize_confidences",
     "p3p_solve",
     "pixel_to_bearing",

@@ -370,6 +370,12 @@ class TestLocalize:
         assert (dataset / "run_no_exit" / "results.jsonl").read_bytes() == a
 
 
+def _evaluate(dataset, results, output):
+    sim = dataset / "sim"
+    return main(["evaluate", "--results", str(results), "--gt-trajectory", str(sim / "gt_trajectory.txt"),
+                 "--gt-associations", str(sim / "gt_associations.jsonl"), "--output", str(output)])
+
+
 class TestEvaluate:
     def test_single_run_report(self, dataset, capsys):
         sim = dataset / "sim"
@@ -436,6 +442,45 @@ class TestEvaluate:
     def test_missing_results_is_input_error(self, tmp_path):
         assert main(["evaluate", "--results", str(tmp_path / "nothing")]) == 1
 
+    def test_results_file_and_run_dir_give_the_same_report(self, dataset, tmp_path):
+        assert _localize(dataset, "run_eval") == 0
+        assert _evaluate(dataset, dataset / "run_eval" / "results.jsonl", tmp_path / "file") == 0
+        assert _evaluate(dataset, dataset / "run_eval", tmp_path / "dir") == 0
+        for out in ("report.json", "per_frame.csv"):
+            assert (tmp_path / "file" / out).read_bytes() == (tmp_path / "dir" / out).read_bytes()
+        assert "runs" not in json.loads((tmp_path / "dir" / "report.json").read_text())
+
+    def test_each_sweep_run_reports_as_if_alone(self, dataset, tmp_path):
+        assert _localize(dataset, "sweep_eval", "--sweep", "K=1,3") == 0
+        sweep = dataset / "sweep_eval"
+        assert _evaluate(dataset, sweep, tmp_path / "all") == 0
+        combined = json.loads((tmp_path / "all" / "report.json").read_text())
+        assert set(combined["runs"]) == {"K=1", "K=3"}
+        for name in combined["runs"]:
+            assert _evaluate(dataset, sweep / name, tmp_path / name) == 0
+            for out in ("report.json", "per_frame.csv"):
+                assert (tmp_path / name / out).read_bytes() == (tmp_path / "all" / name / out).read_bytes()
+            assert combined["runs"][name] == json.loads((tmp_path / name / "report.json").read_text())
+
+    def test_frame_without_ground_truth_warns_once_per_prediction_set(self, dataset, tmp_path, caplog):
+        sim = dataset / "sim"
+        rows = (sim / "gt_associations.jsonl").read_text().splitlines()
+        (tmp_path / "gt.jsonl").write_text("".join(r + "\n" for r in rows if json.loads(r)["frame_id"] != 2))
+        assert _localize(dataset, "run_gt_gap") == 0
+        argv = ["evaluate", "--results", str(dataset / "run_gt_gap"), "--gt-trajectory", str(sim / "gt_trajectory.txt"),
+                "--gt-associations", str(tmp_path / "gt.jsonl"), "--output", str(tmp_path / "eval")]
+        rematch = ["--map", str(dataset / "map.json"), "--intrinsics", str(sim / "intrinsics.json"),
+                   "--detections", str(sim / "query.jsonl")]
+        for extra, want in (([], 1), (rematch, 2)):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="semloc.metrics"):
+                assert main(argv + extra) == 0
+            assert caplog.text.count("frame 2 missing ground-truth associations") == want
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert report["mota_direct"] == report["mota_rematch"] == 1.0
+        per_frame = (tmp_path / "eval" / "per_frame.csv").read_text().splitlines()
+        assert per_frame[3].endswith(",,,")  # frame 2 has no counts
+
 
 class TestParser:
     def test_help_exits_zero(self, capsys):
@@ -483,6 +528,10 @@ def _npy(array) -> bytes:
 
 NOT_UTF8 = b"\xff\xfe\x00garbage\n"
 HUGE = 10**400  # json.dumps writes all its digits; float() of it overflows
+
+
+RESULT_ROW = {"frame_id": 0, "timestamp": 1000.0, "status": "success", "pose": [0, 0, 0, 0, 0, 0, 1],
+              "was": 0.9, "correspondences": [[0, 0]], "mean_entropy": 0.0}
 
 
 def _first_label(m):
@@ -533,6 +582,45 @@ BAD_INPUTS = [
      lambda d: _doc(d / "sim" / "intrinsics.json", lambda i: _set(i, ("fx",), HUGE)),
      "intrinsics.json: bad intrinsics"),
     ("intrinsics-directory", "intrinsics.json", None, "intrinsics.json: unreadable"),
+    # ids, counts and sizes must be integers, and list fields lists: none of these is cast
+    ("associations-landmark-fraction", "gt_associations.jsonl",
+     lambda d: _row(d / "sim" / "gt_associations.jsonl", 2, lambda r: _set(r, ("landmark_id",), 2.7)),
+     "gt_associations.jsonl:2: bad association record: 2.7 is not an integer"),
+    ("associations-frame-string", "gt_associations.jsonl",
+     lambda d: _row(d / "sim" / "gt_associations.jsonl", 2, lambda r: _set(r, ("frame_id",), "3")),
+     "gt_associations.jsonl:2: bad association record: '3' is not an integer"),
+    ("associations-detection-index-bool", "gt_associations.jsonl",
+     lambda d: _row(d / "sim" / "gt_associations.jsonl", 2, lambda r: _set(r, ("detection_index",), True)),
+     "gt_associations.jsonl:2: bad association record: True is not an integer"),
+    ("detections-frame-fraction", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("frame_id",), 1.9)),
+     "query.jsonl:2: bad detection record: 1.9 is not an integer"),
+    ("detections-bbox-string", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("detections", 0, "bbox"), "1234")),
+     "query.jsonl:2: bad detection record: '1234' is not a list"),
+    ("intrinsics-width-fraction", "intrinsics.json",
+     lambda d: _doc(d / "sim" / "intrinsics.json", lambda i: _set(i, ("width",), 640.9)),
+     "intrinsics.json: bad intrinsics: 640.9 is not an integer"),
+    ("intrinsics-height-bool", "intrinsics.json",
+     lambda d: _doc(d / "sim" / "intrinsics.json", lambda i: _set(i, ("height",), True)),
+     "intrinsics.json: bad intrinsics: True is not an integer"),
+    ("results-pose-string", "results.jsonl", lambda d: _raw(dict(RESULT_ROW, pose="0001001")) + b"\n",
+     "results.jsonl:1: bad result record: '0001001' is not a list"),
+    ("results-correspondence-strings", "results.jsonl",
+     lambda d: _raw(dict(RESULT_ROW, correspondences=["12", "34"])) + b"\n",
+     "results.jsonl:1: bad result record: '1' is not an integer"),
+    ("map-keyframe-ids-string", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("keyframes", 0, "landmark_ids"), "012")),
+     "map.json: bad map file: '012' is not a list"),
+    ("simulate-config-n-frames-fraction", "sim.cfg", lambda d: b"n_frames=2.5\n", "sim.cfg): 2.5 is not an integer"),
+    ("config-k-true", "loc.cfg", lambda d: b"K=true\n", "loc.cfg): K must be an integer"),
+    # a landmark so far out that distances to it overflow
+    ("map-far-position", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("landmarks", 0, "position"), [1e200, 0.0, 1.0])),
+     "map.json: bad map file: position so far out that distances to it overflow"),
+    ("scene-far-position", "scene.json",
+     lambda d: _doc(d / "sim" / "scene.json", lambda s: _set(s, ("landmarks", 1, "position"), [1e200, 0.0, 1.0])),
+     "landmark 1: position so far out that distances to it overflow"),
 ]
 
 # (id, depth_file named by row 2 of the detection log, contents of d.npy, what stderr must name)
@@ -600,3 +688,13 @@ class TestMalformedInputs:
         argv = _argv_for(dataset, tmp_path, "query.jsonl", query)
         argv[argv.index("--threads") + 1] = threads
         _assert_input_error(capsys, argv, fragment)
+
+    def test_far_scene_landmark_exits_one_when_localize_builds_the_map(self, dataset, tmp_path, capsys):
+        sim = dataset / "sim"
+        scene = tmp_path / "scene.json"
+        scene.write_bytes(_doc(sim / "scene.json", lambda s: _set(s, ("landmarks", 1, "position"), [1e200, 0.0, 1.0])))
+        argv = ["localize", "--detections", str(sim / "query.jsonl"), "--intrinsics", str(sim / "intrinsics.json"),
+                "--scene", str(scene), "--keyframes", str(sim / "keyframes.jsonl"),
+                "--keyframe-associations", str(sim / "keyframe_associations.jsonl"),
+                "--output", str(tmp_path / "run"), "--threads", "1"]
+        _assert_input_error(capsys, argv, "landmark 1: position so far out that distances to it overflow")

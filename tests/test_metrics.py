@@ -8,13 +8,12 @@ from semloc import (
     Pose,
     evaluate_associations,
     mota,
-    mota_counts,
     shannon_entropy,
     success_rate,
     translation_error,
 )
 from semloc.geometry import project_quadric_to_bbox
-from semloc.metrics import MotaCounts, MotaFrame, mean_translation_error, rematch_predictions
+from semloc.metrics import AssociationCounts, FrameCounts, mean_translation_error, rematch_predictions
 
 from conftest import graph, make_conf, prior_node, quadric_of
 
@@ -52,12 +51,12 @@ class TestEvaluateAssociations:
 
 class TestMota:
     def test_formula(self):
-        counts = MotaCounts(per_frame=[MotaFrame(0, 100, 5, 3, 2)])
+        counts = AssociationCounts(per_frame=[FrameCounts(0, fp=3, fn=5, n_gt=100, ids=2)])
         assert mota(counts) == pytest.approx(0.9)
 
     def test_zero_gt_raises(self):
         with pytest.raises(ValueError):
-            mota(MotaCounts())
+            mota(AssociationCounts())
 
     def test_counts_with_switch_and_gap(self):
         gt = {0: {0: 10, 1: 11}, 1: {0: 10, 1: 11}, 2: {0: 10}, 3: {0: 10}}
@@ -67,15 +66,21 @@ class TestMota:
             2: [],  # miss, but the track is not reset
             3: [(10, 0)],  # switches back: second IDS
         }
-        counts = mota_counts(pred, gt)
+        counts = evaluate_associations(pred, gt)
         assert counts.n_gt == 6
         assert counts.fn == 2
         assert counts.fp == 1
         assert counts.ids == 2
         assert mota(counts) == pytest.approx(1.0 - 5.0 / 6.0)
 
+    def test_switches_are_charged_per_frame_in_frame_order(self):
+        gt = {0: {0: 10}, 1: {0: 10}, 3: {0: 10}}
+        pred = {3: [(10, 0)], 0: [(10, 0)], 1: [(12, 0)]}
+        counts = evaluate_associations(pred, gt)
+        assert [(f.frame_id, f.n_gt, f.ids) for f in counts.per_frame] == [(0, 1, 0), (1, 1, 1), (3, 1, 1)]
+
     def test_spurious_detection_is_fp_only(self):
-        counts = mota_counts({0: [(10, 0), (13, 5)]}, {0: {0: 10}})
+        counts = evaluate_associations({0: [(10, 0), (13, 5)]}, {0: {0: 10}})
         assert (counts.fn, counts.fp, counts.ids) == (0, 1, 0)
 
 

@@ -172,6 +172,11 @@ class TestMatcherConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             MatcherConfig(**{name: 2.5})
 
+    @pytest.mark.parametrize("name", ["K", "tau", "n_iter", "k_edge", "rng_seed"])
+    def test_rejects_boolean_counts(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            MatcherConfig(**{name: True})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, True, "abc", None])
     def test_c_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError, match="C must be a finite positive number"):
