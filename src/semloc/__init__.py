@@ -10,7 +10,6 @@ from .geometry import (
     BoundingBox,
     CameraIntrinsics,
     Pose,
-    absolute_orientation,
     p3p_solve,
     pixel_to_bearing,
     project_quadric_to_bbox,
@@ -84,7 +83,6 @@ __all__ = [
     "SceneSpec",
     "SemanticGraph",
     "SimilarityTable",
-    "absolute_orientation",
     "accumulate_label_frequencies",
     "build_knn_edges",
     "build_query_graph",

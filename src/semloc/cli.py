@@ -417,13 +417,16 @@ def _cmd_localize(args) -> int:
 
     sweep = _parse_sweep(args.sweep or [])
     names = sorted(sweep)
-    # without a sweep, the one empty combination is one run straight into out_dir
+    # without a sweep, the one empty combination is one run straight into out_dir;
+    # every combination is resolved before the first run, so a bad one fails fast
+    runs = []
     for combo in itertools.product(*(sweep[name] for name in names)):
         overrides = dict(zip(names, combo))
         # a swept value, `none` included, replaces the file value and the flag
         flags = {k: v for k, v in cli_values.items() if k not in overrides}
         config = dataio.resolve_matcher_config({**file_values, **overrides}, flags, source)
-        run_dir = out_dir / "_".join(f"{name}={overrides[name]}" for name in names)
+        runs.append((out_dir / "_".join(f"{name}={overrides[name]}" for name in names), config))
+    for run_dir, config in runs:
         run_dir.mkdir(parents=True, exist_ok=True)
         prior_graph = _prior_graph_for_config(args, config)
         results = _run_localization(frames, prior_graph, intrinsics, config, threads, depth_dir)

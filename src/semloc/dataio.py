@@ -60,6 +60,20 @@ def _int(value) -> int:
     return out
 
 
+def _float(value) -> float:
+    """A coordinate, score, time or length: an integer or a float; booleans and strings raise."""
+    if isinstance(value, float) or type(value) is int:  # bool is an int subclass
+        return float(value)
+    raise TypeError(f"{value!r} is not a number")
+
+
+def _label(value) -> str:
+    """A class label: a string; numbers and other values raise."""
+    if not isinstance(value, str):
+        raise TypeError(f"label {value!r} is not a string")
+    return value
+
+
 def _list(value) -> list:
     """A list field; a string, object or number in its place raises."""
     if not isinstance(value, list):
@@ -117,10 +131,10 @@ def load_intrinsics(path) -> CameraIntrinsics:
     data = _load_json(path)
     with _malformed(f"{path}: bad intrinsics"):
         return CameraIntrinsics(
-            fx=float(data["fx"]),
-            fy=float(data["fy"]),
-            cx=float(data["cx"]),
-            cy=float(data["cy"]),
+            fx=_float(data["fx"]),
+            fy=_float(data["fy"]),
+            cx=_float(data["cx"]),
+            cy=_float(data["cy"]),
             width=_int(data["width"]),
             height=_int(data["height"]),
         )
@@ -173,9 +187,9 @@ def load_map(path) -> tuple[list[PriorObjectNode], list[list[int]], dict]:
             nodes.append(
                 PriorObjectNode(
                     id=_int(lm["id"]),
-                    position=np.asarray(lm["position"], dtype=float),
-                    rotation=quat_normalize(np.asarray(lm["rotation"], dtype=float)),
-                    scale=np.asarray(lm["scale"], dtype=float),
+                    position=np.array([_float(v) for v in _list(lm["position"])]),
+                    rotation=quat_normalize([_float(v) for v in _list(lm["rotation"])]),
+                    scale=np.array([_float(v) for v in _list(lm["scale"])]),
                     frequencies=freqs,
                 )
             )
@@ -228,17 +242,17 @@ def load_detection_log(path) -> list[FrameRecord]:
         for lineno, row in _iter_jsonl(path):
             dets = []
             for rec in row.get("detections", []):
-                bbox = BoundingBox(*[float(v) for v in _list(rec["bbox"])])
-                labels = [(str(e["label"]), float(e["score"])) for e in rec["labels"]]
+                bbox = BoundingBox(*[_float(v) for v in _list(rec["bbox"])])
+                labels = [(_label(e["label"]), _float(e["score"])) for e in _list(rec["labels"])]
                 pos = rec.get("position")
-                position = None if pos is None else np.asarray(pos, dtype=float).reshape(3)
+                position = None if pos is None else np.array([_float(v) for v in _list(pos)]).reshape(3)
                 dets.append(DetectionRecord(bbox, labels, position))
             if not isinstance(row.get("depth_file"), (str, type(None))):
                 raise TypeError("depth_file must be a file name")
             frames.append(
                 FrameRecord(
                     frame_id=_int(row["frame_id"]),
-                    timestamp=float(row["timestamp"]),
+                    timestamp=_float(row["timestamp"]),
                     detections=dets,
                     depth_file=row.get("depth_file"),
                 )
@@ -366,13 +380,11 @@ def load_results(path) -> list[FrameResult]:
         for lineno, row in _iter_jsonl(path):
             pose = None
             if row.get("pose") is not None:
-                pose = _pose_from_tum_row([float(v) for v in _list(row["pose"])])
-            timestamp, was = float(row["timestamp"]), float(row.get("was", 0.0))
+                pose = _pose_from_tum_row([_float(v) for v in _list(row["pose"])])
+            timestamp, was = _float(row["timestamp"]), _float(row.get("was", 0.0))
             entropy = row.get("mean_entropy")
             if entropy is not None:
-                if isinstance(entropy, bool) or not isinstance(entropy, (int, float)):
-                    raise ValueError(f"mean_entropy {entropy!r} is not a number")
-                entropy = float(entropy)
+                entropy = _float(entropy)
             if not all(map(math.isfinite, (timestamp, was, entropy or 0.0))):
                 raise ValueError("non-finite timestamp, was or mean_entropy")
             out.append(
@@ -427,10 +439,10 @@ def load_scene_landmarks(path) -> list[dict]:
             out.append(
                 {
                     "id": _int(lm["id"]),
-                    "position": np.asarray(lm["position"], dtype=float),
-                    "rotation": quat_normalize(np.asarray(lm["rotation"], dtype=float)),
-                    "scale": np.asarray(lm["scale"], dtype=float),
-                    "label": str(lm["label"]),
+                    "position": np.array([_float(v) for v in _list(lm["position"])]),
+                    "rotation": quat_normalize([_float(v) for v in _list(lm["rotation"])]),
+                    "scale": np.array([_float(v) for v in _list(lm["scale"])]),
+                    "label": _label(lm["label"]),
                 }
             )
             if not all(np.isfinite(out[-1][k]).all() for k in ("position", "rotation", "scale")):

@@ -1,9 +1,10 @@
 """Projective geometry kernel.
 
 Dual-quadric landmarks, their projection to image-plane bounding boxes,
-pixel bearings, and a minimal three-point pose solver. Everything is metric
-(meters) on the world side and pixels on the image side. Camera poses map
-world points into the camera frame (x right, y down, z forward).
+pixel bearings, and a minimal three-point pose solver (Lambda Twist, stacked
+over many samples, poses as quaternion and translation arrays). Everything
+is metric (meters) on the world side and pixels on the image side. Camera
+poses map world points into the camera frame (x right, y down, z forward).
 """
 
 from __future__ import annotations
@@ -268,9 +269,11 @@ def quadric_from_params(position, rotation, scale) -> np.ndarray:
 
 
 def _project_quadrics(
-    quads: np.ndarray, poses: list[Pose], intrinsics: CameraIntrinsics
+    quads: np.ndarray, rotation: np.ndarray, translation: np.ndarray, intrinsics: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
     """Image boxes of dual quadrics (u, 4, 4) under n poses, unclamped.
+
+    The poses are unit quaternions (n, 4) and translations (n, 3).
 
     Returns the extents (n, u, 4) as (x_min, y_min, x_max, y_max) and the
     visibility (n, u): the center q[:3, 3] / q[3, 3] lies in front of the
@@ -279,8 +282,8 @@ def _project_quadrics(
     tangent-line extents are read off. Extents where a quadric is not
     visible are meaningless.
     """
-    rot = quat_to_rotmat(np.stack([p.rotation for p in poses]))
-    trans = np.stack([p.translation for p in poses])
+    rot = quat_to_rotmat(rotation)
+    trans = np.asarray(translation, dtype=float)
     proj = (intrinsics.matrix()[None] @ np.concatenate([rot, trans[:, :, None]], axis=2))[:, None]
     conic = proj @ quads[None] @ proj.swapaxes(-1, -2)  # (n, u, 3, 3)
     conic = 0.5 * (conic + conic.swapaxes(-1, -2))
@@ -310,7 +313,9 @@ def project_quadric_to_bbox(
 ) -> BoundingBox | None:
     """Image box of one dual quadric (4, 4), unclamped; None when it is not
     visible or its extents are not finite."""
-    ext, ok = _project_quadrics(np.reshape(quadric, (1, 4, 4)), [pose], intrinsics)
+    ext, ok = _project_quadrics(
+        np.reshape(quadric, (1, 4, 4)), pose.rotation[None], pose.translation[None], intrinsics
+    )
     if not (ok[0, 0] and np.isfinite(ext[0, 0]).all()):
         return None
     return BoundingBox(*ext[0, 0].tolist())
@@ -323,328 +328,294 @@ def pixel_to_bearing(pixel, intrinsics: CameraIntrinsics) -> np.ndarray:
     return ray / np.linalg.norm(ray)
 
 
-def bearing_angle(u, v):
-    """Angle in radians between direction vectors (..., 3), stable near zero.
-
-    A float for two vectors, an array for stacks.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    cx = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
-    cy = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
-    cz = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    s = np.sqrt(cx * cx + cy * cy + cz * cz)
-    # libm's atan2: numpy's vectorized arctan2 can differ in the last bit,
-    # and these angles order the P3P solutions
-    angles = list(map(math.atan2, np.ravel(s).tolist(), np.ravel(_dot(u, v)).tolist()))
-    return angles[0] if s.ndim == 0 else np.reshape(angles, s.shape)
-
-
-def absolute_orientation(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares rigid transform with dst ~= R src + t (Kabsch).
-
-    src and dst are (n, 3) point sets, or stacks (..., n, 3) that get one
-    transform each.
-    """
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    # np.mean's arithmetic (sum, then divide by the count) without its overhead
-    cs = np.add.reduce(src, axis=-2) / src.shape[-2]
-    cd = np.add.reduce(dst, axis=-2) / dst.shape[-2]
-    h = (src - cs[..., None, :]).swapaxes(-1, -2) @ (dst - cd[..., None, :])
-    u, _, vt = np.linalg.svd(h)
-    ut = u.swapaxes(-1, -2)
-    v = vt.swapaxes(-1, -2)
-    d = np.sign(np.linalg.det(v @ ut))
-    flip = np.zeros(d.shape + (3, 3))
-    flip[..., 0, 0] = 1.0
-    flip[..., 1, 1] = 1.0
-    flip[..., 2, 2] = np.where(d == 0.0, 1.0, d)
-    r = v @ flip @ ut
-    return r, cd - (r @ cs[..., None])[..., 0]
-
-
 # ---------------------------------------------------------------------------
 # three-point pose
 
-_P3P_IMAG_TOL = 1e-9
 _P3P_REPROJ_TOL = 1e-6  # rad, largest bearing-to-reprojection angle of a kept pose
+_P3P_STEPS = 2  # most Gauss-Newton steps on one depth triple
+
+# point pairs (0, 1), (0, 2), (1, 2)
+_FIRST, _SECOND = np.array([0, 0, 1]), np.array([1, 2, 2])
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+_ROWS = np.arange(3)
+# entries (00, 01, 02, 11, 12, 22) of a symmetric 3x3 matrix, as its full index
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def _max1(x: np.ndarray) -> np.ndarray:
-    """max(1.0, x) per element, as Python's max picks it (1.0 unless x > 1)."""
-    return np.where(x > 1.0, x, 1.0)
+@dataclass(frozen=True, eq=False)
+class P3PSolutions:
+    """The poses of a p3p_solve call, as arrays.
 
-
-def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # lowest-order-first Horner; coeffs (..., m) broadcast against x
-    acc = 0.0
-    for k in range(coeffs.shape[-1] - 1, -1, -1):
-        acc = acc * x + coeffs[..., k]
-    return acc
-
-
-def _convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """np.convolve of each row of a with the same row of v, to the bit.
-
-    Only for a shorter input of at most 3 entries: np.convolve then sums
-    the partial overlaps at both ends with BLAS dots and the full overlaps
-    with a plain multiply-add loop, and the two round differently, so both
-    are kept. For a longer kernel numpy takes a BLAS dot for every output,
-    which this loop does not reproduce.
+    Per pose: `sample`, the index of the sample it solves (0 for a single
+    sample); `rotation`, its unit quaternion (w, x, y, z); `translation`.
+    Poses are grouped by sample in sample order, the smallest reprojection
+    error first within a sample. len() is the number of poses.
     """
-    if v.shape[-1] > a.shape[-1]:
-        a, v = v, a
-    assert v.shape[-1] <= 3, "np.convolve rounds longer kernels differently"
-    vr = v[..., ::-1]
-    la, lv = a.shape[-1], v.shape[-1]
-    out = [_dot(a[..., :k], vr[..., lv - k :]) for k in range(1, lv)]
-    for i in range(la - lv + 1):
-        acc = 0.0
-        for j in range(lv):
-            acc = acc + a[..., i + j] * vr[..., j]
-        out.append(acc)
-    out += [_dot(a[..., la - k :], vr[..., :k]) for k in range(lv - 1, 0, -1)]
-    return np.stack(out, axis=-1)
+
+    sample: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sample)
+
+    def pose(self, k: int) -> Pose:
+        return Pose(self.rotation[k], self.translation[k])
 
 
-def _quartic_roots(quartic: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the selected rows' polynomials (lowest order first), as polyroots gives them.
-
-    Returns (n, 4) complex roots and a mask of the roots present. Quartics
-    share one stacked eigvals call on their companion matrices; a row with
-    a zero leading coefficient drops to lower degree and, like a stack
-    that fails to converge, is rooted alone. A row polyroots rejects
-    (non-finite entries) has no roots.
-    """
-    n = len(quartic)
-    roots = np.zeros((n, 4), dtype=complex)
-    have = np.zeros((n, 4), dtype=bool)
-    lead = quartic[:, 4] != 0.0
-    comp = np.zeros((n, 4, 4))
-    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    comp[:, :, 3] -= quartic[:, :4] / quartic[:, 4:]
-    stacked = rows & lead & np.isfinite(comp).all(axis=(1, 2))
-    alone = list(np.flatnonzero(rows & ~lead))
-    if stacked.any():
-        try:
-            found = np.linalg.eigvals(comp[stacked])
-            found.sort(axis=-1)
-            roots[stacked] = found
-            have[stacked] = True
-        except np.linalg.LinAlgError:
-            alone = sorted(alone + list(np.flatnonzero(stacked)))
-    for i in alone:
-        try:
-            found = np.polynomial.polynomial.polyroots(quartic[i])
-        except np.linalg.LinAlgError:
-            continue
-        roots[i, : len(found)] = found
-        have[i, : len(found)] = True
-    return roots, have
+def _cross(a, b) -> np.ndarray:
+    """Cross products over the last axis, one elementwise product per term."""
+    return a.take(_NEXT, -1) * b.take(_LAST, -1) - a.take(_LAST, -1) * b.take(_NEXT, -1)
 
 
-def _newton_polish(coeffs: np.ndarray, x: np.ndarray, iters: int = 3) -> np.ndarray:
-    # Clustered roots make the derivative vanish, so only accept steps that
-    # actually shrink the residual and never wander far from the seed.
-    deriv = coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
-    best = x
-    f = _polyval(coeffs, x)
-    best_f = np.abs(f)
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(iters):
-        fp = _polyval(deriv, x)
-        step = f / fp
-        active &= (fp != 0.0) & ~(np.abs(step) > 0.1 * _max1(np.abs(x)))
-        x = np.where(active, x - step, x)
-        f = _polyval(coeffs, x)
-        fx = np.abs(f)
-        active &= fx < best_f
-        best = np.where(active, x, best)
-        best_f = np.where(active, fx, best_f)
-        active &= ~(np.abs(step) < 1e-15 * _max1(np.abs(x)))
-        if not active.any():
-            break
-    return best
+def _sum3(x) -> np.ndarray:
+    """x[..., 0] + x[..., 1] + x[..., 2], added in that order for any stack."""
+    return x[..., 0] + x[..., 1] + x[..., 2]
 
 
-def _refine_uv(u: np.ndarray, v: np.ndarray, params: list[np.ndarray]):
-    """Re-converge (u, v) pairs, 1-D arrays, on the original ratio equations.
-
-    A clustered quartic can only pin v down to ~1e-8 in doubles and u
-    amplifies that error, so each pair takes up to 20 joint Newton steps,
-    stopping at a zero Jacobian or once both steps fall below 1e-15
-    relative. params holds (ca, cb, cg, big_a, big_b) per pair. The pairs
-    are stepped one by one on Python floats: most settle in two or three
-    steps, so a numpy call per operation would cost more than the loop.
-    """
-    out_u, out_v = [], []
-    rows = zip(u.tolist(), v.tolist(), *(x.tolist() for x in params))
-    for u, v, ca, cb, cg, big_a, big_b in rows:
-        for _ in range(20):
-            kb_v = 1.0 + v * v - 2.0 * v * cb
-            g1 = u * u + v * v - 2.0 * u * v * ca - big_a * kb_v
-            g2 = u * u - 2.0 * u * cg + 1.0 - big_b * kb_v
-            j11 = 2.0 * u - 2.0 * v * ca
-            j12 = 2.0 * v - 2.0 * u * ca - big_a * (2.0 * v - 2.0 * cb)
-            j21 = 2.0 * u - 2.0 * cg
-            j22 = -big_b * (2.0 * v - 2.0 * cb)
-            det = j11 * j22 - j12 * j21
-            if det == 0.0:
-                break
-            du = (g1 * j22 - g2 * j12) / det
-            dv = (g2 * j11 - g1 * j21) / det
-            u -= du
-            v -= dv
-            if abs(du) < 1e-15 * max(1.0, abs(u)) and abs(dv) < 1e-15 * max(1.0, abs(v)):
-                break
-        out_u.append(u)
-        out_v.append(v)
-    return np.array(out_u), np.array(out_v)
-
-
-def p3p_solve(world_points, bearings):
-    """Solve perspective-three-point for world-to-camera poses.
+def p3p_solve(world_points, bearings) -> P3PSolutions:
+    """Solve perspective-three-point for world-to-camera poses (Lambda Twist).
 
     Args:
         world_points: (3, 3) array, one 3D point per row, or a stack
             (n, 3, 3) of such samples.
-        bearings: unit rays in the camera frame, one per row, corresponding
-            to the world points; same shape as world_points.
+        bearings: rays in the camera frame, one per row, corresponding to
+            the world points; same shape as world_points.
 
     Returns:
-        For one sample, a list of up to four poses; for a stack, one such
-        list per sample. Collinear world points, complex depth roots, and
-        solutions placing a point behind the camera yield fewer (possibly
-        zero) poses. A pose is kept only when every bearing is within
-        _P3P_REPROJ_TOL radians of its reprojected point; poses are ordered
-        by that angle, and near-duplicates are dropped.
+        The poses of all samples as one P3PSolutions, up to four per sample.
+        Collinear world points, zero bearings, complex depths, and solutions
+        placing a point behind the camera yield fewer (possibly zero) poses.
+        A pose is kept only when every bearing is within _P3P_REPROJ_TOL
+        radians of its reprojected point; a sample's poses are ordered by
+        that angle, and near-duplicates are dropped.
 
-    The depth ratios follow from the triangle cosine constraints: with
-    u = s1/s0 and v = s2/s0 the two independent ratio equations reduce to a
-    quartic in v, assembled by polynomial convolution and rooted via the
-    companion matrix, with a Newton polish on every accepted real root.
-    A stack is solved in one pass, each sample to the bit as if alone.
-    Stacks are the fast path: the numpy calls of a pass cost about the same
-    for one sample as for dozens, so solve many samples per call where
-    possible. A single sample takes about twice as long as a plain scalar
-    solver (tests/oracles.py) would; a stack of 16 about a quarter as long
-    per sample.
+    Lambda Twist (Persson & Nordberg, ECCV 2018): the depths l satisfy
+    |l_i y_i - l_j y_j|^2 = |x_i - x_j|^2 for the three point pairs.
+    Eliminating the right-hand sides leaves two homogeneous quadrics D1, D2.
+    A real root g of the cubic det(D1 + g D2) makes D0 = D1 + g D2 singular;
+    its closed-form eigendecomposition, with the known zero eigenvalue,
+    splits l' D0 l = 0 into two planes through the origin. Each plane meets
+    a second quadric of the pencil in up to two depth directions, which are
+    scaled to the side lengths. Every depth triple then takes Gauss-Newton
+    steps on the three constraints, and R = Y X^-1 maps the world
+    triangle's edges and normal onto the camera's, with no SVD. Rotations
+    leave as quaternions, the form the alignment scoring reads.
+
+    A stack is solved in one numpy pass, each sample to the bit as if alone.
+    A pass costs about the same for one sample as for dozens, so solve many
+    samples per call where possible.
     """
-    pts = np.asarray(world_points, dtype=float)
-    single = pts.ndim < 3
-    pts = pts.reshape(-1, 3, 3)
+    pts = np.asarray(world_points, dtype=float).reshape(-1, 3, 3)
     f = np.asarray(bearings, dtype=float).reshape(-1, 3, 3)
-    with np.errstate(all="ignore"):  # rejected samples run along as NaN and inf
-        solutions = _p3p_stack(pts, f)
-    return solutions[0] if single else solutions
+    with np.errstate(all="ignore"):  # rejected samples and depths run along as NaN and inf
+        return _lambda_twist(pts, f)
 
 
-def _p3p_stack(pts: np.ndarray, f: np.ndarray) -> list[list[Pose]]:
-    """p3p_solve of (n, 3, 3) world points and bearings: one pose list per sample."""
+def _cubic_root(b, c, d) -> np.ndarray:
+    """A real root of x^3 + b x^2 + c x + d per element, the only one or the
+    largest of three, in closed form; then one Newton step where it shrinks
+    the residual.
+
+    The cube roots (libm pow) and cosines are taken one element at a time:
+    numpy's vectorized ones may round an element differently by its place
+    in the array.
+    """
+    p = c - b * b / 3.0
+    q = b * (2.0 * b * b - 9.0 * c) / 27.0 + d
+    disc = 0.25 * q * q + p * p * p / 27.0
+    x = np.empty_like(p)
+    # one real root: Cardano's, the cube root taken away from cancellation
+    one = disc >= 0.0
+    p1, q1 = p[one], q[one]
+    w = (-0.5 * q1 - np.copysign(np.sqrt(disc[one]), q1)).tolist()
+    u = np.array([math.copysign(abs(v) ** (1.0 / 3.0), v) for v in w])
+    x[one] = np.where(u == 0.0, 0.0, u - p1 / (3.0 * u))
+    # three (p < 0): the largest, in trigonometric form
+    p3, q3 = p[~one], q[~one]
+    cos = np.clip(1.5 * q3 / p3 * np.sqrt(-3.0 / p3), -1.0, 1.0).tolist()
+    x[~one] = 2.0 * np.sqrt(-p3 / 3.0) * np.array([math.cos(math.acos(v) / 3.0) for v in cos])
+    x -= b / 3.0
+    fx = ((x + b) * x + c) * x + d
+    x1 = x - fx / ((3.0 * x + 2.0 * b) * x + c)
+    return np.where(np.abs(((x1 + b) * x1 + c) * x1 + d) < np.abs(fx), x1, x)
+
+
+def _null_vector(m: np.ndarray) -> np.ndarray:
+    """A unit vector spanning the null space of each rank-2 matrix (..., 3, 3):
+    the longest cross product of two of its rows (the first of equals)."""
+    cand = _cross(m.take(_FIRST, -2), m.take(_SECOND, -2))
+    sq = _sum3(cand * cand)
+    s0, s1, s2 = sq[..., 0], sq[..., 1], sq[..., 2]
+    first = (s0 >= s1) & (s0 >= s2)
+    rest = np.where((s1 >= s2)[..., None], cand[..., 1, :], cand[..., 2, :])
+    best = np.where(first[..., None], cand[..., 0, :], rest)
+    return best / np.sqrt(np.where(first, s0, np.maximum(s1, s2)))[..., None]
+
+
+def _refine_depths(lam, a, c) -> np.ndarray:
+    """Gauss-Newton on the constraints l_i^2 + l_j^2 - 2 c_ij l_i l_j = a_ij.
+
+    lam (m, 3) depths, a (m, 3) squared sides and c (m, 3) bearing cosines,
+    per pair (0, 1), (0, 2), (1, 2). A triple takes a step only while it
+    shrinks its summed absolute residual, at most _P3P_STEPS times.
+    """
+    c2 = 2.0 * c
+
+    def residual(l):
+        li, lj = l.take(_FIRST, 1), l.take(_SECOND, 1)
+        r = li * (li - c2 * lj) + lj * lj - a
+        return r, _sum3(np.abs(r))
+
+    r, size = residual(lam)
+    active = size > 0.0
+    jac = np.zeros((len(lam), 3, 3))
+    for _ in range(_P3P_STEPS):
+        if not active.any():
+            break
+        li, lj = lam.take(_FIRST, 1), lam.take(_SECOND, 1)
+        jac[:, _ROWS, _FIRST] = 2.0 * li - c2 * lj
+        jac[:, _ROWS, _SECOND] = 2.0 * lj - c2 * li
+        # Cramer: the inverse's columns are the rows' cross products over det
+        cof = _cross(jac.take(_NEXT, 1), jac.take(_LAST, 1))
+        step = cof[:, 0] * r[:, :1] + cof[:, 1] * r[:, 1:2] + cof[:, 2] * r[:, 2:]
+        nxt = lam - step / _sum3(jac[:, 0] * cof[:, 0])[:, None]
+        r_nxt, size_nxt = residual(nxt)
+        active &= size_nxt < size
+        lam = np.where(active[:, None], nxt, lam)
+        r = np.where(active[:, None], r_nxt, r)
+        size = np.where(active, size_nxt, size)
+    return lam
+
+
+def _lambda_twist(pts: np.ndarray, f: np.ndarray) -> P3PSolutions:
+    """p3p_solve of (n, 3, 3) world points and bearings."""
     n = len(pts)
     norms = np.sqrt(np.add.reduce(f * f, axis=2))  # np.linalg.norm(f, axis=2)
     ok = ~(norms == 0.0).any(axis=1)
     f = f / norms[:, :, None]
 
-    e01 = pts[:, 1] - pts[:, 0]
-    e02 = pts[:, 2] - pts[:, 0]
-    tx = e01[:, 1] * e02[:, 2] - e01[:, 2] * e02[:, 1]
-    ty = e01[:, 2] * e02[:, 0] - e01[:, 0] * e02[:, 2]
-    tz = e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0]
-    tri = np.sqrt(tx * tx + ty * ty + tz * tz)
-    n01, n02 = _norm(np.stack([e01, e02], axis=1)).T
-    ok &= ~(tri <= 1e-9 * _max1(n01 * n02))
+    # sides x0 - x1, x0 - x2, x1 - x2, their squared lengths a, and the
+    # cosines c between the same bearing pairs
+    side = pts.take(_FIRST, 1) - pts.take(_SECOND, 1)
+    normal = _cross(side[:, 0], side[:, 1])
+    area2 = _sum3(normal * normal)
+    a = _sum3(side * side)
+    c = _sum3(f.take(_FIRST, 1) * f.take(_SECOND, 1))
+    # collinear: twice the triangle's area at most 1e-9 of |x1 - x0| |x2 - x0|, or of 1
+    ok &= ~(area2 <= 1e-18 * np.maximum(a[:, 0] * a[:, 1], 1.0))
+    a01, a02, a12 = a.T
+    c01, c02, c12 = c.T
+    s01, s02, s12 = (1.0 - c * c).T
 
-    # side lengths opposite each point and the cosines between bearing pairs
-    a, b, c = _norm(pts[:, [1, 0, 0]] - pts[:, [2, 2, 1]]).T
-    ok &= (a > 0.0) & (b > 0.0) & (c > 0.0)
-    ca, cb, cg = _dot(f[:, [1, 0, 0]], f[:, [2, 2, 1]]).T
+    # D1 = a12 M01 - a01 M12 and D2 = a02 M12 - a12 M02, where l' Mij l =
+    # |l_i y_i - l_j y_j|^2, as entries (00, 01, 02, 11, 12, 22) by sample
+    zero = np.zeros(n)
+    d1 = np.array([a12, -a12 * c01, zero, a12 - a01, a01 * c12, -a01])
+    d2 = np.array([-a12, zero, a12 * c02, a02, -a02 * c12, a02 - a12])
+    # det(D1 + g D2) / a12, highest power first
+    blob = c01 * c12 * c02 - 1.0
+    poly = np.array(
+        [
+            a02 * (a12 * s02 - a02 * s12),
+            2.0 * blob * a12 * a02 + a02 * (2.0 * a01 + a02) * s12 + a12 * (a12 - a01) * s02,
+            a12 * (a02 - a12) * s01 - a01 * a01 * s12 - 2.0 * a01 * (blob * a12 + a02 * s12),
+            a01 * (a01 * s12 - a12 * s01),
+        ]
+    )
+    # root the cubic in g, or in 1/g where that leads with the larger
+    # coefficient: D0 = al D1 + be D2. With both ends zero D1 is singular.
+    flip = np.abs(poly[3]) > np.abs(poly[0])
+    poly = np.where(flip, poly[::-1], poly)
+    g = _cubic_root(*(poly[1:] / poly[0]))
+    g = np.where(poly[0] == 0.0, 0.0, g)
+    al = np.where(flip, g, 1.0)
+    be = np.where(flip, 1.0, g)
+    d0 = np.moveaxis((al * d1 + be * d2)[_SYM], -1, 0)  # (n, 3, 3)
+    dq = np.moveaxis((al * d2 - be * d1)[_SYM], -1, 0)  # a second quadric, not D0's multiple
 
-    # scalar ** is libm pow, which can differ from x * x in the last bit
-    big_a = np.array([x**2 for x in a / b])
-    big_b = np.array([x**2 for x in c / b])
-    one = np.ones(n)
-    kb = np.stack([one, -2.0 * cb, one], axis=1)  # 1 - 2 cb v + v^2
-    n_poly = (big_a - big_b)[:, None] * kb + np.array([1.0, 0.0, -1.0])
-    d_poly = np.stack([2.0 * cg, -2.0 * ca], axis=1)
-    tail = np.array([1.0, 0.0, 0.0]) - big_b[:, None] * kb  # 1 - B Kb(v)
+    # D0's eigenvalues besides the zero one, the larger in magnitude first,
+    # and eigenvectors e1, e2 (orthonormalized), e3 = e1 x e2 spanning the
+    # null space. l' D0 l = 0 on the planes (e1 -+ v e2) . l = 0, v =
+    # sqrt(-s2 / s1), spanned by e3 and e2 +- v e1.
+    m00, m11, m22 = d0[:, 0, 0], d0[:, 1, 1], d0[:, 2, 2]
+    off = d0[:, _FIRST, _SECOND]
+    tr = m00 + m11 + m22
+    minors = m00 * m11 + m00 * m22 + m11 * m22 - _sum3(off * off)
+    big = 0.5 * (tr + np.copysign(np.sqrt(np.maximum(tr * tr - 4.0 * minors, 0.0)), tr))
+    sig = np.stack([big, minors / big], axis=1)
+    e1, e2 = _null_vector(d0[:, None] - sig[:, :, None, None] * np.eye(3)).swapaxes(0, 1)
+    e2 = e2 - _sum3(e1 * e2)[:, None] * e1
+    e2 = e2 / np.sqrt(_sum3(e2 * e2))[:, None]
+    e3 = _cross(e1, e2)
+    v = np.sqrt(np.maximum(-sig[:, 1] / sig[:, 0], 0.0))[:, None, None]
+    w = e2[:, None] + np.array([[1.0], [-1.0]]) * v * e1[:, None]  # (n, 2, 3)
 
-    quartic = np.zeros((n, 5))
-    quartic += _convolve(n_poly, n_poly)
-    quartic[:, :4] += (-2.0 * cg)[:, None] * _convolve(n_poly, d_poly)
-    quartic += _convolve(_convolve(d_poly, d_poly), tail)
-    peak = np.max(np.abs(quartic), axis=1)
-    ok &= ~(peak == 0.0)
-    quartic = quartic / peak[:, None]
+    # per plane, l = p e3 + q w with (p, q) a root of the second quadric
+    # there: qbb (q/p)^2 + 2 qab (q/p) + qaa = 0; both roots as directions,
+    # with no division
+    qe3 = _sum3(dq * e3[:, None, :])
+    qaa = _sum3(e3 * qe3)[:, None]
+    qab = _sum3(w * qe3[:, None])
+    qbb = _sum3(w * _sum3(dq[:, None] * w[:, :, None, :]))
+    disc = qab * qab - qaa * qbb
+    h = -(qab + np.copysign(np.sqrt(disc), qab))
+    qaa, qbb, h, e3 = qaa[..., None], qbb[..., None], h[..., None], e3[:, None]
+    lam = np.stack([qbb * e3 + h * w, h * e3 + qaa * w], axis=2).reshape(n, 4, 3)
+    # scaled so the three squared sides sum to a's, the depths' sum positive
+    li, lj = lam.take(_FIRST, 2), lam.take(_SECOND, 2)
+    spread = _sum3(li * (li - 2.0 * c[:, None] * lj) + lj * lj)
+    scale = np.sqrt(_sum3(a)[:, None] / spread)
+    lam *= np.copysign(scale, _sum3(lam))[..., None]
+    use = (lam > 0.0).all(axis=2) & ok[:, None]
+    use &= (disc >= 0.0).repeat(2, axis=1)
 
-    # per sample and root (n, 4): real, positive, distinct depth ratios v
-    roots, keep = _quartic_roots(quartic, ok)
-    keep &= ~(np.abs(roots.imag) > _P3P_IMAG_TOL)
-    v = _newton_polish(quartic[:, None, :], roots.real)
-    keep &= ~(v <= 0.0)
-    for j in range(1, 4):
-        for i in range(j):
-            same = np.abs(v[:, j] - v[:, i]) <= 1e-8 * _max1(np.abs(v[:, j]))
-            keep[:, j] &= ~(keep[:, i] & same)
-    cb2, cg2, big_b2 = cb[:, None], cg[:, None], big_b[:, None]
-    kb_v = 1.0 + v * v - 2.0 * v * cb2
-    keep &= ~(kb_v <= 0.0)
-
-    # per sample, root and u (n, 4, 2): u from the linear equation, or both
-    # roots of the quadratic in u where its leading term vanishes
-    dv = _polyval(d_poly[:, None, :], v)
-    linear = np.abs(dv) > 1e-9
-    disc = cg2 * cg2 - (1.0 - big_b2 * kb_v)
-    sq = np.sqrt(disc)
-    u = np.stack([np.where(linear, _polyval(n_poly[:, None, :], v) / dv, cg2 + sq), cg2 - sq], -1)
-    real_u = ~linear & ~(disc < 0.0)
-    use = np.stack([keep & (linear | real_u), keep & real_u], axis=-1)
-    v = np.broadcast_to(v[:, :, None], u.shape).copy()
-    ca3, cb3, cg3 = ca[:, None, None], cb[:, None, None], cg[:, None, None]
-    big_a3, big_b3 = big_a[:, None, None], big_b[:, None, None]
-    params = [np.broadcast_to(x, u.shape)[use] for x in (ca3, cb3, cg3, big_a3, big_b3)]
-    u[use], v[use] = _refine_uv(u[use], v[use], params)
-
-    use &= ~((u <= 0.0) | (v <= 0.0))
-    kb_v = 1.0 + v * v - 2.0 * v * cb3
-    use &= ~(kb_v <= 0.0)
-    s0 = b[:, None, None] / np.sqrt(kb_v)
-    resid = u * u + v * v - 2.0 * u * v * ca3 - big_a3 * kb_v
-    use &= ~(np.abs(resid) > 1e-6 * _max1(big_a3 * kb_v))
-    depths = np.stack([s0, u * s0, v * s0], axis=-1)
-    use &= ~(depths <= 0.0).any(axis=-1)
-
-    # one candidate per surviving (sample, root, u), in the order a loop
-    # over them would meet it
     sample = np.nonzero(use)[0]
-    cam = depths[use][:, :, None] * f[sample]
-    r, t = absolute_orientation(pts[sample], cam)
-    reproj = pts[sample] @ r.swapaxes(-1, -2) + t[:, None, :]
-    err = bearing_angle(f[sample], reproj).max(axis=1)
-    good = ~(reproj[:, :, 2] <= 0.0).any(axis=1) & ~(err > _P3P_REPROJ_TOL)
-    sample, err, r, t = sample[good], err[good], r[good], t[good]
+    lam = _refine_depths(lam[use], a[sample], c[sample])
+    # R = Y X^-1: X's columns x0 - x1, x0 - x2 and the normal, Y's the same
+    # in the camera; X^-1's rows are cross products of X's columns over det X
+    cam = lam[:, :, None] * f[sample]
+    y = cam[:, :1] - cam[:, 1:]
+    y = np.concatenate([y, _cross(y[:, :1], y[:, 1:])], axis=1)
+    x = np.concatenate([side[:, :2], normal[:, None]], axis=1)
+    x_inv = (_cross(x.take(_NEXT, 1), x.take(_LAST, 1)) / area2[:, None, None])[sample]
+    prod = y[:, :, :, None] * x_inv[:, :, None, :]
+    r = prod[:, 0] + prod[:, 1] + prod[:, 2]
+    # a rotation's entries lie in [-1, 1]: larger ones, inf or NaN come from
+    # depths that solve nothing, and are kept away from rotmat_to_quat
+    fine = (np.abs(r) <= 2.0).all(axis=(1, 2)) & (lam > 0.0).all(axis=1)
+    r[~fine] = np.eye(3)
     quat = rotmat_to_quat(r)
+    rot = quat_to_rotmat(quat)
 
-    # per sample, smallest error first (stable); keep up to four poses, each
-    # distinct from every pose kept before it
+    # cheirality and the reprojection filter, on the pose as it leaves; the
+    # largest tangent orders poses as the largest angle would
+    world = pts[sample]
+    rx = _sum3(rot[:, None] * world[:, :, None, :])
+    t = cam[:, 0] - rx[:, 0]
+    proj = rx + t[:, None]
+    ray = f[sample]
+    dot = _sum3(ray * proj)
+    cross = _cross(ray, proj)
+    err = (np.sqrt(_sum3(cross * cross)) / dot).max(axis=1)
+    fine &= (dot > 0.0).all(axis=1) & (proj[:, :, 2] > 0.0).all(axis=1)
+    fine &= (err <= math.tan(_P3P_REPROJ_TOL)) & np.isfinite(t).all(axis=1)
+    sample, err, quat, t = sample[fine], err[fine], quat[fine], t[fine]
+
+    # per sample, smallest error first (stable); a pose that repeats one
+    # kept before it in its sample is dropped
     order = np.lexsort((err, sample))
     sample, quat, t = sample[order], quat[order], t[order]
-    rank = np.arange(len(sample)) - np.searchsorted(sample, sample)
-    i, j = np.nonzero(np.triu(sample[:, None] == sample[None, :], 1))
-    near_t = _norm(t[j] - t[i]) <= 1e-7 * (1.0 + _norm(t[j]))
-    near_q = quat_distance(quat[j], quat[i]) <= 1e-7
-    dup = np.zeros((len(sample), len(sample)), dtype=bool)  # [i, j]: j duplicates i
-    dup[i, j] = near_t & near_q
-    kept = np.zeros(len(sample), dtype=bool)
-    n_kept = np.zeros(n, dtype=int)
-    for k in range(rank.max(initial=-1) + 1):
-        at = np.flatnonzero(rank == k)
-        new = ~(dup[:, at] & kept[:, None]).any(axis=0) & (n_kept[sample[at]] < 4)
-        kept[at] = new
-        n_kept[sample[at[new]]] += 1
-
-    solutions: list[list[Pose]] = [[] for _ in range(n)]
-    for k in np.flatnonzero(kept):
-        solutions[sample[k]].append(Pose(quat[k], t[k]))
-    return solutions
+    k = np.arange(len(sample))
+    i = np.concatenate([k[:-d] for d in (1, 2, 3)])
+    j = np.concatenate([k[d:] for d in (1, 2, 3)])
+    same = sample[i] == sample[j]
+    i, j = i[same], j[same]
+    near = _norm(t[j] - t[i]) <= 1e-7 * (1.0 + _norm(t[j]))
+    kept = np.ones(len(sample), dtype=bool)
+    if near.any():
+        i, j = i[near], j[near]
+        near = quat_distance(quat[j], quat[i]) <= 1e-7
+        for later, earlier in sorted(zip(j[near].tolist(), i[near].tolist())):
+            kept[later] &= not kept[earlier]
+    return P3PSolutions(sample[kept], quat[kept], t[kept])

@@ -168,9 +168,9 @@ class _AlignmentScorer:
         self.q_means = np.array([box.center for box in q_boxes]).reshape(-1, 2)
         self.q_halves = np.array([[b.width / 2.0, b.height / 2.0] for b in q_boxes]).reshape(-1, 2)
 
-    def _pair_scores(self, poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    def _pair_scores(self, rotation, translation) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair similarity (0 where the prior is not visible) and visibility, (n, pairs)."""
-        ext, ok = _project_quadrics(self.quads, poses, self.intrinsics)
+        ext, ok = _project_quadrics(self.quads, rotation, translation, self.intrinsics)
         ok &= np.isfinite(ext).all(axis=-1)
         xa, ya, xb, yb = np.moveaxis(np.clip(ext, 0.0, self.image_max), -1, 0)
         ok &= (xb - xa > 0.0) & (yb - ya > 0.0)
@@ -199,9 +199,9 @@ class _AlignmentScorer:
         denom = have.sum(axis=1)
         return np.where(denom > 0, sums / np.maximum(denom, 1), 0.0)
 
-    def score(self, poses: list[Pose]) -> np.ndarray:
-        """WAS of each pose."""
-        return self._was(*self._pair_scores(poses))
+    def score(self, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+        """WAS of each pose, given as quaternions (n, 4) and translations (n, 3)."""
+        return self._was(*self._pair_scores(rotation, translation))
 
     def select(self, pose: Pose) -> tuple[float, list[tuple[int, int]]]:
         """WAS of one pose and the pairs it selects.
@@ -210,7 +210,7 @@ class _AlignmentScorer:
         prior id; pairs are ordered by query id. Nothing visible gives 0 and
         no pairs.
         """
-        wn, visible = self._pair_scores([pose])
+        wn, visible = self._pair_scores(pose.rotation[None], pose.translation[None])
         was = float(self._was(wn, visible)[0])
         idx = np.flatnonzero(visible[0])
         # best first within each query node: score descending, then prior id
@@ -268,10 +268,13 @@ def estimate_pose(
     passes validity, so the loop never re-evaluates a set; it stops early on
     a high enough alignment or when the triple space is exhausted.
 
-    Valid samples are solved and scored a chunk at a time, then walked in
-    draw order and cut where the early exit fires: the result is the one of
-    solving and scoring each valid sample as it is drawn. The first chunk
-    holds _CHUNK valid samples and each further one twice as many, up to
+    Valid samples are solved a chunk at a time by one stacked Lambda Twist
+    `p3p_solve` call, whose poses stay quaternion and translation arrays,
+    and scored by one call on all of them. The chunk is then walked in draw
+    order with array operations and cut where the early exit fires: the
+    result is the one of solving and scoring each valid sample as it is
+    drawn. Only the best hypothesis becomes a Pose. The first chunk holds
+    _CHUNK valid samples and each further one twice as many, up to
     _chunk_cap. A stacked P3P or scoring call has a fixed cost far above its
     cost per sample, so a frame that spends its whole budget makes a few
     large calls; small first chunks keep the work wasted past an early exit
@@ -330,25 +333,30 @@ def estimate_pose(
             break
         picked = np.array(picks)
         solved = p3p_solve(pair_world[picked], pair_rays[picked])
-        flat = [pose for poses in solved for pose in poses]
-        scores = scorer.score(flat) if flat else np.zeros(0)
         # walk the chunk in draw order, as a loop solving one sample per draw
-        # would, and cut it where that loop would have stopped
-        start = 0
-        for draw, poses in zip(draws, solved):
-            n_valid += 1
-            if not poses:
-                continue
-            sample_scores = scores[start : start + len(poses)]
-            start += len(poses)
-            k = int(np.argmax(sample_scores))
-            if sample_scores[k] > best_w:
-                best_w = float(sample_scores[k])
-                best_pose = poses[k]
-                history.append((draw, best_w))
-            if config.early_exit_was is not None and best_w > config.early_exit_was:
-                stop = True
-                break
+        # would, and cut it where that loop would have stopped: per sample
+        # its best score (-1 without a pose), the running best before and
+        # after it
+        top = np.full(len(draws), -1.0)
+        if len(solved):
+            scores = scorer.score(solved.rotation, solved.translation)
+            present, starts = np.unique(solved.sample, return_index=True)
+            top[present] = np.maximum.reduceat(scores, starts)
+        after = np.maximum.accumulate(np.maximum(top, best_w))
+        before = np.concatenate([[best_w], after[:-1]])
+        walked = len(draws)
+        if config.early_exit_was is not None:
+            exits = np.flatnonzero(after > config.early_exit_was)
+            if exits.size:
+                walked, stop = int(exits[0]) + 1, True
+        n_valid += walked
+        improved = np.flatnonzero(top[:walked] > before[:walked]).tolist()
+        history += [(draws[i], float(top[i])) for i in improved]
+        if improved:
+            i = improved[-1]
+            best_w = float(top[i])
+            first = starts[np.searchsorted(present, i)]  # the sample's poses, first of equals
+            best_pose = solved.pose(int(first + np.argmax(scores[first:] == top[i])))
         size = min(2 * size, cap)
 
     if n_valid == 0:

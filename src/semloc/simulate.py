@@ -269,7 +269,7 @@ def render_frame(
         [lm.rotation for lm in scene.landmarks],
         [lm.scale for lm in scene.landmarks],
     )
-    extents, visible = _project_quadrics(quads, [pose], intrinsics)
+    extents, visible = _project_quadrics(quads, pose.rotation[None], pose.translation[None], intrinsics)
     for lm, ext, ok in zip(scene.landmarks, extents[0].tolist(), visible[0].tolist()):
         cam = pose.transform(lm.position)
         if not ok or cam[2] <= 0.0 or not all(map(math.isfinite, ext)):

@@ -50,6 +50,19 @@ def random_pose(rng: np.random.Generator, t_scale: float = 2.0) -> Pose:
     return Pose.from_rt(random_rotation(rng), rng.normal(scale=t_scale, size=3))
 
 
+def pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Quaternions (n, 4) and translations (n, 3) of a list of poses."""
+    return (
+        np.reshape([p.rotation for p in poses], (-1, 4)),
+        np.reshape([p.translation for p in poses], (-1, 3)),
+    )
+
+
+def solution_poses(solutions) -> list[Pose]:
+    """The poses of a p3p_solve result as Pose objects."""
+    return [solutions.pose(k) for k in range(len(solutions))]
+
+
 def random_table(rng: np.random.Generator, vocab=VOCAB) -> LabelFrequencyTable:
     n = int(rng.integers(1, 6))
     labels = rng.choice(len(vocab), size=n, replace=False)

@@ -11,10 +11,12 @@ projects one dual quadric under one pose, as the stacked
 Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
 `normalized_wasserstein` score one box pair, and `scalar_calculate_was`
 scores one pose the way `_AlignmentScorer` does.
-Pose search: `scalar_p3p_solve` solves one P3P sample the way the stacked
-`p3p_solve` solves each of its samples, and `serial_estimate_pose` runs the
-sampling loop one draw at a time, solving and scoring each valid sample
-before drawing the next.
+Pose search: `scalar_p3p_solve` solves one P3P sample by another method
+than the stacked Lambda Twist `p3p_solve` (a quartic in a depth ratio, then
+the Kabsch fit `absolute_orientation`), so the two are checked to find the
+same poses within a tolerance; `serial_estimate_pose` runs the sampling loop
+one draw at a time, solving and scoring each valid sample before drawing
+the next.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from semloc.geometry import (
-    _P3P_IMAG_TOL,
     _P3P_REPROJ_TOL,
     BoundingBox,
     CameraIntrinsics,
     Pose,
-    absolute_orientation,
-    bearing_angle,
+    p3p_solve,
     pixel_to_bearing,
     quadric_from_params,
     quat_distance,
@@ -309,6 +309,31 @@ def scalar_calculate_was(pose, candidates, prior_graph, query_graph, intrinsics,
 # ---------------------------------------------------------------------------
 # three-point pose
 
+_P3P_IMAG_TOL = 1e-9  # largest imaginary part of a quartic root taken as real
+
+
+def bearing_angle(u, v):
+    """Angle in radians between direction vectors (..., 3), stable near zero.
+
+    A float for two vectors, an array for stacks.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    s = np.linalg.norm(np.cross(u, v), axis=-1)
+    angles = np.arctan2(s, np.sum(u * v, axis=-1))
+    return float(angles) if angles.ndim == 0 else angles
+
+
+def absolute_orientation(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rigid transform with dst ~= R src + t (Kabsch) of (n, 3) point sets."""
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    cs, cd = src.mean(axis=0), dst.mean(axis=0)
+    u, _, vt = np.linalg.svd((src - cs).T @ (dst - cd))
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    r = vt.T @ np.diag([1.0, 1.0, 1.0 if d == 0.0 else d]) @ u.T
+    return r, cd - r @ cs
+
 
 def _polyval(coeffs: np.ndarray, x: float) -> float:
     # lowest-order-first Horner
@@ -560,14 +585,14 @@ def serial_estimate_pose(
         n_valid += 1
         world = np.stack([prior_graph.node(p).position for p, _ in sample])
         rays = np.stack([bearings[q] for _, q in sample])
-        poses = scalar_p3p_solve(world, rays)
-        if not poses:
+        poses = p3p_solve(world, rays)
+        if not len(poses):
             continue
-        scores = scorer.score(poses)
+        scores = scorer.score(poses.rotation, poses.translation)
         k = int(np.argmax(scores))
         if scores[k] > best_w:
             best_w = float(scores[k])
-            best_pose = poses[k]
+            best_pose = poses.pose(k)
             history.append((it, best_w))
         if config.early_exit_was is not None and best_w > config.early_exit_was:
             break

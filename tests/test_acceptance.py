@@ -314,7 +314,8 @@ def test_criterion_3b_p3p_recovery_rate():
         bearings = cam_pts / np.linalg.norm(cam_pts, axis=1, keepdims=True)
         n_total += 1
         sols = p3p_solve(pts, bearings)
-        best = min((np.linalg.norm(s.camera_center() - cam_pos) for s in sols), default=np.inf)
+        centers = [sols.pose(k).camera_center() for k in range(len(sols))]
+        best = min((np.linalg.norm(c - cam_pos) for c in centers), default=np.inf)
         if best < 1e-6:
             n_ok += 1
     dt = time.perf_counter() - t0

@@ -22,7 +22,6 @@ PUBLIC = [
     "SceneSpec",
     "SemanticGraph",
     "SimilarityTable",
-    "absolute_orientation",
     "accumulate_label_frequencies",
     "build_knn_edges",
     "build_query_graph",

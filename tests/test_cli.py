@@ -289,6 +289,12 @@ class TestLocalize:
         assert _localize(dataset, "unused", "--sweep", "bogus=1,2") == 1
         assert _localize(dataset, "unused", "--sweep", "K") == 1
 
+    def test_bad_sweep_value_fails_before_any_run(self, dataset, capsys):
+        # K=1 is fine and comes first; K=0 is not, and nothing may run before it fails
+        assert _localize(dataset, "sweep_bad", "--sweep", "K=1,0") == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (dataset / "sweep_bad").exists()
+
     def test_non_integer_count_is_input_error(self, dataset, tmp_path):
         (tmp_path / "loc.cfg").write_text("tau=2.5\n")
         assert _localize(dataset, "unused", "--config", str(tmp_path / "loc.cfg")) == 1
@@ -614,6 +620,35 @@ BAD_INPUTS = [
      "map.json: bad map file: '012' is not a list"),
     ("simulate-config-n-frames-fraction", "sim.cfg", lambda d: b"n_frames=2.5\n", "sim.cfg): 2.5 is not an integer"),
     ("config-k-true", "loc.cfg", lambda d: b"K=true\n", "loc.cfg): K must be an integer"),
+    # a float field holds a number, never a boolean; a label is a string, never a number
+    ("detections-timestamp-bool", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("timestamp",), True)),
+     "query.jsonl:2: bad detection record: True is not a number"),
+    ("detections-bbox-bool", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("detections", 0, "bbox", 0), True)),
+     "query.jsonl:2: bad detection record: True is not a number"),
+    ("detections-score-bool", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2,
+                    lambda r: _set(r, ("detections", 0, "labels", 0, "score"), True)),
+     "query.jsonl:2: bad detection record: True is not a number"),
+    ("detections-label-number", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2,
+                    lambda r: _set(r, ("detections", 0, "labels", 0, "label"), 5)),
+     "query.jsonl:2: bad detection record: label 5 is not a string"),
+    ("results-was-bool", "results.jsonl", lambda d: _raw(dict(RESULT_ROW, was=True)) + b"\n",
+     "results.jsonl:1: bad result record: True is not a number"),
+    ("results-pose-bool", "results.jsonl",
+     lambda d: _raw(dict(RESULT_ROW, pose=[True, 0, 0, 0, 0, 0, 1])) + b"\n",
+     "results.jsonl:1: bad result record: True is not a number"),
+    ("intrinsics-fx-bool", "intrinsics.json",
+     lambda d: _doc(d / "sim" / "intrinsics.json", lambda i: _set(i, ("fx",), True)),
+     "intrinsics.json: bad intrinsics: True is not a number"),
+    ("map-position-bool", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("landmarks", 0, "position", 0), True)),
+     "map.json: bad map file: True is not a number"),
+    ("scene-label-number", "scene.json",
+     lambda d: _doc(d / "sim" / "scene.json", lambda s: _set(s, ("landmarks", 1, "label"), 5)),
+     "bad scene file: label 5 is not a string"),
     # a landmark so far out that distances to it overflow
     ("map-far-position", "map.json",
      lambda d: _doc(d / "map.json", lambda m: _set(m, ("landmarks", 0, "position"), [1e200, 0.0, 1.0])),

@@ -11,25 +11,26 @@ from semloc import (
     BoundingBox,
     CameraIntrinsics,
     Pose,
-    absolute_orientation,
     p3p_solve,
     pixel_to_bearing,
     project_quadric_to_bbox,
     quadric_from_params,
 )
 from semloc.geometry import (
+    _P3P_REPROJ_TOL,
     _project_quadrics,
-    bearing_angle,
     quat_distance,
     quat_normalize,
     quat_to_rotmat,
     rotmat_to_quat,
 )
 
-from conftest import random_pose, random_rotation
+from conftest import pose_arrays, random_pose, random_rotation, solution_poses
 from oracles import (
     GaussianBox,
+    absolute_orientation,
     bbox_to_gaussian,
+    bearing_angle,
     normalized_wasserstein,
     scalar_p3p_solve,
     scalar_project_quadric_to_bbox,
@@ -221,7 +222,7 @@ class TestQuadricProjection:
             Pose.from_rt(r, -r @ rng.uniform(-4.0, 4.0, size=3))
             for r in (random_rotation(rng) for _ in range(n))
         ]
-        ext, ok = _project_quadrics(quads, poses, INTR)
+        ext, ok = _project_quadrics(quads, *pose_arrays(poses), INTR)
         kinds = {"behind": 0, "degenerate": 0, "off_image": 0}
         for i, pose in enumerate(poses):
             for j in range(n):
@@ -257,7 +258,7 @@ class TestQuadricProjection:
         q[2, 2] = -1.0
         q[2, 3] = q[3, 2] = 2.0
         with np.errstate(over="ignore"):
-            ext, ok = _project_quadrics(q[None], [Pose.identity()], INTR100)
+            ext, ok = _project_quadrics(q[None], *pose_arrays([Pose.identity()]), INTR100)
             assert ok[0, 0] and np.isinf(ext[0, 0]).any()
             assert project_quadric_to_bbox(q, Pose.identity(), INTR100) is None
 
@@ -431,7 +432,7 @@ class TestP3P:
         for _ in range(300):
             pose, pts, cams = _non_degenerate_triple(rng)
             bearings = cams / np.linalg.norm(cams, axis=1, keepdims=True)
-            sols = p3p_solve(pts, bearings)
+            sols = solution_poses(p3p_solve(pts, bearings))
             assert sols, "no solution for a valid configuration"
             best = min(np.linalg.norm(s.camera_center() - pose.camera_center()) for s in sols)
             assert best < 1e-6
@@ -446,7 +447,7 @@ class TestP3P:
         for _ in range(100):
             _, pts, cams = _non_degenerate_triple(rng)
             bearings = cams / np.linalg.norm(cams, axis=1, keepdims=True)
-            for sol in p3p_solve(pts, bearings):
+            for sol in solution_poses(p3p_solve(pts, bearings)):
                 reproj = sol.transform(pts)
                 assert np.all(reproj[:, 2] > 0.0)
                 for i in range(3):
@@ -456,22 +457,36 @@ class TestP3P:
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         cams = pts + np.array([0.0, 0.0, 5.0])
         bearings = cams / np.linalg.norm(cams, axis=1, keepdims=True)
-        assert p3p_solve(pts, bearings) == []
+        assert len(p3p_solve(pts, bearings)) == 0
 
     def test_zero_bearing_rejected(self):
         pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
         bearings = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        assert p3p_solve(pts, bearings) == []
+        assert len(p3p_solve(pts, bearings)) == 0
+
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-100.0, 100.0))
+    @settings(max_examples=50, deadline=None)
+    def test_any_finite_stack_gives_valid_poses(self, seed, log_scale):
+        # far, tiny, nearly collinear, repeated-bearing and behind-the-camera
+        # samples: no exception, no warning, and every pose a valid Pose
+        r = np.random.default_rng(seed)
+        pts = r.normal(size=(12, 3, 3)) * 10.0**log_scale
+        pts[:4, 2] = pts[:4, 0] + 1e-12 * 10.0**log_scale * r.normal(size=(4, 3))
+        bearings = r.normal(size=(12, 3, 3)) * 10.0 ** r.uniform(-50.0, 50.0)
+        bearings[4:6, 1] = bearings[4:6, 0]
+        sols = p3p_solve(pts, bearings)
+        assert np.all(np.diff(sols.sample) >= 0) and np.all(np.bincount(sols.sample) <= 4)
+        for pose in solution_poses(sols):
+            assert np.isfinite(pose.translation).all()
 
     def test_deterministic(self, rng):
         _, pts, cams = _non_degenerate_triple(rng)
         bearings = cams / np.linalg.norm(cams, axis=1, keepdims=True)
         sols1 = p3p_solve(pts, bearings)
         sols2 = p3p_solve(pts, bearings)
-        assert len(sols1) == len(sols2)
-        for a, b in zip(sols1, sols2):
-            np.testing.assert_array_equal(a.rotation, b.rotation)
-            np.testing.assert_array_equal(a.translation, b.translation)
+        assert len(sols1) == len(sols2) > 0
+        np.testing.assert_array_equal(sols1.rotation, sols2.rotation)
+        np.testing.assert_array_equal(sols1.translation, sols2.translation)
 
 
 def _unit(x):
@@ -480,7 +495,7 @@ def _unit(x):
 
 
 def _crafted_p3p_samples():
-    """Samples that reach the solver's edge paths, as (world points, bearings)."""
+    """Samples that reach the solvers' edge paths, as (world points, bearings)."""
     samples = []
     # collinear world points
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -495,28 +510,28 @@ def _crafted_p3p_samples():
     # the second point behind the camera
     pts = np.array([[0.0, 0.0, 4.0], [1.0, 0.0, -2.0], [0.0, 1.0, 3.0]])
     samples.append((pts, _unit(pts)))
-    # sides a, b, c = 5, 4, 3 (so A - B = 1) and f1 . f2 = 0: the quartic's
-    # leading coefficient is exactly zero and polyroots drops its degree
+    # sides a, b, c = 5, 4, 3 (so A - B = 1) and f1 . f2 = 0: the oracle's
+    # quartic has a zero leading coefficient
     samples.append(
         (
             np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]]),
             np.array([_unit([0.3, 0.2, 1.0]), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
         )
     )
-    # orthonormal bearings: d(v) = 2 cg - 2 ca v is zero for every v, so u
-    # comes from the quadratic fallback
+    # orthonormal bearings: the oracle takes u from its quadratic fallback.
+    # The one exact solution, R = I and t = 0, puts two points on the camera
+    # plane (z = 0), so whether a solver keeps it is rounding
     samples.append((np.array([[0.0, 0.0, 3.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), np.eye(3)[[2, 0, 1]]))
     # an equilateral triangle seen from next to its axis: the two mirror
-    # solutions make a double root, which rounding splits into a complex
-    # pair or two real roots within 1e-8 (deduplicated); some of these
-    # also take the quadratic fallback
+    # solutions nearly coincide, and both ends of Lambda Twist's cubic
+    # nearly vanish
     rng = np.random.default_rng(0)
     tri = np.array([[1.0, 0.0, 0.0], [-0.5, math.sqrt(3) / 2, 0.0], [-0.5, -math.sqrt(3) / 2, 0.0]])
     for _ in range(200):
         scaled = tri * rng.uniform(0.5, 2.0)
         cams = scaled + [10.0 ** rng.uniform(-17, -9), 0.0, rng.uniform(0.5, 4.0)]
         samples.append((scaled, _unit(cams)))
-    return samples
+    return np.array([p for p, _ in samples]), np.array([b for _, b in samples])
 
 
 def _random_p3p_samples(rng, n):
@@ -531,46 +546,90 @@ def _random_p3p_samples(rng, n):
     return pts, bearings
 
 
-class TestP3PStack:
-    """The stacked solver against the one-sample-at-a-time oracle."""
+def _solve_in_stacks(pts, bearings, rng):
+    """p3p_solve over stacks of 1 to 40 consecutive samples; per sample, its
+    quaternions and translations."""
+    bounds = np.cumsum(rng.integers(1, 41, size=len(pts)))
+    per_sample = []
+    for chunk in np.split(np.arange(len(pts)), bounds[bounds < len(pts)]):
+        sols = p3p_solve(pts[chunk], bearings[chunk])
+        assert np.all(np.diff(sols.sample) >= 0)
+        for i in range(len(chunk)):
+            at = sols.sample == i
+            per_sample.append((sols.rotation[at], sols.translation[at]))
+    return per_sample
 
-    def _assert_same(self, got, want):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a.rotation, b.rotation, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(a.translation, b.translation, rtol=0.0, atol=1e-12)
+
+def _check_against_oracle(pts, bearings, quat, trans) -> tuple[int, int]:
+    """Every oracle pose is among the found ones within 1e-9, and every other
+    found pose passes cheirality and the reprojection filter; returns the
+    oracle's pose count and the extra count."""
+    want = scalar_p3p_solve(pts, bearings)
+    matched = set()
+    for pose in want:
+        gap = np.maximum(
+            quat_distance(quat, pose.rotation), np.abs(trans - pose.translation).max(axis=1)
+        )
+        assert gap.size and gap.min() <= 1e-9, (pts, bearings)
+        matched.add(int(gap.argmin()))
+    for k in set(range(len(quat))) - matched:
+        reproj = Pose(quat[k], trans[k]).transform(pts)
+        assert (reproj[:, 2] > 0.0).all()
+        assert bearing_angle(_unit(bearings), reproj).max() <= _P3P_REPROJ_TOL
+    return len(want), len(quat) - len(matched)
+
+
+class TestP3PStack:
+    """The stacked Lambda Twist solver against the quartic oracle: the same
+    poses within 1e-9, extra poses only where they pass the same filters, and
+    each sample to the bit however it is stacked."""
 
     def test_random_samples_match_scalar_oracle(self):
         rng = np.random.default_rng(11)
         pts, bearings = _random_p3p_samples(rng, 10_000)
-        # stacks of uneven sizes, one sample up to 40
-        bounds = np.cumsum(rng.integers(1, 41, size=600))
-        solved = []
-        for chunk in np.split(np.arange(len(pts)), bounds[bounds < len(pts)]):
-            solved += p3p_solve(pts[chunk], bearings[chunk])
-        assert len(solved) == len(pts)
-        n_poses = 0
-        for i, got in enumerate(solved):
-            want = scalar_p3p_solve(pts[i], bearings[i])
-            self._assert_same(got, want)
-            n_poses += len(want)
-        assert n_poses > len(pts)  # most camera samples have two or more poses
+        n_want = n_extra = 0
+        for i, (quat, trans) in enumerate(_solve_in_stacks(pts, bearings, rng)):
+            assert len(quat) <= 4
+            assert all(np.isfinite(Pose(q, t).translation).all() for q, t in zip(quat, trans))
+            want, extra = _check_against_oracle(pts[i], bearings[i], quat, trans)
+            n_want += want
+            n_extra += extra
+        assert n_want > len(pts)  # most camera samples have two or more poses
+        assert n_extra < 0.001 * n_want
 
     def test_crafted_samples_match_scalar_oracle(self):
-        samples = _crafted_p3p_samples()
-        stacked = p3p_solve(np.array([p for p, _ in samples]), np.array([b for _, b in samples]))
-        for (pts, bearings), got in zip(samples, stacked):
-            want = scalar_p3p_solve(pts, bearings)
-            self._assert_same(got, want)
-            self._assert_same(p3p_solve(pts, bearings), want)
-        assert [len(s) for s in stacked[:5]] == [0, 0, 0, 0, 0]
-        assert sum(len(s) for s in stacked[5:]) > 0
+        pts, bearings = _crafted_p3p_samples()
+        stacked = _solve_in_stacks(pts, bearings, np.random.default_rng(3))
+        for i, (quat, trans) in enumerate(stacked):
+            _check_against_oracle(pts[i], bearings[i], quat, trans)
+        assert [len(q) for q, _ in stacked[:4]] == [0, 0, 0, 0]
+        assert sum(len(q) for q, _ in stacked[5:]) > 0
 
-    def test_single_sample_returns_flat_list(self, rng):
+    def test_stacks_and_single_samples_agree_to_the_bit(self):
+        rng = np.random.default_rng(12)
+        random_pts, random_bearings = _random_p3p_samples(rng, 2_000)
+        crafted_pts, crafted_bearings = _crafted_p3p_samples()
+        pts = np.concatenate([random_pts, crafted_pts])
+        bearings = np.concatenate([random_bearings, crafted_bearings])
+        order = rng.permutation(len(pts))
+        pts, bearings = pts[order], bearings[order]
+        first = _solve_in_stacks(pts, bearings, rng)
+        second = _solve_in_stacks(pts, bearings, rng)
+        for i, ((q1, t1), (q2, t2)) in enumerate(zip(first, second)):
+            assert np.array_equal(q1, q2) and np.array_equal(t1, t2)
+            if i % 5 == 0:
+                single = p3p_solve(pts[i], bearings[i])
+                assert np.array_equal(single.rotation, q1)
+                assert np.array_equal(single.translation, t1)
+
+    def test_result_layout(self, rng):
         _, pts, cams = _non_degenerate_triple(rng)
         bearings = cams / np.linalg.norm(cams, axis=1, keepdims=True)
         single = p3p_solve(pts, bearings)
-        assert all(isinstance(pose, Pose) for pose in single)
-        [stacked] = p3p_solve(pts[None], bearings[None])
-        self._assert_same(single, stacked)
-        assert p3p_solve(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) == []
+        assert len(single) > 0 and not np.any(single.sample)
+        assert single.rotation.shape == (len(single), 4)
+        assert single.translation.shape == (len(single), 3)
+        assert all(isinstance(pose, Pose) for pose in solution_poses(single))
+        empty = p3p_solve(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
+        assert len(empty) == 0 and not empty
+        assert empty.rotation.shape == (0, 4) and empty.translation.shape == (0, 3)

@@ -40,6 +40,7 @@ from conftest import (
     VOCAB,
     graph,
     make_table,
+    pose_arrays,
     prior_node,
     quadric_of,
     query_node,
@@ -321,7 +322,7 @@ class TestAlignmentScorer:
         poses.append(Pose.from_rt(np.eye(3), np.array([0.0, 0.0, -10.0])))
         boxes = {q: qg.node(q).bbox for q in cands.query_ids()}
         scorer = _AlignmentScorer(cands.pairs, pg, boxes, INTR, C=100.0)
-        batch = scorer.score(poses)
+        batch = scorer.score(*pose_arrays(poses))
         n_partly_visible = 0
         for i, pose in enumerate(poses):
             ref, ref_pairs = scalar_calculate_was(pose, cands, pg, qg, INTR, C=100.0)
@@ -356,14 +357,14 @@ class TestAlignmentScorer:
             assert len(dets) >= 20
             pairs = [(lm_id, d) for d, lm_id in assoc.items()]
             scorer = _AlignmentScorer(pairs, pg, {d: dets[d].bbox for d in assoc}, INTR, C=100.0)
-            assert scorer.score([pose])[0] == 1.0
+            assert scorer.score(*pose_arrays([pose]))[0] == 1.0
 
     @staticmethod
     def _matches_oracle(pairs, pg, qg, poses):
         """score and select of a scorer over pairs, checked against the scalar oracle."""
         cands = CandidateSet(list(pairs), tau=len(pairs))
         scorer = _AlignmentScorer(pairs, pg, {q: qg.node(q).bbox for _, q in pairs}, INTR, C=100.0)
-        batch = scorer.score(poses)
+        batch = scorer.score(*pose_arrays(poses))
         for i, pose in enumerate(poses):
             ref, ref_pairs = scalar_calculate_was(pose, cands, pg, qg, INTR, C=100.0)
             was, selected = scorer.select(pose)
@@ -422,14 +423,14 @@ class TestAlignmentScorer:
         q[:3, 3] = q[3, :3] = [0.0, 0.0, 2.0]
         q[3, 3] = 1.0
         pose = Pose.from_rt(np.eye(3), np.zeros(3))
-        ext, ok = _project_quadrics(q[None], [pose], INTR)  # no overflow warning escapes
+        ext, ok = _project_quadrics(q[None], *pose_arrays([pose]), INTR)  # no overflow warning escapes
         assert ok[0, 0] and ext[0, 0, 0] == -np.inf and ext[0, 0, 2] == np.inf
         pg = graph([prior_node(1, [0.0, 0.0, 2.0], {"a": 1})], [])
         wide = BoundingBox(0.0, float(ext[0, 0, 1]), 640.0, float(ext[0, 0, 3]))
         scorer = _AlignmentScorer([(1, 10)], pg, {10: wide}, INTR, C=100.0)
         scorer.quads = q[None]
         # clipped to the image, the box would match `wide` exactly and score 1
-        assert scorer.score([pose])[0] == 0.0
+        assert scorer.score(*pose_arrays([pose]))[0] == 0.0
         assert scorer.select(pose) == (0.0, [])
 
 
@@ -723,6 +724,9 @@ def _matches_serial(query, prior, config):
         [w for _, w in got.history], [w for _, w in want.history], rtol=0.0, atol=1e-12
     )
     assert got.was == pytest.approx(want.was, abs=1e-12)
+    if got.status == LocalizationStatus.SUCCESS:
+        # the winner scores the same bits in the loop and in calculate_was
+        assert got.was == got.history[-1][1]
     assert (got.pose is None) == (want.pose is None)
     if want.pose is not None:
         np.testing.assert_allclose(got.pose.rotation, want.pose.rotation, rtol=0.0, atol=1e-9)

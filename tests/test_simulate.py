@@ -274,7 +274,7 @@ class TestRenderFrame:
         scene = _single_scene()
         pose = _camera()
         extents, visible = semloc.simulate._project_quadrics(
-            quadric_of(scene.landmarks[0])[None], [pose], INTR
+            quadric_of(scene.landmarks[0])[None], pose.rotation[None], pose.translation[None], INTR
         )
         extents[0, 0, 2] = math.inf
         monkeypatch.setattr(semloc.simulate, "_project_quadrics", lambda *a: (extents, visible))
