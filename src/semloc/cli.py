@@ -329,18 +329,22 @@ def _run_localization(
     prior_graph: SemanticGraph,
     intrinsics: CameraIntrinsics,
     config: MatcherConfig,
-    threads: int,
+    threads: int | None,
     depth_dir: Path | None,
 ) -> list[FrameResult]:
-    if threads > 1 and len(frames) > 1:
+    """Localize every frame, in at most min(threads, frames, cores) worker
+    processes; threads None means all cores."""
+    cores = os.cpu_count() or 1
+    workers = min(threads or cores, cores, len(frames))
+    if workers > 1:
         try:
             with ProcessPoolExecutor(
-                max_workers=threads,
+                max_workers=workers,
                 initializer=_worker_init,
                 initargs=(prior_graph, intrinsics, config, depth_dir),
             ) as pool:
                 return list(pool.map(_worker_run, frames))
-        except (OSError, PermissionError) as exc:
+        except OSError as exc:
             logger.warning("process pool unavailable (%s), running serially", exc)
     return [
         _localize_frame(frame, prior_graph, intrinsics, config, depth_dir) for frame in frames
@@ -399,12 +403,13 @@ def _cli_matcher_values(args) -> dict:
 
 
 def _cmd_localize(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise InputError(f"--threads must be at least 1, got {args.threads}")
     file_values = dataio.load_config_file(args.config) if args.config else {}
     cli_values = _cli_matcher_values(args)
     source = f"flags and {args.config}" if args.config else "flags"
     frames = dataio.load_detection_log(args.detections)
     intrinsics = dataio.load_intrinsics(args.intrinsics)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     depth_dir = Path(args.detections).parent
     out_dir = Path(args.output)
     inputs = {
@@ -429,7 +434,9 @@ def _cmd_localize(args) -> int:
     for run_dir, config in runs:
         run_dir.mkdir(parents=True, exist_ok=True)
         prior_graph = _prior_graph_for_config(args, config)
-        results = _run_localization(frames, prior_graph, intrinsics, config, threads, depth_dir)
+        results = _run_localization(
+            frames, prior_graph, intrinsics, config, args.threads, depth_dir
+        )
         dataio.save_results(run_dir / "results.jsonl", results)
         dataio.save_manifest(
             run_dir / "manifest.json",
@@ -663,7 +670,9 @@ def _build_parser() -> _Parser:
     loc.add_argument("--keyframes", help="keyframe detection log, to rebuild the map per run")
     loc.add_argument("--keyframe-associations", dest="keyframe_associations")
     loc.add_argument("--output", required=True, help="output directory")
-    loc.add_argument("--threads", type=int, default=None, help="worker processes (default: all cores)")
+    loc.add_argument(
+        "--threads", type=int, default=None, help="most worker processes (default: all cores)"
+    )
     loc.add_argument(
         "--sweep",
         action="append",

@@ -171,6 +171,7 @@ class SemanticGraph:
     are node indices, `edge_length` the root-to-neighbor distance and
     `edge_slot` the edge's place among its root's edges. `degree` counts
     each node's edges and `max_degree` is its maximum (0 without edges).
+    `adjacency` is the boolean (nodes, nodes) matrix of the same edges.
     """
 
     nodes: list
@@ -199,6 +200,8 @@ class SemanticGraph:
         self.edge_nbr = nbr[order]
         self.degree = np.bincount(self.edge_root, minlength=len(ids))
         self.max_degree = int(self.degree.max(initial=0))
+        self.adjacency = np.zeros((len(ids), len(ids)), dtype=bool)
+        self.adjacency[self.edge_root, self.edge_nbr] = True
         self._offsets = np.cumsum(self.degree) - self.degree
         self.edge_slot = np.arange(self.edge_root.size) - self._offsets[self.edge_root]
         pos = self.positions()
@@ -217,9 +220,6 @@ class SemanticGraph:
         i = self._index[node_id]
         start = self._offsets[i]
         return [self.nodes[j].id for j in self.edge_nbr[start : start + self.degree[i]]]
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edges
 
     def positions(self) -> np.ndarray:
         if not self.nodes:

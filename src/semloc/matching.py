@@ -130,42 +130,28 @@ def score_all_pairs(
 
 @dataclass
 class CandidateSet:
-    """Top-ranked (prior, query) pairs, grouped per query node."""
+    """Top-ranked (prior, query) pairs as node indices into the two graphs.
 
-    pairs: list[tuple[int, int]]
-    tau: int
+    Pairs are grouped by query node in graph order, best first within each.
+    """
 
-    def __post_init__(self):
-        self._per_query: dict[int, list[int]] = {}
-        for prior_id, query_id in self.pairs:
-            self._per_query.setdefault(query_id, []).append(prior_id)
-        if any(len(v) > self.tau for v in self._per_query.values()):
-            raise ValueError("more than tau candidates for a query node")
-
-    def candidates_for(self, query_id: int) -> list[int]:
-        return list(self._per_query.get(query_id, []))
-
-    def query_ids(self) -> list[int]:
-        return sorted(self._per_query)
+    prior: np.ndarray
+    query: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.prior)
 
 
 def extract_candidates(table: SimilarityTable, tau: int) -> CandidateSet:
     """Keep the tau best-scored priors per query node.
 
-    Rank ties at the cutoff are broken by the lower prior id, and exactly tau
-    pairs are kept per query node (fewer only when the prior graph is
-    smaller). Zero-score pairs stay eligible.
+    One sort of the whole table ranks every column by similarity, ties to
+    the lower prior id, and exactly tau pairs are kept per query node (fewer
+    only when the prior graph is smaller). Zero-score pairs stay eligible.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    prior_arr = np.asarray(table.prior_ids)
-    pairs: list[tuple[int, int]] = []
-    for j, query_id in enumerate(table.query_ids):
-        col = table.similarity[:, j]
-        order = np.lexsort((prior_arr, -col))
-        for i in order[: min(tau, col.size)]:
-            pairs.append((int(prior_arr[i]), query_id))
-    return CandidateSet(pairs, tau)
+    sim = table.similarity
+    ids = np.broadcast_to(np.asarray(table.prior_ids, dtype=int)[:, None], sim.shape)
+    rows = np.lexsort((ids, -sim), axis=0)[:tau]  # (kept per node, query nodes)
+    return CandidateSet(rows.T.ravel(), np.repeat(np.arange(sim.shape[1]), len(rows)))

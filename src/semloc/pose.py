@@ -3,8 +3,11 @@
 Repeatedly samples three candidate pairs, checks structural validity,
 solves perspective-three-point, and keeps the pose with the best
 normalized-Wasserstein alignment between projected landmarks and detected
-boxes. Valid samples are solved and scored in chunks that double in size
-(see estimate_pose). Deterministic for a fixed seed.
+boxes. Structural validity is read from one boolean (pairs, pairs)
+compatibility table per frame, taken from the graphs' adjacency: valid
+samples are the triangles of this consistency graph, as in CLIPPER (Lusk et
+al., ICRA 2021). Valid samples are solved and scored in chunks that double
+in size (see estimate_pose). Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -101,34 +104,32 @@ class LocalizationResult:
     message: str = ""
 
 
-def is_valid_sample(
-    sample,
-    prior_graph: SemanticGraph,
-    query_graph: SemanticGraph,
-    used_samples,
-) -> bool:
-    """Structural validity of a 3-pair sample.
+def is_valid_sample(sample, compatible: np.ndarray, used) -> bool:
+    """Structural validity of a sample of three candidate indices.
 
-    Requires distinct prior ids, distinct query ids, an identical pattern of
-    edges and non-edges between the induced prior and query triples, and
-    that this (order-insensitive) pair set was not sampled before.
+    Requires every two of its pairs to be compatible (see _compatibility)
+    and that this (order-insensitive) index set was not sampled before.
     """
-    pairs = list(sample)
-    if len(pairs) != 3:
-        return False
-    prior_ids = [p for p, _ in pairs]
-    query_ids = [q for _, q in pairs]
-    if len(set(prior_ids)) != 3 or len(set(query_ids)) != 3:
-        return False
-    if frozenset((p, q) for p, q in pairs) in used_samples:
-        return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if prior_graph.has_edge(prior_ids[i], prior_ids[j]) != query_graph.has_edge(
-                query_ids[i], query_ids[j]
-            ):
-                return False
-    return True
+    i, j, k = sample
+    return bool(compatible[i, j] and compatible[i, k] and compatible[j, k]) and (
+        frozenset(sample) not in used
+    )
+
+
+def _compatibility(
+    candidates: CandidateSet, prior_graph: SemanticGraph, query_graph: SemanticGraph
+) -> np.ndarray:
+    """(pairs, pairs) table of which two candidate pairs may share a sample.
+
+    Two pairs are compatible when their priors differ, their query nodes
+    differ, and the priors share an edge exactly when the query nodes do.
+    """
+    p, q = candidates.prior, candidates.query
+    return (
+        (p[:, None] != p)
+        & (q[:, None] != q)
+        & (prior_graph.adjacency[np.ix_(p, p)] == query_graph.adjacency[np.ix_(q, q)])
+    )
 
 
 class _AlignmentScorer:
@@ -143,28 +144,24 @@ class _AlignmentScorer:
     """
 
     def __init__(self, pairs, prior_graph, boxes, intrinsics, C):
-        """pairs: (prior_id, query_id) tuples; boxes: query_id -> BoundingBox."""
+        """pairs: (prior_id, query_id) tuples or rows; boxes: query_id -> BoundingBox."""
         self.C = C
         self.intrinsics = intrinsics
         self.image_max = np.array([intrinsics.width, intrinsics.height] * 2, dtype=float)
+        ids = np.array(pairs, dtype=int).reshape(-1, 2)
         # grouped by query node, so the per-node reductions of _was are reduceats
-        pairs = sorted(pairs, key=lambda pair: pair[1])
-        unique_p = sorted({p for p, _ in pairs})
-        unique_q = sorted({q for _, q in pairs})
-        p_index = {p: i for i, p in enumerate(unique_p)}
-        q_index = {q: j for j, q in enumerate(unique_q)}
-        self.prior_ids = np.array([p for p, _ in pairs], dtype=int)
-        self.query_ids = np.array([q for _, q in pairs], dtype=int)
-        self.pair_p = np.array([p_index[p] for p, _ in pairs], dtype=int)
-        self.pair_q = np.array([q_index[q] for _, q in pairs], dtype=int)
+        ids = ids[np.argsort(ids[:, 1], kind="stable")]
+        self.prior_ids, self.query_ids = ids.T
+        unique_p, self.pair_p = np.unique(self.prior_ids, return_inverse=True)
+        unique_q, self.pair_q = np.unique(self.query_ids, return_inverse=True)
         self.q_starts = np.flatnonzero(np.diff(self.pair_q, prepend=-1))  # first pair per node
-        nodes = [prior_graph.node(p) for p in unique_p]
+        nodes = [prior_graph.node(p) for p in unique_p.tolist()]
         self.quads = quadric_from_params(
             np.reshape([node.position for node in nodes], (-1, 3)),
             np.reshape([node.rotation for node in nodes], (-1, 4)),
             np.reshape([node.scale for node in nodes], (-1, 3)),
         )
-        q_boxes = [boxes[q] for q in unique_q]
+        q_boxes = [boxes[q] for q in unique_q.tolist()]
         self.q_means = np.array([box.center for box in q_boxes]).reshape(-1, 2)
         self.q_halves = np.array([[b.width / 2.0, b.height / 2.0] for b in q_boxes]).reshape(-1, 2)
 
@@ -242,8 +239,11 @@ def calculate_was(
 
 def _scorer(candidates, prior_graph, query_graph, intrinsics, C) -> _AlignmentScorer:
     """The scorer of a candidate set against the query graph's boxes."""
-    boxes = {q: query_graph.node(q).bbox for q in candidates.query_ids()}
-    return _AlignmentScorer(candidates.pairs, prior_graph, boxes, intrinsics, C)
+    prior_ids = np.asarray(prior_graph.ids(), dtype=int)[candidates.prior]
+    query_ids = np.asarray(query_graph.ids(), dtype=int)[candidates.query]
+    pairs = np.column_stack([prior_ids, query_ids])
+    boxes = {node.id: node.bbox for node in query_graph.nodes}
+    return _AlignmentScorer(pairs, prior_graph, boxes, intrinsics, C)
 
 
 def _chunk_cap(n_pairs: int) -> int:
@@ -264,9 +264,11 @@ def estimate_pose(
     """Estimate the camera pose of a query frame against the prior map.
 
     Scores all pairs, extracts per-query candidates, then runs the seeded
-    sampling loop. Every drawn 3-pair set counts as used whether or not it
-    passes validity, so the loop never re-evaluates a set; it stops early on
-    a high enough alignment or when the triple space is exhausted.
+    sampling loop over candidate indices, checking each draw against the
+    frame's compatibility table. Every drawn 3-pair set counts as used
+    whether or not it passes validity, so the loop never re-evaluates a set;
+    it stops early on a high enough alignment or when the triple space is
+    exhausted.
 
     Valid samples are solved a chunk at a time by one stacked Lambda Twist
     `p3p_solve` call, whose poses stay quaternion and translation arrays,
@@ -288,25 +290,22 @@ def estimate_pose(
         )
     table = score_all_pairs(prior_graph, query_graph, use_calp=config.use_calp)
     candidates = extract_candidates(table, config.tau)
-    pairs = candidates.pairs
-    if len(pairs) < 3:
+    n_pairs = len(candidates)
+    if n_pairs < 3:
         return LocalizationResult(
             LocalizationStatus.INSUFFICIENT_DETECTIONS,
-            message=f"{len(pairs)} candidate pairs, need 3",
+            message=f"{n_pairs} candidate pairs, need 3",
         )
 
     scorer = _scorer(candidates, prior_graph, query_graph, intrinsics, config.C)
-    bearings = {
-        q: pixel_to_bearing(query_graph.node(q).bbox.center, intrinsics)
-        for q in {q for _, q in pairs}
-    }
+    compatible = _compatibility(candidates, prior_graph, query_graph)
     # per candidate pair: the prior's world point and the query's bearing
-    pair_world = np.array([prior_graph.node(p).position for p, _ in pairs])
-    pair_rays = np.array([bearings[q] for _, q in pairs])
+    pair_world = prior_graph.positions()[candidates.prior]
+    rays = [pixel_to_bearing(node.bbox.center, intrinsics) for node in query_graph.nodes]
+    pair_rays = np.array(rays)[candidates.query]
 
     rng = np.random.default_rng(config.rng_seed)
     used: set[frozenset] = set()
-    n_pairs = len(pairs)
     total_triples = math.comb(n_pairs, 3)
     cap = _chunk_cap(n_pairs)
     size = _CHUNK
@@ -320,13 +319,12 @@ def estimate_pose(
     while not stop:
         # draw until a chunk of valid samples is full or the draws run out
         draws: list[int] = []
-        picks: list[np.ndarray] = []
+        picks: list[list[int]] = []
         while len(draws) < size and it < config.n_iter and len(used) < total_triples:
-            idx = rng.choice(n_pairs, size=3, replace=False)
-            sample = [pairs[i] for i in idx]
-            if is_valid_sample(sample, prior_graph, query_graph, used):
+            sample = rng.choice(n_pairs, size=3, replace=False).tolist()
+            if is_valid_sample(sample, compatible, used):
                 draws.append(it)
-                picks.append(idx)
+                picks.append(sample)
             used.add(frozenset(sample))
             it += 1
         if not draws:

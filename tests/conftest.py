@@ -3,6 +3,7 @@ import pytest
 
 from semloc import (
     BoundingBox,
+    CandidateSet,
     LabelFrequencyTable,
     NormalizedConfidence,
     Pose,
@@ -106,6 +107,15 @@ def query_node(node_id: int, position, conf, bbox: BoundingBox | None = None) ->
 
 def graph(nodes, edges) -> SemanticGraph:
     return SemanticGraph(list(nodes), {tuple(sorted(e)) for e in edges})
+
+
+def candidate_set(pairs, prior_graph: SemanticGraph, query_graph: SemanticGraph) -> CandidateSet:
+    """The candidate set of (prior id, query id) pairs, as node indices in pair order."""
+    prior_ids, query_ids = prior_graph.ids(), query_graph.ids()
+    return CandidateSet(
+        np.array([prior_ids.index(p) for p, _ in pairs], dtype=int),
+        np.array([query_ids.index(q) for _, q in pairs], dtype=int),
+    )
 
 
 @pytest.fixture

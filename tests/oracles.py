@@ -5,16 +5,21 @@ Matching: `multilabel_likelihood`, `neighbor_weight`, `best_neighbor_set` and
 `similarity_score` compute one entry of `score_all_pairs`' likelihood and
 similarity tables at a time, and `padded_score_all_pairs` computes the whole
 similarity table over padded neighbor tensors, the bit-exact reference of
-the edge-list context propagation. Projection: `scalar_project_quadric_to_bbox`
+the edge-list context propagation. `per_column_extract_candidates` ranks
+one column of the similarity table at a time, the reference of
+`extract_candidates`' one sort. Projection: `scalar_project_quadric_to_bbox`
 projects one dual quadric under one pose, as the stacked
 `geometry._project_quadrics` does for each of its (quadric, pose) pairs.
 Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
 `normalized_wasserstein` score one box pair, and `scalar_calculate_was`
 scores one pose the way `_AlignmentScorer` does.
-Pose search: `scalar_p3p_solve` solves one P3P sample by another method
-than the stacked Lambda Twist `p3p_solve` (a quartic in a depth ratio, then
-the Kabsch fit `absolute_orientation`), so the two are checked to find the
-same poses within a tolerance; `serial_estimate_pose` runs the sampling loop
+Pose search: `scalar_is_valid_sample` checks one sample of (prior id,
+query id) pairs against the graphs' edge sets, the reference of the
+compatibility table `estimate_pose` checks draws against.
+`scalar_p3p_solve` solves one P3P sample by another method than the stacked
+Lambda Twist `p3p_solve` (a quartic in a depth ratio, then the Kabsch fit
+`absolute_orientation`), so the two are checked to find the same poses
+within a tolerance; `serial_estimate_pose` runs the sampling loop
 one draw at a time, solving and scoring each valid sample before drawing
 the next.
 """
@@ -38,14 +43,13 @@ from semloc.geometry import (
     quat_distance,
 )
 from semloc.graph import LabelFrequencyTable, NormalizedConfidence, SemanticGraph
-from semloc.matching import extract_candidates, score_all_pairs
+from semloc.matching import SimilarityTable, extract_candidates, score_all_pairs
 from semloc.pose import (
     LocalizationResult,
     LocalizationStatus,
     MatcherConfig,
     _scorer,
     calculate_was,
-    is_valid_sample,
 )
 
 
@@ -187,6 +191,21 @@ def padded_score_all_pairs(prior_graph: SemanticGraph, query_graph: SemanticGrap
     return like + term
 
 
+def per_column_extract_candidates(table: SimilarityTable, tau: int) -> tuple[np.ndarray, ...]:
+    """Prior and query node indices of the tau best priors per query node.
+
+    Each column is sorted on its own, by similarity descending and then
+    prior id; pairs come column by column, best first.
+    """
+    prior_ids = np.asarray(table.prior_ids, dtype=int)
+    prior, query = [], []
+    for j in range(len(table.query_ids)):
+        order = np.lexsort((prior_ids, -table.similarity[:, j]))[:tau]
+        prior += order.tolist()
+        query += [j] * len(order)
+    return np.array(prior, dtype=int), np.array(query, dtype=int)
+
+
 # ---------------------------------------------------------------------------
 # quadric projection
 
@@ -269,8 +288,8 @@ def normalized_wasserstein(a: GaussianBox, b: GaussianBox, scale: float) -> floa
     return math.exp(-math.sqrt(wasserstein2_squared(a, b)) / scale)
 
 
-def scalar_calculate_was(pose, candidates, prior_graph, query_graph, intrinsics, C):
-    """Alignment score of a pose against the candidate set, one pair at a time.
+def scalar_calculate_was(pose, pairs, prior_graph, query_graph, intrinsics, C):
+    """Alignment score of a pose against (prior id, query id) pairs, one pair at a time.
 
     Projects each candidate prior to a clamped box, embeds boxes as
     Gaussians, and scores each pair with exp(-W2/C). Per query node the best
@@ -279,7 +298,7 @@ def scalar_calculate_was(pose, candidates, prior_graph, query_graph, intrinsics,
     and no pairs when nothing is visible.
     """
     projected = {}
-    for prior_id, _ in candidates.pairs:
+    for prior_id, _ in pairs:
         if prior_id not in projected:
             node = prior_graph.node(prior_id)
             quadric = quadric_from_params(node.position, node.rotation, node.scale)
@@ -289,20 +308,18 @@ def scalar_calculate_was(pose, candidates, prior_graph, query_graph, intrinsics,
             projected[prior_id] = None if box is None else bbox_to_gaussian(box)
 
     best: dict[int, tuple[int, float]] = {}
-    for query_id in candidates.query_ids():
-        q_gauss = bbox_to_gaussian(query_graph.node(query_id).bbox)
-        for prior_id in candidates.candidates_for(query_id):
-            p_gauss = projected[prior_id]
-            if p_gauss is None:
-                continue
-            w = normalized_wasserstein(p_gauss, q_gauss, C)
-            cur = best.get(query_id)
-            if cur is None or w > cur[1] or (w == cur[1] and prior_id < cur[0]):
-                best[query_id] = (prior_id, w)
+    for prior_id, query_id in pairs:
+        p_gauss = projected[prior_id]
+        if p_gauss is None:
+            continue
+        w = normalized_wasserstein(p_gauss, bbox_to_gaussian(query_graph.node(query_id).bbox), C)
+        cur = best.get(query_id)
+        if cur is None or w > cur[1] or (w == cur[1] and prior_id < cur[0]):
+            best[query_id] = (prior_id, w)
 
     if not best:
         return 0.0, []
-    score = sum(w for _, w in best.values()) / len(best)
+    score = sum(best[q][1] for q in sorted(best)) / len(best)
     return score, [(best[q][0], q) for q in sorted(best)]
 
 
@@ -529,6 +546,42 @@ def scalar_p3p_solve(world_points, bearings) -> list[Pose]:
     return kept
 
 
+def id_pairs(candidates, prior_graph: SemanticGraph, query_graph: SemanticGraph) -> list:
+    """A candidate set's (prior id, query id) pairs, in its order."""
+    prior_ids, query_ids = prior_graph.ids(), query_graph.ids()
+    return [(prior_ids[p], query_ids[q]) for p, q in zip(candidates.prior, candidates.query)]
+
+
+def scalar_is_valid_sample(sample, prior_graph, query_graph, used_samples) -> bool:
+    """Structural validity of a sample of (prior id, query id) pairs.
+
+    Requires three pairs, distinct prior ids, distinct query ids, an
+    identical pattern of edges and non-edges between the induced prior and
+    query triples, and that this (order-insensitive) pair set was not
+    sampled before.
+    """
+
+    def has_edge(graph, a, b):
+        return ((a, b) if a < b else (b, a)) in graph.edges
+
+    pairs = list(sample)
+    if len(pairs) != 3:
+        return False
+    prior_ids = [p for p, _ in pairs]
+    query_ids = [q for _, q in pairs]
+    if len(set(prior_ids)) != 3 or len(set(query_ids)) != 3:
+        return False
+    if frozenset(pairs) in used_samples:
+        return False
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if has_edge(prior_graph, prior_ids[i], prior_ids[j]) != has_edge(
+                query_graph, query_ids[i], query_ids[j]
+            ):
+                return False
+    return True
+
+
 def serial_estimate_pose(
     query_graph: SemanticGraph,
     prior_graph: SemanticGraph,
@@ -539,9 +592,11 @@ def serial_estimate_pose(
 
     Scores all pairs, extracts per-query candidates, then runs the seeded
     sampling loop, solving and scoring each valid sample before the next
-    draw. Every drawn 3-pair set counts as used whether or not it passes
-    validity, so the loop never re-evaluates a set; it stops early on a
-    high enough alignment or when the triple space is exhausted.
+    draw. Samples are (prior id, query id) pairs checked by
+    `scalar_is_valid_sample`. Every drawn 3-pair set counts as used whether
+    or not it passes validity, so the loop never re-evaluates a set; it
+    stops early on a high enough alignment or when the triple space is
+    exhausted.
     """
     if len(query_graph) < 3:
         return LocalizationResult(
@@ -550,7 +605,7 @@ def serial_estimate_pose(
         )
     table = score_all_pairs(prior_graph, query_graph, use_calp=config.use_calp)
     candidates = extract_candidates(table, config.tau)
-    pairs = candidates.pairs
+    pairs = id_pairs(candidates, prior_graph, query_graph)
     if len(pairs) < 3:
         return LocalizationResult(
             LocalizationStatus.INSUFFICIENT_DETECTIONS,
@@ -578,7 +633,7 @@ def serial_estimate_pose(
         idx = rng.choice(n_pairs, size=3, replace=False)
         sample = [pairs[i] for i in idx]
         key = frozenset(sample)
-        valid = is_valid_sample(sample, prior_graph, query_graph, used)
+        valid = scalar_is_valid_sample(sample, prior_graph, query_graph, used)
         used.add(key)
         if not valid:
             continue

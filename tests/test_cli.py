@@ -51,7 +51,8 @@ def dataset(tmp_path_factory):
     return root
 
 
-def _localize(dataset, out_name, *extra):
+def _localize(dataset, out_name, *extra, threads="1"):
+    """localize on the dataset's query log; threads None leaves --threads out."""
     sim = dataset / "sim"
     argv = [
         "localize",
@@ -59,11 +60,30 @@ def _localize(dataset, out_name, *extra):
         "--intrinsics", str(sim / "intrinsics.json"),
         "--map", str(dataset / "map.json"),
         "--output", str(dataset / out_name),
-        "--threads", "1",
+        *(["--threads", threads] if threads else []),
         "--seed", "7",
         *extra,
     ]
     return main(argv)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 class TestSimulate:
@@ -294,6 +314,26 @@ class TestLocalize:
         assert _localize(dataset, "sweep_bad", "--sweep", "K=1,0") == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (dataset / "sweep_bad").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_input_error(self, dataset, capsys, threads):
+        assert _localize(dataset, "threads_bad", threads=threads) == 1
+        assert capsys.readouterr().err.startswith("error: --threads must be at least 1")
+        assert not (dataset / "threads_bad").exists()
+
+    # the dataset has 5 query frames; no worker process is ever started here
+    @pytest.mark.parametrize(
+        "threads, cores, workers",
+        [("5000", 2, [2]), ("3", 8, [3]), ("5000", 64, [5]), (None, 4, [4]), ("1", 8, [])],
+    )
+    def test_workers_are_bounded(self, dataset, monkeypatch, threads, cores, workers):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert _localize(dataset, "run_pool", threads=threads) == 0
+        assert _RecordingPool.sizes == workers
+        a = (dataset / "run_map" / "results.jsonl").read_bytes()
+        assert (dataset / "run_pool" / "results.jsonl").read_bytes() == a
 
     def test_non_integer_count_is_input_error(self, dataset, tmp_path):
         (tmp_path / "loc.cfg").write_text("tau=2.5\n")

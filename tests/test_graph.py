@@ -244,8 +244,9 @@ class TestSemanticGraph:
         g = SemanticGraph(nodes, {(1, 5), (3, 5)})
         assert g.ids() == [5, 1, 3]
         assert g.neighbors(5) == [1, 3]
-        assert g.has_edge(5, 1) and g.has_edge(1, 5)
-        assert not g.has_edge(1, 3)
+        # rows and columns in node order: 5, 1, 3
+        want = [[False, True, True], [True, False, False], [True, False, False]]
+        assert g.adjacency.tolist() == want
         np.testing.assert_allclose(g.positions()[0], [5.0, 0.0, 0.0])
         assert len(g) == 3
 

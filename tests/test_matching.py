@@ -25,6 +25,7 @@ from oracles import (
     multilabel_likelihood,
     neighbor_weight,
     padded_score_all_pairs,
+    per_column_extract_candidates,
     similarity_score,
 )
 
@@ -368,34 +369,68 @@ def _table(prior_ids, query_ids, sim):
     return SimilarityTable(list(prior_ids), list(query_ids), sim.copy(), sim)
 
 
+def _candidates(table, tau):
+    """extract_candidates as (prior id, query id) pairs, checked against the per-column oracle."""
+    cands = extract_candidates(table, tau)
+    prior, query = per_column_extract_candidates(table, tau)
+    np.testing.assert_array_equal(cands.prior, prior)
+    np.testing.assert_array_equal(cands.query, query)
+    assert len(cands) == len(prior)
+    return [(table.prior_ids[p], table.query_ids[q]) for p, q in zip(cands.prior, cands.query)]
+
+
 class TestExtractCandidates:
     def test_keeps_exactly_tau(self):
         table = _table([1, 2, 3, 4], [10], [[0.9], [0.1], [0.5], [0.3]])
-        cands = extract_candidates(table, tau=2)
-        assert cands.candidates_for(10) == [1, 3]
+        assert _candidates(table, tau=2) == [(1, 10), (3, 10)]
 
     def test_tie_at_cutoff_prefers_lower_prior_id(self):
         table = _table([4, 2, 9, 7], [10], [[0.5], [0.5], [0.5], [0.2]])
-        cands = extract_candidates(table, tau=2)
-        assert cands.candidates_for(10) == [2, 4]
+        assert _candidates(table, tau=2) == [(2, 10), (4, 10)]
 
     def test_fewer_priors_than_tau(self):
         table = _table([3, 1], [10], [[0.5], [0.6]])
-        cands = extract_candidates(table, tau=5)
-        assert cands.candidates_for(10) == [1, 3]
+        assert _candidates(table, tau=5) == [(1, 10), (3, 10)]
 
     def test_zero_scores_still_fill_tau(self):
         table = _table([5, 6, 7], [10], [[0.0], [0.0], [0.0]])
+        assert _candidates(table, tau=2) == [(5, 10), (6, 10)]
+
+    def test_grouped_by_query_node_in_table_order(self):
+        # query columns out of id order, ties within and across columns
+        table = _table([8, 3, 5], [12, 10, 11], [[0.5, 0.2, 0.5], [0.5, 0.2, 0.1], [0.1, 0.9, 0.5]])
+        assert _candidates(table, tau=2) == [(3, 12), (8, 12), (5, 10), (3, 10), (5, 11), (8, 11)]
         cands = extract_candidates(table, tau=2)
-        assert cands.candidates_for(10) == [5, 6]
+        assert cands.prior.tolist() == [1, 0, 2, 1, 2, 0]
+        assert cands.query.tolist() == [0, 0, 1, 1, 2, 2]
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_tables(self, shape):
+        table = _table(range(shape[0]), range(10, 10 + shape[1]), np.zeros(shape))
+        assert _candidates(table, tau=2) == []
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_p=st.integers(0, 7),
+        n_q=st.integers(0, 5),
+        levels=st.integers(1, 4),
+        tau=st.integers(1, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_column_oracle(self, seed, n_p, n_q, levels, tau):
+        # few distinct scores, so ties within and across columns are common;
+        # prior ids unsorted, and tau often above the prior count
+        r = np.random.default_rng(seed)
+        prior_ids = r.permutation(50)[:n_p].tolist()
+        sim = r.integers(0, levels, (n_p, n_q)) / levels
+        pairs = _candidates(_table(prior_ids, range(10, 10 + n_q), sim), tau)
+        assert len(pairs) == n_q * min(tau, n_p)
 
     def test_monotone_transform_invariance(self, rng):
         sim = rng.random((6, 4))
         table = _table(range(6), range(10, 14), sim)
         scaled = _table(range(6), range(10, 14), sim * 3.0 + 0.25)
-        a = extract_candidates(table, tau=3)
-        b = extract_candidates(scaled, tau=3)
-        assert a.pairs == b.pairs
+        assert _candidates(table, tau=3) == _candidates(scaled, tau=3)
 
     def test_rejects_bad_tau(self):
         table = _table([1], [10], [[0.5]])

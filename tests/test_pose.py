@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from semloc import (
     BoundingBox,
     CameraIntrinsics,
-    CandidateSet,
     DetectionRecord,
     LocalizationStatus,
     MatcherConfig,
@@ -34,10 +35,12 @@ import semloc.pose
 from semloc.cli import _accumulate_map, _localize_frame, _seed_children
 from semloc.dataio import FrameRecord
 from semloc.geometry import _project_quadrics, quat_distance
-from semloc.pose import _CHUNK, _AlignmentScorer, _chunk_cap
+from semloc.matching import SimilarityTable
+from semloc.pose import _CHUNK, _AlignmentScorer, _chunk_cap, _compatibility
 
 from conftest import (
     VOCAB,
+    candidate_set,
     graph,
     make_table,
     pose_arrays,
@@ -46,7 +49,7 @@ from conftest import (
     query_node,
     random_rotation,
 )
-from oracles import scalar_calculate_was, serial_estimate_pose
+from oracles import id_pairs, scalar_calculate_was, scalar_is_valid_sample, serial_estimate_pose
 
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
@@ -85,26 +88,26 @@ def _perfect_scene(n=8, seed=3, center_boxes=False):
     return pg, qg, gt
 
 
-def _latency_scene_frames(seed: int, frame_ids):
-    """Prior graph and query graphs of frames of the criterion-8 latency
-    scene (50 unique labels, 10 detections a frame), built with every seed
-    of its recipe set to `seed`."""
-    spec = SceneSpec(
-        n_landmarks=50,
-        bounds=((-3.0, -3.0, 0.0), (3.0, 3.0, 2.0)),
-        vocabulary=[f"obj{i:02d}" for i in range(50)],
-        unique_labels=True,
-        min_separation=0.25,
-        seed=seed,
-    )
+def _mapped_frames(spec, rings, q_ring, noise, n_dets, frame_ids):
+    """Prior graph and query graphs of frames of a simulated scene.
+
+    Two 40-pose keyframe orbits at rings[0] and rings[1] (radius, height),
+    noise-free, build the map; the frames come from a 120-pose query orbit
+    at q_ring under `noise` and keep their first n_dets detections. Every
+    seed of the recipe derives from spec.seed.
+    """
     scene = generate_scene(spec)
-    s1, s2, s3, s4, s5 = _seed_children(seed, 5)
-    kf_poses = generate_trajectory(
-        "orbit", 40, spec.bounds, seed=s1, radius=2.0, height=1.0
-    ) + generate_trajectory("orbit", 40, spec.bounds, seed=s2, radius=2.6, height=1.8)
+    s1, s2, s3, s4, s5 = _seed_children(spec.seed, 5)
+    kf_poses = [
+        pose
+        for ring_seed, (radius, height) in zip((s1, s2), rings)
+        for pose in generate_trajectory(
+            "orbit", 40, spec.bounds, seed=ring_seed, radius=radius, height=height
+        )
+    ]
     kf_frames = render_sequence(scene, kf_poses, INTR, NoiseSpec(), seed=s3)
-    q_poses = generate_trajectory("orbit", 120, spec.bounds, seed=s4, radius=2.0, height=1.4)
-    noise = NoiseSpec(bbox_jitter=1.0, depth_sigma=0.03, temperature=0.3)
+    radius, height = q_ring
+    q_poses = generate_trajectory("orbit", 120, spec.bounds, seed=s4, radius=radius, height=height)
     # one RNG stream per frame, so rendering a prefix renders the same frames
     rendered = render_sequence(scene, q_poses[: max(frame_ids) + 1], INTR, noise, seed=s5)
     landmarks = [
@@ -120,10 +123,48 @@ def _latency_scene_frames(seed: int, frame_ids):
     )
     prior = prior_graph_from_nodes(nodes, keyframes, k_edge=config.k_edge)
     queries = [
-        build_query_graph(rendered[i][0][:10], k=config.K, k_edge=config.k_edge, intrinsics=INTR)
+        build_query_graph(
+            rendered[i][0][:n_dets], k=config.K, k_edge=config.k_edge, intrinsics=INTR
+        )
         for i in frame_ids
     ]
     return prior, queries
+
+
+def _latency_scene_frames(seed: int, frame_ids):
+    """Prior graph and query graphs of frames of the criterion-8 latency
+    scene (50 unique labels, 10 detections a frame), built with every seed
+    of its recipe set to `seed`."""
+    spec = SceneSpec(
+        n_landmarks=50,
+        bounds=((-3.0, -3.0, 0.0), (3.0, 3.0, 2.0)),
+        vocabulary=[f"obj{i:02d}" for i in range(50)],
+        unique_labels=True,
+        min_separation=0.25,
+        seed=seed,
+    )
+    noise = NoiseSpec(bbox_jitter=1.0, depth_sigma=0.03, temperature=0.3)
+    return _mapped_frames(spec, [(2.0, 1.0), (2.6, 1.8)], (2.0, 1.4), noise, 10, frame_ids)
+
+
+def _wide_scene_frames(seed: int, frame_ids, n_dets: int):
+    """Prior graph and query graphs of frames of a 12 x 12 m room of 200
+    landmarks with 12 labels in 4 confusable clusters (the criterion-5
+    labels and noise), keeping n_dets detections a frame."""
+    vocab = ["chair", "sofa", "bed", "table", "shelf", "door"]
+    vocab += ["lamp", "monitor", "tv", "plant", "sink", "fridge"]
+    spec = SceneSpec(
+        n_landmarks=200,
+        bounds=((-6.0, -6.0, 0.0), (6.0, 6.0, 2.5)),
+        vocabulary=vocab,
+        clusters=[vocab[i : i + 3] for i in range(0, 12, 3)],
+        confusion_rate=0.3,
+        scale_range=(0.1, 0.3),
+        min_separation=0.4,
+        seed=seed,
+    )
+    noise = NoiseSpec(bbox_jitter=2.0, depth_sigma=0.05, dropout=0.1, temperature=0.5)
+    return _mapped_frames(spec, [(2.5, 1.2), (5.0, 1.8)], (4.0, 1.4), noise, n_dets, frame_ids)
 
 
 def _localize_seed(frame_id: int) -> int:
@@ -204,7 +245,9 @@ class TestMatcherConfig:
 
 
 class TestIsValidSample:
-    def _graphs(self):
+    @staticmethod
+    def _valid(pairs, used=frozenset()):
+        """is_valid_sample on candidates 0, 1, 2, checked against the id-based oracle."""
         pg = graph(
             [prior_node(i, (float(i), 0, 0), {"a": 1}) for i in range(1, 5)],
             [(1, 2), (2, 3)],
@@ -213,39 +256,94 @@ class TestIsValidSample:
             [query_node(i, (float(i), 0, 5), {"a": 1.0}) for i in range(10, 14)],
             [(10, 11), (11, 12)],
         )
-        return pg, qg
+        compatible = _compatibility(candidate_set(pairs, pg, qg), pg, qg)
+        used_pairs = {frozenset(pairs[i] for i in sample) for sample in used}
+        valid = is_valid_sample([0, 1, 2], compatible, used)
+        assert valid is scalar_is_valid_sample(pairs, pg, qg, used_pairs)
+        return valid
 
     def test_accepts_matching_pattern(self):
-        pg, qg = self._graphs()
-        assert is_valid_sample([(1, 10), (2, 11), (3, 12)], pg, qg, set())
+        assert self._valid([(1, 10), (2, 11), (3, 12)])
 
     def test_rejects_duplicate_prior(self):
-        pg, qg = self._graphs()
-        assert not is_valid_sample([(1, 10), (1, 11), (3, 12)], pg, qg, set())
+        assert not self._valid([(1, 10), (1, 11), (3, 12)])
 
     def test_rejects_duplicate_query(self):
-        pg, qg = self._graphs()
-        assert not is_valid_sample([(1, 10), (2, 10), (3, 12)], pg, qg, set())
+        assert not self._valid([(1, 10), (2, 10), (3, 12)])
 
     def test_rejects_edge_pattern_mismatch(self):
-        pg, qg = self._graphs()
         # prior 4 is isolated but query 11-12 are connected
-        assert not is_valid_sample([(1, 10), (2, 11), (4, 12)], pg, qg, set())
+        assert not self._valid([(1, 10), (2, 11), (4, 12)])
 
     def test_used_set_is_order_insensitive(self):
-        pg, qg = self._graphs()
-        used = {frozenset({(2, 11), (1, 10), (3, 12)})}
-        assert not is_valid_sample([(3, 12), (1, 10), (2, 11)], pg, qg, used)
+        assert not self._valid([(1, 10), (2, 11), (3, 12)], used={frozenset({2, 0, 1})})
 
     def test_rejects_wrong_size(self):
-        pg, qg = self._graphs()
-        assert not is_valid_sample([(1, 10), (2, 11)], pg, qg, set())
+        with pytest.raises(ValueError):
+            is_valid_sample([0, 1], np.ones((3, 3), dtype=bool), set())
+
+
+def _all_triples_agree(query, prior, candidates) -> int:
+    """is_valid_sample against the id-based oracle on every triple; the valid count."""
+    pairs = id_pairs(candidates, prior, query)
+    compatible = _compatibility(candidates, prior, query)
+    n_valid = 0
+    for sample in itertools.combinations(range(len(pairs)), 3):
+        valid = scalar_is_valid_sample([pairs[i] for i in sample], prior, query, set())
+        assert is_valid_sample(sample, compatible, set()) is valid
+        n_valid += valid
+    return n_valid
+
+
+class TestCompatibility:
+    """The (pairs, pairs) compatibility table decides a sample as the id-based oracle does."""
+
+    def test_criterion_8_frames(self):
+        prior, queries = _latency_scene_frames(seed=0, frame_ids=[0, 23, 42, 77, 101])
+        for query in queries:
+            cands = extract_candidates(score_all_pairs(prior, query), tau=3)
+            assert 0 < _all_triples_agree(query, prior, cands) < math.comb(len(cands), 3)
+
+    def test_wide_frames(self):
+        prior, queries = _wide_scene_frames(seed=0, frame_ids=[5, 60], n_dets=16)
+        for query in queries:
+            cands = extract_candidates(score_all_pairs(prior, query), tau=3)
+            assert len(cands) == 48
+            assert 0 < _all_triples_agree(query, prior, cands) < math.comb(48, 3)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_p=st.integers(1, 7),
+        n_q=st.integers(1, 5),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+        tau=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, seed, n_p, n_q, density, tau):
+        # no edges, isolated nodes, unsorted ids, and priors that serve several query nodes
+        r = np.random.default_rng(seed)
+
+        def random_graph(ids, node):
+            nodes = [node(i, (float(k), 0.0, 5.0)) for k, i in enumerate(ids)]
+            edges = [e for e in itertools.combinations(ids, 2) if r.random() < density]
+            return graph(nodes, edges)
+
+        prior = random_graph(
+            r.permutation(20)[:n_p].tolist(), lambda i, x: prior_node(i, x, {"a": 1})
+        )
+        query = random_graph(
+            (100 + r.permutation(20)[:n_q]).tolist(), lambda i, x: query_node(i, x, {"a": 1.0})
+        )
+        sim = r.integers(0, 3, (n_p, n_q)) / 3.0
+        table = SimilarityTable(prior.ids(), query.ids(), sim, sim)
+        _all_triples_agree(query, prior, extract_candidates(table, tau))
 
 
 def _was(pose, cands, pg, qg):
     """calculate_was, checked against the scalar oracle."""
     score, pairs = calculate_was(pose, cands, pg, qg, INTR, C=100.0)
-    ref_score, ref_pairs = scalar_calculate_was(pose, cands, pg, qg, INTR, C=100.0)
+    candidates = id_pairs(cands, pg, qg)
+    ref_score, ref_pairs = scalar_calculate_was(pose, candidates, pg, qg, INTR, C=100.0)
     assert score == pytest.approx(ref_score, abs=1e-9)
     assert pairs == ref_pairs
     return score, pairs
@@ -281,7 +379,7 @@ class TestCalculateWas:
         box = project_quadric_to_bbox(quadric_of(twin_a), gt, INTR)
         pg = graph([twin_b, twin_a], [])
         qg = graph([query_node(10, gt.transform(pos), {"a": 1.0}, bbox=box)], [])
-        cands = CandidateSet([(7, 10), (3, 10)], tau=2)
+        cands = candidate_set([(7, 10), (3, 10)], pg, qg)
         _, pairs = _was(gt, cands, pg, qg)
         assert pairs == [(3, 10)]
 
@@ -299,7 +397,7 @@ class TestCalculateWas:
             ],
             [],
         )
-        cands = CandidateSet([(3, 10), (7, 10), (3, 11), (7, 11)], tau=2)
+        cands = candidate_set([(3, 10), (7, 10), (3, 11), (7, 11)], pg, qg)
         score, pairs = _was(gt, cands, pg, qg)
         assert score == 1.0
         assert pairs == [(3, 10), (3, 11)]
@@ -320,17 +418,17 @@ class TestAlignmentScorer:
             for shift in ([2.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 1.6, 0.0], [1.8, -1.4, 0.5]):
                 poses.append(Pose.from_rt(np.eye(3), gt.translation + shift))
         poses.append(Pose.from_rt(np.eye(3), np.array([0.0, 0.0, -10.0])))
-        boxes = {q: qg.node(q).bbox for q in cands.query_ids()}
-        scorer = _AlignmentScorer(cands.pairs, pg, boxes, INTR, C=100.0)
+        pairs = id_pairs(cands, pg, qg)
+        scorer = _AlignmentScorer(pairs, pg, {q: qg.node(q).bbox for _, q in pairs}, INTR, C=100.0)
         batch = scorer.score(*pose_arrays(poses))
         n_partly_visible = 0
         for i, pose in enumerate(poses):
-            ref, ref_pairs = scalar_calculate_was(pose, cands, pg, qg, INTR, C=100.0)
-            was, pairs = scorer.select(pose)
+            ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
+            was, selected = scorer.select(pose)
             assert batch[i] == pytest.approx(ref, abs=1e-9)
             assert was == pytest.approx(ref, abs=1e-9)
-            assert pairs == ref_pairs
-            n_partly_visible += 0 < len(pairs) < len(cands.query_ids())
+            assert selected == ref_pairs
+            n_partly_visible += 0 < len(selected) < len(qg)
         if off_image:
             assert n_partly_visible > 0  # some poses lose landmarks out of the image
 
@@ -362,11 +460,10 @@ class TestAlignmentScorer:
     @staticmethod
     def _matches_oracle(pairs, pg, qg, poses):
         """score and select of a scorer over pairs, checked against the scalar oracle."""
-        cands = CandidateSet(list(pairs), tau=len(pairs))
         scorer = _AlignmentScorer(pairs, pg, {q: qg.node(q).bbox for _, q in pairs}, INTR, C=100.0)
         batch = scorer.score(*pose_arrays(poses))
         for i, pose in enumerate(poses):
-            ref, ref_pairs = scalar_calculate_was(pose, cands, pg, qg, INTR, C=100.0)
+            ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
             was, selected = scorer.select(pose)
             assert batch[i] == pytest.approx(ref, abs=1e-9)
             assert was == pytest.approx(ref, abs=1e-9)
@@ -382,7 +479,7 @@ class TestAlignmentScorer:
 
     def test_pairs_out_of_query_order(self, rng):
         pg, qg, gt = _perfect_scene()
-        pairs = extract_candidates(score_all_pairs(pg, qg), tau=3).pairs
+        pairs = id_pairs(extract_candidates(score_all_pairs(pg, qg), tau=3), pg, qg)
         poses = self._poses(gt, rng)
         in_order = self._matches_oracle(pairs, pg, qg, poses)
         for _ in range(3):
@@ -392,7 +489,7 @@ class TestAlignmentScorer:
 
     def test_query_node_with_a_single_candidate(self, rng):
         pg, qg, gt = _perfect_scene()
-        pairs = extract_candidates(score_all_pairs(pg, qg), tau=3).pairs
+        pairs = id_pairs(extract_candidates(score_all_pairs(pg, qg), tau=3), pg, qg)
         # node 103 keeps only its own landmark, node 105 only a wrong one
         pairs = [(p, q) for p, q in pairs if q not in (103, 105)] + [(4, 103), (1, 105)]
         self._matches_oracle(pairs, pg, qg, self._poses(gt, rng))
@@ -405,7 +502,7 @@ class TestAlignmentScorer:
             prior_node(99, [0.0, 0.0, -9.0], {VOCAB[2]: 1}),
         ]
         pg = graph(list(pg.nodes) + behind, pg.edges)
-        pairs = extract_candidates(score_all_pairs(pg, qg), tau=2).pairs
+        pairs = id_pairs(extract_candidates(score_all_pairs(pg, qg), tau=2), pg, qg)
         pairs = [(p, q) for p, q in pairs if q != 102] + [(98, 102), (99, 102)]
         poses = self._poses(gt, rng)
         self._matches_oracle(pairs, pg, qg, poses)
@@ -737,7 +834,7 @@ def _matches_serial(query, prior, config):
 
 
 def _n_pairs(query, prior, tau):
-    return len(extract_candidates(score_all_pairs(prior, query), tau).pairs)
+    return len(extract_candidates(score_all_pairs(prior, query), tau))
 
 
 def _chunk_ends(n_pairs: int, n_valid: int) -> list[int]:
