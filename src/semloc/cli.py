@@ -624,11 +624,11 @@ def _print_report(name: str, report: dict):
 
 def _add_matcher_flags(sub):
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    sub.add_argument("--seed", type=int, default=None, help="base RNG seed, at least 0")
     sub.add_argument("--K", type=int, default=None, help="labels kept per detection")
     sub.add_argument("--tau", type=int, default=None, help="candidate priors per query node")
     sub.add_argument("--C", type=float, default=None, help="box similarity pixel scale")
-    sub.add_argument("--n-iter", dest="n_iter", type=int, default=None, help="sampling iterations")
+    sub.add_argument("--n-iter", dest="n_iter", type=int, default=None, help="triples drawn per frame")
     sub.add_argument("--k-edge", dest="k_edge", type=int, default=None, help="graph neighbors per node")
 
 

@@ -1,6 +1,6 @@
 """Global pose estimation from candidate correspondences.
 
-Repeatedly samples three candidate pairs, checks structural validity,
+Samples distinct triples of candidate pairs, checks structural validity,
 solves perspective-three-point, and keeps the pose with the best
 normalized-Wasserstein alignment between projected landmarks and detected
 boxes. Structural validity is read from one boolean (pairs, pairs)
@@ -53,10 +53,11 @@ class MatcherConfig:
     K: labels retained per confidence vector.
     tau: candidate priors kept per query node.
     C: pixel scale of the exp(-W2/C) box similarity.
-    n_iter: sampling iterations; early_exit_was stops sooner once the best
+    n_iter: distinct candidate triples drawn per frame, at most all
+        C(pairs, 3) of them; early_exit_was stops sooner once the best
         alignment exceeds it (None disables).
     k_edge: neighbors per node when wiring graphs.
-    rng_seed: seed of the sampling loop.
+    rng_seed: seed of the sampling loop, a nonnegative integer.
     use_calp: add the neighbor-context term to the pair scores; False keeps
         the likelihood alone (the ablation baseline).
     """
@@ -83,6 +84,8 @@ class MatcherConfig:
             raise ValueError("early_exit_was must be a finite number or none")
         if self.n_iter <= 0:
             raise ValueError("n_iter must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
         if not isinstance(self.use_calp, bool):  # a config `use_calp=none` is no switch
             raise ValueError("use_calp must be true or false")
 
@@ -104,16 +107,31 @@ class LocalizationResult:
     message: str = ""
 
 
-def is_valid_sample(sample, compatible: np.ndarray, used) -> bool:
+def is_valid_sample(sample, compatible: np.ndarray) -> bool:
     """Structural validity of a sample of three candidate indices.
 
-    Requires every two of its pairs to be compatible (see _compatibility)
-    and that this (order-insensitive) index set was not sampled before.
+    Requires every two of its pairs to be compatible (see _compatibility).
     """
     i, j, k = sample
-    return bool(compatible[i, j] and compatible[i, k] and compatible[j, k]) and (
-        frozenset(sample) not in used
-    )
+    return bool(compatible[i, j] and compatible[i, k] and compatible[j, k])
+
+
+def _draw_triples(rng: np.random.Generator, n_pairs: int, n: int) -> np.ndarray:
+    """min(n, C(n_pairs, 3)) distinct index triples i < j < k, drawn uniformly, (draws, 3).
+
+    One `rng.choice` picks distinct ranks of the C(n_pairs, 3) triples; the
+    combinatorial number system turns rank r into the triple with
+    r = C(k, 3) + C(j, 2) + i.
+    """
+    m = np.arange(n_pairs, dtype=np.int64)
+    comb2 = m * (m - 1) // 2
+    comb3 = comb2 * (m - 2) // 3
+    total = math.comb(n_pairs, 3)
+    ranks = rng.choice(total, min(n, total), replace=False)
+    k = np.searchsorted(comb3, ranks, side="right") - 1
+    ranks = ranks - comb3[k]
+    j = np.searchsorted(comb2, ranks, side="right") - 1
+    return np.column_stack([ranks - comb2[j], j, k])
 
 
 def _compatibility(
@@ -263,12 +281,12 @@ def estimate_pose(
 ) -> LocalizationResult:
     """Estimate the camera pose of a query frame against the prior map.
 
-    Scores all pairs, extracts per-query candidates, then runs the seeded
-    sampling loop over candidate indices, checking each draw against the
-    frame's compatibility table. Every drawn 3-pair set counts as used
-    whether or not it passes validity, so the loop never re-evaluates a set;
-    it stops early on a high enough alignment or when the triple space is
-    exhausted.
+    Scores all pairs, extracts per-query candidates, then draws the frame's
+    whole budget up front: min(n_iter, C(pairs, 3)) distinct triples of
+    candidate indices, in seeded random order (`_draw_triples`). The loop
+    walks them in order, checking each against the frame's compatibility
+    table, and stops early on a high enough alignment. History entries are
+    indices into this draw list.
 
     Valid samples are solved a chunk at a time by one stacked Lambda Twist
     `p3p_solve` call, whose poses stay quaternion and translation arrays,
@@ -305,8 +323,7 @@ def estimate_pose(
     pair_rays = np.array(rays)[candidates.query]
 
     rng = np.random.default_rng(config.rng_seed)
-    used: set[frozenset] = set()
-    total_triples = math.comb(n_pairs, 3)
+    triples = _draw_triples(rng, n_pairs, config.n_iter).tolist()
     cap = _chunk_cap(n_pairs)
     size = _CHUNK
     best_w = 0.0
@@ -317,15 +334,14 @@ def estimate_pose(
     it = 0
     stop = False
     while not stop:
-        # draw until a chunk of valid samples is full or the draws run out
+        # walk the draws until a chunk of valid samples is full or they run out
         draws: list[int] = []
         picks: list[list[int]] = []
-        while len(draws) < size and it < config.n_iter and len(used) < total_triples:
-            sample = rng.choice(n_pairs, size=3, replace=False).tolist()
-            if is_valid_sample(sample, compatible, used):
+        while len(draws) < size and it < len(triples):
+            sample = triples[it]
+            if is_valid_sample(sample, compatible):
                 draws.append(it)
                 picks.append(sample)
-            used.add(frozenset(sample))
             it += 1
         if not draws:
             break

@@ -19,9 +19,9 @@ compatibility table `estimate_pose` checks draws against.
 `scalar_p3p_solve` solves one P3P sample by another method than the stacked
 Lambda Twist `p3p_solve` (a quartic in a depth ratio, then the Kabsch fit
 `absolute_orientation`), so the two are checked to find the same poses
-within a tolerance; `serial_estimate_pose` runs the sampling loop
-one draw at a time, solving and scoring each valid sample before drawing
-the next.
+within a tolerance; `serial_estimate_pose` walks the same draw list as
+`estimate_pose` one draw at a time, solving and scoring each valid sample
+before checking the next.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from semloc.pose import (
     LocalizationResult,
     LocalizationStatus,
     MatcherConfig,
+    _draw_triples,
     _scorer,
     calculate_was,
 )
@@ -552,13 +553,12 @@ def id_pairs(candidates, prior_graph: SemanticGraph, query_graph: SemanticGraph)
     return [(prior_ids[p], query_ids[q]) for p, q in zip(candidates.prior, candidates.query)]
 
 
-def scalar_is_valid_sample(sample, prior_graph, query_graph, used_samples) -> bool:
+def scalar_is_valid_sample(sample, prior_graph, query_graph) -> bool:
     """Structural validity of a sample of (prior id, query id) pairs.
 
-    Requires three pairs, distinct prior ids, distinct query ids, an
+    Requires three pairs, distinct prior ids, distinct query ids, and an
     identical pattern of edges and non-edges between the induced prior and
-    query triples, and that this (order-insensitive) pair set was not
-    sampled before.
+    query triples.
     """
 
     def has_edge(graph, a, b):
@@ -570,8 +570,6 @@ def scalar_is_valid_sample(sample, prior_graph, query_graph, used_samples) -> bo
     prior_ids = [p for p, _ in pairs]
     query_ids = [q for _, q in pairs]
     if len(set(prior_ids)) != 3 or len(set(query_ids)) != 3:
-        return False
-    if frozenset(pairs) in used_samples:
         return False
     for i in range(3):
         for j in range(i + 1, 3):
@@ -590,13 +588,11 @@ def serial_estimate_pose(
 ) -> LocalizationResult:
     """Estimate the camera pose of a query frame against the prior map, one draw at a time.
 
-    Scores all pairs, extracts per-query candidates, then runs the seeded
-    sampling loop, solving and scoring each valid sample before the next
-    draw. Samples are (prior id, query id) pairs checked by
-    `scalar_is_valid_sample`. Every drawn 3-pair set counts as used whether
-    or not it passes validity, so the loop never re-evaluates a set; it
-    stops early on a high enough alignment or when the triple space is
-    exhausted.
+    Scores all pairs, extracts per-query candidates, then walks the frame's
+    draw list (`_draw_triples`, the one `estimate_pose` draws), solving and
+    scoring each valid sample before checking the next. Samples are
+    (prior id, query id) pairs checked by `scalar_is_valid_sample`; the loop
+    stops early on a high enough alignment.
     """
     if len(query_graph) < 3:
         return LocalizationResult(
@@ -619,23 +615,14 @@ def serial_estimate_pose(
     }
 
     rng = np.random.default_rng(config.rng_seed)
-    used: set[frozenset] = set()
-    n_pairs = len(pairs)
-    total_triples = math.comb(n_pairs, 3)
     best_w = 0.0
     best_pose: Pose | None = None
     history: list[tuple[int, float]] = []
     n_valid = 0
 
-    for it in range(config.n_iter):
-        if len(used) >= total_triples:
-            break
-        idx = rng.choice(n_pairs, size=3, replace=False)
+    for it, idx in enumerate(_draw_triples(rng, len(pairs), config.n_iter)):
         sample = [pairs[i] for i in idx]
-        key = frozenset(sample)
-        valid = scalar_is_valid_sample(sample, prior_graph, query_graph, used)
-        used.add(key)
-        if not valid:
+        if not scalar_is_valid_sample(sample, prior_graph, query_graph):
             continue
         n_valid += 1
         world = np.stack([prior_graph.node(p).position for p, _ in sample])

@@ -51,8 +51,8 @@ def dataset(tmp_path_factory):
     return root
 
 
-def _localize(dataset, out_name, *extra, threads="1"):
-    """localize on the dataset's query log; threads None leaves --threads out."""
+def _localize(dataset, out_name, *extra, threads="1", seed="7"):
+    """localize on the dataset's query log; threads or seed None leaves its flag out."""
     sim = dataset / "sim"
     argv = [
         "localize",
@@ -61,7 +61,7 @@ def _localize(dataset, out_name, *extra, threads="1"):
         "--map", str(dataset / "map.json"),
         "--output", str(dataset / out_name),
         *(["--threads", threads] if threads else []),
-        "--seed", "7",
+        *(["--seed", seed] if seed else []),
         *extra,
     ]
     return main(argv)
@@ -320,6 +320,20 @@ class TestLocalize:
         assert _localize(dataset, "threads_bad", threads=threads) == 1
         assert capsys.readouterr().err.startswith("error: --threads must be at least 1")
         assert not (dataset / "threads_bad").exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config", "sweep"])
+    def test_negative_seed_fails_before_any_run(self, dataset, tmp_path, capsys, how):
+        (tmp_path / "loc.cfg").write_text("rng_seed=-1\n")
+        if how == "flag":
+            code = _localize(dataset, "seed_bad", seed="-1")
+        elif how == "config":
+            code = _localize(dataset, "seed_bad", "--config", str(tmp_path / "loc.cfg"), seed=None)
+        else:
+            code = _localize(dataset, "seed_bad", "--sweep", "rng_seed=0,-1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rng_seed must be nonnegative" in err
+        assert not (dataset / "seed_bad").exists()
 
     # the dataset has 5 query frames; no worker process is ever started here
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,7 @@ from semloc.cli import _accumulate_map, _localize_frame, _seed_children
 from semloc.dataio import FrameRecord
 from semloc.geometry import _project_quadrics, quat_distance
 from semloc.matching import SimilarityTable
-from semloc.pose import _CHUNK, _AlignmentScorer, _chunk_cap, _compatibility
+from semloc.pose import _CHUNK, _AlignmentScorer, _chunk_cap, _compatibility, _draw_triples
 
 from conftest import (
     VOCAB,
@@ -209,6 +210,16 @@ class TestMatcherConfig:
         with pytest.raises(ValueError):
             MatcherConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**63), np.int64(-5)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be nonnegative"):
+            MatcherConfig(rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_accepts_large_frame_seeds(self, seed):
+        # per-frame seeds are 64-bit unsigned words (see _localize_seed)
+        assert MatcherConfig(rng_seed=seed).rng_seed == seed
+
     @pytest.mark.parametrize("name", ["K", "tau", "n_iter", "k_edge", "rng_seed"])
     def test_rejects_non_integer_counts(self, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -246,7 +257,7 @@ class TestMatcherConfig:
 
 class TestIsValidSample:
     @staticmethod
-    def _valid(pairs, used=frozenset()):
+    def _valid(pairs):
         """is_valid_sample on candidates 0, 1, 2, checked against the id-based oracle."""
         pg = graph(
             [prior_node(i, (float(i), 0, 0), {"a": 1}) for i in range(1, 5)],
@@ -257,9 +268,8 @@ class TestIsValidSample:
             [(10, 11), (11, 12)],
         )
         compatible = _compatibility(candidate_set(pairs, pg, qg), pg, qg)
-        used_pairs = {frozenset(pairs[i] for i in sample) for sample in used}
-        valid = is_valid_sample([0, 1, 2], compatible, used)
-        assert valid is scalar_is_valid_sample(pairs, pg, qg, used_pairs)
+        valid = is_valid_sample([0, 1, 2], compatible)
+        assert valid is scalar_is_valid_sample(pairs, pg, qg)
         return valid
 
     def test_accepts_matching_pattern(self):
@@ -275,12 +285,58 @@ class TestIsValidSample:
         # prior 4 is isolated but query 11-12 are connected
         assert not self._valid([(1, 10), (2, 11), (4, 12)])
 
-    def test_used_set_is_order_insensitive(self):
-        assert not self._valid([(1, 10), (2, 11), (3, 12)], used={frozenset({2, 0, 1})})
-
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
-            is_valid_sample([0, 1], np.ones((3, 3), dtype=bool), set())
+            is_valid_sample([0, 1], np.ones((3, 3), dtype=bool))
+
+
+class TestDrawTriples:
+    """A frame's draw list: distinct index triples, uniform over all C(n, 3)."""
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n_pairs=st.integers(3, 120),
+        n=st.integers(1, 600),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_in_range_and_ordered(self, seed, n_pairs, n):
+        triples = _draw_triples(np.random.default_rng(seed), n_pairs, n)
+        assert triples.shape == (min(n, math.comb(n_pairs, 3)), 3)
+        i, j, k = triples.T
+        assert (0 <= i).all() and (i < j).all() and (j < k).all() and (k < n_pairs).all()
+        assert len(np.unique(triples, axis=0)) == len(triples)
+
+    @pytest.mark.parametrize("n_pairs", [3, 4, 5, 9, 30])
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_budget_past_the_triple_space_draws_every_triple(self, n_pairs, extra):
+        total = math.comb(n_pairs, 3)
+        triples = _draw_triples(np.random.default_rng(n_pairs), n_pairs, total + extra)
+        assert sorted(map(tuple, triples.tolist())) == list(
+            itertools.combinations(range(n_pairs), 3)
+        )
+
+    @given(seed=st.integers(0, 2**64 - 1), n_pairs=st.integers(3, 60), n=st.integers(1, 300))
+    @settings(max_examples=30, deadline=None)
+    def test_a_seed_gives_the_same_draws(self, seed, n_pairs, n):
+        first = _draw_triples(np.random.default_rng(seed), n_pairs, n)
+        again = _draw_triples(np.random.default_rng(seed), n_pairs, n)
+        np.testing.assert_array_equal(first, again)
+
+    def test_uniform_over_triples(self):
+        # 6 pairs, 20 triples: 3000 frames of 4 draws each, counted per
+        # triple over all draws and over each frame's first draw
+        rng = np.random.default_rng(0)
+        draws = np.stack([_draw_triples(rng, 6, 4) for _ in range(3000)])
+        ranks = {t: r for r, t in enumerate(itertools.combinations(range(6), 3))}
+        per_draw = np.array([[ranks[tuple(t)] for t in frame] for frame in draws.tolist()])
+        assert scipy.stats.chisquare(np.bincount(per_draw.ravel(), minlength=20)).pvalue > 1e-3
+        assert scipy.stats.chisquare(np.bincount(per_draw[:, 0], minlength=20)).pvalue > 1e-3
+
+    def test_uniform_pair_frequency_over_a_large_triple_space(self):
+        # 50 pairs, 19,600 triples: each pair is in 3/50 of them
+        rng = np.random.default_rng(1)
+        draws = np.concatenate([_draw_triples(rng, 50, 200) for _ in range(200)])
+        assert scipy.stats.chisquare(np.bincount(draws.ravel(), minlength=50)).pvalue > 1e-3
 
 
 def _all_triples_agree(query, prior, candidates) -> int:
@@ -289,8 +345,8 @@ def _all_triples_agree(query, prior, candidates) -> int:
     compatible = _compatibility(candidates, prior, query)
     n_valid = 0
     for sample in itertools.combinations(range(len(pairs)), 3):
-        valid = scalar_is_valid_sample([pairs[i] for i in sample], prior, query, set())
-        assert is_valid_sample(sample, compatible, set()) is valid
+        valid = scalar_is_valid_sample([pairs[i] for i in sample], prior, query)
+        assert is_valid_sample(sample, compatible) is valid
         n_valid += valid
     return n_valid
 
@@ -603,10 +659,11 @@ class TestEstimatePose:
         assert res.message == "0 candidate pairs, need 3"
 
     def test_fewer_than_three_committed_pairs_is_degenerate(self):
-        # the best pose of this frame aligns 2 of 10 detections (WAS 0.92):
-        # too few correspondences to call the frame localized
+        # at this sampling seed (1 of the first 400 that does) the best pose
+        # of this frame aligns 2 of 10 detections (WAS 0.92): too few
+        # correspondences to call the frame localized
         prior, [query] = _latency_scene_frames(seed=4, frame_ids=[42])
-        res = estimate_pose(query, prior, MatcherConfig(rng_seed=_localize_seed(42)), INTR)
+        res = estimate_pose(query, prior, MatcherConfig(rng_seed=375), INTR)
         assert res.status == LocalizationStatus.DEGENERATE
         assert res.message == "best pose commits 2 correspondences, need 3"
         assert res.pose is None and res.correspondences == []
@@ -908,7 +965,7 @@ class TestChunkedLoopMatchesSerial:
     def test_full_budget_spans_three_chunks(self, monkeypatch):
         pg, qg, _ = _perfect_scene()
         stacks = _record_stacks(monkeypatch)
-        config = MatcherConfig(tau=3, n_iter=310, rng_seed=2, early_exit_was=None)
+        config = MatcherConfig(tau=3, n_iter=360, rng_seed=2, early_exit_was=None)
         res = _matches_serial(qg, pg, config)
         assert res.n_valid_samples == 50
         assert stacks == [16, 32, 2]
@@ -942,12 +999,18 @@ class TestChunkedLoopMatchesSerial:
             assert cap >= _CHUNK
             assert cap == _CHUNK or cap * 4 * n_pairs <= semloc.pose._HYPOTHESIS_ELEMS
 
-    def test_triple_space_runs_out_before_n_iter(self):
+    def test_triple_space_runs_out_before_n_iter(self, monkeypatch):
         pg, qg, _ = _perfect_scene(n=5)
         config = MatcherConfig(tau=1, n_iter=200, rng_seed=3, early_exit_was=None)
-        assert _n_pairs(qg, pg, config.tau) <= 5
+        assert _n_pairs(qg, pg, config.tau) == 5
+        draws = []
+        check = semloc.pose.is_valid_sample
+        monkeypatch.setattr(
+            semloc.pose, "is_valid_sample", lambda *args: draws.append(args[0]) or check(*args)
+        )
         res = _matches_serial(qg, pg, config)
-        assert 0 < res.n_valid_samples <= 10  # C(5, 3) triples
+        assert sorted(map(tuple, draws)) == list(itertools.combinations(range(5), 3))
+        assert 0 < res.n_valid_samples <= 10
 
     def test_no_valid_sample_and_degenerate(self):
         qg, pg = _edge_mismatch_frame()
