@@ -268,44 +268,72 @@ def quadric_from_params(position, rotation, scale) -> np.ndarray:
     return 0.5 * (full + full.swapaxes(-1, -2))
 
 
+# the unique entries (00, 01, 02, 03, 11, 12, 13, 22, 23, 33) of a symmetric 4x4 matrix
+_QUAD_ROW = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
+_QUAD_COL = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+# the dual conic entries (00, 11, 22, 02, 12) that a box's tangent lines read
+_CONIC_ROW = np.array([0, 1, 2, 0, 1])
+_CONIC_COL = np.array([0, 1, 2, 2, 2])
+
+
 def _project_quadrics(
     quads: np.ndarray, rotation: np.ndarray, translation: np.ndarray, intrinsics: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Image boxes of dual quadrics (u, 4, 4) under n poses, unclamped.
+    """Image boxes of symmetric dual quadrics (u, 4, 4) under n poses, unclamped.
 
     The poses are unit quaternions (n, 4) and translations (n, 3).
 
     Returns the extents (n, u, 4) as (x_min, y_min, x_max, y_max) and the
     visibility (n, u): the center q[:3, 3] / q[3, 3] lies in front of the
-    camera and the projected dual conic is a nondegenerate ellipse. The
-    conic is sign-normalized so its (3, 3) entry is negative before the
-    tangent-line extents are read off. Extents where a quadric is not
-    visible are meaningless.
+    camera and the projected dual conic is a nondegenerate ellipse. Extents
+    where a quadric is not visible are meaningless.
+
+    Of the dual conic C = P Q P' (P = K [R | t]) only the five entries the
+    extents read are formed, each as a sum over the quadric's ten unique
+    entries with per-pose coefficients, added in one fixed order with
+    elementwise products and no matrix product: every (pose, quadric) result
+    is the same to the bit in any stack.
     """
     rot = quat_to_rotmat(rotation)
     trans = np.asarray(translation, dtype=float)
-    proj = (intrinsics.matrix()[None] @ np.concatenate([rot, trans[:, :, None]], axis=2))[:, None]
-    conic = proj @ quads[None] @ proj.swapaxes(-1, -2)  # (n, u, 3, 3)
-    conic = 0.5 * (conic + conic.swapaxes(-1, -2))
-    flip = np.where(conic[:, :, 2, 2] > 0.0, -1.0, 1.0)
-    conic = conic * flip[:, :, None, None]
-    c22 = conic[:, :, 2, 2]
+    rt = np.concatenate([rot, trans[:, :, None]], axis=2)  # (n, 3, 4)
+    # K [R | t] row by row; K's zeros add nothing
+    proj = np.stack(
+        [
+            intrinsics.fx * rt[:, 0] + intrinsics.cx * rt[:, 2],
+            intrinsics.fy * rt[:, 1] + intrinsics.cy * rt[:, 2],
+            rt[:, 2],
+        ],
+        axis=1,
+    )
+    # C_ab = sum over unique (i, j) of (P_ai P_bj + P_aj P_bi) Q_ij, P_ai P_bi Q_ii on the diagonal
+    pa, pb = proj[:, _CONIC_ROW], proj[:, _CONIC_COL]  # (n, 5, 4)
+    ai, bj = pa[:, :, _QUAD_ROW], pb[:, :, _QUAD_COL]  # (n, 5, 10)
+    aj, bi = pa[:, :, _QUAD_COL], pb[:, :, _QUAD_ROW]
+    coef = np.where(_QUAD_ROW == _QUAD_COL, ai * bj, ai * bj + aj * bi).transpose(2, 1, 0)
+    q = quads[:, _QUAD_ROW, _QUAD_COL].T  # (10, u)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        conic = coef[0, :, :, None] * q[0]  # (5, n, u)
+        term = np.empty_like(conic)
+        for k in range(1, len(q)):
+            conic += np.multiply(coef[k, :, :, None], q[k], out=term)
+        c00, c11, c22, c02, c12 = conic
         centers = quads[:, :3, 3] / quads[:, 3, 3:]
-        cam_z = np.einsum("nj,uj->nu", rot[:, 2, :], centers) + trans[:, 2][:, None]
-        disc_x = conic[:, :, 0, 2] ** 2 - conic[:, :, 0, 0] * c22
-        disc_y = conic[:, :, 1, 2] ** 2 - conic[:, :, 1, 1] * c22
+        z = rt[:, 2, :, None]  # the camera's z row, [R_2 | t_z]
+        cam_z = z[:, 0] * centers[:, 0] + z[:, 1] * centers[:, 1] + z[:, 2] * centers[:, 2]
+        cam_z += z[:, 3]
+        disc_x = c02**2 - c00 * c22
+        disc_y = c12**2 - c11 * c22
         ok = (cam_z > 0.0) & (np.abs(c22) > 1e-12) & (disc_x > 0.0) & (disc_y > 0.0)
-        sx = np.sqrt(np.where(ok, disc_x, 1.0))
-        sy = np.sqrt(np.where(ok, disc_y, 1.0))
-        x0 = (conic[:, :, 0, 2] + sx) / c22
-        x1 = (conic[:, :, 0, 2] - sx) / c22
-        y0 = (conic[:, :, 1, 2] + sy) / c22
-        y1 = (conic[:, :, 1, 2] - sy) / c22
-    xa, xb = np.minimum(x0, x1), np.maximum(x0, x1)
-    ya, yb = np.minimum(y0, y1), np.maximum(y0, y1)
-    ok &= (xb - xa > 0.0) & (yb - ya > 0.0)
-    return np.stack([xa, ya, xb, yb], axis=-1), ok
+        # square roots signed like c22 give (c - s) / c22 <= (c + s) / c22 for a
+        # conic of either sign (negating one changes no bit of its extents); a
+        # negative discriminant leaves NaN extents on a box that is not visible
+        sx = np.copysign(np.sqrt(disc_x), c22)
+        sy = np.copysign(np.sqrt(disc_y), c22)
+        ext = np.stack([c02 - sx, c12 - sy, c02 + sx, c12 + sy])
+        ext /= c22
+        ok &= (ext[2] - ext[0] > 0.0) & (ext[3] - ext[1] > 0.0)
+    return ext.transpose(1, 2, 0), ok
 
 
 def project_quadric_to_bbox(
@@ -322,10 +350,20 @@ def project_quadric_to_bbox(
 
 
 def pixel_to_bearing(pixel, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Unit ray through a pixel in the camera frame."""
-    u, v = float(pixel[0]), float(pixel[1])
-    ray = np.array([(u - intrinsics.cx) / intrinsics.fx, (v - intrinsics.cy) / intrinsics.fy, 1.0])
-    return ray / np.linalg.norm(ray)
+    """Unit rays (..., 3) in the camera frame through pixels (..., 2).
+
+    A stack gives each pixel's ray to the bit as if alone.
+    """
+    px = np.asarray(pixel, dtype=float)
+    ray = np.stack(
+        [
+            (px[..., 0] - intrinsics.cx) / intrinsics.fx,
+            (px[..., 1] - intrinsics.cy) / intrinsics.fy,
+            np.ones(px.shape[:-1]),
+        ],
+        axis=-1,
+    )
+    return ray / _norm(ray)[..., None]
 
 
 # ---------------------------------------------------------------------------

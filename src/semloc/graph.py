@@ -13,10 +13,11 @@ import math
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import BoundingBox, CameraIntrinsics
+from .geometry import BoundingBox, CameraIntrinsics, quadric_from_params
 
 logger = logging.getLogger(__name__)
 
@@ -172,6 +173,7 @@ class SemanticGraph:
     `edge_slot` the edge's place among its root's edges. `degree` counts
     each node's edges and `max_degree` is its maximum (0 without edges).
     `adjacency` is the boolean (nodes, nodes) matrix of the same edges.
+    A prior graph's landmark quadrics are built on first use (`quadrics`).
     """
 
     nodes: list
@@ -216,6 +218,10 @@ class SemanticGraph:
     def node(self, node_id: int):
         return self.nodes[self._index[node_id]]
 
+    def indices(self, node_ids) -> np.ndarray:
+        """Node indices of the given node ids."""
+        return np.array([self._index[node_id] for node_id in node_ids], dtype=int)
+
     def neighbors(self, node_id: int) -> list[int]:
         i = self._index[node_id]
         start = self._offsets[i]
@@ -225,6 +231,19 @@ class SemanticGraph:
         if not self.nodes:
             return np.zeros((0, 3))
         return np.stack([node.position for node in self.nodes])
+
+    @cached_property
+    def quadrics(self) -> np.ndarray:
+        """Dual quadrics (nodes, 4, 4) of a prior graph's landmarks, in node order.
+
+        Built once, on first use, and kept with the graph (pickles carry it).
+        Each row has the bits of `quadric_from_params` on that node alone.
+        """
+        return quadric_from_params(
+            self.positions(),
+            np.reshape([node.rotation for node in self.nodes], (-1, 4)),
+            np.reshape([node.scale for node in self.nodes], (-1, 3)),
+        )
 
 
 def build_knn_edges(

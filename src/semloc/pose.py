@@ -25,7 +25,6 @@ from .geometry import (
     _project_quadrics,
     p3p_solve,
     pixel_to_bearing,
-    quadric_from_params,
 )
 from .graph import SemanticGraph
 from .matching import CandidateSet, extract_candidates, score_all_pairs
@@ -173,12 +172,7 @@ class _AlignmentScorer:
         unique_p, self.pair_p = np.unique(self.prior_ids, return_inverse=True)
         unique_q, self.pair_q = np.unique(self.query_ids, return_inverse=True)
         self.q_starts = np.flatnonzero(np.diff(self.pair_q, prepend=-1))  # first pair per node
-        nodes = [prior_graph.node(p) for p in unique_p.tolist()]
-        self.quads = quadric_from_params(
-            np.reshape([node.position for node in nodes], (-1, 3)),
-            np.reshape([node.rotation for node in nodes], (-1, 4)),
-            np.reshape([node.scale for node in nodes], (-1, 3)),
-        )
+        self.quads = prior_graph.quadrics[prior_graph.indices(unique_p.tolist())]
         q_boxes = [boxes[q] for q in unique_q.tolist()]
         self.q_means = np.array([box.center for box in q_boxes]).reshape(-1, 2)
         self.q_halves = np.array([[b.width / 2.0, b.height / 2.0] for b in q_boxes]).reshape(-1, 2)
@@ -319,8 +313,8 @@ def estimate_pose(
     compatible = _compatibility(candidates, prior_graph, query_graph)
     # per candidate pair: the prior's world point and the query's bearing
     pair_world = prior_graph.positions()[candidates.prior]
-    rays = [pixel_to_bearing(node.bbox.center, intrinsics) for node in query_graph.nodes]
-    pair_rays = np.array(rays)[candidates.query]
+    centers = np.array([node.bbox.center for node in query_graph.nodes])
+    pair_rays = pixel_to_bearing(centers, intrinsics)[candidates.query]
 
     rng = np.random.default_rng(config.rng_seed)
     triples = _draw_triples(rng, n_pairs, config.n_iter).tolist()
