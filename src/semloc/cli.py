@@ -110,6 +110,11 @@ def _cmd_simulate(args) -> int:
     vocabulary = [v.strip() for v in str(values["vocabulary"]).split(",") if v.strip()]
     # every cast and constructor that can reject a flag or config value
     source = f"flags and {args.config}" if args.config else "flags"
+
+    def number(key: str) -> float:
+        with dataio._malformed(f"bad simulate setting {key} ({source})"):
+            return dataio._float(values[key])
+
     with dataio._malformed(f"bad simulate settings ({source})"):
         bounds = tuple(tuple(map(float, c.split(","))) for c in str(values["bounds"]).split(";"))
         if [len(corner) for corner in bounds] != [3, 3]:
@@ -124,28 +129,28 @@ def _cmd_simulate(args) -> int:
             bounds=bounds,
             vocabulary=vocabulary,
             clusters=_parse_clusters(str(values["clusters"])),
-            confusion_rate=float(values["confusion_rate"]),
-            scale_range=(float(values["scale_min"]), float(values["scale_max"])),
-            min_separation=float(values["min_separation"]),
+            confusion_rate=number("confusion_rate"),
+            scale_range=(number("scale_min"), number("scale_max")),
+            min_separation=number("min_separation"),
             unique_labels=values["unique_labels"],
             seed=seed,
         )
         noise = NoiseSpec(
-            bbox_jitter=float(values["bbox_jitter"]),
-            depth_sigma=float(values["depth_sigma"]),
-            dropout=float(values["dropout"]),
-            temperature=float(values["temperature"]),
+            bbox_jitter=number("bbox_jitter"),
+            depth_sigma=number("depth_sigma"),
+            dropout=number("dropout"),
+            temperature=number("temperature"),
         )
         intrinsics = CameraIntrinsics(
-            fx=float(values["fx"]),
-            fy=float(values["fy"]),
-            cx=float(values["cx"]),
-            cy=float(values["cy"]),
+            fx=number("fx"),
+            fy=number("fy"),
+            cx=number("cx"),
+            cy=number("cy"),
             width=dataio._int(values["image_width"]),
             height=dataio._int(values["image_height"]),
         )
-        radius = None if values["radius"] is None else float(values["radius"])
-        height = None if values["traj_height"] is None else float(values["traj_height"])
+        radius = None if values["radius"] is None else number("radius")
+        height = None if values["traj_height"] is None else number("traj_height")
         scene = generate_scene(spec)
         kf_poses = generate_trajectory(
             "orbit", dataio._int(values["n_keyframes"]), bounds, seed=s_kf_traj, radius=radius, height=height

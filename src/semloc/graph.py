@@ -218,10 +218,6 @@ class SemanticGraph:
     def node(self, node_id: int):
         return self.nodes[self._index[node_id]]
 
-    def indices(self, node_ids) -> np.ndarray:
-        """Node indices of the given node ids."""
-        return np.array([self._index[node_id] for node_id in node_ids], dtype=int)
-
     def neighbors(self, node_id: int) -> list[int]:
         i = self._index[node_id]
         start = self._offsets[i]

@@ -12,7 +12,8 @@ import numpy as np
 
 from .geometry import BoundingBox, CameraIntrinsics, Pose
 from .graph import NormalizedConfidence, SemanticGraph
-from .pose import _AlignmentScorer
+from .matching import CandidateSet
+from .pose import MatcherConfig, _AlignmentScorer
 
 logger = logging.getLogger(__name__)
 
@@ -127,21 +128,24 @@ def rematch_predictions(
     prior_graph: SemanticGraph,
     intrinsics: CameraIntrinsics,
     detection_boxes: Mapping[int, Mapping[int, BoundingBox]],
-    C: float = 100.0,
 ) -> dict[int, list[tuple[int, int]]]:
     """Re-associate detections per frame by the best normalized-Wasserstein
     score between each detection box and every landmark projected under the
     ground-truth pose (ties to the lower landmark id; detections with no
     visible landmark stay unmatched). Used by the rematch MOTA mode."""
     out: dict[int, list[tuple[int, int]]] = {}
-    prior_ids = prior_graph.ids()
+    n_priors = len(prior_graph)
     for frame_id in sorted(detection_boxes):
         if frame_id not in gt_poses:
             logger.warning("frame %s missing ground-truth pose, skipped", frame_id)
             continue
-        boxes = detection_boxes[frame_id]
-        pairs = [(prior_id, det_idx) for det_idx in sorted(boxes) for prior_id in prior_ids]
-        scorer = _AlignmentScorer(pairs, prior_graph, boxes, intrinsics, C)
+        det_ids = sorted(detection_boxes[frame_id])
+        boxes = [detection_boxes[frame_id][d] for d in det_ids]
+        # every prior against every detection, grouped by detection
+        pairs = CandidateSet(
+            np.tile(np.arange(n_priors), len(det_ids)), np.repeat(np.arange(len(det_ids)), n_priors)
+        )
+        scorer = _AlignmentScorer(pairs, prior_graph, det_ids, boxes, intrinsics, MatcherConfig.C)
         out[frame_id] = scorer.select(gt_poses[frame_id])[1]
     return out
 

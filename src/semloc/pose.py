@@ -6,12 +6,14 @@ normalized-Wasserstein alignment between projected landmarks and detected
 boxes. Structural validity is read from one boolean (pairs, pairs)
 compatibility table per frame, taken from the graphs' adjacency: valid
 samples are the triangles of this consistency graph, as in CLIPPER (Lusk et
-al., ICRA 2021). Valid samples are solved and scored in chunks that double
-in size (see estimate_pose). Deterministic for a fixed seed.
+al., ICRA 2021). One lazy filter over the frame's draws yields the valid
+samples, which are solved and scored in chunks that double in size (see
+estimate_pose). Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -150,32 +152,30 @@ def _compatibility(
 
 
 class _AlignmentScorer:
-    """Alignment of projected landmarks with detected boxes, for fixed pairs.
+    """Alignment of projected landmarks with detected boxes, for a fixed candidate set.
 
     The one implementation of the normalized-Wasserstein box alignment: each
     prior of a (prior, query) pair is projected under a pose to its clamped
     image box, both boxes are embedded as Gaussians, and the pair scores
     exp(-W2/C). A prior is visible when its center is in front of the camera
     and its projected box has finite extents and is a nondegenerate box
-    inside the image.
+    inside the image. Pairs are node indices; ids enter only in `select`.
     """
 
-    def __init__(self, pairs, prior_graph, boxes, intrinsics, C):
-        """pairs: (prior_id, query_id) tuples or rows; boxes: query_id -> BoundingBox."""
+    def __init__(self, candidates, prior_graph, query_ids, boxes, intrinsics, C):
+        """candidates: a CandidateSet grouped by query index; query_ids and boxes:
+        the id and BoundingBox of each query index."""
         self.C = C
         self.intrinsics = intrinsics
         self.image_max = np.array([intrinsics.width, intrinsics.height] * 2, dtype=float)
-        ids = np.array(pairs, dtype=int).reshape(-1, 2)
-        # grouped by query node, so the per-node reductions of _was are reduceats
-        ids = ids[np.argsort(ids[:, 1], kind="stable")]
-        self.prior_ids, self.query_ids = ids.T
-        unique_p, self.pair_p = np.unique(self.prior_ids, return_inverse=True)
-        unique_q, self.pair_q = np.unique(self.query_ids, return_inverse=True)
+        self.prior_ids = np.asarray(prior_graph.ids(), dtype=int)
+        self.query_ids = np.asarray(query_ids, dtype=int)
+        self.pair_prior, self.pair_q = candidates.prior, candidates.query
         self.q_starts = np.flatnonzero(np.diff(self.pair_q, prepend=-1))  # first pair per node
-        self.quads = prior_graph.quadrics[prior_graph.indices(unique_p.tolist())]
-        q_boxes = [boxes[q] for q in unique_q.tolist()]
-        self.q_means = np.array([box.center for box in q_boxes]).reshape(-1, 2)
-        self.q_halves = np.array([[b.width / 2.0, b.height / 2.0] for b in q_boxes]).reshape(-1, 2)
+        unique_p, self.pair_p = np.unique(self.pair_prior, return_inverse=True)
+        self.quads = prior_graph.quadrics[unique_p]
+        self.q_means = np.array([box.center for box in boxes]).reshape(-1, 2)
+        self.q_halves = np.array([[b.width / 2.0, b.height / 2.0] for b in boxes]).reshape(-1, 2)
 
     def _pair_scores(self, rotation, translation) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair similarity (0 where the prior is not visible) and visibility, (n, pairs)."""
@@ -222,11 +222,14 @@ class _AlignmentScorer:
         wn, visible = self._pair_scores(pose.rotation[None], pose.translation[None])
         was = float(self._was(wn, visible)[0])
         idx = np.flatnonzero(visible[0])
+        prior = self.prior_ids[self.pair_prior[idx]]
+        query = self.query_ids[self.pair_q[idx]]
         # best first within each query node: score descending, then prior id
-        idx = idx[np.lexsort((self.prior_ids[idx], -wn[0, idx], self.pair_q[idx]))]
-        first = np.ones(idx.size, dtype=bool)
-        first[1:] = self.pair_q[idx[1:]] != self.pair_q[idx[:-1]]
-        return was, [(int(self.prior_ids[i]), int(self.query_ids[i])) for i in idx[first]]
+        order = np.lexsort((prior, -wn[0, idx], query))
+        prior, query = prior[order], query[order]
+        first = np.ones(query.size, dtype=bool)
+        first[1:] = query[1:] != query[:-1]
+        return was, list(zip(prior[first].tolist(), query[first].tolist()))
 
 
 def calculate_was(
@@ -245,17 +248,9 @@ def calculate_was(
     scorer, when given, is one already built from these arguments.
     """
     if scorer is None:
-        scorer = _scorer(candidates, prior_graph, query_graph, intrinsics, C)
+        boxes = [node.bbox for node in query_graph.nodes]
+        scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids(), boxes, intrinsics, C)
     return scorer.select(pose)
-
-
-def _scorer(candidates, prior_graph, query_graph, intrinsics, C) -> _AlignmentScorer:
-    """The scorer of a candidate set against the query graph's boxes."""
-    prior_ids = np.asarray(prior_graph.ids(), dtype=int)[candidates.prior]
-    query_ids = np.asarray(query_graph.ids(), dtype=int)[candidates.query]
-    pairs = np.column_stack([prior_ids, query_ids])
-    boxes = {node.id: node.bbox for node in query_graph.nodes}
-    return _AlignmentScorer(pairs, prior_graph, boxes, intrinsics, C)
 
 
 def _chunk_cap(n_pairs: int) -> int:
@@ -277,10 +272,11 @@ def estimate_pose(
 
     Scores all pairs, extracts per-query candidates, then draws the frame's
     whole budget up front: min(n_iter, C(pairs, 3)) distinct triples of
-    candidate indices, in seeded random order (`_draw_triples`). The loop
-    walks them in order, checking each against the frame's compatibility
-    table, and stops early on a high enough alignment. History entries are
-    indices into this draw list.
+    candidate indices, in seeded random order (`_draw_triples`). One lazy
+    filter walks them in order and yields the valid ones, checked against
+    the frame's compatibility table; each chunk takes the next valid samples
+    from it, so a draw is checked only when a chunk needs it, and none past
+    an early exit is. History entries are indices into this draw list.
 
     Valid samples are solved a chunk at a time by one stacked Lambda Twist
     `p3p_solve` call, whose poses stay quaternion and translation arrays,
@@ -309,15 +305,16 @@ def estimate_pose(
             message=f"{n_pairs} candidate pairs, need 3",
         )
 
-    scorer = _scorer(candidates, prior_graph, query_graph, intrinsics, config.C)
+    boxes = [node.bbox for node in query_graph.nodes]
+    scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids(), boxes, intrinsics, config.C)
     compatible = _compatibility(candidates, prior_graph, query_graph)
     # per candidate pair: the prior's world point and the query's bearing
     pair_world = prior_graph.positions()[candidates.prior]
-    centers = np.array([node.bbox.center for node in query_graph.nodes])
-    pair_rays = pixel_to_bearing(centers, intrinsics)[candidates.query]
+    pair_rays = pixel_to_bearing(scorer.q_means, intrinsics)[candidates.query]
 
     rng = np.random.default_rng(config.rng_seed)
     triples = _draw_triples(rng, n_pairs, config.n_iter).tolist()
+    valid = ((i, t) for i, t in enumerate(triples) if is_valid_sample(t, compatible))
     cap = _chunk_cap(n_pairs)
     size = _CHUNK
     best_w = 0.0
@@ -325,20 +322,13 @@ def estimate_pose(
     history: list[tuple[int, float]] = []
     n_valid = 0
 
-    it = 0
     stop = False
     while not stop:
         # walk the draws until a chunk of valid samples is full or they run out
-        draws: list[int] = []
-        picks: list[list[int]] = []
-        while len(draws) < size and it < len(triples):
-            sample = triples[it]
-            if is_valid_sample(sample, compatible):
-                draws.append(it)
-                picks.append(sample)
-            it += 1
-        if not draws:
+        chunk = list(itertools.islice(valid, size))
+        if not chunk:
             break
+        draws, picks = zip(*chunk)
         picked = np.array(picks)
         solved = p3p_solve(pair_world[picked], pair_rays[picked])
         # walk the chunk in draw order, as a loop solving one sample per draw

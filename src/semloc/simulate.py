@@ -175,10 +175,14 @@ def generate_trajectory(
 
     kinds: 'orbit' (evenly spaced circle, seeded phase), 'line' (straight
     segment between two seeded points on the orbit circle), 'random-walk'
-    (seeded steps clipped to a shell around the workspace).
+    (seeded steps clipped to a shell around the workspace). A non-finite
+    radius or height raises.
     """
     if n_frames <= 0:
         raise ValueError("n_frames must be positive")
+    for name, value in (("radius", radius), ("height", height)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} {value} is not finite")
     rng = np.random.default_rng(seed)
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
@@ -244,7 +248,7 @@ def render_frame(
     pose: Pose,
     intrinsics: CameraIntrinsics,
     noise: NoiseSpec,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     center_boxes: bool = True,
 ) -> tuple[list[DetectionRecord], dict[int, int]]:
     """Render one frame: detections plus detection-index-to-landmark map.
@@ -260,8 +264,6 @@ def render_frame(
     the landmark geometry; with center_boxes=False boxes are the exact conic
     projections.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     detections: list[DetectionRecord] = []
     associations: dict[int, int] = {}
     quads = quadric_from_params(

@@ -48,8 +48,8 @@ from semloc.pose import (
     LocalizationResult,
     LocalizationStatus,
     MatcherConfig,
+    _AlignmentScorer,
     _draw_triples,
-    _scorer,
     calculate_was,
 )
 
@@ -608,7 +608,8 @@ def serial_estimate_pose(
             message=f"{len(pairs)} candidate pairs, need 3",
         )
 
-    scorer = _scorer(candidates, prior_graph, query_graph, intrinsics, config.C)
+    boxes = [node.bbox for node in query_graph.nodes]
+    scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids(), boxes, intrinsics, config.C)
     bearings = {
         q: pixel_to_bearing(query_graph.node(q).bbox.center, intrinsics)
         for q in {q for _, q in pairs}

@@ -673,6 +673,14 @@ BAD_INPUTS = [
      lambda d: _doc(d / "map.json", lambda m: _set(m, ("keyframes", 0, "landmark_ids"), "012")),
      "map.json: bad map file: '012' is not a list"),
     ("simulate-config-n-frames-fraction", "sim.cfg", lambda d: b"n_frames=2.5\n", "sim.cfg): 2.5 is not an integer"),
+    # a float setting holds a number, and the trajectory's radius and height are finite
+    ("simulate-config-fx-true", "sim.cfg", lambda d: b"fx = true\n",
+     "bad simulate setting fx (flags and"),
+    ("simulate-config-bbox-jitter-true", "sim.cfg", lambda d: b"bbox_jitter = true\n",
+     "bad simulate setting bbox_jitter (flags and"),
+    ("simulate-config-radius-nan", "sim.cfg", lambda d: b"radius = nan\n", "radius nan is not finite"),
+    ("simulate-config-traj-height-1e400", "sim.cfg", lambda d: b"traj_height = 1e400\n",
+     "height inf is not finite"),
     ("config-k-true", "loc.cfg", lambda d: b"K=true\n", "loc.cfg): K must be an integer"),
     # a float field holds a number, never a boolean; a label is a string, never a number
     ("detections-timestamp-bool", "query.jsonl",

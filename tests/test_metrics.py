@@ -5,9 +5,15 @@ import pytest
 
 from semloc import (
     CameraIntrinsics,
+    NoiseSpec,
     Pose,
+    PriorObjectNode,
+    SceneSpec,
     evaluate_associations,
+    generate_scene,
+    generate_trajectory,
     mota,
+    render_frame,
     shannon_entropy,
     success_rate,
     translation_error,
@@ -15,7 +21,8 @@ from semloc import (
 from semloc.geometry import project_quadric_to_bbox
 from semloc.metrics import AssociationCounts, FrameCounts, mean_translation_error, rematch_predictions
 
-from conftest import graph, make_conf, prior_node, quadric_of
+from conftest import VOCAB, graph, make_conf, make_table, prior_node, quadric_of, query_node
+from oracles import scalar_calculate_was
 
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
@@ -96,6 +103,29 @@ class TestRematchPredictions:
         }
         out = rematch_predictions({3: pose}, pg, INTR, {3: boxes})
         assert out == {3: [(4, 0), (9, 1)]}
+
+    def test_rendered_frame_keyed_out_of_order_matches_oracle(self):
+        bounds = ((-2.0, -2.0, 0.0), (2.0, 2.0, 1.5))
+        spec = SceneSpec(n_landmarks=25, bounds=bounds, vocabulary=VOCAB[:5], seed=4)
+        scene = generate_scene(spec)
+        pg = graph(
+            [
+                PriorObjectNode(lm.id, lm.position, lm.rotation, lm.scale, make_table({lm.label: 1}))
+                for lm in scene.landmarks
+            ],
+            [],
+        )
+        pose = generate_trajectory("orbit", 10, bounds, seed=4)[3]
+        noise = NoiseSpec(bbox_jitter=3.0)
+        dets, _ = render_frame(scene, pose, INTR, noise, np.random.default_rng(0), center_boxes=False)
+        order = np.random.default_rng(1).permutation(len(dets)).tolist()
+        boxes = {d: dets[d].bbox for d in order}
+        assert len(boxes) >= 10 and list(boxes) != sorted(boxes)
+        # the oracle reads each detection's box from a query graph with the same ids
+        qg = graph([query_node(d, (0.0, 0.0, 1.0), {"a": 1.0}, bbox=box) for d, box in boxes.items()], [])
+        pairs = [(p, d) for d in boxes for p in pg.ids()]
+        _, want = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
+        assert rematch_predictions({7: pose}, pg, INTR, {7: boxes}) == {7: want}
 
     def test_missing_pose_skipped(self, caplog):
         pg = graph([prior_node(4, (0.0, 0.0, 0.0), {"x": 1})], [])

@@ -36,7 +36,7 @@ import semloc.pose
 from semloc.cli import _accumulate_map, _localize_frame, _seed_children
 from semloc.dataio import FrameRecord
 from semloc.geometry import _project_quadrics, quat_distance
-from semloc.matching import SimilarityTable
+from semloc.matching import CandidateSet, SimilarityTable
 from semloc.pose import _CHUNK, _AlignmentScorer, _chunk_cap, _compatibility, _draw_triples
 
 from conftest import (
@@ -459,6 +459,11 @@ class TestCalculateWas:
         assert pairs == [(3, 10), (3, 11)]
 
 
+def _scorer_of(cands, pg, qg):
+    """The alignment scorer of a candidate set against the query graph's boxes."""
+    return _AlignmentScorer(cands, pg, qg.ids(), [node.bbox for node in qg.nodes], INTR, C=100.0)
+
+
 class TestAlignmentScorer:
     @pytest.mark.parametrize("off_image", [True, False])
     def test_matches_reference_loop(self, off_image, rng):
@@ -475,7 +480,7 @@ class TestAlignmentScorer:
                 poses.append(Pose.from_rt(np.eye(3), gt.translation + shift))
         poses.append(Pose.from_rt(np.eye(3), np.array([0.0, 0.0, -10.0])))
         pairs = id_pairs(cands, pg, qg)
-        scorer = _AlignmentScorer(pairs, pg, {q: qg.node(q).bbox for _, q in pairs}, INTR, C=100.0)
+        scorer = _scorer_of(cands, pg, qg)
         batch = scorer.score(*pose_arrays(poses))
         n_partly_visible = 0
         for i, pose in enumerate(poses):
@@ -504,19 +509,23 @@ class TestAlignmentScorer:
             for lm in scene.landmarks
         ]
         pg = graph(nodes, [])
+        index = {node.id: i for i, node in enumerate(pg.nodes)}
         for pose in generate_trajectory("orbit", 100, bounds, seed=3):
             dets, assoc = render_frame(
                 scene, pose, INTR, NoiseSpec(), np.random.default_rng(0), center_boxes=False
             )
             assert len(dets) >= 20
-            pairs = [(lm_id, d) for d, lm_id in assoc.items()]
-            scorer = _AlignmentScorer(pairs, pg, {d: dets[d].bbox for d in assoc}, INTR, C=100.0)
+            det_ids = list(assoc)
+            cands = CandidateSet(np.array([index[assoc[d]] for d in det_ids]), np.arange(len(det_ids)))
+            boxes = [dets[d].bbox for d in det_ids]
+            scorer = _AlignmentScorer(cands, pg, det_ids, boxes, INTR, C=100.0)
             assert scorer.score(*pose_arrays([pose]))[0] == 1.0
 
     @staticmethod
-    def _matches_oracle(pairs, pg, qg, poses):
-        """score and select of a scorer over pairs, checked against the scalar oracle."""
-        scorer = _AlignmentScorer(pairs, pg, {q: qg.node(q).bbox for _, q in pairs}, INTR, C=100.0)
+    def _matches_oracle(cands, pg, qg, poses):
+        """score and select of a scorer over a candidate set, checked against the scalar oracle."""
+        scorer = _scorer_of(cands, pg, qg)
+        pairs = id_pairs(cands, pg, qg)
         batch = scorer.score(*pose_arrays(poses))
         for i, pose in enumerate(poses):
             ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
@@ -524,7 +533,6 @@ class TestAlignmentScorer:
             assert batch[i] == pytest.approx(ref, abs=1e-9)
             assert was == pytest.approx(ref, abs=1e-9)
             assert selected == ref_pairs
-        return batch
 
     @staticmethod
     def _poses(gt, rng, n=8):
@@ -533,22 +541,42 @@ class TestAlignmentScorer:
             for _ in range(n)
         ]
 
-    def test_pairs_out_of_query_order(self, rng):
+    @staticmethod
+    def _shuffled_query(qg):
+        """The query graph with its nodes in an order that is not their id order."""
+        order = [5, 1, 3, 0, 7, 2, 6, 4]
+        shuffled = graph([qg.nodes[i] for i in order], qg.edges)
+        assert shuffled.ids()[:3] == [105, 101, 103]
+        return shuffled
+
+    def test_query_nodes_out_of_id_order(self, rng):
         pg, qg, gt = _perfect_scene()
-        pairs = id_pairs(extract_candidates(score_all_pairs(pg, qg), tau=3), pg, qg)
-        poses = self._poses(gt, rng)
-        in_order = self._matches_oracle(pairs, pg, qg, poses)
-        for _ in range(3):
-            shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
-            assert shuffled != sorted(shuffled, key=lambda pair: pair[1])
-            assert np.array_equal(self._matches_oracle(shuffled, pg, qg, poses), in_order)
+        qg = self._shuffled_query(qg)
+        cands = extract_candidates(score_all_pairs(pg, qg), tau=3)
+        pairs = id_pairs(cands, pg, qg)
+        for pose in self._poses(gt, rng):
+            was, selected = calculate_was(pose, cands, pg, qg, INTR, C=100.0)
+            ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
+            assert abs(was - ref) <= 1e-12
+            assert selected == ref_pairs
+            assert [q for _, q in selected] == sorted(q for _, q in selected)
+        self._matches_oracle(cands, pg, qg, self._poses(gt, rng))
+
+    def test_estimate_pose_on_query_nodes_out_of_id_order(self):
+        pg, qg, gt = _perfect_scene(center_boxes=True)
+        qg = self._shuffled_query(qg)
+        for seed in range(4):
+            got = _matches_serial(qg, pg, MatcherConfig(tau=2, n_iter=200, rng_seed=seed))
+            assert got.status == LocalizationStatus.SUCCESS
+            assert got.correspondences == [(i + 1, 100 + i) for i in range(8)]
 
     def test_query_node_with_a_single_candidate(self, rng):
         pg, qg, gt = _perfect_scene()
         pairs = id_pairs(extract_candidates(score_all_pairs(pg, qg), tau=3), pg, qg)
         # node 103 keeps only its own landmark, node 105 only a wrong one
         pairs = [(p, q) for p, q in pairs if q not in (103, 105)] + [(4, 103), (1, 105)]
-        self._matches_oracle(pairs, pg, qg, self._poses(gt, rng))
+        cands = candidate_set(sorted(pairs, key=lambda pair: pair[1]), pg, qg)
+        self._matches_oracle(cands, pg, qg, self._poses(gt, rng))
 
     def test_query_node_without_a_visible_prior(self, rng):
         pg, qg, gt = _perfect_scene()
@@ -560,9 +588,10 @@ class TestAlignmentScorer:
         pg = graph(list(pg.nodes) + behind, pg.edges)
         pairs = id_pairs(extract_candidates(score_all_pairs(pg, qg), tau=2), pg, qg)
         pairs = [(p, q) for p, q in pairs if q != 102] + [(98, 102), (99, 102)]
+        cands = candidate_set(sorted(pairs, key=lambda pair: pair[1]), pg, qg)
         poses = self._poses(gt, rng)
-        self._matches_oracle(pairs, pg, qg, poses)
-        scorer = _AlignmentScorer(pairs, pg, {q: qg.node(q).bbox for _, q in pairs}, INTR, C=100.0)
+        self._matches_oracle(cands, pg, qg, poses)
+        scorer = _scorer_of(cands, pg, qg)
         for pose in poses:
             assert 102 not in [q for _, q in scorer.select(pose)[1]]
 
@@ -580,7 +609,8 @@ class TestAlignmentScorer:
         assert ok[0, 0] and ext[0, 0, 0] == -np.inf and ext[0, 0, 2] == np.inf
         pg = graph([prior_node(1, [0.0, 0.0, 2.0], {"a": 1})], [])
         wide = BoundingBox(0.0, float(ext[0, 0, 1]), 640.0, float(ext[0, 0, 3]))
-        scorer = _AlignmentScorer([(1, 10)], pg, {10: wide}, INTR, C=100.0)
+        one = CandidateSet(np.array([0]), np.array([0]))
+        scorer = _AlignmentScorer(one, pg, [10], [wide], INTR, C=100.0)
         scorer.quads = q[None]
         # clipped to the image, the box would match `wide` exactly and score 1
         assert scorer.score(*pose_arrays([pose]))[0] == 0.0

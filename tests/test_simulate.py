@@ -177,6 +177,10 @@ class TestGenerateTrajectory:
             generate_trajectory("spiral", 5, BOUNDS)
         with pytest.raises(ValueError):
             generate_trajectory("orbit", 0, BOUNDS)
+        with pytest.raises(ValueError, match="radius nan"):
+            generate_trajectory("orbit", 5, BOUNDS, radius=math.nan)
+        with pytest.raises(ValueError, match="height inf"):
+            generate_trajectory("line", 5, BOUNDS, height=math.inf)
 
 
 class TestConfidenceModel:
