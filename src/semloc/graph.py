@@ -2,8 +2,9 @@
 
 Two graphs share one container type: a prior graph of mapped landmarks with
 accumulated multi-label detection frequencies, and a per-frame query graph of
-detections with normalized top-K confidences. Edges come from k-nearest
-neighbors over 3D positions, tie-broken deterministically.
+detections with normalized top-K confidences. Edges are node-index pairs
+from k-nearest neighbors over 3D positions; builders pass nodes in id order,
+so a distance tie goes to the lower node id.
 """
 
 from __future__ import annotations
@@ -165,47 +166,44 @@ class QueryDetectionNode:
 
 @dataclass
 class SemanticGraph:
-    """Nodes plus an undirected edge set over node ids.
+    """Nodes plus undirected edges given as (index, index) pairs into `nodes`.
 
-    Construction also lists the directed edges as index arrays, ordered by
-    root in node order and then by neighbor id: `edge_root` and `edge_nbr`
-    are node indices, `edge_length` the root-to-neighbor distance and
-    `edge_slot` the edge's place among its root's edges. `degree` counts
-    each node's edges and `max_degree` is its maximum (0 without edges).
-    `adjacency` is the boolean (nodes, nodes) matrix of the same edges.
-    A prior graph's landmark quadrics are built on first use (`quadrics`).
+    `adjacency` is the boolean (nodes, nodes) matrix of the edges; repeated
+    and reversed pairs collapse into one edge. `edges` lists each edge once,
+    as (lower index, higher index) rows in row-major order. The directed
+    edges are index arrays ordered by root in node order and then by
+    neighbor id: `edge_root` and `edge_nbr` are node indices, `edge_length`
+    the root-to-neighbor distance and `edge_slot` the edge's place among its
+    root's edges. `degree` counts each node's edges and `max_degree` is its
+    maximum (0 without edges). A prior graph's landmark quadrics are built
+    on first use (`quadrics`).
     """
 
     nodes: list
-    edges: set[tuple[int, int]]
+    edges: np.ndarray
 
     def __post_init__(self):
         ids = [node.id for node in self.nodes]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate node ids")
-        self._index = {node_id: i for i, node_id in enumerate(ids)}
-        normalized = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError("self edge")
-            if a not in self._index or b not in self._index:
-                raise ValueError("edge references unknown node")
-            normalized.add((a, b) if a < b else (b, a))
-        self.edges = normalized
-        pairs = np.array(
-            [(self._index[a], self._index[b]) for a, b in normalized], dtype=int
-        ).reshape(-1, 2)
-        root = np.concatenate((pairs[:, 0], pairs[:, 1]))
-        nbr = np.concatenate((pairs[:, 1], pairs[:, 0]))
+        n = len(ids)
+        pairs = np.asarray(self.edges, dtype=int).reshape(-1, 2)
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ValueError("self edge")
+        if pairs.size and not (pairs.min() >= 0 and pairs.max() < n):
+            raise ValueError("edge references unknown node")
+        self.adjacency = np.zeros((n, n), dtype=bool)
+        self.adjacency[pairs[:, 0], pairs[:, 1]] = True
+        self.adjacency |= self.adjacency.T
+        self.edges = np.argwhere(np.triu(self.adjacency))
+        root, nbr = np.nonzero(self.adjacency)
         order = np.lexsort((np.asarray(ids)[nbr], root))
         self.edge_root = root[order]
         self.edge_nbr = nbr[order]
-        self.degree = np.bincount(self.edge_root, minlength=len(ids))
+        self.degree = np.bincount(self.edge_root, minlength=n)
         self.max_degree = int(self.degree.max(initial=0))
-        self.adjacency = np.zeros((len(ids), len(ids)), dtype=bool)
-        self.adjacency[self.edge_root, self.edge_nbr] = True
-        self._offsets = np.cumsum(self.degree) - self.degree
-        self.edge_slot = np.arange(self.edge_root.size) - self._offsets[self.edge_root]
+        offsets = np.cumsum(self.degree) - self.degree
+        self.edge_slot = np.arange(self.edge_root.size) - offsets[self.edge_root]
         pos = self.positions()
         self.edge_length = np.linalg.norm(pos[self.edge_nbr] - pos[self.edge_root], axis=1)
 
@@ -214,14 +212,6 @@ class SemanticGraph:
 
     def ids(self) -> list[int]:
         return [node.id for node in self.nodes]
-
-    def node(self, node_id: int):
-        return self.nodes[self._index[node_id]]
-
-    def neighbors(self, node_id: int) -> list[int]:
-        i = self._index[node_id]
-        start = self._offsets[i]
-        return [self.nodes[j].id for j in self.edge_nbr[start : start + self.degree[i]]]
 
     def positions(self) -> np.ndarray:
         if not self.nodes:
@@ -242,31 +232,24 @@ class SemanticGraph:
         )
 
 
-def build_knn_edges(
-    positions: np.ndarray, k_edge: int, ids: Sequence[int] | None = None
-) -> set[tuple[int, int]]:
-    """Undirected union of each node's k nearest neighbors.
+def build_knn_edges(positions: np.ndarray, k_edge: int) -> np.ndarray:
+    """Each node's k nearest neighbors as (root, neighbor) index pairs, shape (n * k, 2).
 
-    Distance ties are broken by the lower node id, so the edge set is
-    invariant to the input ordering of equally distant nodes.
+    k is k_edge, or n - 1 when fewer nodes exist. Rows run by root, then by
+    distance; a distance tie goes to the lower index, so callers pass the
+    positions in node-id order and ties go to the lower id.
     """
     if k_edge <= 0:
         raise ValueError("k_edge must be positive")
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     n = pos.shape[0]
-    node_ids = list(range(n)) if ids is None else list(ids)
-    if len(node_ids) != n:
-        raise ValueError("ids length mismatch")
     if n < 2:
-        return set()
+        return np.zeros((0, 2), dtype=int)
     diffs = pos[:, None, :] - pos[None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=2))
-    id_arr = np.asarray(node_ids)
-    # per row: other nodes before self, then by distance, then by neighbor id
-    keys = (np.broadcast_to(id_arr, (n, n)), dists, np.eye(n, dtype=bool))
-    nbr = id_arr[np.lexsort(keys)[:, : min(k_edge, n - 1)]]
-    root = np.broadcast_to(id_arr[:, None], nbr.shape)
-    return set(zip(np.minimum(root, nbr).ravel().tolist(), np.maximum(root, nbr).ravel().tolist()))
+    np.fill_diagonal(dists, np.inf)
+    nbr = np.argsort(dists, axis=1, kind="stable")[:, : min(k_edge, n - 1)]
+    return np.stack((np.repeat(np.arange(n), nbr.shape[1]), nbr.ravel()), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +264,19 @@ def prior_graph_from_nodes(
     """Assemble the prior graph from prebuilt nodes and keyframe memberships.
 
     Edges are the union over keyframes of per-keyframe k-NN among the
-    landmarks visible in that keyframe. A map without keyframes counts as one
-    keyframe that sees every landmark.
+    landmarks visible in that keyframe, taken in id order. A map without
+    keyframes counts as one keyframe that sees every landmark.
     """
-    by_id = {node.id: node for node in nodes}
+    row = {node.id: i for i, node in enumerate(nodes)}
     for members in keyframes:
         for lm_id in members:
-            if lm_id not in by_id:
+            if lm_id not in row:
                 raise ValueError(f"keyframe references unknown landmark {lm_id}")
     if not keyframes:
-        keyframes = [list(by_id)]
-    edges = set()
-    for members in keyframes:
-        ids = sorted(set(members))
-        edges |= build_knn_edges([by_id[i].position for i in ids], k_edge, ids=ids)
-    return SemanticGraph(list(nodes), edges)
+        keyframes = [list(row)]
+    pos = np.reshape([node.position for node in nodes], (-1, 3))
+    rows = [np.array([row[i] for i in sorted(set(members))], dtype=int) for members in keyframes]
+    return SemanticGraph(list(nodes), np.concatenate([r[build_knn_edges(pos[r], k_edge)] for r in rows]))
 
 
 @dataclass
@@ -384,5 +365,4 @@ def build_query_graph(
             logger.warning("detection %d dropped: nonpositive depth", idx)
             continue
         nodes.append(QueryDetectionNode(idx, bbox, position, conf))
-    edges = build_knn_edges([node.position for node in nodes], k_edge, ids=[node.id for node in nodes])
-    return SemanticGraph(nodes, edges)
+    return SemanticGraph(nodes, build_knn_edges([node.position for node in nodes], k_edge))

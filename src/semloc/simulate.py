@@ -49,8 +49,9 @@ class SceneSpec:
             raise ValueError("n_landmarks must be positive")
         if not (0.0 <= self.confusion_rate <= 1.0):
             raise ValueError("confusion_rate outside [0, 1]")
-        if not all(math.isfinite(v) for corner in self.bounds for v in corner):
-            raise ValueError("bounds must be finite")
+        # 4 (|lo|^2 + |hi|^2) bounds the squared distance between two workspace points
+        if not math.isfinite(4.0 * sum(float(v) * float(v) for corner in self.bounds for v in corner)):
+            raise ValueError("bounds are not finite or so far out that workspace distances overflow")
         if not all(math.isfinite(float(s) * float(s)) for s in self.scale_range):
             raise ValueError("scale_range and its square must be finite")
         if not math.isfinite(self.min_separation):
@@ -147,7 +148,11 @@ def generate_scene(spec: SceneSpec) -> Scene:
 def look_at_pose(camera_pos, target, up=(0.0, 0.0, 1.0)) -> Pose:
     """World-to-camera pose with +z toward target and image y pointing down."""
     camera_pos = np.asarray(camera_pos, dtype=float)
-    z = np.asarray(target, dtype=float) - camera_pos
+    target = np.asarray(target, dtype=float)
+    # 4 (|camera|^2 + |target|^2) bounds the squared distance between them, as in PriorObjectNode
+    if not math.isfinite(4.0 * sum(v * v for v in camera_pos.tolist() + target.tolist())):
+        raise ValueError("camera or target so far out that their distance overflows")
+    z = target - camera_pos
     nz = np.linalg.norm(z)
     if nz == 0.0:
         raise ValueError("camera at target")
@@ -175,14 +180,18 @@ def generate_trajectory(
 
     kinds: 'orbit' (evenly spaced circle, seeded phase), 'line' (straight
     segment between two seeded points on the orbit circle), 'random-walk'
-    (seeded steps clipped to a shell around the workspace). A non-finite
-    radius or height raises.
+    (seeded steps clipped to a shell around the workspace). Bounds, a radius
+    or a height that is not finite, or so large that camera-to-target
+    distances would overflow, raise.
     """
     if n_frames <= 0:
         raise ValueError("n_frames must be positive")
+    # squares 64 v^2 that stay finite keep look_at_pose's distance bound finite for every camera placed here
+    if not math.isfinite(64.0 * sum(float(v) * float(v) for corner in bounds for v in corner)):
+        raise ValueError("bounds are not finite or so far out that camera distances overflow")
     for name, value in (("radius", radius), ("height", height)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} {value} is not finite")
+        if value is not None and not math.isfinite(64.0 * float(value) * float(value)):
+            raise ValueError(f"{name} {value} is not finite or so large that camera distances overflow")
     rng = np.random.default_rng(seed)
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)

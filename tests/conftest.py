@@ -10,6 +10,7 @@ from semloc import (
     PriorObjectNode,
     QueryDetectionNode,
     SemanticGraph,
+    build_knn_edges,
     quadric_from_params,
 )
 
@@ -105,8 +106,23 @@ def query_node(node_id: int, position, conf, bbox: BoundingBox | None = None) ->
     )
 
 
-def graph(nodes, edges) -> SemanticGraph:
-    return SemanticGraph(list(nodes), {tuple(sorted(e)) for e in edges})
+def graph(nodes, id_pairs) -> SemanticGraph:
+    """The graph over `nodes` with edges given as (node id, node id) pairs."""
+    nodes = list(nodes)
+    index = {node.id: i for i, node in enumerate(nodes)}
+    return SemanticGraph(nodes, [(index[a], index[b]) for a, b in id_pairs])
+
+
+def knn_graph(nodes, k_edge: int) -> SemanticGraph:
+    """The graph over `nodes` with each node wired to its k_edge nearest neighbors."""
+    nodes = list(nodes)
+    return SemanticGraph(nodes, build_knn_edges([node.position for node in nodes], k_edge))
+
+
+def edge_ids(g: SemanticGraph) -> set:
+    """The graph's undirected edges as (lower id, higher id) pairs."""
+    ids = g.ids()
+    return {tuple(sorted((ids[a], ids[b]))) for a, b in g.edges.tolist()}
 
 
 def candidate_set(pairs, prior_graph: SemanticGraph, query_graph: SemanticGraph) -> CandidateSet:

@@ -1,6 +1,8 @@
 """Scalar reference implementations that the vectorized production code is
 checked against.
 
+Id lookups: `node_of` and `neighbors_of` find a node and its neighbors'
+ids by node id, for the oracles below that work on ids.
 Matching: `multilabel_likelihood`, `neighbor_weight`, `best_neighbor_set` and
 `similarity_score` compute one entry of `score_all_pairs`' likelihood and
 similarity tables at a time, and `padded_score_all_pairs` computes the whole
@@ -14,7 +16,7 @@ Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
 `normalized_wasserstein` score one box pair, and `scalar_calculate_was`
 scores one pose the way `_AlignmentScorer` does.
 Pose search: `scalar_is_valid_sample` checks one sample of (prior id,
-query id) pairs against the graphs' edge sets, the reference of the
+query id) pairs against the graphs' neighbor ids, the reference of the
 compatibility table `estimate_pose` checks draws against.
 `scalar_p3p_solve` solves one P3P sample by another method than the stacked
 Lambda Twist `p3p_solve` (a quartic in a depth ratio, then the Kabsch fit
@@ -52,6 +54,21 @@ from semloc.pose import (
     _draw_triples,
     calculate_was,
 )
+
+
+# ---------------------------------------------------------------------------
+# id lookups
+
+
+def node_of(graph: SemanticGraph, node_id: int):
+    """The graph's node with this id."""
+    return graph.nodes[graph.ids().index(node_id)]
+
+
+def neighbors_of(graph: SemanticGraph, node_id: int) -> list[int]:
+    """The ids of a node's neighbors, ascending, read off the adjacency matrix."""
+    ids = graph.ids()
+    return sorted(ids[j] for j in np.flatnonzero(graph.adjacency[ids.index(node_id)]))
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +131,18 @@ def best_neighbor_set(
     neighbors the selection is empty.
     """
     prior_id, query_id = root
-    p_root = prior_graph.node(prior_id)
-    q_root = query_graph.node(query_id)
-    prior_nbrs = prior_graph.neighbors(prior_id)
-    query_nbrs = query_graph.neighbors(query_id)
+    p_root = node_of(prior_graph, prior_id)
+    q_root = node_of(query_graph, query_id)
+    prior_nbrs = neighbors_of(prior_graph, prior_id)
+    query_nbrs = neighbors_of(query_graph, query_id)
     selections: list[NeighborSelection] = []
     if prior_nbrs:
         p_dists = {
-            n: float(np.linalg.norm(prior_graph.node(n).position - p_root.position))
+            n: float(np.linalg.norm(node_of(prior_graph, n).position - p_root.position))
             for n in prior_nbrs
         }
         for m in query_nbrs:
-            dq = float(np.linalg.norm(query_graph.node(m).position - q_root.position))
+            dq = float(np.linalg.norm(node_of(query_graph, m).position - q_root.position))
             best: NeighborSelection | None = None
             for n in prior_nbrs:  # ascending id order; strict > keeps the lower id on ties
                 w = neighbor_weight(p_dists[n], dq)
@@ -152,7 +169,7 @@ def similarity_score(root_likelihood: float, selection: NeighborPairSelection) -
 def _padded_neighbors(graph: SemanticGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Neighbor indices padded to max degree, with validity mask and distances."""
     index = {node.id: i for i, node in enumerate(graph.nodes)}
-    lists = [[index[n] for n in graph.neighbors(node.id)] for node in graph.nodes]
+    lists = [[index[n] for n in neighbors_of(graph, node.id)] for node in graph.nodes]
     width = max((len(l) for l in lists), default=0)
     n = len(graph)
     nbr = np.zeros((n, max(width, 1)), dtype=int)
@@ -301,7 +318,7 @@ def scalar_calculate_was(pose, pairs, prior_graph, query_graph, intrinsics, C):
     projected = {}
     for prior_id, _ in pairs:
         if prior_id not in projected:
-            node = prior_graph.node(prior_id)
+            node = node_of(prior_graph, prior_id)
             quadric = quadric_from_params(node.position, node.rotation, node.scale)
             box = scalar_project_quadric_to_bbox(quadric, pose, intrinsics)
             if box is not None:
@@ -313,7 +330,7 @@ def scalar_calculate_was(pose, pairs, prior_graph, query_graph, intrinsics, C):
         p_gauss = projected[prior_id]
         if p_gauss is None:
             continue
-        w = normalized_wasserstein(p_gauss, bbox_to_gaussian(query_graph.node(query_id).bbox), C)
+        w = normalized_wasserstein(p_gauss, bbox_to_gaussian(node_of(query_graph, query_id).bbox), C)
         cur = best.get(query_id)
         if cur is None or w > cur[1] or (w == cur[1] and prior_id < cur[0]):
             best[query_id] = (prior_id, w)
@@ -562,7 +579,7 @@ def scalar_is_valid_sample(sample, prior_graph, query_graph) -> bool:
     """
 
     def has_edge(graph, a, b):
-        return ((a, b) if a < b else (b, a)) in graph.edges
+        return b in neighbors_of(graph, a)
 
     pairs = list(sample)
     if len(pairs) != 3:
@@ -611,7 +628,7 @@ def serial_estimate_pose(
     boxes = [node.bbox for node in query_graph.nodes]
     scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids(), boxes, intrinsics, config.C)
     bearings = {
-        q: pixel_to_bearing(query_graph.node(q).bbox.center, intrinsics)
+        q: pixel_to_bearing(node_of(query_graph, q).bbox.center, intrinsics)
         for q in {q for _, q in pairs}
     }
 
@@ -626,7 +643,7 @@ def serial_estimate_pose(
         if not scalar_is_valid_sample(sample, prior_graph, query_graph):
             continue
         n_valid += 1
-        world = np.stack([prior_graph.node(p).position for p, _ in sample])
+        world = np.stack([node_of(prior_graph, p).position for p, _ in sample])
         rays = np.stack([bearings[q] for _, q in sample])
         poses = p3p_solve(world, rays)
         if not len(poses):

@@ -52,6 +52,8 @@ from oracles import (
     GaussianBox,
     best_neighbor_set,
     multilabel_likelihood,
+    neighbors_of,
+    node_of,
     similarity_score,
     wasserstein2_squared,
 )
@@ -135,7 +137,7 @@ def test_criterion_1_likelihood_oracle():
             _, _, freq, _, _, conf = case(i)
             priors.append(PriorObjectNode(i, np.zeros(3), rotation, scale, freq))
             queries.append(QueryDetectionNode(i, box, np.array([0.0, 0.0, 1.0]), conf))
-        table = score_all_pairs(SemanticGraph(priors, set()), SemanticGraph(queries, set()))
+        table = score_all_pairs(SemanticGraph(priors, []), SemanticGraph(queries, []))
         err = np.abs(np.diag(table.likelihood) - wants[start : start + len(priors)])
         prod_worst = max(prod_worst, float(err.max()))
 
@@ -195,19 +197,19 @@ def test_criterion_2_neighbor_selection_oracle():
     for g, (pg, qg) in enumerate(star_graphs(np.random.default_rng(77))):
 
         def like(n, m):
-            return multilabel_likelihood(pg.node(n).frequencies, qg.node(m).confidences)
+            return multilabel_likelihood(node_of(pg, n).frequencies, node_of(qg, m).confidences)
 
         sel = best_neighbor_set((0, 100), pg, qg, like)
         got_score = similarity_score(like(0, 100), sel)
 
-        p_root = pg.node(0).position
-        q_root = qg.node(100).position
+        p_root = node_of(pg, 0).position
+        q_root = node_of(qg, 100).position
         expected = []
-        for m in qg.neighbors(100):
-            dq = float(np.linalg.norm(qg.node(m).position - q_root))
+        for m in neighbors_of(qg, 100):
+            dq = float(np.linalg.norm(node_of(qg, m).position - q_root))
             best = None
-            for n in pg.neighbors(0):
-                dp = float(np.linalg.norm(pg.node(n).position - p_root))
+            for n in neighbors_of(pg, 0):
+                dp = float(np.linalg.norm(node_of(pg, n).position - p_root))
                 prod = (1.0 / (1.0 + abs(dp - dq))) * like(n, m)
                 key = (prod, -n)  # ties resolve to the lowest prior id
                 if best is None or key > best[0]:
@@ -216,7 +218,7 @@ def test_criterion_2_neighbor_selection_oracle():
                 expected.append((best[1], m, best[2]))
         want_score = like(0, 100)
         if expected:
-            want_score += sum(p for _, _, p in expected) / len(qg.neighbors(100))
+            want_score += sum(p for _, _, p in expected) / len(neighbors_of(qg, 100))
 
         got = [(s.prior_neighbor, s.query_neighbor, s.weighted_likelihood) for s in sel.selections]
         assert got == expected, f"graph {g}: selection mismatch"

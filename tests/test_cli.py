@@ -681,6 +681,13 @@ BAD_INPUTS = [
     ("simulate-config-radius-nan", "sim.cfg", lambda d: b"radius = nan\n", "radius nan is not finite"),
     ("simulate-config-traj-height-1e400", "sim.cfg", lambda d: b"traj_height = 1e400\n",
      "height inf is not finite"),
+    # finite settings so large that camera-to-target distances would overflow
+    ("simulate-config-radius-1e200", "sim.cfg", lambda d: b"radius = 1e200\n",
+     "radius 1e+200 is not finite or so large that camera distances overflow"),
+    ("simulate-config-traj-height-1e200", "sim.cfg", lambda d: b"traj_height = 1e200\n",
+     "height 1e+200 is not finite or so large that camera distances overflow"),
+    ("simulate-config-bounds-1e200", "sim.cfg", lambda d: b"bounds = -2,-2,0;1e200,2,1.5\n",
+     "bounds are not finite or so far out that workspace distances overflow"),
     ("config-k-true", "loc.cfg", lambda d: b"K=true\n", "loc.cfg): K must be an integer"),
     # a float field holds a number, never a boolean; a label is a string, never a number
     ("detections-timestamp-bool", "query.jsonl",

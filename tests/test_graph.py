@@ -19,13 +19,15 @@ from semloc import (
     build_query_graph,
     normalize_confidences,
     prior_graph_from_nodes,
+    score_all_pairs,
     top_k_labels,
 )
 from semloc.cli import _accumulate_map
 from semloc.dataio import FrameRecord
 from semloc.graph import backproject_pixel, robust_bbox_depth
 
-from conftest import make_conf, make_table, prior_node, query_node
+from conftest import edge_ids, graph, knn_graph, make_table, prior_node, query_node
+from oracles import neighbors_of, node_of
 
 INTR = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
 
@@ -133,22 +135,13 @@ class TestConfidences:
 # k-NN edges
 
 
-def knn_oracle(positions, k, ids):
-    """Plain O(n^2) loop: per node, sort by (distance, id) and take k."""
-    edges = set()
-    n = len(positions)
-    for i in range(n):
-        cands = []
-        for j in range(n):
-            if j == i:
-                continue
-            d = math.dist(positions[i], positions[j])
-            cands.append((d, ids[j], j))
-        cands.sort()
-        for _, _, j in cands[:k]:
-            a, b = ids[i], ids[j]
-            edges.add((min(a, b), max(a, b)))
-    return edges
+def knn_oracle(positions, k):
+    """Plain O(n^2) loop: per node, sort the others by (distance, index) and take k."""
+    pairs = []
+    for i in range(len(positions)):
+        others = sorted((math.dist(positions[i], positions[j]), j) for j in range(len(positions)) if j != i)
+        pairs += [[i, j] for _, j in others[:k]]
+    return pairs
 
 
 class TestKnnEdges:
@@ -163,42 +156,29 @@ class TestKnnEdges:
             5: (-10.1, 0.0, 0.0),
         }
         ids = sorted(pos)
-        arr = np.array([pos[i] for i in ids])
-        edges = build_knn_edges(arr, 1, ids=ids)
-        assert (0, 1) in edges
-        assert (0, 3) not in edges
-        assert edges == {(0, 1), (1, 4), (3, 5)}
+        pairs = build_knn_edges(np.array([pos[i] for i in ids]), 1)
+        assert [(ids[a], ids[b]) for a, b in pairs] == [(0, 1), (1, 4), (3, 5), (4, 1), (5, 3)]
 
     def test_small_graph(self):
-        edges = build_knn_edges(np.zeros((1, 3)), 2, ids=[7])
-        assert edges == set()
+        for n in (0, 1):
+            pairs = build_knn_edges(np.zeros((n, 3)), 2)
+            assert pairs.shape == (0, 2) and pairs.dtype == int
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            build_knn_edges(np.zeros((2, 3)), 0)
-        with pytest.raises(ValueError):
-            build_knn_edges(np.zeros((2, 3)), 1, ids=[1])
+        for k_edge in (0, -1):
+            with pytest.raises(ValueError, match="k_edge must be positive"):
+                build_knn_edges(np.zeros((2, 3)), k_edge)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, seed, k):
         r = np.random.default_rng(seed)
         n = int(r.integers(2, 12))
-        # grid coordinates force exact distance ties
+        # grid coordinates force coincident points and exact distance ties
         positions = r.integers(0, 3, size=(n, 3)).astype(float)
-        ids = [int(v) for v in r.permutation(n * 3)[:n]]
-        assert build_knn_edges(positions, k, ids=ids) == knn_oracle(positions, k, ids)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_order_invariance(self, seed):
-        r = np.random.default_rng(seed)
-        n = int(r.integers(3, 10))
-        positions = r.integers(0, 3, size=(n, 3)).astype(float)
-        ids = list(range(n))
-        ref = build_knn_edges(positions, 2, ids=ids)
-        perm = r.permutation(n)
-        assert build_knn_edges(positions[perm], 2, ids=[ids[i] for i in perm]) == ref
+        pairs = build_knn_edges(positions, k)
+        assert pairs.shape == (n * min(k, n - 1), 2)
+        assert pairs.tolist() == knn_oracle(positions, k)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +211,30 @@ class TestSemanticGraph:
     def test_validation(self):
         a = prior_node(1, (0, 0, 0), {"a": 1})
         b = prior_node(1, (1, 0, 0), {"a": 1})
-        with pytest.raises(ValueError):
-            SemanticGraph([a, b], set())
+        with pytest.raises(ValueError, match="duplicate node ids"):
+            SemanticGraph([a, b], [])
         c = prior_node(2, (1, 0, 0), {"a": 1})
-        with pytest.raises(ValueError):
-            SemanticGraph([a, c], {(1, 1)})
-        with pytest.raises(ValueError):
-            SemanticGraph([a, c], {(1, 9)})
+        with pytest.raises(ValueError, match="self edge"):
+            SemanticGraph([a, c], [(0, 1), (1, 1)])
+        for bad in ([(0, 2)], [(-1, 0)], [(0, 1), (5, 0)]):
+            with pytest.raises(ValueError, match="unknown node"):
+                SemanticGraph([a, c], bad)
+
+    def test_repeated_and_reversed_pairs_are_one_edge(self):
+        nodes = [prior_node(i, (i, 0, 0), {"a": 1}) for i in (5, 1, 3)]
+        g = SemanticGraph(nodes, [(0, 1), (1, 0), (0, 1), (2, 1), (2, 1)])
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert len(g.edges) == g.edge_root.size // 2 == 2
+        assert g.degree.tolist() == [1, 2, 1]
+        # node 1's neighbors in id order: 3 (index 2), then 5 (index 0)
+        assert list(zip(g.edge_root.tolist(), g.edge_nbr.tolist())) == [(0, 1), (1, 2), (1, 0), (2, 1)]
 
     def test_accessors(self):
         nodes = [prior_node(i, (i, 0, 0), {"a": 1}) for i in (5, 1, 3)]
-        g = SemanticGraph(nodes, {(1, 5), (3, 5)})
+        g = graph(nodes, [(1, 5), (3, 5)])
         assert g.ids() == [5, 1, 3]
-        assert g.neighbors(5) == [1, 3]
+        # node 5's neighbors, in id order
+        assert [g.ids()[j] for j in g.edge_nbr[g.edge_root == 0]] == [1, 3]
         # rows and columns in node order: 5, 1, 3
         want = [[False, True, True], [True, False, False], [True, False, False]]
         assert g.adjacency.tolist() == want
@@ -254,16 +245,16 @@ class TestSemanticGraph:
 class TestEdgeArrays:
     @staticmethod
     def _adjacency(g):
-        """Sorted neighbor ids per node id, read off the undirected edge set."""
+        """Sorted neighbor ids per node id, read off the undirected edges."""
         adjacency = {nid: [] for nid in g.ids()}
-        for a, b in g.edges:
+        for a, b in edge_ids(g):
             adjacency[a].append(b)
             adjacency[b].append(a)
         return {nid: sorted(nbrs) for nid, nbrs in adjacency.items()}
 
     @classmethod
     def _expected(cls, g):
-        """(root index, neighbor index, slot) per directed edge, from the edge set."""
+        """(root index, neighbor index, slot) per directed edge, from the undirected edges."""
         index = {nid: i for i, nid in enumerate(g.ids())}
         adjacency = cls._adjacency(g)
         return [
@@ -278,13 +269,13 @@ class TestEdgeArrays:
         r = np.random.default_rng(seed)
         ids = [int(i) for i in r.permutation(40)[:n]]
         nodes = [prior_node(i, r.uniform(-3, 3, 3), {"a": 1}) for i in ids]
-        knn = sorted(build_knn_edges(np.stack([x.position for x in nodes]), k_edge, ids=ids))
-        g = SemanticGraph(nodes, {e for e in knn if r.random() < 0.6})
+        knn = sorted(edge_ids(knn_graph(nodes, k_edge)))
+        g = graph(nodes, [e for e in knn if r.random() < 0.6])
         expected = self._expected(g)
         assert list(zip(g.edge_root, g.edge_nbr, g.edge_slot)) == expected
-        assert {i: g.neighbors(i) for i in ids} == self._adjacency(g)
-        np.testing.assert_array_equal(g.degree, [len(g.neighbors(i)) for i in ids])
-        assert g.max_degree == max(len(g.neighbors(i)) for i in ids)
+        assert {i: neighbors_of(g, i) for i in ids} == self._adjacency(g)
+        np.testing.assert_array_equal(g.degree, [len(neighbors_of(g, i)) for i in ids])
+        assert g.max_degree == max(len(neighbors_of(g, i)) for i in ids)
         assert g.edge_root.size == 2 * len(g.edges)
         pos = g.positions()
         for root, nbr, length in zip(g.edge_root, g.edge_nbr, g.edge_length):
@@ -292,17 +283,18 @@ class TestEdgeArrays:
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_empty_without_edges(self, n):
-        g = SemanticGraph([prior_node(i, (i, 0, 0), {"a": 1}) for i in range(n)], set())
+        g = SemanticGraph([prior_node(i, (i, 0, 0), {"a": 1}) for i in range(n)], [])
         for arr in (g.edge_root, g.edge_nbr, g.edge_slot, g.edge_length):
             assert arr.shape == (0,)
+        assert g.edges.shape == (0, 2)
         np.testing.assert_array_equal(g.degree, np.zeros(n, dtype=int))
         assert g.max_degree == 0
 
     def test_pickle_round_trip(self):
         nodes = [prior_node(i, (i, 0.5 * i * i, 0), {"a": 1}) for i in (5, 1, 3, 7)]
-        g = SemanticGraph(nodes, {(1, 5), (3, 5), (1, 3)})  # 7 is isolated
+        g = graph(nodes, [(1, 5), (3, 5), (1, 3)])  # 7 is isolated
         h = pickle.loads(pickle.dumps(g))
-        for name in ("edge_root", "edge_nbr", "edge_slot", "edge_length", "degree"):
+        for name in ("edges", "edge_root", "edge_nbr", "edge_slot", "edge_length", "degree"):
             a, b = getattr(g, name), getattr(h, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert h.max_degree == g.max_degree == 2
@@ -320,14 +312,14 @@ class TestPriorGraphBuilders:
             prior_node(3, (1.5, 0.0, 0.0), {"a": 1}),
         ]
         g = prior_graph_from_nodes(nodes, [[0, 1], [2, 3]], k_edge=2)
-        assert g.edges == {(0, 1), (2, 3)}
+        assert edge_ids(g) == {(0, 1), (2, 3)}
         positions = np.stack([node.position for node in nodes])
-        assert (0, 2) in build_knn_edges(positions, 2, ids=[0, 1, 2, 3])
+        assert [0, 2] in build_knn_edges(positions, 2).tolist()
 
     def test_empty_keyframes_fall_back_to_global(self):
         nodes = [prior_node(i, (float(i), 0, 0), {"a": 1}) for i in range(3)]
         g = prior_graph_from_nodes(nodes, [], k_edge=1)
-        assert g.edges == {(0, 1), (1, 2)}
+        assert edge_ids(g) == {(0, 1), (1, 2)}
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
@@ -338,10 +330,35 @@ class TestPriorGraphBuilders:
         nodes = [prior_node(i, r.integers(0, 3, 3).astype(float), {"a": 1}) for i in ids]
         a = prior_graph_from_nodes(nodes, [], k_edge=k_edge)
         b = prior_graph_from_nodes(nodes, [ids], k_edge=k_edge)
-        assert a.edges == b.edges
-        for name in ("edge_root", "edge_nbr", "edge_slot", "edge_length", "degree"):
+        for name in ("edges", "edge_root", "edge_nbr", "edge_slot", "edge_length", "degree"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_shuffled_nodes_give_the_same_graph(self, seed, k_edge):
+        # ties go to the lower id whatever the order of the node list
+        r = np.random.default_rng(seed)
+        n = int(r.integers(3, 12))
+        ids = sorted(int(i) for i in r.permutation(40)[:n])
+        # grid positions force coincident points and distance ties; one label
+        # set for all keeps the likelihood's sum order fixed
+        nodes = [
+            prior_node(i, r.integers(0, 3, 3).astype(float), {"a": int(r.integers(1, 4)), "b": 1}, 4)
+            for i in ids
+        ]
+        keyframes = [[i for i in ids if r.random() < 0.7] for _ in range(3)]
+        shuffled = [nodes[i] for i in r.permutation(n)]
+        a = prior_graph_from_nodes(nodes, keyframes, k_edge=k_edge)
+        b = prior_graph_from_nodes(shuffled, keyframes, k_edge=k_edge)
+        assert edge_ids(a) == edge_ids(b)
+        query = knn_graph(
+            [query_node(j, r.uniform(-1, 1, 3) + [0, 0, 4], {"a": 0.6, "b": 0.4}) for j in range(5)], 2
+        )
+        ta, tb = score_all_pairs(a, query), score_all_pairs(b, query)
+        rows = [tb.prior_ids.index(i) for i in ta.prior_ids]
+        assert ta.likelihood.tobytes() == tb.likelihood[rows].tobytes()
+        assert ta.similarity.tobytes() == tb.similarity[rows].tobytes()
 
     def test_unknown_keyframe_member_raises(self):
         nodes = [prior_node(0, (0, 0, 0), {"a": 1})]
@@ -366,11 +383,11 @@ class TestPriorGraphBuilders:
         nodes, keyframes = _accumulate_map(landmarks, frames, {0: {0: 4, 1: 5}, 1: {0: 4}}, k=5)
         assert keyframes == [[4, 5], [4]]
         g = prior_graph_from_nodes(nodes, keyframes, k_edge=1)
-        assert g.node(4).frequencies.total_detections == 2
-        assert g.node(4).frequencies.per_label_counts == {"cup": 2, "mug": 1}
-        assert g.node(5).frequencies.total_detections == 1
-        assert g.node(5).frequencies.per_label_counts == {"mug": 1}
-        assert g.edges == {(4, 5)}
+        assert node_of(g, 4).frequencies.total_detections == 2
+        assert node_of(g, 4).frequencies.per_label_counts == {"cup": 2, "mug": 1}
+        assert node_of(g, 5).frequencies.total_detections == 1
+        assert node_of(g, 5).frequencies.per_label_counts == {"mug": 1}
+        assert edge_ids(g) == {(4, 5)}
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +436,7 @@ class TestQueryGraphBuilder:
         dets = [self._det(100.0), self._det(200.0), self._det(300.0)]
         g = build_query_graph(dets, k=2, k_edge=2, intrinsics=INTR)
         assert g.ids() == [0, 1, 2]
-        assert g.node(1).confidences.entries == [("cup", 0.8), ("mug", 0.2)]
+        assert g.nodes[1].confidences.entries == [("cup", 0.8), ("mug", 0.2)]
 
     def test_dropped_detection_leaves_gap(self, caplog):
         dets = [self._det(100.0), self._det(labels=(("cup", 0.0),)), self._det(300.0)]
@@ -449,7 +466,7 @@ class TestQueryGraphBuilder:
         assert len(g) == 1
         box = det.bbox
         expected = backproject_pixel(box.center, 2.0, INTR)
-        np.testing.assert_allclose(g.node(0).position, expected)
+        np.testing.assert_allclose(g.nodes[0].position, expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_position_dropped(self, bad, caplog):
@@ -462,7 +479,7 @@ class TestQueryGraphBuilder:
         with caplog.at_level(logging.WARNING, logger="semloc.graph"):
             g = build_query_graph(dets, k=2, k_edge=3, intrinsics=INTR)
         assert g.ids() == [0, 2, 3]
-        assert all(1 not in edge for edge in g.edges)
+        assert all(1 not in edge for edge in edge_ids(g))
         assert "detection 1 dropped: non-finite position" in caplog.text
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -487,7 +504,7 @@ class TestQueryGraphBuilder:
             self._det(500.0, position=(5.0, 0.0, 2.0)),
         ]
         g = build_query_graph(dets, k=2, k_edge=1, intrinsics=INTR)
-        assert g.edges == {(0, 1), (1, 2)}
+        assert edge_ids(g) == {(0, 1), (1, 2)}
 
     @staticmethod
     def _mostly(good, *bad):

@@ -12,7 +12,9 @@ from semloc.matching import SimilarityTable
 
 from conftest import (
     VOCAB,
+    edge_ids,
     graph,
+    knn_graph,
     make_conf,
     make_table,
     prior_node,
@@ -24,6 +26,8 @@ from oracles import (
     best_neighbor_set,
     multilabel_likelihood,
     neighbor_weight,
+    neighbors_of,
+    node_of,
     padded_score_all_pairs,
     per_column_extract_candidates,
     similarity_score,
@@ -32,7 +36,7 @@ from oracles import (
 
 def node_likelihood(prior_graph, query_graph):
     return lambda n, m: multilabel_likelihood(
-        prior_graph.node(n).frequencies, query_graph.node(m).confidences
+        node_of(prior_graph, n).frequencies, node_of(query_graph, m).confidences
     )
 
 
@@ -172,14 +176,14 @@ class TestBestNeighborSet:
         got = tuple(s.prior_neighbor for s in sel.selections)
         got_total = sum(s.weighted_likelihood for s in sel.selections)
 
-        p_root, q_root = pg.node(0).position, qg.node(100).position
-        qn = qg.neighbors(100)
-        pn = pg.neighbors(0)
+        p_root, q_root = node_of(pg, 0).position, node_of(qg, 100).position
+        qn = neighbors_of(qg, 100)
+        pn = neighbors_of(pg, 0)
         products = {}
         for m in qn:
-            dq = float(np.linalg.norm(qg.node(m).position - q_root))
+            dq = float(np.linalg.norm(node_of(qg, m).position - q_root))
             for n in pn:
-                dp = float(np.linalg.norm(pg.node(n).position - p_root))
+                dp = float(np.linalg.norm(node_of(pg, n).position - p_root))
                 products[(n, m)] = (1.0 / (1.0 + abs(dp - dq))) * like(n, m)
         best_total = -math.inf
         best_assign = None
@@ -221,8 +225,6 @@ class TestSimilarityScore:
 
 
 def _random_graphs(r, n_p=None, n_q=None):
-    from semloc import build_knn_edges
-
     n_p = n_p if n_p is not None else int(r.integers(2, 9))
     n_q = n_q if n_q is not None else int(r.integers(2, 7))
     p_nodes = [
@@ -232,9 +234,7 @@ def _random_graphs(r, n_p=None, n_q=None):
     q_nodes = [
         query_node(int(j * 2), r.uniform(-3, 3, 3) + [0, 0, 6], random_conf(r)) for j in range(n_q)
     ]
-    pg = graph(p_nodes, build_knn_edges(np.stack([n.position for n in p_nodes]), 3, ids=[n.id for n in p_nodes]))
-    qg = graph(q_nodes, build_knn_edges(np.stack([n.position for n in q_nodes]), 3, ids=[n.id for n in q_nodes]))
-    return pg, qg
+    return knn_graph(p_nodes, 3), knn_graph(q_nodes, 3)
 
 
 class TestScoreAllPairs:
@@ -276,14 +276,11 @@ def _thinned_graphs(seed, n_p, n_q, keep_p, keep_q, same_labels, k_edge=4):
     same_labels gives every prior one frequency table and every query one
     confidence vector.
     """
-    from semloc import build_knn_edges
-
     r = np.random.default_rng(seed)
     table, conf = random_table(r), random_conf(r)
 
     def thinned(nodes, keep):
-        pos = np.stack([n.position for n in nodes])
-        edges = sorted(build_knn_edges(pos, k_edge, ids=[n.id for n in nodes]))
+        edges = sorted(edge_ids(knn_graph(nodes, k_edge)))
         return graph(nodes, [e for e in edges if r.random() < keep])
 
     p_nodes = []

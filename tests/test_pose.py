@@ -18,7 +18,6 @@ from semloc import (
     Pose,
     PriorObjectNode,
     SceneSpec,
-    build_knn_edges,
     build_query_graph,
     calculate_was,
     estimate_pose,
@@ -42,7 +41,9 @@ from semloc.pose import _CHUNK, _AlignmentScorer, _chunk_cap, _compatibility, _d
 from conftest import (
     VOCAB,
     candidate_set,
+    edge_ids,
     graph,
+    knn_graph,
     make_table,
     pose_arrays,
     prior_node,
@@ -81,11 +82,9 @@ def _perfect_scene(n=8, seed=3, center_boxes=False):
             box = BoundingBox(u - hw, v - hh, u + hw, v + hh)
         p_nodes.append(p)
         q_nodes.append(query_node(100 + i, gt.transform(pos[i]), {label: 1.0}, bbox=box))
-    pg = graph(p_nodes, build_knn_edges(pos, 3, ids=[p.id for p in p_nodes]))
-    q_pos = np.stack([q.position for q in q_nodes])
-    qg = graph(q_nodes, build_knn_edges(q_pos, 3, ids=[q.id for q in q_nodes]))
+    pg, qg = knn_graph(p_nodes, 3), knn_graph(q_nodes, 3)
     # rigid map preserves distances, so the wiring must agree
-    assert {(a - 1, b - 1) for a, b in pg.edges} == {(a - 100, b - 100) for a, b in qg.edges}
+    np.testing.assert_array_equal(pg.edges, qg.edges)
     return pg, qg, gt
 
 
@@ -545,7 +544,7 @@ class TestAlignmentScorer:
     def _shuffled_query(qg):
         """The query graph with its nodes in an order that is not their id order."""
         order = [5, 1, 3, 0, 7, 2, 6, 4]
-        shuffled = graph([qg.nodes[i] for i in order], qg.edges)
+        shuffled = graph([qg.nodes[i] for i in order], edge_ids(qg))
         assert shuffled.ids()[:3] == [105, 101, 103]
         return shuffled
 
@@ -585,7 +584,7 @@ class TestAlignmentScorer:
             prior_node(98, [0.5, 0.0, -8.0], {VOCAB[0]: 1}),
             prior_node(99, [0.0, 0.0, -9.0], {VOCAB[2]: 1}),
         ]
-        pg = graph(list(pg.nodes) + behind, pg.edges)
+        pg = graph(list(pg.nodes) + behind, edge_ids(pg))
         pairs = id_pairs(extract_candidates(score_all_pairs(pg, qg), tau=2), pg, qg)
         pairs = [(p, q) for p, q in pairs if q != 102] + [(98, 102), (99, 102)]
         cands = candidate_set(sorted(pairs, key=lambda pair: pair[1]), pg, qg)
@@ -676,7 +675,7 @@ class TestEstimatePose:
 
     def test_insufficient_query_nodes(self):
         pg, qg, _ = _perfect_scene()
-        tiny = graph([qg.node(100), qg.node(101)], [])
+        tiny = graph(qg.nodes[:2], [])
         res = estimate_pose(tiny, pg, MatcherConfig(), INTR)
         assert res.status == LocalizationStatus.INSUFFICIENT_DETECTIONS
         assert "query nodes" in res.message
@@ -729,9 +728,7 @@ def _same_label_frame(seed: int, n: int):
         )
         for i, p in enumerate(p_nodes)
     ]
-    pg = graph(p_nodes, build_knn_edges(pos, 3, ids=[p.id for p in p_nodes]))
-    q_pos = np.stack([q.position for q in q_nodes])
-    return graph(q_nodes, build_knn_edges(q_pos, 3, ids=[q.id for q in q_nodes])), pg
+    return knn_graph(q_nodes, 3), knn_graph(p_nodes, 3)
 
 
 class TestDegenerateStructure:
@@ -819,14 +816,7 @@ def _seen_frame(pos, labels, clutter):
             q_nodes.append(query_node(99 + node.id, position, {label: 1.0}, bbox=box))
     for j, (position, label, box) in enumerate(clutter):
         q_nodes.append(query_node(200 + j, position, {label: 1.0}, bbox=box))
-
-    def wired(nodes):
-        if not nodes:
-            return graph([], [])
-        positions = np.stack([node.position for node in nodes])
-        return graph(nodes, build_knn_edges(positions, 3, ids=[node.id for node in nodes]))
-
-    return wired(q_nodes), wired(p_nodes)
+    return knn_graph(q_nodes, 3), knn_graph(p_nodes, 3)
 
 
 def _assert_honest(res):

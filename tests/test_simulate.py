@@ -55,6 +55,7 @@ class TestSceneSpec:
             {"clusters": [["a", "zzz"]]},
             {"clusters": [["a", "b"], ["b", "c"]]},
             {"n_landmarks": 10, "unique_labels": True},
+            {"bounds": ((-1e200, -2.0, 0.0), (2.0, 2.0, 1.5))},
         ],
     )
     def test_rejects_bad_spec(self, kw):
@@ -133,6 +134,13 @@ class TestLookAt:
         with pytest.raises(ValueError):
             look_at_pose((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "camera, target", [((1e200, 0.0, 0.0), (0.0, 0.0, 0.0)), ((0.0, 0.0, 1.0), (0.0, -1e300, 0.0))]
+    )
+    def test_camera_whose_distance_overflows_raises(self, camera, target):
+        with pytest.raises(ValueError, match="so far out that their distance overflows"):
+            look_at_pose(camera, target)
+
 
 class TestGenerateTrajectory:
     def test_orbit_spacing_and_gaze(self):
@@ -181,6 +189,30 @@ class TestGenerateTrajectory:
             generate_trajectory("orbit", 5, BOUNDS, radius=math.nan)
         with pytest.raises(ValueError, match="height inf"):
             generate_trajectory("line", 5, BOUNDS, height=math.inf)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"radius": 1e200}, r"radius 1e\+200 is not finite or so large that camera distances overflow"),
+            ({"height": -1e200}, r"height -1e\+200 is not finite or so large"),
+            ({"bounds": ((-2.0, -2.0, 0.0), (2.0, 1e200, 1.5))}, "bounds are not finite or so far out"),
+        ],
+        ids=["radius", "height", "bounds"],
+    )
+    def test_rejects_settings_whose_camera_distances_overflow(self, kw, message):
+        # finite, but the camera-to-target distance would overflow to inf
+        for kind in ("orbit", "line", "random-walk"):
+            with pytest.raises(ValueError, match=message):
+                generate_trajectory(kind, 3, **{"bounds": BOUNDS, **kw})
+
+    def test_largest_accepted_settings_give_finite_poses(self):
+        # just inside the limit of 64 v^2, look_at_pose's distance check still passes
+        edge = 0.999 * math.sqrt(np.finfo(float).max / 64.0)
+        corner = edge / math.sqrt(2.0)
+        for kw in ({"radius": edge, "height": -edge}, {"bounds": ((-corner, 0.0, -1.0), (1.0, 1.0, corner))}):
+            for kind in ("orbit", "line", "random-walk"):
+                poses = generate_trajectory(kind, 4, **{"bounds": BOUNDS, **kw})
+                assert all(np.isfinite(p.translation).all() for p in poses)
 
 
 class TestConfidenceModel:
