@@ -12,7 +12,6 @@ from .geometry import (
     Pose,
     p3p_solve,
     pixel_to_bearing,
-    project_quadric_to_bbox,
     quadric_from_params,
 )
 from .graph import (
@@ -99,7 +98,6 @@ __all__ = [
     "p3p_solve",
     "pixel_to_bearing",
     "prior_graph_from_nodes",
-    "project_quadric_to_bbox",
     "quadric_from_params",
     "render_frame",
     "render_sequence",

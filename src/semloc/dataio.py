@@ -60,6 +60,13 @@ def _int(value) -> int:
     return out
 
 
+def _landmark_id(value) -> int:
+    """A landmark id: an integer within int64, the range of numpy's integer arrays."""
+    if not -(2**63) <= (out := _int(value)) < 2**63:
+        raise ValueError(f"landmark id {out} is outside int64")
+    return out
+
+
 def _float(value) -> float:
     """A coordinate, score, time or length: an integer or a float; booleans and strings raise."""
     if isinstance(value, float) or type(value) is int:  # bool is an int subclass
@@ -186,7 +193,7 @@ def load_map(path) -> tuple[list[PriorObjectNode], list[list[int]], dict]:
             freqs = LabelFrequencyTable.from_counts(counts, _int(lm["total_detections"]))
             nodes.append(
                 PriorObjectNode(
-                    id=_int(lm["id"]),
+                    id=_landmark_id(lm["id"]),
                     position=np.array([_float(v) for v in _list(lm["position"])]),
                     rotation=quat_normalize([_float(v) for v in _list(lm["rotation"])]),
                     scale=np.array([_float(v) for v in _list(lm["scale"])]),
@@ -249,9 +256,12 @@ def load_detection_log(path) -> list[FrameRecord]:
                 dets.append(DetectionRecord(bbox, labels, position))
             if not isinstance(row.get("depth_file"), (str, type(None))):
                 raise TypeError("depth_file must be a file name")
+            # a frame id seeds the frame's sampling loop, which takes no negative seed
+            if (frame_id := _int(row["frame_id"])) < 0:
+                raise ValueError(f"frame_id {frame_id} is negative")
             frames.append(
                 FrameRecord(
-                    frame_id=_int(row["frame_id"]),
+                    frame_id=frame_id,
                     timestamp=_float(row["timestamp"]),
                     detections=dets,
                     depth_file=row.get("depth_file"),
@@ -438,7 +448,7 @@ def load_scene_landmarks(path) -> list[dict]:
         for lm in data["landmarks"]:
             out.append(
                 {
-                    "id": _int(lm["id"]),
+                    "id": _landmark_id(lm["id"]),
                     "position": np.array([_float(v) for v in _list(lm["position"])]),
                     "rotation": quat_normalize([_float(v) for v in _list(lm["rotation"])]),
                     "scale": np.array([_float(v) for v in _list(lm["scale"])]),

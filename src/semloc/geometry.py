@@ -131,6 +131,9 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
             raise ValueError("focal lengths and principal point must be finite")
+        # Python floats square to inf where projecting a landmark would overflow
+        if not all(math.isfinite(float(v) * float(v)) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValueError("focal lengths and principal point so large that their squares overflow")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -285,8 +288,8 @@ def _project_quadrics(
 
     Returns the extents (n, u, 4) as (x_min, y_min, x_max, y_max) and the
     visibility (n, u): the center q[:3, 3] / q[3, 3] lies in front of the
-    camera and the projected dual conic is a nondegenerate ellipse. Extents
-    where a quadric is not visible are meaningless.
+    camera and the projected dual conic is a nondegenerate ellipse with
+    finite extents. Extents where a quadric is not visible are meaningless.
 
     Of the dual conic C = P Q P' (P = K [R | t]) only the five entries the
     extents read are formed, each as a sum over the quadric's ten unique
@@ -297,22 +300,22 @@ def _project_quadrics(
     rot = quat_to_rotmat(rotation)
     trans = np.asarray(translation, dtype=float)
     rt = np.concatenate([rot, trans[:, :, None]], axis=2)  # (n, 3, 4)
-    # K [R | t] row by row; K's zeros add nothing
-    proj = np.stack(
-        [
-            intrinsics.fx * rt[:, 0] + intrinsics.cx * rt[:, 2],
-            intrinsics.fy * rt[:, 1] + intrinsics.cy * rt[:, 2],
-            rt[:, 2],
-        ],
-        axis=1,
-    )
-    # C_ab = sum over unique (i, j) of (P_ai P_bj + P_aj P_bi) Q_ij, P_ai P_bi Q_ii on the diagonal
-    pa, pb = proj[:, _CONIC_ROW], proj[:, _CONIC_COL]  # (n, 5, 4)
-    ai, bj = pa[:, :, _QUAD_ROW], pb[:, :, _QUAD_COL]  # (n, 5, 10)
-    aj, bi = pa[:, :, _QUAD_COL], pb[:, :, _QUAD_ROW]
-    coef = np.where(_QUAD_ROW == _QUAD_COL, ai * bj, ai * bj + aj * bi).transpose(2, 1, 0)
     q = quads[:, _QUAD_ROW, _QUAD_COL].T  # (10, u)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # K [R | t] row by row; K's zeros add nothing
+        proj = np.stack(
+            [
+                intrinsics.fx * rt[:, 0] + intrinsics.cx * rt[:, 2],
+                intrinsics.fy * rt[:, 1] + intrinsics.cy * rt[:, 2],
+                rt[:, 2],
+            ],
+            axis=1,
+        )
+        # C_ab = sum over unique (i, j) of (P_ai P_bj + P_aj P_bi) Q_ij, P_ai P_bi Q_ii on the diagonal
+        pa, pb = proj[:, _CONIC_ROW], proj[:, _CONIC_COL]  # (n, 5, 4)
+        ai, bj = pa[:, :, _QUAD_ROW], pb[:, :, _QUAD_COL]  # (n, 5, 10)
+        aj, bi = pa[:, :, _QUAD_COL], pb[:, :, _QUAD_ROW]
+        coef = np.where(_QUAD_ROW == _QUAD_COL, ai * bj, ai * bj + aj * bi).transpose(2, 1, 0)
         conic = coef[0, :, :, None] * q[0]  # (5, n, u)
         term = np.empty_like(conic)
         for k in range(1, len(q)):
@@ -332,21 +335,8 @@ def _project_quadrics(
         sy = np.copysign(np.sqrt(disc_y), c22)
         ext = np.stack([c02 - sx, c12 - sy, c02 + sx, c12 + sy])
         ext /= c22
-        ok &= (ext[2] - ext[0] > 0.0) & (ext[3] - ext[1] > 0.0)
+        ok &= (ext[2] - ext[0] > 0.0) & (ext[3] - ext[1] > 0.0) & np.isfinite(ext).all(axis=0)
     return ext.transpose(1, 2, 0), ok
-
-
-def project_quadric_to_bbox(
-    quadric: np.ndarray, pose: Pose, intrinsics: CameraIntrinsics
-) -> BoundingBox | None:
-    """Image box of one dual quadric (4, 4), unclamped; None when it is not
-    visible or its extents are not finite."""
-    ext, ok = _project_quadrics(
-        np.reshape(quadric, (1, 4, 4)), pose.rotation[None], pose.translation[None], intrinsics
-    )
-    if not (ok[0, 0] and np.isfinite(ext[0, 0]).all()):
-        return None
-    return BoundingBox(*ext[0, 0].tolist())
 
 
 def pixel_to_bearing(pixel, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Two graphs share one container type: a prior graph of mapped landmarks with
 accumulated multi-label detection frequencies, and a per-frame query graph of
-detections with normalized top-K confidences. Edges are node-index pairs
-from k-nearest neighbors over 3D positions; builders pass nodes in id order,
-so a distance tie goes to the lower node id.
+detections with normalized top-K confidences. Nodes are held in id order,
+so every tie broken to the lower node index goes to the lower id. Edges are
+node-index pairs from k-nearest neighbors over 3D positions.
 """
 
 from __future__ import annotations
@@ -166,13 +166,13 @@ class QueryDetectionNode:
 
 @dataclass
 class SemanticGraph:
-    """Nodes plus undirected edges given as (index, index) pairs into `nodes`.
+    """Nodes in strictly increasing id order, and undirected edges as (index, index) pairs.
 
     `adjacency` is the boolean (nodes, nodes) matrix of the edges; repeated
     and reversed pairs collapse into one edge. `edges` lists each edge once,
     as (lower index, higher index) rows in row-major order. The directed
-    edges are index arrays ordered by root in node order and then by
-    neighbor id: `edge_root` and `edge_nbr` are node indices, `edge_length`
+    edges are index arrays ordered by root and then by neighbor (so by id):
+    `edge_root` and `edge_nbr` are node indices, `edge_length`
     the root-to-neighbor distance and `edge_slot` the edge's place among its
     root's edges. `degree` counts each node's edges and `max_degree` is its
     maximum (0 without edges). A prior graph's landmark quadrics are built
@@ -183,9 +183,9 @@ class SemanticGraph:
     edges: np.ndarray
 
     def __post_init__(self):
-        ids = [node.id for node in self.nodes]
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate node ids")
+        ids = self.ids()
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("node ids not strictly increasing")
         n = len(ids)
         pairs = np.asarray(self.edges, dtype=int).reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -196,10 +196,7 @@ class SemanticGraph:
         self.adjacency[pairs[:, 0], pairs[:, 1]] = True
         self.adjacency |= self.adjacency.T
         self.edges = np.argwhere(np.triu(self.adjacency))
-        root, nbr = np.nonzero(self.adjacency)
-        order = np.lexsort((np.asarray(ids)[nbr], root))
-        self.edge_root = root[order]
-        self.edge_nbr = nbr[order]
+        self.edge_root, self.edge_nbr = np.nonzero(self.adjacency)
         self.degree = np.bincount(self.edge_root, minlength=n)
         self.max_degree = int(self.degree.max(initial=0))
         offsets = np.cumsum(self.degree) - self.degree
@@ -236,8 +233,7 @@ def build_knn_edges(positions: np.ndarray, k_edge: int) -> np.ndarray:
     """Each node's k nearest neighbors as (root, neighbor) index pairs, shape (n * k, 2).
 
     k is k_edge, or n - 1 when fewer nodes exist. Rows run by root, then by
-    distance; a distance tie goes to the lower index, so callers pass the
-    positions in node-id order and ties go to the lower id.
+    distance; a distance tie goes to the lower index.
     """
     if k_edge <= 0:
         raise ValueError("k_edge must be positive")
@@ -263,10 +259,12 @@ def prior_graph_from_nodes(
 ) -> SemanticGraph:
     """Assemble the prior graph from prebuilt nodes and keyframe memberships.
 
+    The nodes may come in any order; the graph holds them sorted by id.
     Edges are the union over keyframes of per-keyframe k-NN among the
-    landmarks visible in that keyframe, taken in id order. A map without
-    keyframes counts as one keyframe that sees every landmark.
+    landmarks visible in that keyframe. A map without keyframes counts as
+    one keyframe that sees every landmark.
     """
+    nodes = sorted(nodes, key=lambda node: node.id)
     row = {node.id: i for i, node in enumerate(nodes)}
     for members in keyframes:
         for lm_id in members:
@@ -275,8 +273,8 @@ def prior_graph_from_nodes(
     if not keyframes:
         keyframes = [list(row)]
     pos = np.reshape([node.position for node in nodes], (-1, 3))
-    rows = [np.array([row[i] for i in sorted(set(members))], dtype=int) for members in keyframes]
-    return SemanticGraph(list(nodes), np.concatenate([r[build_knn_edges(pos[r], k_edge)] for r in rows]))
+    rows = [np.array(sorted({row[i] for i in members}), dtype=int) for members in keyframes]
+    return SemanticGraph(nodes, np.concatenate([r[build_knn_edges(pos[r], k_edge)] for r in rows]))
 
 
 @dataclass

@@ -32,8 +32,8 @@ _CHUNK_ELEMS = 250_000
 class SimilarityTable:
     """Dense likelihood and similarity over all (prior, query) node pairs.
 
-    Row order follows prior_ids, column order query_ids. The full table is
-    materialized because candidate extraction ranks every column anyway.
+    Rows and columns are the two graphs' nodes, so prior_ids and query_ids ascend.
+    The full table is materialized because candidate extraction ranks every column anyway.
     """
 
     prior_ids: list[int]
@@ -145,13 +145,11 @@ class CandidateSet:
 def extract_candidates(table: SimilarityTable, tau: int) -> CandidateSet:
     """Keep the tau best-scored priors per query node.
 
-    One sort of the whole table ranks every column by similarity, ties to
-    the lower prior id, and exactly tau pairs are kept per query node (fewer
-    only when the prior graph is smaller). Zero-score pairs stay eligible.
+    One stable sort of the whole table ranks every column by similarity, ties
+    to the lower prior index (so id), and exactly tau pairs are kept per query
+    node (fewer only when the prior graph is smaller). Zero-score pairs stay eligible.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    sim = table.similarity
-    ids = np.broadcast_to(np.asarray(table.prior_ids, dtype=int)[:, None], sim.shape)
-    rows = np.lexsort((ids, -sim), axis=0)[:tau]  # (kept per node, query nodes)
-    return CandidateSet(rows.T.ravel(), np.repeat(np.arange(sim.shape[1]), len(rows)))
+    rows = np.argsort(-table.similarity, axis=0, kind="stable")[:tau]  # (kept per node, query nodes)
+    return CandidateSet(rows.T.ravel(), np.repeat(np.arange(rows.shape[1]), len(rows)))

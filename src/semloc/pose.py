@@ -157,9 +157,9 @@ class _AlignmentScorer:
     The one implementation of the normalized-Wasserstein box alignment: each
     prior of a (prior, query) pair is projected under a pose to its clamped
     image box, both boxes are embedded as Gaussians, and the pair scores
-    exp(-W2/C). A prior is visible when its center is in front of the camera
-    and its projected box has finite extents and is a nondegenerate box
-    inside the image. Pairs are node indices; ids enter only in `select`.
+    exp(-W2/C). A prior is visible when `_project_quadrics` finds it so and
+    its box clamped to the image is nondegenerate. Pairs are node indices;
+    ids enter only in `select`'s output.
     """
 
     def __init__(self, candidates, prior_graph, query_ids, boxes, intrinsics, C):
@@ -180,7 +180,6 @@ class _AlignmentScorer:
     def _pair_scores(self, rotation, translation) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair similarity (0 where the prior is not visible) and visibility, (n, pairs)."""
         ext, ok = _project_quadrics(self.quads, rotation, translation, self.intrinsics)
-        ok &= np.isfinite(ext).all(axis=-1)
         xa, ya, xb, yb = np.moveaxis(np.clip(ext, 0.0, self.image_max), -1, 0)
         ok &= (xb - xa > 0.0) & (yb - ya > 0.0)
 
@@ -213,23 +212,21 @@ class _AlignmentScorer:
         return self._was(*self._pair_scores(rotation, translation))
 
     def select(self, pose: Pose) -> tuple[float, list[tuple[int, int]]]:
-        """WAS of one pose and the pairs it selects.
+        """WAS of one pose and the (prior id, query id) pairs it selects.
 
         Per query node the best visible prior is selected, ties to the lower
-        prior id; pairs are ordered by query id. Nothing visible gives 0 and
-        no pairs.
+        prior index (so id); pairs are ordered by query index (so id).
+        Nothing visible gives 0 and no pairs.
         """
         wn, visible = self._pair_scores(pose.rotation[None], pose.translation[None])
         was = float(self._was(wn, visible)[0])
         idx = np.flatnonzero(visible[0])
-        prior = self.prior_ids[self.pair_prior[idx]]
-        query = self.query_ids[self.pair_q[idx]]
-        # best first within each query node: score descending, then prior id
-        order = np.lexsort((prior, -wn[0, idx], query))
+        prior, query = self.pair_prior[idx], self.pair_q[idx]
+        order = np.lexsort((prior, -wn[0, idx], query))  # best first within each query node
         prior, query = prior[order], query[order]
         first = np.ones(query.size, dtype=bool)
         first[1:] = query[1:] != query[:-1]
-        return was, list(zip(prior[first].tolist(), query[first].tolist()))
+        return was, list(zip(self.prior_ids[prior[first]].tolist(), self.query_ids[query[first]].tolist()))
 
 
 def calculate_was(

@@ -283,7 +283,7 @@ def render_frame(
     extents, visible = _project_quadrics(quads, pose.rotation[None], pose.translation[None], intrinsics)
     for lm, ext, ok in zip(scene.landmarks, extents[0].tolist(), visible[0].tolist()):
         cam = pose.transform(lm.position)
-        if not ok or cam[2] <= 0.0 or not all(map(math.isfinite, ext)):
+        if not ok or cam[2] <= 0.0:
             continue
         u = intrinsics.fx * cam[0] / cam[2] + intrinsics.cx
         v = intrinsics.fy * cam[1] / cam[2] + intrinsics.cy

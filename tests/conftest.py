@@ -107,15 +107,15 @@ def query_node(node_id: int, position, conf, bbox: BoundingBox | None = None) ->
 
 
 def graph(nodes, id_pairs) -> SemanticGraph:
-    """The graph over `nodes` with edges given as (node id, node id) pairs."""
-    nodes = list(nodes)
+    """The graph over `nodes`, taken in id order, with edges given as (node id, node id) pairs."""
+    nodes = sorted(nodes, key=lambda node: node.id)
     index = {node.id: i for i, node in enumerate(nodes)}
     return SemanticGraph(nodes, [(index[a], index[b]) for a, b in id_pairs])
 
 
 def knn_graph(nodes, k_edge: int) -> SemanticGraph:
-    """The graph over `nodes` with each node wired to its k_edge nearest neighbors."""
-    nodes = list(nodes)
+    """The graph over `nodes`, taken in id order, each wired to its k_edge nearest neighbors."""
+    nodes = sorted(nodes, key=lambda node: node.id)
     return SemanticGraph(nodes, build_knn_edges([node.position for node in nodes], k_edge))
 
 

@@ -11,7 +11,8 @@ the edge-list context propagation. `per_column_extract_candidates` ranks
 one column of the similarity table at a time, the reference of
 `extract_candidates`' one sort. Projection: `scalar_project_quadric_to_bbox`
 projects one dual quadric under one pose, as the stacked
-`geometry._project_quadrics` does for each of its (quadric, pose) pairs.
+`geometry._project_quadrics` does for each of its (quadric, pose) pairs;
+`project_quadric_to_bbox` reads one box off that kernel.
 Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
 `normalized_wasserstein` score one box pair, and `scalar_calculate_was`
 scores one pose the way `_AlignmentScorer` does.
@@ -39,6 +40,7 @@ from semloc.geometry import (
     BoundingBox,
     CameraIntrinsics,
     Pose,
+    _project_quadrics,
     p3p_solve,
     pixel_to_bearing,
     quadric_from_params,
@@ -263,6 +265,17 @@ def scalar_project_quadric_to_bbox(
     if x1 - x0 <= 0.0 or y1 - y0 <= 0.0:
         return None
     return BoundingBox(x0, y0, x1, y1)
+
+
+def project_quadric_to_bbox(
+    quadric: np.ndarray, pose: Pose, intrinsics: CameraIntrinsics
+) -> BoundingBox | None:
+    """Image box of one dual quadric (4, 4) from `_project_quadrics`, unclamped;
+    None when it is not visible."""
+    ext, ok = _project_quadrics(
+        np.reshape(quadric, (1, 4, 4)), pose.rotation[None], pose.translation[None], intrinsics
+    )
+    return BoundingBox(*ext[0, 0].tolist()) if ok[0, 0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from semloc import (
     generate_trajectory,
     p3p_solve,
     prior_graph_from_nodes,
-    project_quadric_to_bbox,
     quadric_from_params,
     render_sequence,
     score_all_pairs,
@@ -54,6 +53,7 @@ from oracles import (
     multilabel_likelihood,
     neighbors_of,
     node_of,
+    project_quadric_to_bbox,
     similarity_score,
     wasserstein2_squared,
 )

@@ -38,7 +38,6 @@ PUBLIC = [
     "p3p_solve",
     "pixel_to_bearing",
     "prior_graph_from_nodes",
-    "project_quadric_to_bbox",
     "quadric_from_params",
     "render_frame",
     "render_sequence",

@@ -275,6 +275,28 @@ class TestLocalize:
         b = (dataset / "run_rebuild" / "results.jsonl").read_bytes()
         assert a == b
 
+    def test_map_with_landmarks_in_reverse_order_matches(self, dataset, tmp_path):
+        # the prior graph holds its landmarks in id order, whatever the map file's order
+        flipped = tmp_path / "map.json"
+        flipped.write_bytes(_doc(dataset / "map.json", lambda m: _set(m, ("landmarks",), m["landmarks"][::-1])))
+        ids = [lm["id"] for lm in json.loads(flipped.read_text())["landmarks"]]
+        assert ids == sorted(ids, reverse=True)
+        sim = dataset / "sim"
+        code = main(
+            [
+                "localize",
+                "--detections", str(sim / "query.jsonl"),
+                "--intrinsics", str(sim / "intrinsics.json"),
+                "--map", str(flipped),
+                "--output", str(dataset / "run_flipped_map"),
+                "--threads", "1",
+                "--seed", "7",
+            ]
+        )
+        assert code == 0
+        a = (dataset / "run_map" / "results.jsonl").read_bytes()
+        assert (dataset / "run_flipped_map" / "results.jsonl").read_bytes() == a
+
     def test_k_mismatch_warns(self, dataset, caplog):
         with caplog.at_level("WARNING", logger="semloc.cli"):
             assert _localize(dataset, "run_k3", "--K", "3") == 0
@@ -725,6 +747,24 @@ BAD_INPUTS = [
     ("scene-far-position", "scene.json",
      lambda d: _doc(d / "sim" / "scene.json", lambda s: _set(s, ("landmarks", 1, "position"), [1e200, 0.0, 1.0])),
      "landmark 1: position so far out that distances to it overflow"),
+    # landmark ids fit numpy's int64 arrays, and frame ids seed a sampling loop, which takes no negative seed
+    ("map-landmark-id-2**63", "map.json",
+     lambda d: _doc(d / "map.json", lambda m: _set(m, ("landmarks", 0, "id"), 2**63)),
+     "map.json: bad map file: landmark id 9223372036854775808 is outside int64"),
+    ("scene-landmark-id-2**63", "scene.json",
+     lambda d: _doc(d / "sim" / "scene.json", lambda s: _set(s, ("landmarks", 1, "id"), 2**63)),
+     "scene.json: bad scene file: landmark id 9223372036854775808 is outside int64"),
+    ("detections-frame-negative", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("frame_id",), -1)),
+     "query.jsonl:2: bad detection record: frame_id -1 is negative"),
+    # intrinsics so large that projecting a landmark would overflow
+    ("intrinsics-fx-1e300", "intrinsics.json",
+     lambda d: _doc(d / "sim" / "intrinsics.json", lambda i: _set(i, ("fx",), 1e300)),
+     "intrinsics.json: bad intrinsics: focal lengths and principal point so large that their squares overflow"),
+    ("simulate-config-fx-fy-1e300", "sim.cfg", lambda d: b"fx = 1e300\nfy = 1e300\n",
+     "focal lengths and principal point so large that their squares overflow"),
+    ("simulate-config-cx-1e308", "sim.cfg", lambda d: b"cx = 1e308\n",
+     "focal lengths and principal point so large that their squares overflow"),
 ]
 
 # (id, depth_file named by row 2 of the detection log, contents of d.npy, what stderr must name)

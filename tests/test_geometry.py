@@ -13,7 +13,6 @@ from semloc import (
     Pose,
     p3p_solve,
     pixel_to_bearing,
-    project_quadric_to_bbox,
     quadric_from_params,
 )
 from semloc.geometry import (
@@ -32,6 +31,7 @@ from oracles import (
     bbox_to_gaussian,
     bearing_angle,
     normalized_wasserstein,
+    project_quadric_to_bbox,
     scalar_p3p_solve,
     scalar_project_quadric_to_bbox,
     wasserstein2_squared,
@@ -144,6 +144,21 @@ class TestCameraIntrinsics:
         values[field] = bad
         with pytest.raises(ValueError, match="finite"):
             CameraIntrinsics(**values)
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("bad", [1e300, -2e154])
+    def test_rejects_values_whose_squares_overflow(self, field, bad):
+        values = dict(fx=525.0, fy=525.0, cx=319.5, cy=239.5, width=640, height=480)
+        values[field] = abs(bad) if field in ("fx", "fy") else bad
+        with pytest.raises(ValueError, match="squares overflow"):
+            CameraIntrinsics(**values)
+
+    def test_largest_accepted_values_project_without_a_warning(self):
+        # the conic's products overflow here, inside the kernel's errstate
+        intr = CameraIntrinsics(1e154, 1e154, 1e154, 1e154, 640, 480)
+        q = quadric_from_params([0.0, 0.0, 5.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        _, ok = _project_quadrics(q[None], *pose_arrays([Pose.identity()]), intr)
+        assert not ok.any()
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +314,14 @@ class TestQuadricProjection:
 
     def test_infinite_extents_are_not_visible(self):
         # the conic's (0, 2) entry squares to inf: the unclamped x extents
-        # are -inf and +inf, which no box can hold
+        # are -inf and +inf, which no box can hold, so the kernel calls it not visible
         q = np.eye(4)
         q[0, 2] = q[2, 0] = 1e200
         q[2, 2] = -1.0
         q[2, 3] = q[3, 2] = 2.0
         with np.errstate(over="ignore"):
             ext, ok = _project_quadrics(q[None], *pose_arrays([Pose.identity()]), INTR100)
-            assert ok[0, 0] and np.isinf(ext[0, 0]).any()
+            assert not ok[0, 0] and np.isinf(ext[0, 0]).any()
             assert project_quadric_to_bbox(q, Pose.identity(), INTR100) is None
 
     def test_off_axis_sphere_frozen(self):

@@ -210,10 +210,11 @@ class TestPriorObjectNode:
 class TestSemanticGraph:
     def test_validation(self):
         a = prior_node(1, (0, 0, 0), {"a": 1})
-        b = prior_node(1, (1, 0, 0), {"a": 1})
-        with pytest.raises(ValueError, match="duplicate node ids"):
-            SemanticGraph([a, b], [])
         c = prior_node(2, (1, 0, 0), {"a": 1})
+        # a repeated id and ids out of order break the one invariant
+        for nodes in ([a, prior_node(1, (1, 0, 0), {"a": 1})], [c, a]):
+            with pytest.raises(ValueError, match="node ids not strictly increasing"):
+                SemanticGraph(nodes, [])
         with pytest.raises(ValueError, match="self edge"):
             SemanticGraph([a, c], [(0, 1), (1, 1)])
         for bad in ([(0, 2)], [(-1, 0)], [(0, 1), (5, 0)]):
@@ -221,24 +222,24 @@ class TestSemanticGraph:
                 SemanticGraph([a, c], bad)
 
     def test_repeated_and_reversed_pairs_are_one_edge(self):
-        nodes = [prior_node(i, (i, 0, 0), {"a": 1}) for i in (5, 1, 3)]
-        g = SemanticGraph(nodes, [(0, 1), (1, 0), (0, 1), (2, 1), (2, 1)])
-        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        nodes = [prior_node(i, (i, 0, 0), {"a": 1}) for i in (1, 3, 5)]
+        g = SemanticGraph(nodes, [(2, 0), (0, 2), (2, 0), (1, 0), (1, 0)])
+        assert g.edges.tolist() == [[0, 1], [0, 2]]
         assert len(g.edges) == g.edge_root.size // 2 == 2
-        assert g.degree.tolist() == [1, 2, 1]
-        # node 1's neighbors in id order: 3 (index 2), then 5 (index 0)
-        assert list(zip(g.edge_root.tolist(), g.edge_nbr.tolist())) == [(0, 1), (1, 2), (1, 0), (2, 1)]
+        assert g.degree.tolist() == [2, 1, 1]
+        # node 1's neighbors in index order, which is id order: 3, then 5
+        assert list(zip(g.edge_root.tolist(), g.edge_nbr.tolist())) == [(0, 1), (0, 2), (1, 0), (2, 0)]
 
     def test_accessors(self):
         nodes = [prior_node(i, (i, 0, 0), {"a": 1}) for i in (5, 1, 3)]
         g = graph(nodes, [(1, 5), (3, 5)])
-        assert g.ids() == [5, 1, 3]
+        assert g.ids() == [1, 3, 5]
         # node 5's neighbors, in id order
-        assert [g.ids()[j] for j in g.edge_nbr[g.edge_root == 0]] == [1, 3]
-        # rows and columns in node order: 5, 1, 3
-        want = [[False, True, True], [True, False, False], [True, False, False]]
+        assert [g.ids()[j] for j in g.edge_nbr[g.edge_root == 2]] == [1, 3]
+        # rows and columns in node order: 1, 3, 5
+        want = [[False, False, True], [False, False, True], [True, True, False]]
         assert g.adjacency.tolist() == want
-        np.testing.assert_allclose(g.positions()[0], [5.0, 0.0, 0.0])
+        np.testing.assert_allclose(g.positions()[2], [5.0, 0.0, 0.0])
         assert len(g) == 3
 
 
@@ -271,10 +272,11 @@ class TestEdgeArrays:
         nodes = [prior_node(i, r.uniform(-3, 3, 3), {"a": 1}) for i in ids]
         knn = sorted(edge_ids(knn_graph(nodes, k_edge)))
         g = graph(nodes, [e for e in knn if r.random() < 0.6])
+        assert g.ids() == sorted(ids)
         expected = self._expected(g)
         assert list(zip(g.edge_root, g.edge_nbr, g.edge_slot)) == expected
         assert {i: neighbors_of(g, i) for i in ids} == self._adjacency(g)
-        np.testing.assert_array_equal(g.degree, [len(neighbors_of(g, i)) for i in ids])
+        np.testing.assert_array_equal(g.degree, [len(neighbors_of(g, i)) for i in g.ids()])
         assert g.max_degree == max(len(neighbors_of(g, i)) for i in ids)
         assert g.edge_root.size == 2 * len(g.edges)
         pos = g.positions()
@@ -351,14 +353,14 @@ class TestPriorGraphBuilders:
         shuffled = [nodes[i] for i in r.permutation(n)]
         a = prior_graph_from_nodes(nodes, keyframes, k_edge=k_edge)
         b = prior_graph_from_nodes(shuffled, keyframes, k_edge=k_edge)
-        assert edge_ids(a) == edge_ids(b)
+        assert a.ids() == b.ids() == ids
+        assert a.edges.tolist() == b.edges.tolist()
         query = knn_graph(
             [query_node(j, r.uniform(-1, 1, 3) + [0, 0, 4], {"a": 0.6, "b": 0.4}) for j in range(5)], 2
         )
         ta, tb = score_all_pairs(a, query), score_all_pairs(b, query)
-        rows = [tb.prior_ids.index(i) for i in ta.prior_ids]
-        assert ta.likelihood.tobytes() == tb.likelihood[rows].tobytes()
-        assert ta.similarity.tobytes() == tb.similarity[rows].tobytes()
+        assert ta.likelihood.tobytes() == tb.likelihood.tobytes()
+        assert ta.similarity.tobytes() == tb.similarity.tobytes()
 
     def test_unknown_keyframe_member_raises(self):
         nodes = [prior_node(0, (0, 0, 0), {"a": 1})]

@@ -362,8 +362,11 @@ class TestMatchesPaddedOracle:
 
 
 def _table(prior_ids, query_ids, sim):
-    sim = np.asarray(sim, dtype=float)
-    return SimilarityTable(list(prior_ids), list(query_ids), sim.copy(), sim)
+    """The table of these rows and columns, sorted into id order as graphs hold their nodes."""
+    prior_ids, query_ids = list(prior_ids), list(query_ids)
+    rows, cols = np.argsort(prior_ids), np.argsort(query_ids)
+    sim = np.asarray(sim, dtype=float).reshape(len(rows), len(cols))[np.ix_(rows, cols)]
+    return SimilarityTable(sorted(prior_ids), sorted(query_ids), sim.copy(), sim)
 
 
 def _candidates(table, tau):
@@ -394,11 +397,12 @@ class TestExtractCandidates:
         assert _candidates(table, tau=2) == [(5, 10), (6, 10)]
 
     def test_grouped_by_query_node_in_table_order(self):
-        # query columns out of id order, ties within and across columns
+        # ties within and across columns
         table = _table([8, 3, 5], [12, 10, 11], [[0.5, 0.2, 0.5], [0.5, 0.2, 0.1], [0.1, 0.9, 0.5]])
-        assert _candidates(table, tau=2) == [(3, 12), (8, 12), (5, 10), (3, 10), (5, 11), (8, 11)]
+        assert table.prior_ids == [3, 5, 8] and table.query_ids == [10, 11, 12]
+        assert _candidates(table, tau=2) == [(5, 10), (3, 10), (5, 11), (8, 11), (3, 12), (8, 12)]
         cands = extract_candidates(table, tau=2)
-        assert cands.prior.tolist() == [1, 0, 2, 1, 2, 0]
+        assert cands.prior.tolist() == [1, 0, 1, 2, 0, 2]
         assert cands.query.tolist() == [0, 0, 1, 1, 2, 2]
 
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
@@ -416,7 +420,7 @@ class TestExtractCandidates:
     @settings(max_examples=60, deadline=None)
     def test_matches_per_column_oracle(self, seed, n_p, n_q, levels, tau):
         # few distinct scores, so ties within and across columns are common;
-        # prior ids unsorted, and tau often above the prior count
+        # prior ids with gaps, and tau often above the prior count
         r = np.random.default_rng(seed)
         prior_ids = r.permutation(50)[:n_p].tolist()
         sim = r.integers(0, levels, (n_p, n_q)) / levels

@@ -18,11 +18,10 @@ from semloc import (
     success_rate,
     translation_error,
 )
-from semloc.geometry import project_quadric_to_bbox
 from semloc.metrics import AssociationCounts, FrameCounts, mean_translation_error, rematch_predictions
 
 from conftest import VOCAB, graph, make_conf, make_table, prior_node, quadric_of, query_node
-from oracles import scalar_calculate_was
+from oracles import project_quadric_to_bbox, scalar_calculate_was
 
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)

@@ -18,6 +18,7 @@ from semloc import (
     Pose,
     PriorObjectNode,
     SceneSpec,
+    SemanticGraph,
     build_query_graph,
     calculate_was,
     estimate_pose,
@@ -26,7 +27,6 @@ from semloc import (
     generate_trajectory,
     is_valid_sample,
     prior_graph_from_nodes,
-    project_quadric_to_bbox,
     render_frame,
     render_sequence,
     score_all_pairs,
@@ -51,7 +51,13 @@ from conftest import (
     query_node,
     random_rotation,
 )
-from oracles import id_pairs, scalar_calculate_was, scalar_is_valid_sample, serial_estimate_pose
+from oracles import (
+    id_pairs,
+    project_quadric_to_bbox,
+    scalar_calculate_was,
+    scalar_is_valid_sample,
+    serial_estimate_pose,
+)
 
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
@@ -375,7 +381,7 @@ class TestCompatibility:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_graphs(self, seed, n_p, n_q, density, tau):
-        # no edges, isolated nodes, unsorted ids, and priors that serve several query nodes
+        # no edges, isolated nodes, ids with gaps, and priors that serve several query nodes
         r = np.random.default_rng(seed)
 
         def random_graph(ids, node):
@@ -542,11 +548,14 @@ class TestAlignmentScorer:
 
     @staticmethod
     def _shuffled_query(qg):
-        """The query graph with its nodes in an order that is not their id order."""
-        order = [5, 1, 3, 0, 7, 2, 6, 4]
-        shuffled = graph([qg.nodes[i] for i in order], edge_ids(qg))
-        assert shuffled.ids()[:3] == [105, 101, 103]
-        return shuffled
+        """The query graph rebuilt, through the sorting helper, from its nodes out of id order."""
+        nodes = [qg.nodes[i] for i in [5, 1, 3, 0, 7, 2, 6, 4]]
+        assert [node.id for node in nodes][:3] == [105, 101, 103]
+        with pytest.raises(ValueError, match="node ids not strictly increasing"):
+            SemanticGraph(nodes, [])
+        rebuilt = graph(nodes, edge_ids(qg))
+        assert rebuilt.ids() == qg.ids() and rebuilt.edges.tolist() == qg.edges.tolist()
+        return rebuilt
 
     def test_query_nodes_out_of_id_order(self, rng):
         pg, qg, gt = _perfect_scene()
@@ -596,7 +605,7 @@ class TestAlignmentScorer:
 
     def test_infinite_extents_are_not_visible(self):
         # a dual quadric whose conic (0, 2) entry squares past the float range:
-        # the kernel returns x extents -inf and inf and calls the box visible
+        # the kernel returns x extents -inf and inf and calls the box not visible
         q = np.zeros((4, 4))
         q[0, 2] = q[2, 0] = 1e200
         q[1, 1] = 0.01
@@ -605,7 +614,7 @@ class TestAlignmentScorer:
         q[3, 3] = 1.0
         pose = Pose.from_rt(np.eye(3), np.zeros(3))
         ext, ok = _project_quadrics(q[None], *pose_arrays([pose]), INTR)  # no overflow warning escapes
-        assert ok[0, 0] and ext[0, 0, 0] == -np.inf and ext[0, 0, 2] == np.inf
+        assert not ok[0, 0] and ext[0, 0, 0] == -np.inf and ext[0, 0, 2] == np.inf
         pg = graph([prior_node(1, [0.0, 0.0, 2.0], {"a": 1})], [])
         wide = BoundingBox(0.0, float(ext[0, 0, 1]), 640.0, float(ext[0, 0, 3]))
         one = CandidateSet(np.array([0]), np.array([0]))

@@ -16,10 +16,10 @@ from semloc import (
     render_frame,
     render_sequence,
 )
-from semloc.geometry import project_quadric_to_bbox
 from semloc.simulate import MIN_BBOX_AREA, _confidence_vector
 
 from conftest import quadric_of
+from oracles import project_quadric_to_bbox
 
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
@@ -307,13 +307,21 @@ class TestRenderFrame:
     def test_infinite_projection_dropped(self, monkeypatch):
         import semloc.simulate
 
-        scene = _single_scene()
-        pose = _camera()
+        # a dual quadric, 2 m ahead, whose conic (0, 2) entry squares past the float range
+        q = np.zeros((4, 4))
+        q[0, 2] = q[2, 0] = 1e200
+        q[1, 1] = 0.01
+        q[2, 2] = -1.0
+        q[:3, 3] = q[3, :3] = [0.0, 0.0, 2.0]
+        q[3, 3] = 1.0
+        pose = Pose.identity()
         extents, visible = semloc.simulate._project_quadrics(
-            quadric_of(scene.landmarks[0])[None], pose.rotation[None], pose.translation[None], INTR
+            q[None], pose.rotation[None], pose.translation[None], INTR
         )
-        extents[0, 0, 2] = math.inf
-        monkeypatch.setattr(semloc.simulate, "_project_quadrics", lambda *a: (extents, visible))
+        assert np.isinf(extents).any() and not visible.any()
+        lm = Landmark(0, np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0, 0.0, 0.0]), np.full(3, 0.12), "a")
+        scene = Scene(_spec(n_landmarks=1), [lm])
+        monkeypatch.setattr(semloc.simulate, "quadric_from_params", lambda *a: q[None])
         dets, assoc = render_frame(scene, pose, INTR, NoiseSpec(), rng=np.random.default_rng(0))
         assert dets == [] and assoc == {}
 
