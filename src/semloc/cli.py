@@ -232,12 +232,18 @@ def _accumulate_map(
 
     Each detection contributes the set of its top-k labels to the landmark it
     is associated with; landmarks never observed are dropped with a warning
-    since they cannot carry a frequency table.
+    since they cannot carry a frequency table. An association naming a
+    detection the frame does not have is an input error.
     """
     observations: dict[int, list[set[str]]] = {lm["id"]: [] for lm in scene_landmarks}
     keyframes: list[list[int]] = []
     for frame in kf_frames:
         assoc = kf_associations.get(frame.frame_id, {})
+        if assoc and (last := max(assoc)) >= len(frame.detections):
+            raise InputError(
+                f"keyframe {frame.frame_id}: association names detection {last}, "
+                f"but the frame has {len(frame.detections)} detections"
+            )
         members: set[int] = set()
         for det_idx, det in enumerate(frame.detections):
             lm_id = assoc.get(det_idx)
@@ -317,15 +323,19 @@ def _localize_frame(
     )
 
 
-def _worker_init(prior_graph, intrinsics, config, depth_dir):
+def _worker_init(frames, prior_graph, intrinsics, config, depth_dir):
     _WORKER.update(
-        prior=prior_graph, intrinsics=intrinsics, config=config, depth_dir=depth_dir
+        frames=frames, prior=prior_graph, intrinsics=intrinsics, config=config, depth_dir=depth_dir
     )
 
 
-def _worker_run(frame: FrameRecord) -> FrameResult:
+def _worker_run(i: int) -> FrameResult:
     return _localize_frame(
-        frame, _WORKER["prior"], _WORKER["intrinsics"], _WORKER["config"], _WORKER["depth_dir"]
+        _WORKER["frames"][i],
+        _WORKER["prior"],
+        _WORKER["intrinsics"],
+        _WORKER["config"],
+        _WORKER["depth_dir"],
     )
 
 
@@ -338,7 +348,12 @@ def _run_localization(
     depth_dir: Path | None,
 ) -> list[FrameResult]:
     """Localize every frame, in at most min(threads, frames, cores) worker
-    processes; threads None means all cores."""
+    processes; threads None means all cores.
+
+    Each worker receives the frames and the map once, at start-up (inherited
+    under fork, pickled once per worker otherwise), and is sent frame indices
+    in chunks, about four per worker.
+    """
     cores = os.cpu_count() or 1
     workers = min(threads or cores, cores, len(frames))
     if workers > 1:
@@ -346,9 +361,10 @@ def _run_localization(
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_worker_init,
-                initargs=(prior_graph, intrinsics, config, depth_dir),
+                initargs=(frames, prior_graph, intrinsics, config, depth_dir),
             ) as pool:
-                return list(pool.map(_worker_run, frames))
+                chunk = -(-len(frames) // (4 * workers))
+                return list(pool.map(_worker_run, range(len(frames)), chunksize=chunk))
         except OSError as exc:
             logger.warning("process pool unavailable (%s), running serially", exc)
     return [

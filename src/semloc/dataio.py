@@ -303,9 +303,9 @@ def load_associations(path) -> dict[int, dict[int, int]]:
     out: dict[int, dict[int, int]] = {}
     with _malformed(lambda: f"{path}:{lineno}: bad association record"):
         for lineno, row in _iter_jsonl(path):
-            out.setdefault(_int(row["frame_id"]), {})[_int(row["detection_index"])] = _int(
-                row["landmark_id"]
-            )
+            if (det_idx := _int(row["detection_index"])) < 0:
+                raise ValueError(f"detection_index {det_idx} is negative")
+            out.setdefault(_int(row["frame_id"]), {})[det_idx] = _int(row["landmark_id"])
     return out
 
 

@@ -284,7 +284,7 @@ def _project_quadrics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Image boxes of symmetric dual quadrics (u, 4, 4) under n poses, unclamped.
 
-    The poses are unit quaternions (n, 4) and translations (n, 3).
+    The poses are rotation matrices (n, 3, 3) and translations (n, 3).
 
     Returns the extents (n, u, 4) as (x_min, y_min, x_max, y_max) and the
     visibility (n, u): the center q[:3, 3] / q[3, 3] lies in front of the
@@ -297,7 +297,7 @@ def _project_quadrics(
     elementwise products and no matrix product: every (pose, quadric) result
     is the same to the bit in any stack.
     """
-    rot = quat_to_rotmat(rotation)
+    rot = np.asarray(rotation, dtype=float)
     trans = np.asarray(translation, dtype=float)
     rt = np.concatenate([rot, trans[:, :, None]], axis=2)  # (n, 3, 4)
     q = quads[:, _QUAD_ROW, _QUAD_COL].T  # (10, u)
@@ -375,14 +375,16 @@ class P3PSolutions:
     """The poses of a p3p_solve call, as arrays.
 
     Per pose: `sample`, the index of the sample it solves (0 for a single
-    sample); `rotation`, its unit quaternion (w, x, y, z); `translation`.
-    Poses are grouped by sample in sample order, the smallest reprojection
-    error first within a sample. len() is the number of poses.
+    sample); `rotation`, its unit quaternion (w, x, y, z); `translation`;
+    `rotation_matrix`, the quaternion's `quat_to_rotmat` (3, 3). Poses are
+    grouped by sample in sample order, the smallest reprojection error first
+    within a sample. len() is the number of poses.
     """
 
     sample: np.ndarray
     rotation: np.ndarray
     translation: np.ndarray
+    rotation_matrix: np.ndarray
 
     def __len__(self) -> int:
         return len(self.sample)
@@ -428,7 +430,7 @@ def p3p_solve(world_points, bearings) -> P3PSolutions:
     scaled to the side lengths. Every depth triple then takes Gauss-Newton
     steps on the three constraints, and R = Y X^-1 maps the world
     triangle's edges and normal onto the camera's, with no SVD. Rotations
-    leave as quaternions, the form the alignment scoring reads.
+    leave as quaternions and as the matrices the alignment scoring reads.
 
     A stack is solved in one numpy pass, each sample to the bit as if alone.
     A pass costs about the same for one sample as for dozens, so solve many
@@ -628,12 +630,12 @@ def _lambda_twist(pts: np.ndarray, f: np.ndarray) -> P3PSolutions:
     err = (np.sqrt(_sum3(cross * cross)) / dot).max(axis=1)
     fine &= (dot > 0.0).all(axis=1) & (proj[:, :, 2] > 0.0).all(axis=1)
     fine &= (err <= math.tan(_P3P_REPROJ_TOL)) & np.isfinite(t).all(axis=1)
-    sample, err, quat, t = sample[fine], err[fine], quat[fine], t[fine]
+    sample, err, quat, rot, t = sample[fine], err[fine], quat[fine], rot[fine], t[fine]
 
     # per sample, smallest error first (stable); a pose that repeats one
     # kept before it in its sample is dropped
     order = np.lexsort((err, sample))
-    sample, quat, t = sample[order], quat[order], t[order]
+    sample, quat, rot, t = sample[order], quat[order], rot[order], t[order]
     k = np.arange(len(sample))
     i = np.concatenate([k[:-d] for d in (1, 2, 3)])
     j = np.concatenate([k[d:] for d in (1, 2, 3)])
@@ -646,4 +648,4 @@ def _lambda_twist(pts: np.ndarray, f: np.ndarray) -> P3PSolutions:
         near = quat_distance(quat[j], quat[i]) <= 1e-7
         for later, earlier in sorted(zip(j[near].tolist(), i[near].tolist())):
             kept[later] &= not kept[earlier]
-    return P3PSolutions(sample[kept], quat[kept], t[kept])
+    return P3PSolutions(sample[kept], quat[kept], t[kept], rot[kept])

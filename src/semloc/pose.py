@@ -27,6 +27,7 @@ from .geometry import (
     _project_quadrics,
     p3p_solve,
     pixel_to_bearing,
+    quat_to_rotmat,
 )
 from .graph import SemanticGraph
 from .matching import CandidateSet, extract_candidates, score_all_pairs
@@ -208,7 +209,7 @@ class _AlignmentScorer:
         return np.where(denom > 0, sums / np.maximum(denom, 1), 0.0)
 
     def score(self, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
-        """WAS of each pose, given as quaternions (n, 4) and translations (n, 3)."""
+        """WAS of each pose, given as rotation matrices (n, 3, 3) and translations (n, 3)."""
         return self._was(*self._pair_scores(rotation, translation))
 
     def select(self, pose: Pose) -> tuple[float, list[tuple[int, int]]]:
@@ -218,7 +219,8 @@ class _AlignmentScorer:
         prior index (so id); pairs are ordered by query index (so id).
         Nothing visible gives 0 and no pairs.
         """
-        wn, visible = self._pair_scores(pose.rotation[None], pose.translation[None])
+        rotation = quat_to_rotmat(pose.rotation[None])
+        wn, visible = self._pair_scores(rotation, pose.translation[None])
         was = float(self._was(wn, visible)[0])
         idx = np.flatnonzero(visible[0])
         prior, query = self.pair_prior[idx], self.pair_q[idx]
@@ -276,7 +278,7 @@ def estimate_pose(
     an early exit is. History entries are indices into this draw list.
 
     Valid samples are solved a chunk at a time by one stacked Lambda Twist
-    `p3p_solve` call, whose poses stay quaternion and translation arrays,
+    `p3p_solve` call, whose poses stay rotation and translation arrays,
     and scored by one call on all of them. The chunk is then walked in draw
     order with array operations and cut where the early exit fires: the
     result is the one of solving and scoring each valid sample as it is
@@ -334,7 +336,7 @@ def estimate_pose(
         # after it
         top = np.full(len(draws), -1.0)
         if len(solved):
-            scores = scorer.score(solved.rotation, solved.translation)
+            scores = scorer.score(solved.rotation_matrix, solved.translation)
             present, starts = np.unique(solved.sample, return_index=True)
             top[present] = np.maximum.reduceat(scores, starts)
         after = np.maximum.accumulate(np.maximum(top, best_w))

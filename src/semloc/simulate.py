@@ -21,6 +21,7 @@ from .geometry import (
     _project_quadrics,
     quadric_from_params,
     quat_normalize,
+    quat_to_rotmat,
 )
 from .graph import DetectionRecord, backproject_pixel
 
@@ -280,7 +281,9 @@ def render_frame(
         [lm.rotation for lm in scene.landmarks],
         [lm.scale for lm in scene.landmarks],
     )
-    extents, visible = _project_quadrics(quads, pose.rotation[None], pose.translation[None], intrinsics)
+    extents, visible = _project_quadrics(
+        quads, quat_to_rotmat(pose.rotation[None]), pose.translation[None], intrinsics
+    )
     for lm, ext, ok in zip(scene.landmarks, extents[0].tolist(), visible[0].tolist()):
         cam = pose.transform(lm.position)
         if not ok or cam[2] <= 0.0:

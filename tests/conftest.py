@@ -53,9 +53,9 @@ def random_pose(rng: np.random.Generator, t_scale: float = 2.0) -> Pose:
 
 
 def pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
-    """Quaternions (n, 4) and translations (n, 3) of a list of poses."""
+    """Rotation matrices (n, 3, 3) and translations (n, 3) of a list of poses."""
     return (
-        np.reshape([p.rotation for p in poses], (-1, 4)),
+        np.reshape([p.rotation_matrix() for p in poses], (-1, 3, 3)),
         np.reshape([p.translation for p in poses], (-1, 3)),
     )
 

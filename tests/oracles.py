@@ -273,7 +273,7 @@ def project_quadric_to_bbox(
     """Image box of one dual quadric (4, 4) from `_project_quadrics`, unclamped;
     None when it is not visible."""
     ext, ok = _project_quadrics(
-        np.reshape(quadric, (1, 4, 4)), pose.rotation[None], pose.translation[None], intrinsics
+        np.reshape(quadric, (1, 4, 4)), pose.rotation_matrix()[None], pose.translation[None], intrinsics
     )
     return BoundingBox(*ext[0, 0].tolist()) if ok[0, 0] else None
 
@@ -661,7 +661,7 @@ def serial_estimate_pose(
         poses = p3p_solve(world, rays)
         if not len(poses):
             continue
-        scores = scorer.score(poses.rotation, poses.translation)
+        scores = scorer.score(poses.rotation_matrix, poses.translation)
         k = int(np.argmax(scores))
         if scores[k] > best_w:
             best_w = float(scores[k])

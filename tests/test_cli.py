@@ -31,11 +31,9 @@ SIM_FILES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    root = tmp_path_factory.mktemp("pipeline")
+def _simulate_and_map(root, flags):
     sim = root / "sim"
-    assert main(["simulate", "--output", str(sim)] + SIM_FLAGS) == 0
+    assert main(["simulate", "--output", str(sim)] + flags) == 0
     assert (
         main(
             [
@@ -49,6 +47,17 @@ def dataset(tmp_path_factory):
         == 0
     )
     return root
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    return _simulate_and_map(tmp_path_factory.mktemp("pipeline"), SIM_FLAGS)
+
+
+@pytest.fixture(scope="module")
+def long_dataset(tmp_path_factory):
+    """11 query frames: over 2 workers they go in chunks of 2, the last chunk of 1."""
+    return _simulate_and_map(tmp_path_factory.mktemp("long"), SIM_FLAGS + ["--n-frames", "11"])
 
 
 def _localize(dataset, out_name, *extra, threads="1", seed="7"):
@@ -68,9 +77,11 @@ def _localize(dataset, out_name, *extra, threads="1", seed="7"):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and what map is
+    sent, and runs in process."""
 
     sizes: list = []
+    sent: list = []  # (items, chunksize) per map call
 
     def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
@@ -82,7 +93,9 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        self.sent.append((items, chunksize))
         return map(fn, items)
 
 
@@ -224,6 +237,23 @@ class TestBuildMap:
         )
         assert code == 1
         assert f"landmark {lm_id}: scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "index, fragment",
+        [
+            (-1, "keyframe_associations.jsonl:2: bad association record: detection_index -1 is negative"),
+            (999, "keyframe 0: association names detection 999, but the frame has 12 detections"),
+        ],
+        ids=["negative", "past-the-frame"],
+    )
+    def test_association_to_a_missing_detection_is_input_error(self, dataset, tmp_path, capsys, index, fragment):
+        sim = dataset / "sim"
+        assoc = tmp_path / "keyframe_associations.jsonl"
+        assoc.write_bytes(_row(sim / "keyframe_associations.jsonl", 2, lambda r: _set(r, ("detection_index",), index)))
+        argv = ["build-map", "--scene", str(sim / "scene.json"), "--keyframes", str(sim / "keyframes.jsonl"),
+                "--associations", str(assoc), "--output", str(tmp_path / "map.json")]
+        _assert_input_error(capsys, argv, fragment)
+        assert not (tmp_path / "map.json").exists()
 
     def test_zero_k_is_input_error(self, dataset, tmp_path, capsys):
         sim = dataset / "sim"
@@ -370,6 +400,28 @@ class TestLocalize:
         assert _RecordingPool.sizes == workers
         a = (dataset / "run_map" / "results.jsonl").read_bytes()
         assert (dataset / "run_pool" / "results.jsonl").read_bytes() == a
+
+    def test_pool_is_sent_each_frame_index_once_in_chunks(self, long_dataset, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(_RecordingPool, "sent", [])
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert _localize(long_dataset, "run_pool", threads="2") == 0
+        [(items, chunksize)] = _RecordingPool.sent
+        n = len((long_dataset / "sim" / "query.jsonl").read_text().splitlines())
+        assert items == list(range(n))  # every frame index once, in order
+        # chunks of several frames, at most four per worker, the last one short
+        assert chunksize > 1 and -(-n // chunksize) <= 4 * _RecordingPool.sizes[0] and n % chunksize
+
+    def test_process_pool_writes_the_serial_bytes(self, long_dataset, monkeypatch):
+        # two real workers on a frame count that is not a multiple of the chunk size
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert _localize(long_dataset, "real_pool", threads="2") == 0
+        assert _localize(long_dataset, "real_serial", threads="1") == 0
+        results = load_results(long_dataset / "real_serial" / "results.jsonl")
+        assert [r.frame_id for r in results] == list(range(11))
+        a = (long_dataset / "real_serial" / "results.jsonl").read_bytes()
+        assert (long_dataset / "real_pool" / "results.jsonl").read_bytes() == a
 
     def test_non_integer_count_is_input_error(self, dataset, tmp_path):
         (tmp_path / "loc.cfg").write_text("tau=2.5\n")
@@ -674,6 +726,9 @@ BAD_INPUTS = [
     ("associations-detection-index-bool", "gt_associations.jsonl",
      lambda d: _row(d / "sim" / "gt_associations.jsonl", 2, lambda r: _set(r, ("detection_index",), True)),
      "gt_associations.jsonl:2: bad association record: True is not an integer"),
+    ("associations-detection-index-negative", "gt_associations.jsonl",
+     lambda d: _row(d / "sim" / "gt_associations.jsonl", 2, lambda r: _set(r, ("detection_index",), -1)),
+     "gt_associations.jsonl:2: bad association record: detection_index -1 is negative"),
     ("detections-frame-fraction", "query.jsonl",
      lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("frame_id",), 1.9)),
      "query.jsonl:2: bad detection record: 1.9 is not an integer"),
@@ -832,6 +887,18 @@ class TestMalformedInputs:
         argv = _argv_for(dataset, tmp_path, "query.jsonl", query)
         argv[argv.index("--threads") + 1] = threads
         _assert_input_error(capsys, argv, fragment)
+
+    def test_bad_depth_in_a_later_chunk_exits_one(self, long_dataset, tmp_path, capsys, monkeypatch):
+        # the last frame goes to the pool in the last chunk, after the other workers' results
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        source = long_dataset / "sim" / "query.jsonl"
+        last = len(source.read_text().splitlines())
+        query = tmp_path / "query.jsonl"
+        query.write_bytes(_row(source, last, lambda r: {**r, "depth_file": "missing.npy"}))
+        argv = _argv_for(long_dataset, tmp_path, "query.jsonl", query)
+        argv[argv.index("--threads") + 1] = "2"
+        _assert_input_error(capsys, argv, "missing.npy")
+        assert not (tmp_path / "run" / "results.jsonl").exists()
 
     def test_far_scene_landmark_exits_one_when_localize_builds_the_map(self, dataset, tmp_path, capsys):
         sim = dataset / "sim"

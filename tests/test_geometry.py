@@ -702,7 +702,10 @@ class TestP3PStack:
         assert len(single) > 0 and not np.any(single.sample)
         assert single.rotation.shape == (len(single), 4)
         assert single.translation.shape == (len(single), 3)
+        # the matrices are the quaternions' own, to the bit
+        np.testing.assert_array_equal(single.rotation_matrix, quat_to_rotmat(single.rotation))
         assert all(isinstance(pose, Pose) for pose in solution_poses(single))
         empty = p3p_solve(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
         assert len(empty) == 0 and not empty
         assert empty.rotation.shape == (0, 4) and empty.translation.shape == (0, 3)
+        assert empty.rotation_matrix.shape == (0, 3, 3)

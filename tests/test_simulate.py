@@ -316,7 +316,7 @@ class TestRenderFrame:
         q[3, 3] = 1.0
         pose = Pose.identity()
         extents, visible = semloc.simulate._project_quadrics(
-            q[None], pose.rotation[None], pose.translation[None], INTR
+            q[None], pose.rotation_matrix()[None], pose.translation[None], INTR
         )
         assert np.isinf(extents).any() and not visible.any()
         lm = Landmark(0, np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0, 0.0, 0.0]), np.full(3, 0.12), "a")
