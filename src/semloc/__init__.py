@@ -17,7 +17,6 @@ from .geometry import (
 from .graph import (
     DetectionRecord,
     LabelFrequencyTable,
-    NormalizedConfidence,
     PriorObjectNode,
     QueryDetectionNode,
     SemanticGraph,
@@ -74,7 +73,6 @@ __all__ = [
     "LocalizationStatus",
     "MatcherConfig",
     "NoiseSpec",
-    "NormalizedConfidence",
     "Pose",
     "PriorObjectNode",
     "QueryDetectionNode",

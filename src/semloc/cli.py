@@ -233,8 +233,11 @@ def _accumulate_map(
     Each detection contributes the set of its top-k labels to the landmark it
     is associated with; landmarks never observed are dropped with a warning
     since they cannot carry a frequency table. An association naming a
-    detection the frame does not have is an input error.
+    keyframe the log does not have, or a detection the frame does not have,
+    is an input error.
     """
+    if unknown := sorted(kf_associations.keys() - {frame.frame_id for frame in kf_frames}):
+        raise InputError(f"association names keyframe {unknown[0]}, which the keyframe log does not have")
     observations: dict[int, list[set[str]]] = {lm["id"]: [] for lm in scene_landmarks}
     keyframes: list[list[int]] = []
     for frame in kf_frames:
@@ -305,7 +308,7 @@ def _localize_frame(
     query_graph = build_query_graph(
         frame.detections, k=config.K, k_edge=config.k_edge, depth=depth, intrinsics=intrinsics
     )
-    entropies = [shannon_entropy(node.confidences) for node in query_graph.nodes]
+    entropies = [shannon_entropy(p for _, p in node.confidences) for node in query_graph.nodes]
     mean_entropy = float(np.mean(entropies)) if entropies else None
     # one independent stream per frame, stable under any execution order
     frame_seed = int(

@@ -305,7 +305,10 @@ def load_associations(path) -> dict[int, dict[int, int]]:
         for lineno, row in _iter_jsonl(path):
             if (det_idx := _int(row["detection_index"])) < 0:
                 raise ValueError(f"detection_index {det_idx} is negative")
-            out.setdefault(_int(row["frame_id"]), {})[det_idx] = _int(row["landmark_id"])
+            frame = out.setdefault(frame_id := _int(row["frame_id"]), {})
+            if det_idx in frame:
+                raise ValueError(f"repeated row for frame {frame_id}, detection {det_idx}")
+            frame[det_idx] = _int(row["landmark_id"])
     return out
 
 

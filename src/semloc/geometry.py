@@ -139,11 +139,6 @@ class CameraIntrinsics:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass
 class Pose:
@@ -177,12 +172,6 @@ class Pose:
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_rotmat(self.rotation)
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation_matrix()
-        m[:3, 3] = self.translation
-        return m
 
     def transform(self, points) -> np.ndarray:
         """Map world points (3,) or (n, 3) into the camera frame."""

@@ -83,38 +83,23 @@ def top_k_labels(raw: Sequence[tuple[str, float]], k: int) -> list[tuple[str, fl
     return ordered[:k]
 
 
-@dataclass
-class NormalizedConfidence:
-    """Top-K detection confidences renormalized to sum to one."""
-
-    entries: list[tuple[str, float]]
-
-    def __post_init__(self):
-        labels = [label for label, _ in self.entries]
-        if len(labels) != len(set(labels)):
-            raise ValueError("duplicate labels in confidence")
-        if not all(0.0 <= score <= 1.0 for _, score in self.entries):
-            raise ValueError("confidences must lie in [0, 1]")
-        total = sum(score for _, score in self.entries)
-        if self.entries and abs(total - 1.0) > 1e-9:
-            raise ValueError("confidences must sum to one")
-
-
-def normalize_confidences(raw: Sequence[tuple[str, float]], k: int) -> NormalizedConfidence:
+def normalize_confidences(raw: Sequence[tuple[str, float]], k: int) -> list[tuple[str, float]]:
     """Keep the top-k raw scores and renormalize them to a unit sum.
 
-    Fewer than k labels are retained as-is. A non-finite or negative raw
-    score, or all-zero retained scores, make the normalization undefined and
-    raise.
+    Returns (label, confidence) pairs in `top_k_labels` order: distinct
+    labels, confidences in [0, 1] summing to one. Fewer than k labels are
+    retained as-is. A non-finite or negative raw score, or retained scores
+    that sum to zero or overflow to infinity, make the normalization
+    undefined and raise.
     """
     for label, score in raw:
         if not (math.isfinite(score) and score >= 0.0):
             raise ValueError(f"score {score} for label {label!r} is not finite and nonnegative")
     kept = top_k_labels(raw, k)
     total = sum(score for _, score in kept)
-    if total <= 0.0:
-        raise ValueError("degenerate confidence")
-    return NormalizedConfidence([(label, score / total) for label, score in kept])
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"degenerate confidence (scores sum to {total})")
+    return [(label, score / total) for label, score in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +136,17 @@ class PriorObjectNode:
 
 @dataclass
 class QueryDetectionNode:
-    """One detection in the query frame: box, back-projected point, confidences."""
+    """One detection in the query frame: box, back-projected point, confidences.
+
+    `build_query_graph` makes these: position is a finite (3,) float array
+    in front of the camera, and confidences is the `normalize_confidences`
+    list of the detection's labels.
+    """
 
     id: int
     bbox: BoundingBox
     position: np.ndarray  # camera frame, meters
-    confidences: NormalizedConfidence
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        if self.position[2] <= 0.0:
-            raise ValueError("detection depth must be positive")
+    confidences: list[tuple[str, float]]
 
 
 @dataclass

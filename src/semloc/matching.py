@@ -30,15 +30,15 @@ _CHUNK_ELEMS = 250_000
 
 @dataclass
 class SimilarityTable:
-    """Dense likelihood and similarity over all (prior, query) node pairs.
+    """Dense similarity over all (prior, query) node pairs.
 
     Rows and columns are the two graphs' nodes, so prior_ids and query_ids ascend.
     The full table is materialized because candidate extraction ranks every column anyway.
+    Without context propagation the similarity is the likelihood itself.
     """
 
     prior_ids: list[int]
     query_ids: list[int]
-    likelihood: np.ndarray
     similarity: np.ndarray
 
 
@@ -64,7 +64,7 @@ def _likelihood_matrix(prior_graph: SemanticGraph, query_graph: SemanticGraph) -
             freq[i, vocab[label]] = count / total
     conf = np.zeros((n_q, n_l))
     for j, node in enumerate(query_graph.nodes):
-        for label, score in node.confidences.entries:
+        for label, score in node.confidences:
             col = vocab.get(label)
             if col is not None:
                 conf[j, col] = score
@@ -91,20 +91,20 @@ def score_all_pairs(
     roots are chunked so that no chunk's (prior edges, query edges) block
     exceeds _CHUNK_ELEMS, with at least one root per chunk.
 
-    use_calp=False skips context propagation: the similarity is a copy of
-    the likelihood, which is the ablation baseline.
+    use_calp=False skips context propagation: the similarity is the
+    likelihood, which is the ablation baseline. So is the similarity of a
+    query graph without edges.
     """
-    like = _likelihood_matrix(prior_graph, query_graph)
-    prior_ids = prior_graph.ids()
-    query_ids = query_graph.ids()
-    sim = like.copy()
+    # the likelihood, to which each prior root's context term is added in place
+    sim = _likelihood_matrix(prior_graph, query_graph)
+    table = SimilarityTable(prior_graph.ids(), query_graph.ids(), sim)
     pg, qg = prior_graph, query_graph
     if not use_calp or qg.edge_root.size == 0:
-        return SimilarityTable(prior_ids, query_ids, like, sim)
+        return table
 
     ends = np.cumsum(pg.degree)  # one past each prior root's last edge
     firsts = ends - pg.degree
-    like_qn = like.T[qg.edge_nbr]  # (query edges, prior nodes): like[n, m] for m
+    like_qn = sim.T[qg.edge_nbr]  # (query edges, prior nodes): likelihood[n, m] for m
     q_counts = np.maximum(qg.degree, 1)
     budget = max(1, _CHUNK_ELEMS // qg.edge_root.size)  # prior edges per chunk
     start = 0
@@ -124,8 +124,8 @@ def score_all_pairs(
         best = np.maximum.reduceat(prod, firsts[rows] - first, axis=1)  # max per prior root
         slots = np.zeros((rows.size, len(qg), qg.max_degree))
         slots[:, qg.edge_root, qg.edge_slot] = best.T
-        sim[rows] = like[rows] + slots.sum(axis=2) / q_counts
-    return SimilarityTable(prior_ids, query_ids, like, sim)
+        sim[rows] += slots.sum(axis=2) / q_counts
+    return table
 
 
 @dataclass

@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import BoundingBox, CameraIntrinsics, Pose
-from .graph import NormalizedConfidence, SemanticGraph
+from .graph import SemanticGraph
 from .matching import CandidateSet
-from .pose import MatcherConfig, _AlignmentScorer
+from .pose import MatcherConfig, _AlignmentScorer, calculate_was
 
 logger = logging.getLogger(__name__)
 
@@ -146,7 +146,7 @@ def rematch_predictions(
             np.tile(np.arange(n_priors), len(det_ids)), np.repeat(np.arange(len(det_ids)), n_priors)
         )
         scorer = _AlignmentScorer(pairs, prior_graph, det_ids, boxes, intrinsics, MatcherConfig.C)
-        out[frame_id] = scorer.select(gt_poses[frame_id])[1]
+        out[frame_id] = calculate_was(gt_poses[frame_id], scorer)[1]
     return out
 
 
@@ -191,12 +191,9 @@ def success_rate(
     return 100.0 * hits / denom
 
 
-def shannon_entropy(confidences) -> float:
-    """Entropy of a normalized confidence vector in nats."""
-    if isinstance(confidences, NormalizedConfidence):
-        probs = [score for _, score in confidences.entries]
-    else:
-        probs = list(confidences)
+def shannon_entropy(probs: Iterable[float]) -> float:
+    """Entropy in nats of a probability vector, such as the confidences of
+    one `normalize_confidences` list; a negative entry raises."""
     acc = 0.0
     for p in probs:
         if p < 0.0:

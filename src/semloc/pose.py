@@ -160,7 +160,7 @@ class _AlignmentScorer:
     image box, both boxes are embedded as Gaussians, and the pair scores
     exp(-W2/C). A prior is visible when `_project_quadrics` finds it so and
     its box clamped to the image is nondegenerate. Pairs are node indices;
-    ids enter only in `select`'s output.
+    ids enter only in `calculate_was`'s output.
     """
 
     def __init__(self, candidates, prior_graph, query_ids, boxes, intrinsics, C):
@@ -212,44 +212,25 @@ class _AlignmentScorer:
         """WAS of each pose, given as rotation matrices (n, 3, 3) and translations (n, 3)."""
         return self._was(*self._pair_scores(rotation, translation))
 
-    def select(self, pose: Pose) -> tuple[float, list[tuple[int, int]]]:
-        """WAS of one pose and the (prior id, query id) pairs it selects.
 
-        Per query node the best visible prior is selected, ties to the lower
-        prior index (so id); pairs are ordered by query index (so id).
-        Nothing visible gives 0 and no pairs.
-        """
-        rotation = quat_to_rotmat(pose.rotation[None])
-        wn, visible = self._pair_scores(rotation, pose.translation[None])
-        was = float(self._was(wn, visible)[0])
-        idx = np.flatnonzero(visible[0])
-        prior, query = self.pair_prior[idx], self.pair_q[idx]
-        order = np.lexsort((prior, -wn[0, idx], query))  # best first within each query node
-        prior, query = prior[order], query[order]
-        first = np.ones(query.size, dtype=bool)
-        first[1:] = query[1:] != query[:-1]
-        return was, list(zip(self.prior_ids[prior[first]].tolist(), self.query_ids[query[first]].tolist()))
+def calculate_was(pose: Pose, scorer: _AlignmentScorer) -> tuple[float, list[tuple[int, int]]]:
+    """WAS of one pose against the scorer's candidate pairs, and the (prior id, query id) pairs it selects.
 
-
-def calculate_was(
-    pose: Pose,
-    candidates: CandidateSet,
-    prior_graph: SemanticGraph,
-    query_graph: SemanticGraph,
-    intrinsics: CameraIntrinsics,
-    C: float,
-    scorer: _AlignmentScorer | None = None,
-) -> tuple[float, list[tuple[int, int]]]:
-    """Alignment score of a pose against the candidate set, and its pairs.
-
-    See `_AlignmentScorer.select`: the score is the mean, over query nodes
-    with a visible candidate prior, of the best exp(-W2/C) box similarity.
-    scorer, when given, is one already built from these arguments.
+    The score is the mean, over query nodes with a visible candidate prior,
+    of the best exp(-W2/C) box similarity. Per query node the best visible
+    prior is selected, ties to the lower prior index (so id); pairs are
+    ordered by query index (so id). Nothing visible gives 0 and no pairs.
     """
-    if scorer is None:
-        boxes = [node.bbox for node in query_graph.nodes]
-        scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids(), boxes, intrinsics, C)
-    return scorer.select(pose)
+    rotation = quat_to_rotmat(pose.rotation[None])
+    wn, visible = scorer._pair_scores(rotation, pose.translation[None])
+    was = float(scorer._was(wn, visible)[0])
+    idx = np.flatnonzero(visible[0])
+    prior, query = scorer.pair_prior[idx], scorer.pair_q[idx]
+    order = np.lexsort((prior, -wn[0, idx], query))  # best first within each query node
+    prior, query = prior[order], query[order]
+    first = np.ones(query.size, dtype=bool)
+    first[1:] = query[1:] != query[:-1]
+    return was, list(zip(scorer.prior_ids[prior[first]].tolist(), scorer.query_ids[query[first]].tolist()))
 
 
 def _chunk_cap(n_pairs: int) -> int:
@@ -363,9 +344,7 @@ def estimate_pose(
             LocalizationStatus.DEGENERATE, history=history, n_valid_samples=n_valid
         )
 
-    was, correspondences = calculate_was(
-        best_pose, candidates, prior_graph, query_graph, intrinsics, config.C, scorer=scorer
-    )
+    was, correspondences = calculate_was(best_pose, scorer)
     if len(correspondences) < 3:
         return LocalizationResult(
             LocalizationStatus.DEGENERATE,

@@ -5,7 +5,6 @@ from semloc import (
     BoundingBox,
     CandidateSet,
     LabelFrequencyTable,
-    NormalizedConfidence,
     Pose,
     PriorObjectNode,
     QueryDetectionNode,
@@ -32,11 +31,12 @@ def make_table(counts: dict, total: int | None = None) -> LabelFrequencyTable:
     return LabelFrequencyTable.from_counts(counts, total)
 
 
-def make_conf(entries) -> NormalizedConfidence:
+def make_conf(entries) -> list[tuple[str, float]]:
+    """(label, confidence) pairs, from a dict or pair list, in `top_k_labels` order."""
     if isinstance(entries, dict):
         entries = list(entries.items())
     entries = sorted(entries, key=lambda e: (-e[1], e[0]))
-    return NormalizedConfidence([(str(l), float(s)) for l, s in entries])
+    return [(str(l), float(s)) for l, s in entries]
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -73,7 +73,7 @@ def random_table(rng: np.random.Generator, vocab=VOCAB) -> LabelFrequencyTable:
     return make_table(counts, total)
 
 
-def random_conf(rng: np.random.Generator, vocab=VOCAB) -> NormalizedConfidence:
+def random_conf(rng: np.random.Generator, vocab=VOCAB) -> list[tuple[str, float]]:
     n = int(rng.integers(1, 6))
     labels = rng.choice(len(vocab), size=n, replace=False)
     w = rng.random(n) + 1e-3
@@ -97,12 +97,12 @@ def quadric_of(obj) -> np.ndarray:
 
 
 def query_node(node_id: int, position, conf, bbox: BoundingBox | None = None) -> QueryDetectionNode:
-    confidences = conf if isinstance(conf, NormalizedConfidence) else make_conf(conf)
+    """A query node; conf is a dict or a (label, confidence) list, as `make_conf` takes."""
     return QueryDetectionNode(
         id=node_id,
         bbox=bbox if bbox is not None else BoundingBox(0.0, 0.0, 10.0, 10.0),
-        position=np.asarray(position, dtype=float),
-        confidences=confidences,
+        position=np.asarray(position, dtype=float).reshape(3),
+        confidences=make_conf(conf),
     )
 
 

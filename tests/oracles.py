@@ -15,7 +15,7 @@ projects one dual quadric under one pose, as the stacked
 `project_quadric_to_bbox` reads one box off that kernel.
 Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
 `normalized_wasserstein` score one box pair, and `scalar_calculate_was`
-scores one pose the way `_AlignmentScorer` does.
+scores one pose the way `calculate_was` does.
 Pose search: `scalar_is_valid_sample` checks one sample of (prior id,
 query id) pairs against the graphs' neighbor ids, the reference of the
 compatibility table `estimate_pose` checks draws against.
@@ -46,7 +46,7 @@ from semloc.geometry import (
     quadric_from_params,
     quat_distance,
 )
-from semloc.graph import LabelFrequencyTable, NormalizedConfidence, SemanticGraph
+from semloc.graph import LabelFrequencyTable, SemanticGraph
 from semloc.matching import SimilarityTable, extract_candidates, score_all_pairs
 from semloc.pose import (
     LocalizationResult,
@@ -78,17 +78,19 @@ def neighbors_of(graph: SemanticGraph, node_id: int) -> list[int]:
 
 
 def multilabel_likelihood(
-    frequencies: LabelFrequencyTable, confidences: NormalizedConfidence
+    frequencies: LabelFrequencyTable, confidences: list[tuple[str, float]]
 ) -> float:
     """Label match likelihood: sum of frequency * confidence over shared labels.
 
-    Bounded in [0, 1] because frequencies and confidences each lie in [0, 1]
-    and the confidences sum to one.
+    confidences are (label, confidence) pairs with distinct labels, as
+    `normalize_confidences` returns them. Bounded in [0, 1] because
+    frequencies and confidences each lie in [0, 1] and the confidences sum
+    to one.
     """
     counts = frequencies.per_label_counts
     total = frequencies.total_detections
     acc = 0.0
-    for label, conf in confidences.entries:
+    for label, conf in confidences:
         count = counts.get(label)
         if count is not None:
             acc += (count / total) * conf
@@ -191,9 +193,9 @@ def padded_score_all_pairs(prior_graph: SemanticGraph, query_graph: SemanticGrap
     masks the padding, maxes over prior neighbors and sums over the query
     neighbor slots. The edge-list production path must match it bit for bit.
     """
-    like = score_all_pairs(prior_graph, query_graph, use_calp=False).likelihood
+    like = score_all_pairs(prior_graph, query_graph, use_calp=False).similarity
     if len(prior_graph) == 0 or len(query_graph) == 0:
-        return like.copy()
+        return like
     nbr_p, mask_p, dist_p = _padded_neighbors(prior_graph)
     nbr_q, mask_q, dist_q = _padded_neighbors(query_graph)
     q_counts = mask_q.sum(axis=1)
@@ -243,7 +245,8 @@ def scalar_project_quadric_to_bbox(
     if center_cam[2] <= 0.0:
         return None
     r = pose.rotation_matrix()
-    p = intrinsics.matrix() @ np.hstack([r, pose.translation.reshape(3, 1)])
+    k = np.array([[intrinsics.fx, 0.0, intrinsics.cx], [0.0, intrinsics.fy, intrinsics.cy], [0.0, 0.0, 1.0]])
+    p = k @ np.hstack([r, pose.translation.reshape(3, 1)])
     c = p @ quadric @ p.T
     c = 0.5 * (c + c.T)
     if abs(c[2, 2]) < 1e-12:
@@ -677,9 +680,7 @@ def serial_estimate_pose(
             LocalizationStatus.DEGENERATE, history=history, n_valid_samples=n_valid
         )
 
-    was, correspondences = calculate_was(
-        best_pose, candidates, prior_graph, query_graph, intrinsics, config.C, scorer=scorer
-    )
+    was, correspondences = calculate_was(best_pose, scorer)
     if len(correspondences) < 3:
         return LocalizationResult(
             LocalizationStatus.DEGENERATE,

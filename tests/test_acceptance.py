@@ -23,7 +23,6 @@ from semloc import (
     CameraIntrinsics,
     MatcherConfig,
     NoiseSpec,
-    NormalizedConfidence,
     LabelFrequencyTable,
     Pose,
     PriorObjectNode,
@@ -104,9 +103,7 @@ def test_criterion_1_likelihood_oracle():
         table = LabelFrequencyTable.from_counts(counts, total)
         c_labels = [vocab[j] for j in order_c[i, :kc]]
         w = conf_pool[i, :kc] / conf_pool[i, :kc].sum()
-        conf = NormalizedConfidence(
-            sorted(((l, float(v)) for l, v in zip(c_labels, w)), key=lambda e: (-e[1], e[0]))
-        )
+        conf = sorted(((l, float(v)) for l, v in zip(c_labels, w)), key=lambda e: (-e[1], e[0]))
         return counts, total, table, c_labels, w, conf
 
     worst = 0.0
@@ -126,7 +123,8 @@ def test_criterion_1_likelihood_oracle():
     dt = time.perf_counter() - t0
 
     # production path: each block of cases as two edge-free graphs, case i of
-    # a block at row i and column i of score_all_pairs' likelihood table
+    # a block at row i and column i of score_all_pairs' table, which without
+    # edges holds the likelihood
     rotation = np.array([1.0, 0.0, 0.0, 0.0])
     scale = np.full(3, 0.1)
     box = BoundingBox(0.0, 0.0, 10.0, 10.0)
@@ -138,7 +136,7 @@ def test_criterion_1_likelihood_oracle():
             priors.append(PriorObjectNode(i, np.zeros(3), rotation, scale, freq))
             queries.append(QueryDetectionNode(i, box, np.array([0.0, 0.0, 1.0]), conf))
         table = score_all_pairs(SemanticGraph(priors, []), SemanticGraph(queries, []))
-        err = np.abs(np.diag(table.likelihood) - wants[start : start + len(priors)])
+        err = np.abs(np.diag(table.similarity) - wants[start : start + len(priors)])
         prod_worst = max(prod_worst, float(err.max()))
 
     ok = worst < 1e-12 and dt < 5.0 and prod_worst < 1e-12
@@ -623,7 +621,7 @@ def test_criterion_9_entropy_contrast():
                 scene, poses, INTR, NoiseSpec(temperature=temperature), seed=s_render
             ):
                 for det in dets:
-                    values.append(shannon_entropy(NormalizedConfidence(det.labels)))
+                    values.append(shannon_entropy(score for _, score in det.labels))
         means[temperature] = float(np.mean(values))
     ok = means[0.05] < 0.2 and means[5.0] > 1.0
     _report(

@@ -14,7 +14,6 @@ PUBLIC = [
     "LocalizationStatus",
     "MatcherConfig",
     "NoiseSpec",
-    "NormalizedConfidence",
     "Pose",
     "PriorObjectNode",
     "QueryDetectionNode",

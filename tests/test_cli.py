@@ -641,6 +641,13 @@ def _row(path, lineno, edit) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+def _repeat(path, lineno, edit) -> bytes:
+    """The JSONL file with edit(row `lineno`) inserted after row `lineno`."""
+    lines = path.read_bytes().splitlines()
+    lines.insert(lineno, _raw(edit(json.loads(lines[lineno - 1]))))
+    return b"\n".join(lines) + b"\n"
+
+
 def _doc(path, edit) -> bytes:
     return _raw(edit(json.loads(path.read_text())))
 
@@ -729,6 +736,16 @@ BAD_INPUTS = [
     ("associations-detection-index-negative", "gt_associations.jsonl",
      lambda d: _row(d / "sim" / "gt_associations.jsonl", 2, lambda r: _set(r, ("detection_index",), -1)),
      "gt_associations.jsonl:2: bad association record: detection_index -1 is negative"),
+    # one row per detection of a frame, and keyframe associations name keyframes of the log
+    ("associations-repeated-row", "gt_associations.jsonl",
+     lambda d: _repeat(d / "sim" / "gt_associations.jsonl", 2, lambda r: _set(r, ("landmark_id",), 5)),
+     "gt_associations.jsonl:3: bad association record: repeated row for frame 0, detection 1"),
+    ("keyframe-associations-repeated-row", "keyframe_associations.jsonl",
+     lambda d: _repeat(d / "sim" / "keyframe_associations.jsonl", 2, lambda r: _set(r, ("landmark_id",), 5)),
+     "keyframe_associations.jsonl:3: bad association record: repeated row for frame 0, detection 1"),
+    ("keyframe-associations-frame-999", "keyframe_associations.jsonl",
+     lambda d: _row(d / "sim" / "keyframe_associations.jsonl", 2, lambda r: _set(r, ("frame_id",), 999)),
+     "association names keyframe 999, which the keyframe log does not have"),
     ("detections-frame-fraction", "query.jsonl",
      lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("frame_id",), 1.9)),
      "query.jsonl:2: bad detection record: 1.9 is not an integer"),
@@ -838,9 +855,11 @@ def _argv_for(dataset, tmp_path, name, bad):
     sim = dataset / "sim"
     if name == "sim.cfg":
         return ["simulate", "--output", str(tmp_path / "x"), "--n-landmarks", "12", "--config", str(bad)]
-    if name == "scene.json":
-        return ["build-map", "--scene", str(bad), "--keyframes", str(sim / "keyframes.jsonl"),
-                "--associations", str(sim / "keyframe_associations.jsonl"),
+    if name in ("scene.json", "keyframe_associations.jsonl"):
+        inputs = {"scene.json": sim / "scene.json",
+                  "keyframe_associations.jsonl": sim / "keyframe_associations.jsonl", name: bad}
+        return ["build-map", "--scene", str(inputs["scene.json"]), "--keyframes", str(sim / "keyframes.jsonl"),
+                "--associations", str(inputs["keyframe_associations.jsonl"]),
                 "--output", str(tmp_path / "map.json")]
     if name in ("results.jsonl", "gt_associations.jsonl", "gt_trajectory.txt"):
         results = tmp_path / "results.jsonl"
@@ -876,6 +895,8 @@ class TestMalformedInputs:
         else:
             bad.write_bytes(make(dataset))
         _assert_input_error(capsys, _argv_for(dataset, tmp_path, name, bad), fragment)
+        if name != "map.json":  # a refused build-map writes no map
+            assert not (tmp_path / "map.json").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("depth_file, contents, fragment", [c[1:] for c in BAD_DEPTH], ids=[c[0] for c in BAD_DEPTH])

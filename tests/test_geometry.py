@@ -125,7 +125,9 @@ class TestPose:
     def test_matrix_agrees_with_transform(self, rng):
         pose = random_pose(rng)
         p = rng.normal(size=3)
-        hom = pose.matrix() @ np.append(p, 1.0)
+        m = np.eye(4)
+        m[:3, :3], m[:3, 3] = pose.rotation_matrix(), pose.translation
+        hom = m @ np.append(p, 1.0)
         np.testing.assert_allclose(hom[:3], pose.transform(p), atol=1e-12)
 
     def test_single_and_batch_transform_agree(self, rng):

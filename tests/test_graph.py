@@ -11,7 +11,6 @@ from semloc import (
     BoundingBox,
     CameraIntrinsics,
     DetectionRecord,
-    NormalizedConfidence,
     PriorObjectNode,
     SemanticGraph,
     accumulate_label_frequencies,
@@ -91,27 +90,23 @@ class TestConfidences:
 
     def test_normalize(self):
         conf = normalize_confidences([("a", 0.5), ("b", 0.3), ("c", 0.2)], k=2)
-        assert [l for l, _ in conf.entries] == ["a", "b"]
-        scores = dict(conf.entries)
+        assert [l for l, _ in conf] == ["a", "b"]
+        scores = dict(conf)
         assert scores["a"] == pytest.approx(0.625, abs=1e-12)
         assert scores["b"] == pytest.approx(0.375, abs=1e-12)
 
     def test_normalize_short_input(self):
         conf = normalize_confidences([("a", 2.0)], k=5)
-        assert conf.entries == [("a", 1.0)]
+        assert conf == [("a", 1.0)]
 
     def test_normalize_degenerate_raises(self):
         with pytest.raises(ValueError, match="degenerate"):
             normalize_confidences([("a", 0.0), ("b", 0.0)], k=2)
 
-    def test_confidence_validation(self):
-        with pytest.raises(ValueError):
-            NormalizedConfidence([("a", 0.5), ("a", 0.5)])
-        with pytest.raises(ValueError):
-            NormalizedConfidence([("a", 0.5), ("b", 0.1)])
-        for entries in ([("a", math.nan), ("b", 1.0)], [("a", 2.0), ("b", -1.0)]):
-            with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                NormalizedConfidence(entries)
+    def test_normalize_overflowing_sum_raises(self):
+        # each score is finite, but their sum is not
+        with pytest.raises(ValueError, match="degenerate"):
+            normalize_confidences([("a", 1e308), ("b", 1e308)], k=2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_normalize_rejects_non_finite_and_negative(self, bad):
@@ -128,7 +123,8 @@ class TestConfidences:
         n = int(r.integers(1, 8))
         raw = [(f"l{i}", float(r.random() + 1e-6)) for i in range(n)]
         conf = normalize_confidences(raw, k=int(r.integers(1, 6)))
-        assert sum(s for _, s in conf.entries) == pytest.approx(1.0, abs=1e-12)
+        assert sum(s for _, s in conf) == pytest.approx(1.0, abs=1e-12)
+        assert all(0.0 <= s <= 1.0 for _, s in conf)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +354,9 @@ class TestPriorGraphBuilders:
         query = knn_graph(
             [query_node(j, r.uniform(-1, 1, 3) + [0, 0, 4], {"a": 0.6, "b": 0.4}) for j in range(5)], 2
         )
-        ta, tb = score_all_pairs(a, query), score_all_pairs(b, query)
-        assert ta.likelihood.tobytes() == tb.likelihood.tobytes()
-        assert ta.similarity.tobytes() == tb.similarity.tobytes()
+        for use_calp in (False, True):  # the likelihood alone, then with context
+            ta, tb = score_all_pairs(a, query, use_calp), score_all_pairs(b, query, use_calp)
+            assert ta.similarity.tobytes() == tb.similarity.tobytes()
 
     def test_unknown_keyframe_member_raises(self):
         nodes = [prior_node(0, (0, 0, 0), {"a": 1})]
@@ -438,7 +434,7 @@ class TestQueryGraphBuilder:
         dets = [self._det(100.0), self._det(200.0), self._det(300.0)]
         g = build_query_graph(dets, k=2, k_edge=2, intrinsics=INTR)
         assert g.ids() == [0, 1, 2]
-        assert g.nodes[1].confidences.entries == [("cup", 0.8), ("mug", 0.2)]
+        assert g.nodes[1].confidences == [("cup", 0.8), ("mug", 0.2)]
 
     def test_dropped_detection_leaves_gap(self, caplog):
         dets = [self._det(100.0), self._det(labels=(("cup", 0.0),)), self._det(300.0)]

@@ -78,7 +78,7 @@ class TestMultilabelLikelihood:
         table2 = make_table(
             {perm[l]: c for l, c in table.per_label_counts.items()}, table.total_detections
         )
-        conf2 = make_conf([(perm[l], s) for l, s in conf.entries])
+        conf2 = make_conf([(perm[l], s) for l, s in conf])
         assert multilabel_likelihood(table2, conf2) == pytest.approx(
             multilabel_likelihood(table, conf), abs=1e-15
         )
@@ -244,23 +244,24 @@ class TestScoreAllPairs:
         r = np.random.default_rng(seed)
         pg, qg = _random_graphs(r)
         table = score_all_pairs(pg, qg)
+        likelihood = score_all_pairs(pg, qg, use_calp=False).similarity
         like = node_likelihood(pg, qg)
         for i, pid in enumerate(table.prior_ids):
             for j, qid in enumerate(table.query_ids):
                 f = like(pid, qid)
-                assert table.likelihood[i, j] == pytest.approx(f, abs=1e-12)
+                assert likelihood[i, j] == pytest.approx(f, abs=1e-12)
                 sel = best_neighbor_set((pid, qid), pg, qg, like)
                 assert table.similarity[i, j] == pytest.approx(
                     similarity_score(f, sel), abs=1e-12
                 )
 
     def test_calp_disabled_copies_likelihood(self, rng):
+        # without context the table is the one of the same nodes without edges
         pg, qg = _random_graphs(rng)
         table = score_all_pairs(pg, qg, use_calp=False)
-        np.testing.assert_array_equal(table.similarity, table.likelihood)
-        # the copy must be independent
-        table.similarity[0, 0] = 99.0
-        assert table.likelihood[0, 0] != 99.0
+        edge_free = score_all_pairs(graph(pg.nodes, []), graph(qg.nodes, []))
+        np.testing.assert_array_equal(table.similarity, edge_free.similarity)
+        assert not np.array_equal(table.similarity, score_all_pairs(pg, qg).similarity)
 
     def test_chunking_matches_single_pass(self, rng, monkeypatch):
         pg, qg = _random_graphs(rng, n_p=8, n_q=6)
@@ -366,7 +367,7 @@ def _table(prior_ids, query_ids, sim):
     prior_ids, query_ids = list(prior_ids), list(query_ids)
     rows, cols = np.argsort(prior_ids), np.argsort(query_ids)
     sim = np.asarray(sim, dtype=float).reshape(len(rows), len(cols))[np.ix_(rows, cols)]
-    return SimilarityTable(sorted(prior_ids), sorted(query_ids), sim.copy(), sim)
+    return SimilarityTable(sorted(prior_ids), sorted(query_ids), sim)
 
 
 def _candidates(table, tau):

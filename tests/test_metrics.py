@@ -20,7 +20,7 @@ from semloc import (
 )
 from semloc.metrics import AssociationCounts, FrameCounts, mean_translation_error, rematch_predictions
 
-from conftest import VOCAB, graph, make_conf, make_table, prior_node, quadric_of, query_node
+from conftest import VOCAB, graph, make_table, prior_node, quadric_of, query_node
 from oracles import project_quadric_to_bbox, scalar_calculate_was
 
 
@@ -168,10 +168,6 @@ class TestShannonEntropy:
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-12)
         assert shannon_entropy([1.0]) == 0.0
         assert shannon_entropy([0.25] * 4) == pytest.approx(math.log(4.0), abs=1e-12)
-
-    def test_accepts_confidence_vector(self):
-        conf = make_conf({"a": 0.5, "b": 0.5})
-        assert shannon_entropy(conf) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_zero_probability_ignored(self):
         assert shannon_entropy([1.0, 0.0]) == 0.0

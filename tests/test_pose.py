@@ -396,13 +396,18 @@ class TestCompatibility:
             (100 + r.permutation(20)[:n_q]).tolist(), lambda i, x: query_node(i, x, {"a": 1.0})
         )
         sim = r.integers(0, 3, (n_p, n_q)) / 3.0
-        table = SimilarityTable(prior.ids(), query.ids(), sim, sim)
+        table = SimilarityTable(prior.ids(), query.ids(), sim)
         _all_triples_agree(query, prior, extract_candidates(table, tau))
+
+
+def _scorer_of(cands, pg, qg):
+    """The alignment scorer of a candidate set against the query graph's boxes."""
+    return _AlignmentScorer(cands, pg, qg.ids(), [node.bbox for node in qg.nodes], INTR, C=100.0)
 
 
 def _was(pose, cands, pg, qg):
     """calculate_was, checked against the scalar oracle."""
-    score, pairs = calculate_was(pose, cands, pg, qg, INTR, C=100.0)
+    score, pairs = calculate_was(pose, _scorer_of(cands, pg, qg))
     candidates = id_pairs(cands, pg, qg)
     ref_score, ref_pairs = scalar_calculate_was(pose, candidates, pg, qg, INTR, C=100.0)
     assert score == pytest.approx(ref_score, abs=1e-9)
@@ -464,11 +469,6 @@ class TestCalculateWas:
         assert pairs == [(3, 10), (3, 11)]
 
 
-def _scorer_of(cands, pg, qg):
-    """The alignment scorer of a candidate set against the query graph's boxes."""
-    return _AlignmentScorer(cands, pg, qg.ids(), [node.bbox for node in qg.nodes], INTR, C=100.0)
-
-
 class TestAlignmentScorer:
     @pytest.mark.parametrize("off_image", [True, False])
     def test_matches_reference_loop(self, off_image, rng):
@@ -490,7 +490,7 @@ class TestAlignmentScorer:
         n_partly_visible = 0
         for i, pose in enumerate(poses):
             ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
-            was, selected = scorer.select(pose)
+            was, selected = calculate_was(pose, scorer)
             assert batch[i] == pytest.approx(ref, abs=1e-9)
             assert was == pytest.approx(ref, abs=1e-9)
             assert selected == ref_pairs
@@ -528,13 +528,13 @@ class TestAlignmentScorer:
 
     @staticmethod
     def _matches_oracle(cands, pg, qg, poses):
-        """score and select of a scorer over a candidate set, checked against the scalar oracle."""
+        """A scorer's score and calculate_was over a candidate set, checked against the scalar oracle."""
         scorer = _scorer_of(cands, pg, qg)
         pairs = id_pairs(cands, pg, qg)
         batch = scorer.score(*pose_arrays(poses))
         for i, pose in enumerate(poses):
             ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
-            was, selected = scorer.select(pose)
+            was, selected = calculate_was(pose, scorer)
             assert batch[i] == pytest.approx(ref, abs=1e-9)
             assert was == pytest.approx(ref, abs=1e-9)
             assert selected == ref_pairs
@@ -562,8 +562,9 @@ class TestAlignmentScorer:
         qg = self._shuffled_query(qg)
         cands = extract_candidates(score_all_pairs(pg, qg), tau=3)
         pairs = id_pairs(cands, pg, qg)
+        scorer = _scorer_of(cands, pg, qg)
         for pose in self._poses(gt, rng):
-            was, selected = calculate_was(pose, cands, pg, qg, INTR, C=100.0)
+            was, selected = calculate_was(pose, scorer)
             ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
             assert abs(was - ref) <= 1e-12
             assert selected == ref_pairs
@@ -601,7 +602,7 @@ class TestAlignmentScorer:
         self._matches_oracle(cands, pg, qg, poses)
         scorer = _scorer_of(cands, pg, qg)
         for pose in poses:
-            assert 102 not in [q for _, q in scorer.select(pose)[1]]
+            assert 102 not in [q for _, q in calculate_was(pose, scorer)[1]]
 
     def test_infinite_extents_are_not_visible(self):
         # a dual quadric whose conic (0, 2) entry squares past the float range:
@@ -622,7 +623,7 @@ class TestAlignmentScorer:
         scorer.quads = q[None]
         # clipped to the image, the box would match `wide` exactly and score 1
         assert scorer.score(*pose_arrays([pose]))[0] == 0.0
-        assert scorer.select(pose) == (0.0, [])
+        assert calculate_was(pose, scorer) == (0.0, [])
 
 
 class TestEstimatePose:
@@ -668,7 +669,7 @@ class TestEstimatePose:
         def frame(score):
             dets = [
                 DetectionRecord(
-                    node.bbox, [(l, score) for l, _ in node.confidences.entries], node.position
+                    node.bbox, [(l, score) for l, _ in node.confidences], node.position
                 )
                 for node in qg.nodes
             ]
