@@ -163,44 +163,29 @@ def _cmd_simulate(args) -> int:
             radius=radius,
             height=height,
         )
-    center = values["center_boxes"]
-    kf_frames = render_sequence(
-        scene, kf_poses, intrinsics, noise, seed=s_kf_render, center_boxes=center
+    # per pass: what it holds, its log, associations and trajectory files, first timestamp, poses, render seed
+    passes = (
+        ("keyframes", "keyframes.jsonl", "keyframe_associations.jsonl", "keyframe_trajectory.txt", 0.0,
+         kf_poses, s_kf_render),
+        ("query frames", "query.jsonl", "gt_associations.jsonl", "gt_trajectory.txt", 1000.0, q_poses, s_q_render),
     )
-    q_frames = render_sequence(
-        scene, q_poses, intrinsics, noise, seed=s_q_render, center_boxes=center
-    )
+    rendered = [
+        render_sequence(scene, poses, intrinsics, noise, seed=s, center_boxes=values["center_boxes"])
+        for *_, poses, s in passes
+    ]
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.save_intrinsics(out_dir / "intrinsics.json", intrinsics)
     dataio.save_scene(out_dir / "scene.json", scene)
-
-    def ts_kf(i: int) -> float:
-        return 0.1 * i
-
-    def ts_q(i: int) -> float:
-        return 1000.0 + 0.1 * i
-
-    kf_records = [
-        FrameRecord(i, ts_kf(i), dets) for i, (dets, _) in enumerate(kf_frames)
-    ]
-    q_records = [FrameRecord(i, ts_q(i), dets) for i, (dets, _) in enumerate(q_frames)]
-    dataio.save_detection_log(out_dir / "keyframes.jsonl", kf_records)
-    dataio.save_detection_log(out_dir / "query.jsonl", q_records)
-    dataio.save_associations(
-        out_dir / "keyframe_associations.jsonl",
-        {i: assoc for i, (_, assoc) in enumerate(kf_frames)},
-    )
-    dataio.save_associations(
-        out_dir / "gt_associations.jsonl", {i: assoc for i, (_, assoc) in enumerate(q_frames)}
-    )
-    dataio.save_trajectory(
-        out_dir / "keyframe_trajectory.txt", [(ts_kf(i), p) for i, p in enumerate(kf_poses)]
-    )
-    dataio.save_trajectory(
-        out_dir / "gt_trajectory.txt", [(ts_q(i), p) for i, p in enumerate(q_poses)]
-    )
+    summary = []
+    for (name, log, assoc, traj, t0, poses, _), frames in zip(passes, rendered):
+        dataio.save_detection_log(
+            out_dir / log, [FrameRecord(i, t0 + 0.1 * i, dets) for i, (dets, _) in enumerate(frames)]
+        )
+        dataio.save_associations(out_dir / assoc, {i: a for i, (_, a) in enumerate(frames)})
+        dataio.save_trajectory(out_dir / traj, [(t0 + 0.1 * i, p) for i, p in enumerate(poses)])
+        summary.append(f"{len(frames)} {name} ({sum(len(dets) for dets, _ in frames)} detections)")
     dataio.save_manifest(
         out_dir / "manifest.json",
         command="simulate",
@@ -208,13 +193,7 @@ def _cmd_simulate(args) -> int:
         seed=seed,
         inputs={"config": str(args.config) if args.config else None},
     )
-    n_kf_dets = sum(len(f.detections) for f in kf_records)
-    n_q_dets = sum(len(f.detections) for f in q_records)
-    print(
-        f"simulated {spec.n_landmarks} landmarks, "
-        f"{len(kf_records)} keyframes ({n_kf_dets} detections), "
-        f"{len(q_records)} query frames ({n_q_dets} detections) -> {out_dir}"
-    )
+    print(f"simulated {spec.n_landmarks} landmarks, {', '.join(summary)} -> {out_dir}")
     return 0
 
 
@@ -490,15 +469,12 @@ def _match_poses(
     poses = [trajectory[i][1] for i in order]
     out: dict[int, Pose] = {}
     for frame_id, ts in timestamps.items():
-        idx = int(np.searchsorted(times, ts))
-        best = None
-        for j in (idx - 1, idx):
-            if 0 <= j < len(times):
-                dt = abs(float(times[j]) - ts)
-                if best is None or dt < best[0]:
-                    best = (dt, j)
-        if best is not None and best[0] <= _ALIGN_TOL:
-            out[frame_id] = poses[best[1]]
+        # the first row at or after ts, or the last row; a tie goes to the row before
+        j = min(int(np.searchsorted(times, ts)), len(times) - 1)
+        if j and ts - times[j - 1] <= times[j] - ts:
+            j -= 1
+        if abs(float(times[j]) - ts) <= _ALIGN_TOL:
+            out[frame_id] = poses[j]
         else:
             logger.warning("frame %d: no ground-truth pose within %.0f ms", frame_id, _ALIGN_TOL * 1e3)
     return out
@@ -550,13 +526,11 @@ def _evaluate_run(results_path: Path, args) -> tuple[dict, list[dict]]:
             rematched = rematch_predictions(gt_poses, prior_graph, intrinsics, boxes)
             report["mota_rematch"] = _mota_or_none(evaluate_associations(rematched, gt_assoc), "rematch")
 
-    errors: list[tuple[int, float | None]] = []
-    for r in results:
-        te = None
-        if r.pose is not None and r.frame_id in gt_poses:
-            te = translation_error(r.pose, gt_poses[r.frame_id])
-        errors.append((r.frame_id, te))
-    te_by_frame = dict(errors)
+    errors = [
+        (r.frame_id, None if r.pose is None or r.frame_id not in gt_poses
+         else translation_error(r.pose, gt_poses[r.frame_id]))
+        for r in results
+    ]
     if gt_poses:
         report["mean_te"] = mean_translation_error(errors)
         report["success_rate"] = {
@@ -569,22 +543,19 @@ def _evaluate_run(results_path: Path, args) -> tuple[dict, list[dict]]:
     entropies = [r.mean_entropy for r in results if r.mean_entropy is not None]
     report["entropy_mean"] = float(np.mean(entropies)) if entropies else None
 
-    rows = []
-    for r in results:
-        te = te_by_frame.get(r.frame_id)
-        fc = per_frame.get(r.frame_id)
-        rows.append(
-            {
-                "frame_id": r.frame_id,
-                "timestamp": r.timestamp,
-                "status": r.status,
-                "te": "" if te is None else te,
-                "was": r.was,
-                "n_correspondences": len(r.correspondences),
-                # a frame without ground truth leaves its counts blank
-                **({} if fc is None else {"tp": fc.tp, "fp": fc.fp, "fn": fc.fn}),
-            }
-        )
+    rows = [
+        {
+            "frame_id": r.frame_id,
+            "timestamp": r.timestamp,
+            "status": r.status,
+            "te": "" if te is None else te,
+            "was": r.was,
+            "n_correspondences": len(r.correspondences),
+            # a frame without ground truth leaves its counts blank
+            **({} if (fc := per_frame.get(r.frame_id)) is None else {"tp": fc.tp, "fp": fc.fp, "fn": fc.fn}),
+        }
+        for r, (_, te) in zip(results, errors)
+    ]
     return report, rows
 
 

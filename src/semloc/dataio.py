@@ -17,7 +17,7 @@ import logging
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,15 +123,7 @@ def _iter_jsonl(path):
 
 
 def save_intrinsics(path, intrinsics: CameraIntrinsics):
-    payload = {
-        "fx": intrinsics.fx,
-        "fy": intrinsics.fy,
-        "cx": intrinsics.cx,
-        "cy": intrinsics.cy,
-        "width": intrinsics.width,
-        "height": intrinsics.height,
-    }
-    Path(path).write_text(_dump_json(payload) + "\n")
+    Path(path).write_text(_dump_json(asdict(intrinsics)) + "\n")
 
 
 def load_intrinsics(path) -> CameraIntrinsics:
@@ -148,22 +140,48 @@ def load_intrinsics(path) -> CameraIntrinsics:
 
 
 # ---------------------------------------------------------------------------
+# landmarks of map and scene files
+
+
+def _landmark_row(lm) -> dict:
+    """The id and geometry of a map node or scene landmark, as a file row holds them."""
+    return {
+        "id": lm.id,
+        "position": [float(v) for v in lm.position],
+        "rotation": [float(v) for v in lm.rotation],  # (qw, qx, qy, qz)
+        "scale": [float(v) for v in lm.scale],
+    }
+
+
+def _landmark_geometry(row: dict) -> dict:
+    """The id and geometry of a map or scene file row: an int64 id, unit quaternion, float arrays."""
+    return {
+        "id": _landmark_id(row["id"]),
+        "position": np.array([_float(v) for v in _list(row["position"])]),
+        "rotation": quat_normalize([_float(v) for v in _list(row["rotation"])]),
+        "scale": np.array([_float(v) for v in _list(row["scale"])]),
+    }
+
+
+def _unique_ids(ids: list[int]) -> set[int]:
+    if len(known := set(ids)) < len(ids):
+        raise ValueError(f"duplicate landmark id {Counter(ids).most_common(1)[0][0]}")
+    return known
+
+
+# ---------------------------------------------------------------------------
 # map file
 
 
 def save_map(path, nodes: Sequence[PriorObjectNode], keyframes: Sequence[Sequence[int]], meta: dict | None = None):
-    landmarks = []
-    for node in sorted(nodes, key=lambda n: n.id):
-        landmarks.append(
-            {
-                "id": node.id,
-                "position": [float(v) for v in node.position],
-                "rotation": [float(v) for v in node.rotation],  # (qw, qx, qy, qz)
-                "scale": [float(v) for v in node.scale],
-                "total_detections": node.frequencies.total_detections,
-                "label_counts": {k: int(v) for k, v in sorted(node.frequencies.per_label_counts.items())},
-            }
-        )
+    landmarks = [
+        {
+            **_landmark_row(node),
+            "total_detections": node.frequencies.total_detections,
+            "label_counts": {k: int(v) for k, v in node.frequencies.per_label_counts.items()},
+        }
+        for node in sorted(nodes, key=lambda n: n.id)
+    ]
     payload: dict = {
         "landmarks": landmarks,
         "keyframes": [
@@ -176,12 +194,6 @@ def save_map(path, nodes: Sequence[PriorObjectNode], keyframes: Sequence[Sequenc
     Path(path).write_text(_dump_json(payload) + "\n")
 
 
-def _unique_ids(ids: list[int]) -> set[int]:
-    if len(known := set(ids)) < len(ids):
-        raise ValueError(f"duplicate landmark id {Counter(ids).most_common(1)[0][0]}")
-    return known
-
-
 def load_map(path) -> tuple[list[PriorObjectNode], list[list[int]], dict]:
     data = _load_json(path)
     _require("landmarks" in data, f"{path}: not a map file")
@@ -191,15 +203,7 @@ def load_map(path) -> tuple[list[PriorObjectNode], list[list[int]], dict]:
         for lm in data["landmarks"]:
             counts = {str(k): _int(v) for k, v in lm["label_counts"].items()}
             freqs = LabelFrequencyTable.from_counts(counts, _int(lm["total_detections"]))
-            nodes.append(
-                PriorObjectNode(
-                    id=_landmark_id(lm["id"]),
-                    position=np.array([_float(v) for v in _list(lm["position"])]),
-                    rotation=quat_normalize([_float(v) for v in _list(lm["rotation"])]),
-                    scale=np.array([_float(v) for v in _list(lm["scale"])]),
-                    frequencies=freqs,
-                )
-            )
+            nodes.append(PriorObjectNode(**_landmark_geometry(lm), frequencies=freqs))
         keyframes = [
             [_int(v) for v in _list(kf["landmark_ids"])] for kf in data.get("keyframes", [])
         ]
@@ -244,7 +248,7 @@ def save_detection_log(path, frames: Sequence[FrameRecord]):
 
 
 def load_detection_log(path) -> list[FrameRecord]:
-    frames = []
+    frames: dict[int, FrameRecord] = {}
     with _malformed(lambda: f"{path}:{lineno}: bad detection record"):
         for lineno, row in _iter_jsonl(path):
             dets = []
@@ -256,18 +260,15 @@ def load_detection_log(path) -> list[FrameRecord]:
                 dets.append(DetectionRecord(bbox, labels, position))
             if not isinstance(row.get("depth_file"), (str, type(None))):
                 raise TypeError("depth_file must be a file name")
-            # a frame id seeds the frame's sampling loop, which takes no negative seed
+            # a frame id seeds the frame's sampling loop, which takes no negative seed, and keys its results
             if (frame_id := _int(row["frame_id"])) < 0:
                 raise ValueError(f"frame_id {frame_id} is negative")
-            frames.append(
-                FrameRecord(
-                    frame_id=frame_id,
-                    timestamp=_float(row["timestamp"]),
-                    detections=dets,
-                    depth_file=row.get("depth_file"),
-                )
-            )
-    return frames
+            if frame_id in frames:
+                raise ValueError(f"repeated frame_id {frame_id}")
+            if not math.isfinite(timestamp := _float(row["timestamp"])):
+                raise ValueError(f"non-finite timestamp {timestamp}")
+            frames[frame_id] = FrameRecord(frame_id, timestamp, dets, row.get("depth_file"))
+    return list(frames.values())
 
 
 def load_depth(path) -> np.ndarray:
@@ -388,7 +389,7 @@ def save_results(path, results: Sequence[FrameResult]):
 
 
 def load_results(path) -> list[FrameResult]:
-    out = []
+    out: dict[int, FrameResult] = {}
     with _malformed(lambda: f"{path}:{lineno}: bad result record"):
         for lineno, row in _iter_jsonl(path):
             pose = None
@@ -400,20 +401,22 @@ def load_results(path) -> list[FrameResult]:
                 entropy = _float(entropy)
             if not all(map(math.isfinite, (timestamp, was, entropy or 0.0))):
                 raise ValueError("non-finite timestamp, was or mean_entropy")
-            out.append(
-                FrameResult(
-                    frame_id=_int(row["frame_id"]),
-                    timestamp=timestamp,
-                    status=LocalizationStatus(row["status"]).value,
-                    pose=pose,
-                    was=was,
-                    correspondences=[
-                        (_int(p), _int(q)) for p, q in _list(row.get("correspondences", []))
-                    ],
-                    mean_entropy=entropy,
-                )
+            status = LocalizationStatus(row["status"]).value
+            # a frame has a pose exactly when it is localized
+            if (status == "success") != (pose is not None):
+                raise ValueError(f"status {status} {'without' if pose is None else 'with'} a pose")
+            if (frame_id := _int(row["frame_id"])) in out:
+                raise ValueError(f"repeated frame_id {frame_id}")
+            out[frame_id] = FrameResult(
+                frame_id=frame_id,
+                timestamp=timestamp,
+                status=status,
+                pose=pose,
+                was=was,
+                correspondences=[(_int(p), _int(q)) for p, q in _list(row.get("correspondences", []))],
+                mean_entropy=entropy,
             )
-    return out
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +432,7 @@ def save_scene(path, scene):
         "vocabulary": list(scene.spec.vocabulary),
         "clusters": [list(c) for c in scene.spec.clusters],
         "confusion_rate": scene.spec.confusion_rate,
-        "landmarks": [
-            {
-                "id": lm.id,
-                "position": [float(v) for v in lm.position],
-                "rotation": [float(v) for v in lm.rotation],
-                "scale": [float(v) for v in lm.scale],
-                "label": lm.label,
-            }
-            for lm in scene.landmarks
-        ],
+        "landmarks": [{**_landmark_row(lm), "label": lm.label} for lm in scene.landmarks],
     }
     Path(path).write_text(_dump_json(payload) + "\n")
 
@@ -449,15 +443,7 @@ def load_scene_landmarks(path) -> list[dict]:
     out = []
     with _malformed(f"{path}: bad scene file"):
         for lm in data["landmarks"]:
-            out.append(
-                {
-                    "id": _landmark_id(lm["id"]),
-                    "position": np.array([_float(v) for v in _list(lm["position"])]),
-                    "rotation": quat_normalize([_float(v) for v in _list(lm["rotation"])]),
-                    "scale": np.array([_float(v) for v in _list(lm["scale"])]),
-                    "label": _label(lm["label"]),
-                }
-            )
+            out.append({**_landmark_geometry(lm), "label": _label(lm["label"])})
             if not all(np.isfinite(out[-1][k]).all() for k in ("position", "rotation", "scale")):
                 raise ValueError(f"landmark {out[-1]['id']}: non-finite position, rotation or scale")
         _unique_ids([lm["id"] for lm in out])
@@ -536,13 +522,7 @@ def resolve_matcher_config(
 
 
 def save_manifest(path, command: str, config: Mapping[str, object], seed: int, inputs: Mapping[str, object]):
-    payload = {
-        "command": command,
-        "config": {k: config[k] for k in sorted(config)},
-        "seed": seed,
-        "inputs": {k: inputs[k] for k in sorted(inputs)},
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    save_metrics_report(path, {"command": command, "config": dict(config), "seed": seed, "inputs": dict(inputs)})
 
 
 # ---------------------------------------------------------------------------

@@ -176,19 +176,9 @@ def success_rate(
         raise ValueError("no frames to evaluate")
     if mode not in ("succ", "all"):
         raise ValueError(f"unknown mode {mode!r}")
-    hits = 0
-    denom = 0
-    for _, te in errors:
-        if te is None:
-            if mode == "all":
-                denom += 1
-            continue
-        denom += 1
-        if te <= threshold:
-            hits += 1
-    if denom == 0:
-        return 0.0
-    return 100.0 * hits / denom
+    within = [te <= threshold for _, te in errors if te is not None]
+    denom = len(errors) if mode == "all" else len(within)
+    return 100.0 * sum(within) / denom if denom else 0.0
 
 
 def shannon_entropy(probs: Iterable[float]) -> float:

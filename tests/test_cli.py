@@ -616,6 +616,41 @@ class TestEvaluate:
         assert per_frame[3].endswith(",,,")  # frame 2 has no counts
 
 
+class TestMatchPoses:
+    """Nearest-timestamp pairing of result frames with trajectory rows, as in the TUM RGB-D tools."""
+
+    @staticmethod
+    def _pose(x):
+        return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([x, 0.0, 0.0]))
+
+    def test_nearest_row_within_the_window(self, caplog):
+        # listed out of time order: the pairing sorts the trajectory first
+        trajectory = [(2.0, self._pose(2)), (1.0, self._pose(1)), (1.5, self._pose(1.5))]
+        with caplog.at_level("WARNING", logger="semloc.cli"):
+            matched = cli._match_poses({0: 1.004, 1: 1.497, 2: 2.009, 3: 0.9921875}, trajectory)
+        assert {i: pose.translation[0] for i, pose in matched.items()} == {0: 1.0, 1: 1.5, 2: 2.0, 3: 1.0}
+        assert caplog.text == ""
+
+    def test_a_tie_goes_to_the_earlier_row(self):
+        # binary fractions, so both rows are exactly 1/256 s away
+        trajectory = [(1.0078125, self._pose(2)), (1.0, self._pose(1))]
+        matched = cli._match_poses({5: 1.00390625}, trajectory)
+        assert matched[5].translation[0] == 1.0
+
+    def test_a_frame_outside_the_window_is_unmatched_with_one_warning(self, caplog):
+        trajectory = [(1.0, self._pose(1)), (1.1, self._pose(2))]
+        with caplog.at_level("WARNING", logger="semloc.cli"):
+            matched = cli._match_poses({0: 1.0, 7: 1.05, 8: 0.98, 9: 1.2}, trajectory)
+        assert sorted(matched) == [0]
+        warnings = [r.getMessage() for r in caplog.records]
+        assert warnings == [f"frame {i}: no ground-truth pose within 10 ms" for i in (7, 8, 9)]
+
+    def test_an_empty_trajectory_matches_nothing_without_warnings(self, caplog):
+        with caplog.at_level("WARNING", logger="semloc.cli"):
+            assert cli._match_poses({0: 1.0, 1: 2.0}, []) == {}
+        assert caplog.records == []
+
+
 class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -829,6 +864,23 @@ BAD_INPUTS = [
     ("detections-frame-negative", "query.jsonl",
      lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("frame_id",), -1)),
      "query.jsonl:2: bad detection record: frame_id -1 is negative"),
+    # a frame id keys the frame's results and ground truth, so it appears once per log and results file
+    ("detections-repeated-frame-id", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("frame_id",), 0)),
+     "query.jsonl:2: bad detection record: repeated frame_id 0"),
+    ("keyframes-repeated-frame-id", "keyframes.jsonl",
+     lambda d: _row(d / "sim" / "keyframes.jsonl", 3, lambda r: _set(r, ("frame_id",), 1)),
+     "keyframes.jsonl:3: bad detection record: repeated frame_id 1"),
+    ("results-repeated-frame-id", "results.jsonl", lambda d: 2 * (_raw(RESULT_ROW) + b"\n"),
+     "results.jsonl:2: bad result record: repeated frame_id 0"),
+    # timestamps pair frames with ground truth, and a frame has a pose exactly when it is localized
+    ("detections-timestamp-nan", "query.jsonl",
+     lambda d: _row(d / "sim" / "query.jsonl", 2, lambda r: _set(r, ("timestamp",), float("nan"))),
+     "query.jsonl:2: bad detection record: non-finite timestamp nan"),
+    ("results-success-without-pose", "results.jsonl", lambda d: _raw(dict(RESULT_ROW, pose=None)) + b"\n",
+     "results.jsonl:1: bad result record: status success without a pose"),
+    ("results-degenerate-with-pose", "results.jsonl", lambda d: _raw(dict(RESULT_ROW, status="degenerate")) + b"\n",
+     "results.jsonl:1: bad result record: status degenerate with a pose"),
     # intrinsics so large that projecting a landmark would overflow
     ("intrinsics-fx-1e300", "intrinsics.json",
      lambda d: _doc(d / "sim" / "intrinsics.json", lambda i: _set(i, ("fx",), 1e300)),
@@ -855,10 +907,10 @@ def _argv_for(dataset, tmp_path, name, bad):
     sim = dataset / "sim"
     if name == "sim.cfg":
         return ["simulate", "--output", str(tmp_path / "x"), "--n-landmarks", "12", "--config", str(bad)]
-    if name in ("scene.json", "keyframe_associations.jsonl"):
-        inputs = {"scene.json": sim / "scene.json",
+    if name in ("scene.json", "keyframes.jsonl", "keyframe_associations.jsonl"):
+        inputs = {"scene.json": sim / "scene.json", "keyframes.jsonl": sim / "keyframes.jsonl",
                   "keyframe_associations.jsonl": sim / "keyframe_associations.jsonl", name: bad}
-        return ["build-map", "--scene", str(inputs["scene.json"]), "--keyframes", str(sim / "keyframes.jsonl"),
+        return ["build-map", "--scene", str(inputs["scene.json"]), "--keyframes", str(inputs["keyframes.jsonl"]),
                 "--associations", str(inputs["keyframe_associations.jsonl"]),
                 "--output", str(tmp_path / "map.json")]
     if name in ("results.jsonl", "gt_associations.jsonl", "gt_trajectory.txt"):
@@ -897,6 +949,7 @@ class TestMalformedInputs:
         _assert_input_error(capsys, _argv_for(dataset, tmp_path, name, bad), fragment)
         if name != "map.json":  # a refused build-map writes no map
             assert not (tmp_path / "map.json").exists()
+        assert not (tmp_path / "run" / "results.jsonl").exists()  # nor a refused localize results
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("depth_file, contents, fragment", [c[1:] for c in BAD_DEPTH], ids=[c[0] for c in BAD_DEPTH])

@@ -286,7 +286,8 @@ class TestResults:
 
     def test_every_status_and_integer_entropy_load(self, tmp_path):
         p = tmp_path / "results.jsonl"
-        rows = [{"frame_id": i, "timestamp": 0.1 * i, "status": s.value, "mean_entropy": 1}
+        rows = [{"frame_id": i, "timestamp": 0.1 * i, "status": s.value, "mean_entropy": 1,
+                 "pose": [0, 0, 0, 0, 0, 0, 1] if s is LocalizationStatus.SUCCESS else None}
                 for i, s in enumerate(LocalizationStatus)]
         p.write_text("".join(json.dumps(r) + "\n" for r in rows))
         loaded = load_results(p)
