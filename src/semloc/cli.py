@@ -354,28 +354,41 @@ def _run_localization(
     ]
 
 
-def _prior_graph_for_config(args, config: MatcherConfig) -> SemanticGraph:
-    """Load the map, or rebuild it from the keyframe pass at config.K."""
+def _prior_graphs(args, configs: list[MatcherConfig]) -> list[SemanticGraph]:
+    """The prior graph of each config, all built before any run starts.
+
+    The map is read once and serves every K alike, or the keyframe pass is
+    read once and folded once per K; each map is wired once per distinct
+    k_edge.
+    """
+    ks = sorted({config.K for config in configs})
     if args.map is not None:
         nodes, keyframes, meta = dataio.load_map(args.map)
-        if meta.get("K") not in (None, config.K):
-            logger.warning(
-                "map was built at K=%s but localizing at K=%d; pass --scene/--keyframes to rebuild",
-                meta["K"],
-                config.K,
-            )
+        for k in ks:
+            if meta.get("K") not in (None, k):
+                logger.warning(
+                    "map was built at K=%s but localizing at K=%d; pass --scene/--keyframes to rebuild",
+                    meta["K"],
+                    k,
+                )
+        map_key = lambda config: None
+        maps = {None: (nodes, keyframes)}
     else:
         if not (args.scene and args.keyframes and args.keyframe_associations):
             raise InputError("need --map, or --scene with --keyframes and --keyframe-associations")
-        nodes, keyframes = _accumulate_map(
-            dataio.load_scene_landmarks(args.scene),
-            dataio.load_detection_log(args.keyframes),
-            dataio.load_associations(args.keyframe_associations),
-            config.K,
-        )
-    if not nodes:
+        landmarks = dataio.load_scene_landmarks(args.scene)
+        keyframe_log = dataio.load_detection_log(args.keyframes)
+        associations = dataio.load_associations(args.keyframe_associations)
+        map_key = lambda config: config.K
+        maps = {k: _accumulate_map(landmarks, keyframe_log, associations, k) for k in ks}
+    if not all(nodes for nodes, _ in maps.values()):
         raise InputError("prior map has no landmarks")
-    return prior_graph_from_nodes(nodes, keyframes, k_edge=config.k_edge)
+    graphs: dict[tuple, SemanticGraph] = {}
+    for config in configs:
+        key = (map_key(config), config.k_edge)
+        if key not in graphs:
+            graphs[key] = prior_graph_from_nodes(*maps[key[0]], k_edge=config.k_edge)
+    return [graphs[map_key(config), config.k_edge] for config in configs]
 
 
 def _parse_sweep(specs: list[str]) -> dict[str, list]:
@@ -434,9 +447,9 @@ def _cmd_localize(args) -> int:
         flags = {k: v for k, v in cli_values.items() if k not in overrides}
         config = dataio.resolve_matcher_config({**file_values, **overrides}, flags, source)
         runs.append((out_dir / "_".join(f"{name}={overrides[name]}" for name in names), config))
-    for run_dir, config in runs:
+    prior_graphs = _prior_graphs(args, [config for _, config in runs])
+    for (run_dir, config), prior_graph in zip(runs, prior_graphs):
         run_dir.mkdir(parents=True, exist_ok=True)
-        prior_graph = _prior_graph_for_config(args, config)
         results = _run_localization(
             frames, prior_graph, intrinsics, config, args.threads, depth_dir
         )

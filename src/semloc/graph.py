@@ -160,8 +160,8 @@ class SemanticGraph:
     `edge_root` and `edge_nbr` are node indices, `edge_length`
     the root-to-neighbor distance and `edge_slot` the edge's place among its
     root's edges. `degree` counts each node's edges and `max_degree` is its
-    maximum (0 without edges). A prior graph's landmark quadrics are built
-    on first use (`quadrics`).
+    maximum (0 without edges). A prior graph's landmark quadrics and radii
+    are built on first use (`quadrics`, `radii`).
     """
 
     nodes: list
@@ -213,6 +213,28 @@ class SemanticGraph:
             np.reshape([node.scale for node in self.nodes], (-1, 3)),
         )
 
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """Largest semi-axis (nodes,) of each prior landmark, in node order.
+
+        No point of the landmark's surface lies farther than this from its
+        centre. Built once, on first use, like `quadrics`.
+        """
+        return np.reshape([node.scale for node in self.nodes], (-1, 3)).max(axis=1)
+
+
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every two of the points (n, 3), (n, n).
+
+    Summed x, y, z in turn, so each entry has the bits of the scalar
+    sqrt(dx * dx + dy * dy + dz * dz).
+    """
+    squared = 0.0
+    for axis in points.T:
+        diff = axis[:, None] - axis
+        squared = squared + diff * diff
+    return np.sqrt(squared)
+
 
 def build_knn_edges(positions: np.ndarray, k_edge: int) -> np.ndarray:
     """Each node's k nearest neighbors as (root, neighbor) index pairs, shape (n * k, 2).
@@ -226,8 +248,7 @@ def build_knn_edges(positions: np.ndarray, k_edge: int) -> np.ndarray:
     n = pos.shape[0]
     if n < 2:
         return np.zeros((0, 2), dtype=int)
-    diffs = pos[:, None, :] - pos[None, :, :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=2))
+    dists = pairwise_distances(pos)
     np.fill_diagonal(dists, np.inf)
     nbr = np.argsort(dists, axis=1, kind="stable")[:, : min(k_edge, n - 1)]
     return np.stack((np.repeat(np.arange(n), nbr.shape[1]), nbr.ravel()), axis=1)

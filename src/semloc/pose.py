@@ -4,11 +4,16 @@ Samples distinct triples of candidate pairs, checks structural validity,
 solves perspective-three-point, and keeps the pose with the best
 normalized-Wasserstein alignment between projected landmarks and detected
 boxes. Structural validity is read from one boolean (pairs, pairs)
-compatibility table per frame, taken from the graphs' adjacency: valid
-samples are the triangles of this consistency graph, as in CLIPPER (Lusk et
-al., ICRA 2021). One lazy filter over the frame's draws yields the valid
-samples, which are solved and scored in chunks that double in size (see
-estimate_pose). Deterministic for a fixed seed.
+compatibility table per frame: two pairs are compatible when the graphs'
+adjacency agrees on them and the distance between their priors matches the
+distance between their query nodes, within a tolerance that grows with the
+two landmarks' sizes; the distance is a pairwise invariant of the unknown
+rigid pose (TEASER++, Yang et al., T-RO 2020). Valid samples are the
+triangles of this consistency graph, as in CLIPPER (Lusk et al., ICRA
+2021), so P3P never sees a triple whose shape contradicts the map. One lazy
+filter over the frame's draws yields the valid samples, which are solved
+and scored in chunks that double in size (see estimate_pose).
+Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,16 +34,28 @@ from .geometry import (
     pixel_to_bearing,
     quat_to_rotmat,
 )
-from .graph import SemanticGraph
+from .graph import SemanticGraph, pairwise_distances
 from .matching import CandidateSet, extract_candidates, score_all_pairs
 
 
 # valid samples in the first chunk of P3P solves and alignment scores; each
-# further chunk doubles, up to _chunk_cap
-_CHUNK = 16
+# further chunk doubles, up to _chunk_cap. A frame's time steps up with each
+# further call, so a size that about a tenth or half of the frames outgrow puts
+# that step at a latency percentile. Under the distance term, 24 is outgrown by
+# at most 5% of early-exit frames (noise-free criterion-4 orbits) and about
+# 30% of full-budget criterion-8 frames
+_CHUNK = 24
 # (poses x candidate pairs) elements a chunk's scoring may allocate, at up to
 # four poses per sample
 _HYPOTHESIS_ELEMS = 1 << 16
+# m: the most by which two compatible pairs' prior-to-prior and
+# query-to-query distances may differ, beyond the two priors' radii (see
+# _compatibility). A query position is its box centre back-projected at a
+# depth: the simulator's is the landmark-centre depth plus N(0, sigma), so a
+# correct pair's distance errs by the difference of two such position errors,
+# whose standard deviation is about sqrt(2) sigma: 0.07 m at sigma = 0.05 m,
+# the largest of the acceptance and benchmark scenes. 0.3 m is over 4 of them.
+_DIST_TOL = 0.3
 
 
 class LocalizationStatus(str, Enum):
@@ -137,19 +154,39 @@ def _draw_triples(rng: np.random.Generator, n_pairs: int, n: int) -> np.ndarray:
 
 
 def _compatibility(
-    candidates: CandidateSet, prior_graph: SemanticGraph, query_graph: SemanticGraph
+    candidates: CandidateSet,
+    prior_graph: SemanticGraph,
+    query_graph: SemanticGraph,
+    world: np.ndarray,
 ) -> np.ndarray:
     """(pairs, pairs) table of which two candidate pairs may share a sample.
 
     Two pairs are compatible when their priors differ, their query nodes
-    differ, and the priors share an edge exactly when the query nodes do.
+    differ, the priors share an edge exactly when the query nodes do, and
+    the priors' world distance and the query nodes' camera-frame distance
+    differ by at most _DIST_TOL plus the two priors' radii. The radii cover
+    a depth-map query position: the median depth of the visible surface
+    lies nearer the camera than the landmark's centre, by up to half the
+    object's depth. world is prior_graph.positions(). The
+    distances come from one table over the distinct candidate priors and
+    one over the query nodes, gathered to (pairs, pairs).
     """
     p, q = candidates.prior, candidates.query
+    unique_p, pair_p = np.unique(p, return_inverse=True)
+    prior_dist = _gather(pairwise_distances(world[unique_p]), pair_p)
+    query_dist = _gather(pairwise_distances(query_graph.positions()), q)
+    reach = prior_graph.radii[p]
     return (
         (p[:, None] != p)
         & (q[:, None] != q)
-        & (prior_graph.adjacency[np.ix_(p, p)] == query_graph.adjacency[np.ix_(q, q)])
+        & (_gather(prior_graph.adjacency, p) == _gather(query_graph.adjacency, q))
+        & (np.abs(prior_dist - query_dist) <= reach[:, None] + reach + _DIST_TOL)
     )
+
+
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index][:, index], a per-node table read per candidate pair."""
+    return table.take(index, axis=0).take(index, axis=1)
 
 
 class _AlignmentScorer:
@@ -287,9 +324,10 @@ def estimate_pose(
 
     boxes = [node.bbox for node in query_graph.nodes]
     scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids(), boxes, intrinsics, config.C)
-    compatible = _compatibility(candidates, prior_graph, query_graph)
+    world = prior_graph.positions()
+    compatible = _compatibility(candidates, prior_graph, query_graph, world)
     # per candidate pair: the prior's world point and the query's bearing
-    pair_world = prior_graph.positions()[candidates.prior]
+    pair_world = world[candidates.prior]
     pair_rays = pixel_to_bearing(scorer.q_means, intrinsics)[candidates.query]
 
     rng = np.random.default_rng(config.rng_seed)

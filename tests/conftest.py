@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from semloc import (
     BoundingBox,
     CandidateSet,
+    DetectionRecord,
     LabelFrequencyTable,
     Pose,
     PriorObjectNode,
@@ -12,6 +15,7 @@ from semloc import (
     build_knn_edges,
     quadric_from_params,
 )
+from semloc.geometry import _project_quadrics, quat_to_rotmat
 
 VOCAB = [f"class{i:02d}" for i in range(40)]
 
@@ -123,6 +127,80 @@ def edge_ids(g: SemanticGraph) -> set:
     """The graph's undirected edges as (lower id, higher id) pairs."""
     ids = g.ids()
     return {tuple(sorted((ids[a], ids[b]))) for a, b in g.edges.tolist()}
+
+
+def depth_map(nodes, pose: Pose, intrinsics) -> np.ndarray:
+    """Ray-cast depth image of the nodes' ellipsoids under pose.
+
+    Each pixel holds the depth of the nearest surface its ray meets, or 0
+    (no depth) where it meets none.
+    """
+    v, u = np.mgrid[0 : intrinsics.height, 0 : intrinsics.width].astype(float)
+    rays = np.stack(
+        [(u - intrinsics.cx) / intrinsics.fx, (v - intrinsics.cy) / intrinsics.fy, np.ones_like(u)],
+        axis=-1,
+    )
+    depth = np.full(u.shape, np.inf)
+    for node in nodes:
+        # |A^(1/2) (t ray - centre)| = 1, a quadratic in the depth t
+        centre = pose.transform(node.position)
+        axes = pose.rotation_matrix() @ quat_to_rotmat(node.rotation)
+        a_mat = axes @ np.diag(node.scale**-2.0) @ axes.T
+        a = np.einsum("hwi,ij,hwj->hw", rays, a_mat, rays)
+        b = rays @ (a_mat @ centre)
+        disc = b * b - a * (centre @ a_mat @ centre - 1.0)
+        t = (b - np.sqrt(np.maximum(disc, 0.0))) / a
+        depth = np.minimum(depth, np.where((disc >= 0.0) & (t > 0.0), t, np.inf))
+    depth[np.isinf(depth)] = 0.0
+    return depth
+
+
+# (centre, semi-axes) of furniture-sized and small objects, seen from the
+# world origin along +z with no two boxes overlapping: a large object's
+# visible surface lies up to 0.7 m nearer the camera than its centre
+LARGE_OBJECT_LAYOUT = [
+    ((-1.6, 0.3, 4.0), (0.6, 0.4, 0.6)),
+    ((-0.7, -0.6, 5.0), (0.1, 0.12, 0.1)),
+    ((0.3, 0.5, 3.5), (0.1, 0.1, 0.1)),
+    ((1.3, -0.3, 4.5), (0.7, 0.5, 0.6)),
+    ((-0.2, 0.0, 7.5), (0.6, 0.6, 0.7)),
+    ((2.4, 0.8, 6.0), (0.12, 0.1, 0.1)),
+    ((-2.8, -0.8, 7.0), (0.15, 0.2, 0.15)),
+]
+
+
+def large_object_frame(intrinsics):
+    """LARGE_OBJECT_LAYOUT as map nodes and one frame whose positions come from depth.
+
+    Returns the prior nodes (ids 1.., label VOCAB[id - 1]), the frame's
+    detections (one-hot labels, boxes centred on the projected centres,
+    no positions), its ray-cast depth map and its pose, the identity.
+    """
+    pose = Pose.identity()
+    nodes = [
+        PriorObjectNode(
+            i + 1, np.array(centre), np.array([1.0, 0.0, 0.0, 0.0]), np.array(axes),
+            make_table({VOCAB[i]: 5}),
+        )
+        for i, (centre, axes) in enumerate(LARGE_OBJECT_LAYOUT)
+    ]
+    extents, visible = _project_quadrics(
+        np.stack([quadric_of(node) for node in nodes]),
+        pose.rotation_matrix()[None],
+        pose.translation[None],
+        intrinsics,
+    )
+    assert visible.all()
+    detections = []
+    for i, (node, (x0, y0, x1, y1)) in enumerate(zip(nodes, extents[0].tolist())):
+        x, y, z = node.position.tolist()
+        u, v = intrinsics.fx * x / z + intrinsics.cx, intrinsics.fy * y / z + intrinsics.cy
+        hw, hh = (x1 - x0) / 2.0, (y1 - y0) / 2.0
+        detections.append(DetectionRecord(BoundingBox(u - hw, v - hh, u + hw, v + hh), [(VOCAB[i], 1.0)]))
+    # no box overlaps another, so each box's depth is its own object's surface
+    for a, b in itertools.combinations([det.bbox for det in detections], 2):
+        assert a.x_max <= b.x_min or b.x_max <= a.x_min or a.y_max <= b.y_min or b.y_max <= a.y_min
+    return nodes, detections, depth_map(nodes, pose, intrinsics), pose
 
 
 def candidate_set(pairs, prior_graph: SemanticGraph, query_graph: SemanticGraph) -> CandidateSet:

@@ -17,8 +17,8 @@ Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
 `normalized_wasserstein` score one box pair, and `scalar_calculate_was`
 scores one pose the way `calculate_was` does.
 Pose search: `scalar_is_valid_sample` checks one sample of (prior id,
-query id) pairs against the graphs' neighbor ids, the reference of the
-compatibility table `estimate_pose` checks draws against.
+query id) pairs against the graphs' neighbor ids and node positions, the
+reference of the compatibility table `estimate_pose` checks draws against.
 `scalar_p3p_solve` solves one P3P sample by another method than the stacked
 Lambda Twist `p3p_solve` (a quartic in a depth ratio, then the Kabsch fit
 `absolute_orientation`), so the two are checked to find the same poses
@@ -51,6 +51,7 @@ from semloc.matching import SimilarityTable, extract_candidates, score_all_pairs
 from semloc.pose import (
     LocalizationResult,
     LocalizationStatus,
+    _DIST_TOL,
     MatcherConfig,
     _AlignmentScorer,
     _draw_triples,
@@ -589,13 +590,19 @@ def id_pairs(candidates, prior_graph: SemanticGraph, query_graph: SemanticGraph)
 def scalar_is_valid_sample(sample, prior_graph, query_graph) -> bool:
     """Structural validity of a sample of (prior id, query id) pairs.
 
-    Requires three pairs, distinct prior ids, distinct query ids, and an
+    Requires three pairs, distinct prior ids, distinct query ids, an
     identical pattern of edges and non-edges between the induced prior and
-    query triples.
+    query triples, and, for every two pairs, a prior-to-prior distance
+    within the two priors' largest semi-axes plus _DIST_TOL of the
+    query-to-query distance.
     """
 
     def has_edge(graph, a, b):
         return b in neighbors_of(graph, a)
+
+    def distance(graph, a, b):
+        dx, dy, dz = (node_of(graph, a).position - node_of(graph, b).position).tolist()
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
 
     pairs = list(sample)
     if len(pairs) != 3:
@@ -609,6 +616,12 @@ def scalar_is_valid_sample(sample, prior_graph, query_graph) -> bool:
             if has_edge(prior_graph, prior_ids[i], prior_ids[j]) != has_edge(
                 query_graph, query_ids[i], query_ids[j]
             ):
+                return False
+            gap = distance(prior_graph, prior_ids[i], prior_ids[j]) - distance(
+                query_graph, query_ids[i], query_ids[j]
+            )
+            reach = [max(node_of(prior_graph, prior_ids[m]).scale.tolist()) for m in (i, j)]
+            if abs(gap) > reach[0] + reach[1] + _DIST_TOL:
                 return False
     return True
 

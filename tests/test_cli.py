@@ -5,9 +5,20 @@ import pickle
 import numpy as np
 import pytest
 
-from semloc import Pose, cli
+from semloc import CameraIntrinsics, Pose, cli
 from semloc.cli import main
-from semloc.dataio import FrameResult, load_map, load_results, save_results
+from semloc.dataio import (
+    FrameRecord,
+    FrameResult,
+    load_map,
+    load_results,
+    save_detection_log,
+    save_intrinsics,
+    save_map,
+    save_results,
+)
+
+from conftest import large_object_frame
 
 
 SIM_FLAGS = [
@@ -279,6 +290,24 @@ class TestLocalize:
         assert all(r.status == "success" for r in results)
         assert (dataset / "run_map" / "manifest.json").exists()
 
+    def test_depth_file_frame_of_large_objects_succeeds(self, tmp_path):
+        # positions read off a depth map sit on the objects' visible surfaces,
+        # up to 0.7 m nearer the camera than the centres the map holds
+        intrinsics = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
+        nodes, detections, depth, pose = large_object_frame(intrinsics)
+        save_map(tmp_path / "map.json", nodes, [])
+        save_intrinsics(tmp_path / "intrinsics.json", intrinsics)
+        np.save(tmp_path / "d.npy", depth)
+        save_detection_log(tmp_path / "query.jsonl", [FrameRecord(0, 0.0, detections, depth_file="d.npy")])
+        argv = ["localize", "--detections", str(tmp_path / "query.jsonl")]
+        argv += ["--intrinsics", str(tmp_path / "intrinsics.json"), "--map", str(tmp_path / "map.json")]
+        argv += ["--output", str(tmp_path / "run"), "--threads", "1", "--k-edge", "3"]
+        assert main(argv) == 0
+        [result] = load_results(tmp_path / "run" / "results.jsonl")
+        assert result.status == "success"
+        assert sorted(result.correspondences) == [(node.id, i) for i, node in enumerate(nodes)]
+        assert np.linalg.norm(result.pose.translation - pose.translation) < 1e-6
+
     def test_rerun_is_byte_identical(self, dataset):
         assert _localize(dataset, "run_again") == 0
         a = (dataset / "run_map" / "results.jsonl").read_bytes()
@@ -366,6 +395,36 @@ class TestLocalize:
         assert _localize(dataset, "sweep_bad", "--sweep", "K=1,0") == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (dataset / "sweep_bad").exists()
+
+    @pytest.mark.parametrize("out_name, sweep", [("badrun", []), ("badsweep", ["--sweep", "K=1,3"])])
+    def test_bad_map_makes_no_run_directory(self, dataset, tmp_path, capsys, out_name, sweep):
+        bad = tmp_path / "badmap.json"
+        bad.write_text(json.dumps({"landmarks": [{"id": 1}]}))
+        sim = dataset / "sim"
+        argv = ["localize", "--detections", str(sim / "query.jsonl"), "--intrinsics", str(sim / "intrinsics.json"),
+                "--map", str(bad), "--output", str(tmp_path / out_name), "--threads", "1", *sweep]
+        _assert_input_error(capsys, argv, "bad map file")
+        assert not (tmp_path / out_name).exists()
+
+    def test_sweep_builds_one_prior_graph_per_key(self, dataset, monkeypatch):
+        calls = []
+        for owner, name in ((cli.dataio, "load_map"), (cli, "_accumulate_map"), (cli, "prior_graph_from_nodes")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+        assert _localize(dataset, "sweep_tau", "--sweep", "tau=1,2,3") == 0
+        assert calls == ["load_map", "prior_graph_from_nodes"]
+        # with --map, a graph per k_edge; rebuilt from the scene, a graph per (K, k_edge)
+        calls.clear()
+        assert _localize(dataset, "sweep_k_edge", "--sweep", "k_edge=3,5", "--sweep", "K=1,3") == 0
+        assert calls == ["load_map"] + ["prior_graph_from_nodes"] * 2
+        calls.clear()
+        sim = dataset / "sim"
+        argv = ["localize", "--detections", str(sim / "query.jsonl"), "--intrinsics", str(sim / "intrinsics.json"),
+                "--scene", str(sim / "scene.json"), "--keyframes", str(sim / "keyframes.jsonl"),
+                "--keyframe-associations", str(sim / "keyframe_associations.jsonl"),
+                "--output", str(dataset / "sweep_rebuild"), "--threads", "1", "--sweep", "K=1,3", "--sweep", "tau=1,2"]
+        assert main(argv) == 0
+        assert calls == ["_accumulate_map"] * 2 + ["prior_graph_from_nodes"] * 2
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_input_error(self, dataset, capsys, threads):

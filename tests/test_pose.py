@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,14 @@ from semloc.cli import _accumulate_map, _localize_frame, _seed_children
 from semloc.dataio import FrameRecord
 from semloc.geometry import _project_quadrics, quat_distance
 from semloc.matching import CandidateSet, SimilarityTable
-from semloc.pose import _CHUNK, _AlignmentScorer, _chunk_cap, _compatibility, _draw_triples
+from semloc.pose import (
+    _CHUNK,
+    _DIST_TOL,
+    _AlignmentScorer,
+    _chunk_cap,
+    _compatibility,
+    _draw_triples,
+)
 
 from conftest import (
     VOCAB,
@@ -44,6 +52,7 @@ from conftest import (
     edge_ids,
     graph,
     knn_graph,
+    large_object_frame,
     make_table,
     pose_arrays,
     prior_node,
@@ -61,17 +70,23 @@ from oracles import (
 
 
 INTR = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
+# a _perfect_scene spread that keeps every two landmarks within _DIST_TOL of
+# each other (the unscaled layout spans at most 3.2 m): the sampler's
+# distance term then passes every pair, and the valid samples are those of
+# the unscaled layout's wiring, most of them wrong
+_COMPACT = 0.09
 
 
-def _perfect_scene(n=8, seed=3, center_boxes=False):
+def _perfect_scene(n=8, seed=3, center_boxes=False, spread=1.0):
     """Landmarks with unique labels rendered noise-free from a known pose.
 
     center_boxes shifts each box onto the projected landmark center so the
     center bearing is exact; raw conic boxes carry a subpixel ellipse bias.
+    spread scales the layout about its center.
     """
     r = np.random.default_rng(seed)
     gt = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
-    pos = np.column_stack(
+    pos = spread * np.column_stack(
         [r.uniform(-1.2, 1.2, n), r.uniform(-1.0, 1.0, n), r.uniform(-0.3, 0.3, n)]
     )
     p_nodes, q_nodes = [], []
@@ -95,12 +110,13 @@ def _perfect_scene(n=8, seed=3, center_boxes=False):
 
 
 def _mapped_frames(spec, rings, q_ring, noise, n_dets, frame_ids):
-    """Prior graph and query graphs of frames of a simulated scene.
+    """Prior graph, query graphs and ground truth of frames of a simulated scene.
 
     Two 40-pose keyframe orbits at rings[0] and rings[1] (radius, height),
     noise-free, build the map; the frames come from a 120-pose query orbit
-    at q_ring under `noise` and keep their first n_dets detections. Every
-    seed of the recipe derives from spec.seed.
+    at q_ring under `noise` and keep their first n_dets detections; each
+    frame's ground truth maps detection index (query node id) to landmark
+    id. Every seed of the recipe derives from spec.seed.
     """
     scene = generate_scene(spec)
     s1, s2, s3, s4, s5 = _seed_children(spec.seed, 5)
@@ -134,13 +150,13 @@ def _mapped_frames(spec, rings, q_ring, noise, n_dets, frame_ids):
         )
         for i in frame_ids
     ]
-    return prior, queries
+    return prior, queries, [rendered[i][1] for i in frame_ids]
 
 
 def _latency_scene_frames(seed: int, frame_ids):
-    """Prior graph and query graphs of frames of the criterion-8 latency
-    scene (50 unique labels, 10 detections a frame), built with every seed
-    of its recipe set to `seed`."""
+    """Prior graph, query graphs and ground truth of frames of the
+    criterion-8 latency scene (50 unique labels, 10 detections a frame),
+    built with every seed of its recipe set to `seed`."""
     spec = SceneSpec(
         n_landmarks=50,
         bounds=((-3.0, -3.0, 0.0), (3.0, 3.0, 2.0)),
@@ -154,9 +170,9 @@ def _latency_scene_frames(seed: int, frame_ids):
 
 
 def _wide_scene_frames(seed: int, frame_ids, n_dets: int):
-    """Prior graph and query graphs of frames of a 12 x 12 m room of 200
-    landmarks with 12 labels in 4 confusable clusters (the criterion-5
-    labels and noise), keeping n_dets detections a frame."""
+    """Prior graph, query graphs and ground truth of frames of a 12 x 12 m
+    room of 200 landmarks with 12 labels in 4 confusable clusters (the
+    criterion-5 labels and noise), keeping n_dets detections a frame."""
     vocab = ["chair", "sofa", "bed", "table", "shelf", "door"]
     vocab += ["lamp", "monitor", "tv", "plant", "sink", "fridge"]
     spec = SceneSpec(
@@ -272,7 +288,7 @@ class TestIsValidSample:
             [query_node(i, (float(i), 0, 5), {"a": 1.0}) for i in range(10, 14)],
             [(10, 11), (11, 12)],
         )
-        compatible = _compatibility(candidate_set(pairs, pg, qg), pg, qg)
+        compatible = _compatibility(candidate_set(pairs, pg, qg), pg, qg, pg.positions())
         valid = is_valid_sample([0, 1, 2], compatible)
         assert valid is scalar_is_valid_sample(pairs, pg, qg)
         return valid
@@ -347,7 +363,7 @@ class TestDrawTriples:
 def _all_triples_agree(query, prior, candidates) -> int:
     """is_valid_sample against the id-based oracle on every triple; the valid count."""
     pairs = id_pairs(candidates, prior, query)
-    compatible = _compatibility(candidates, prior, query)
+    compatible = _compatibility(candidates, prior, query, prior.positions())
     n_valid = 0
     for sample in itertools.combinations(range(len(pairs)), 3):
         valid = scalar_is_valid_sample([pairs[i] for i in sample], prior, query)
@@ -360,13 +376,13 @@ class TestCompatibility:
     """The (pairs, pairs) compatibility table decides a sample as the id-based oracle does."""
 
     def test_criterion_8_frames(self):
-        prior, queries = _latency_scene_frames(seed=0, frame_ids=[0, 23, 42, 77, 101])
+        prior, queries, _ = _latency_scene_frames(seed=0, frame_ids=[0, 23, 42, 77, 101])
         for query in queries:
             cands = extract_candidates(score_all_pairs(prior, query), tau=3)
             assert 0 < _all_triples_agree(query, prior, cands) < math.comb(len(cands), 3)
 
     def test_wide_frames(self):
-        prior, queries = _wide_scene_frames(seed=0, frame_ids=[5, 60], n_dets=16)
+        prior, queries, _ = _wide_scene_frames(seed=0, frame_ids=[5, 60], n_dets=16)
         for query in queries:
             cands = extract_candidates(score_all_pairs(prior, query), tau=3)
             assert len(cands) == 48
@@ -398,6 +414,118 @@ class TestCompatibility:
         sim = r.integers(0, 3, (n_p, n_q)) / 3.0
         table = SimilarityTable(prior.ids(), query.ids(), sim)
         _all_triples_agree(query, prior, extract_candidates(table, tau))
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        density=st.sampled_from([0.0, 0.5, 1.0]),
+        reach=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_correct_pairs_within_their_radii_are_compatible(self, seed, n, density, reach):
+        # each query node is its landmark's camera-frame position moved by at
+        # most the landmark's largest semi-axis plus _DIST_TOL / 2 (less a
+        # rounding margin), so by the triangle inequality two correct pairs'
+        # distances differ by at most their radii plus _DIST_TOL
+        r = np.random.default_rng(seed)
+        pos = r.uniform([-6.0, -6.0, 0.0], [6.0, 6.0, 2.5], (n, 3))
+        scales = r.uniform(0.05, 0.8, (n, 3))
+        pose = Pose.from_rt(random_rotation(r), r.normal(scale=3.0, size=3))
+        moves = r.normal(size=(n, 3))
+        moves /= np.linalg.norm(moves, axis=1, keepdims=True)
+        moves *= (reach * (scales.max(axis=1) + 0.5 * _DIST_TOL) * (1.0 - 1e-9))[:, None]
+        edges = [e for e in itertools.combinations(range(n), 2) if r.random() < density]
+        pg = graph(
+            [replace(prior_node(i, pos[i], {"a": 1}), scale=scales[i]) for i in range(n)], edges
+        )
+        qg = graph(
+            [query_node(100 + i, pose.transform(pos[i]) + moves[i], {"a": 1.0}) for i in range(n)],
+            [(100 + a, 100 + b) for a, b in edges],
+        )
+        cands = candidate_set([(i, 100 + i) for i in range(n)], pg, qg)
+        compatible = _compatibility(cands, pg, qg, pg.positions())
+        np.testing.assert_array_equal(compatible, ~np.eye(n, dtype=bool))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        wired=st.booleans(),
+        excess=st.floats(1e-6, 5.0),
+        longer=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_whose_distances_differ_past_the_tolerance_are_incompatible(
+        self, seed, wired, excess, longer
+    ):
+        # distinct priors, distinct query nodes and the same wiring on both
+        # sides, but query nodes the priors' radii plus _DIST_TOL + excess
+        # nearer or farther apart
+        r = np.random.default_rng(seed)
+        scales = r.uniform(0.05, 0.8, (2, 3))
+        a = r.uniform(-6.0, 6.0, 3)
+        d = r.uniform(0.05, 10.0)
+        b = a + d * random_rotation(r)[0]
+        gap = scales.max(axis=1).sum() + _DIST_TOL + excess
+        d_query = d + gap * (1.0 if longer or d <= gap else -1.0)
+        qa = r.uniform(-3.0, 3.0, 3) + [0.0, 0.0, 6.0]
+        qb = qa + d_query * random_rotation(r)[0]
+        pg = graph(
+            [replace(prior_node(i + 1, x, {"a": 1}), scale=scales[i]) for i, x in enumerate((a, b))],
+            [(1, 2)][:wired],
+        )
+        qg = graph([query_node(10, qa, {"a": 1.0}), query_node(11, qb, {"a": 1.0})], [(10, 11)][:wired])
+        cands = candidate_set([(1, 10), (2, 11)], pg, qg)
+        assert not _compatibility(cands, pg, qg, pg.positions()).any()
+
+    def test_depth_map_positions_of_large_objects_keep_every_correct_pair(self):
+        # a depth-map position sits on the visible surface, up to 0.7 m
+        # nearer than a large object's centre, so some correct pairs'
+        # distances differ by more than _DIST_TOL; the priors' radii cover it
+        nodes, detections, depth, _ = large_object_frame(INTR)
+        pg = knn_graph(nodes, 3)
+        qg = build_query_graph(detections, k=1, k_edge=3, depth=depth, intrinsics=INTR)
+        np.testing.assert_array_equal(pg.edges, qg.edges)
+        gaps = scipy.spatial.distance.pdist(pg.positions()) - scipy.spatial.distance.pdist(qg.positions())
+        assert np.abs(gaps).max() > _DIST_TOL
+        cands = candidate_set([(node.id, i) for i, node in enumerate(nodes)], pg, qg)
+        compatible = _compatibility(cands, pg, qg, pg.positions())
+        np.testing.assert_array_equal(compatible, ~np.eye(len(nodes), dtype=bool))
+
+    @given(seed=st.integers(0, 2**16 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_noise_free_criterion_4_frames_keep_every_ground_truth_triangle(self, seed):
+        # the distance term passes every two ground-truth pairs, so a triple
+        # of them is valid exactly when the wiring alone makes it valid
+        spec = SceneSpec(
+            n_landmarks=30,
+            bounds=((-2.0, -2.0, 0.0), (2.0, 2.0, 1.5)),
+            vocabulary=[f"obj{i:02d}" for i in range(30)],
+            unique_labels=True,
+            min_separation=0.3,
+            seed=seed,
+        )
+        frame_ids = range(0, 120, 8)
+        prior, queries, truths = _mapped_frames(
+            spec, [(2.0, 1.0), (2.6, 1.8)], (2.0, 1.4), NoiseSpec(), None, frame_ids
+        )
+        n_triangles = 0
+        for query, truth in zip(queries, truths):
+            cands = extract_candidates(score_all_pairs(prior, query), tau=3)
+            gt = np.flatnonzero(
+                [truth.get(q) == p for p, q in id_pairs(cands, prior, query)]
+            )
+            p, q = cands.prior[gt], cands.query[gt]
+            wiring = (
+                (p[:, None] != p)
+                & (q[:, None] != q)
+                & (prior.adjacency[np.ix_(p, p)] == query.adjacency[np.ix_(q, q)])
+            )
+            compatible = _compatibility(cands, prior, query, prior.positions())
+            np.testing.assert_array_equal(compatible[np.ix_(gt, gt)], wiring)
+            n_triangles += sum(
+                is_valid_sample(t, wiring) for t in itertools.combinations(range(len(gt)), 3)
+            )
+        assert n_triangles > 0
 
 
 def _scorer_of(cands, pg, qg):
@@ -698,15 +826,30 @@ class TestEstimatePose:
         assert res.message == "0 candidate pairs, need 3"
 
     def test_fewer_than_three_committed_pairs_is_degenerate(self):
-        # at this sampling seed (1 of the first 400 that does) the best pose
-        # of this frame aligns 2 of 10 detections (WAS 0.92): too few
-        # correspondences to call the frame localized
-        prior, [query] = _latency_scene_frames(seed=4, frame_ids=[42])
-        res = estimate_pose(query, prior, MatcherConfig(rng_seed=375), INTR)
+        # three landmarks, one candidate each, seen from 4 m; the camera lies
+        # inside the third (5 m across), so under the solved pose, the true
+        # one, only two landmarks project to a box: too few correspondences
+        # to call the frame localized
+        gt = Pose.from_rt(np.eye(3), np.array([0.0, 0.0, 4.0]))
+        pts = [[-0.6, 0.1, 0.0], [0.5, 0.3, 0.2], [0.1, -0.4, -0.1]]
+        p_nodes = [prior_node(i + 1, pts[i], {VOCAB[i]: 1}) for i in range(3)]
+        p_nodes[2] = replace(p_nodes[2], scale=np.full(3, 5.0))
+        assert project_quadric_to_bbox(quadric_of(p_nodes[2]), gt, INTR) is None
+        q_nodes = []
+        for i, node in enumerate(p_nodes):
+            cam = gt.transform(node.position)
+            box = project_quadric_to_bbox(quadric_of(node), gt, INTR)
+            if box is None:  # the third: an 80 px box about its center's image
+                u, v = INTR.fx * cam[0] / cam[2] + INTR.cx, INTR.fy * cam[1] / cam[2] + INTR.cy
+                box = BoundingBox(u - 40.0, v - 40.0, u + 40.0, v + 40.0)
+            q_nodes.append(query_node(100 + i, cam, {VOCAB[i]: 1.0}, bbox=box))
+        qg = graph(q_nodes, [(100, 101), (100, 102), (101, 102)])
+        pg = graph(p_nodes, [(1, 2), (1, 3), (2, 3)])
+        res = _matches_serial(qg, pg, MatcherConfig(tau=1))
         assert res.status == LocalizationStatus.DEGENERATE
         assert res.message == "best pose commits 2 correspondences, need 3"
         assert res.pose is None and res.correspondences == []
-        assert res.history[-1][1] == pytest.approx(0.9216, abs=1e-4)
+        assert res.history[-1][1] == pytest.approx(0.9995, abs=1e-4)
 
     def test_no_valid_sample_on_structural_mismatch(self):
         qg, pg = _edge_mismatch_frame()
@@ -953,7 +1096,7 @@ class TestChunkedLoopMatchesSerial:
 
     def test_criterion_8_frames(self):
         frame_ids = [0, 23, 42, 77, 101]
-        prior, queries = _latency_scene_frames(seed=0, frame_ids=frame_ids)
+        prior, queries, _ = _latency_scene_frames(seed=0, frame_ids=frame_ids)
         for frame_id, query in zip(frame_ids, queries):
             config = MatcherConfig(rng_seed=_localize_seed(frame_id))
             _matches_serial(query, prior, config)
@@ -972,9 +1115,10 @@ class TestChunkedLoopMatchesSerial:
         assert cut_inside > 0
 
     def test_early_exit_inside_grown_chunks(self):
-        # ten landmarks and four candidates each: some seeds exit after 16
-        # valid samples, inside the second (32) or the third (64) chunk
-        pg, qg, _ = _perfect_scene(n=10, center_boxes=True)
+        # ten landmarks and four candidates each: some seeds exit after 24
+        # valid samples, inside the second (48) or the third (96) chunk
+        pg, qg, _ = _perfect_scene(n=10, center_boxes=True, spread=_COMPACT)
+        assert scipy.spatial.distance.pdist(pg.positions()).max() <= _DIST_TOL
         n_pairs = _n_pairs(qg, pg, tau=4)
         cut_in = set()
         for seed in range(30):
@@ -993,12 +1137,13 @@ class TestChunkedLoopMatchesSerial:
             )
 
     def test_full_budget_spans_three_chunks(self, monkeypatch):
-        pg, qg, _ = _perfect_scene()
+        pg, qg, _ = _perfect_scene(spread=_COMPACT)
+        assert scipy.spatial.distance.pdist(pg.positions()).max() <= _DIST_TOL
         stacks = _record_stacks(monkeypatch)
-        config = MatcherConfig(tau=3, n_iter=360, rng_seed=2, early_exit_was=None)
+        config = MatcherConfig(tau=3, n_iter=600, rng_seed=2, early_exit_was=None)
         res = _matches_serial(qg, pg, config)
-        assert res.n_valid_samples == 50
-        assert stacks == [16, 32, 2]
+        assert res.n_valid_samples == 84
+        assert stacks == [24, 48, 12]
 
     def test_stack_sizes_follow_the_schedule(self, monkeypatch):
         pg, qg, _ = _perfect_scene(n=10, center_boxes=True)
@@ -1021,7 +1166,7 @@ class TestChunkedLoopMatchesSerial:
         config = MatcherConfig(tau=3, n_iter=3000, rng_seed=0, early_exit_was=None)
         res = _matches_serial(qg, pg, config)
         assert sum(stacks) == res.n_valid_samples > 150
-        assert stacks[:3] == [16, 32, 40] and max(stacks) == 40
+        assert stacks[:3] == [24, 40, 40] and max(stacks) == 40
 
     def test_chunk_cap_bounds_the_scoring_block(self):
         for n_pairs in (3, 30, 192, 1000, 10_000):
