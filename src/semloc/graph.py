@@ -326,25 +326,25 @@ def build_query_graph(
     k: int,
     k_edge: int = 5,
     depth: np.ndarray | None = None,
-    intrinsics: CameraIntrinsics | None = None,
+    *,
+    intrinsics: CameraIntrinsics,
 ) -> SemanticGraph:
     """Build the per-frame query graph from detector output.
 
     Node ids are the original detection indices, so dropped detections leave
     gaps instead of shifting ground-truth alignment. Detections are dropped
-    (with a logged warning) when the box degenerates after clamping, a label
-    score is non-finite or negative, the confidence vector is all-zero, no
-    positive-depth source exists, or the position is not finite or so far
-    away that distances between positions overflow.
+    (with a logged warning) when the box degenerates after clamping to the
+    image of intrinsics, a label score is non-finite or negative, the
+    confidence vector is all-zero, no positive-depth source exists, or the
+    position is not finite or so far away that distances between positions
+    overflow.
     """
     nodes: list[QueryDetectionNode] = []
     for idx, det in enumerate(detections):
-        bbox = det.bbox
-        if intrinsics is not None:
-            bbox = bbox.clamped(intrinsics.width, intrinsics.height)
-            if bbox is None:
-                logger.warning("detection %d dropped: box outside image", idx)
-                continue
+        bbox = det.bbox.clamped(intrinsics.width, intrinsics.height)
+        if bbox is None:
+            logger.warning("detection %d dropped: box outside image", idx)
+            continue
         try:
             conf = normalize_confidences(det.labels, k)
         except ValueError as exc:
@@ -352,7 +352,7 @@ def build_query_graph(
             continue
         position = det.position
         if position is None:
-            if depth is None or intrinsics is None:
+            if depth is None:
                 logger.warning("detection %d dropped: no depth source", idx)
                 continue
             z = robust_bbox_depth(depth, bbox)

@@ -12,7 +12,7 @@ rigid pose (TEASER++, Yang et al., T-RO 2020). Valid samples are the
 triangles of this consistency graph, as in CLIPPER (Lusk et al., ICRA
 2021), so P3P never sees a triple whose shape contradicts the map. One lazy
 filter over the frame's draws yields the valid samples, which are solved
-and scored in chunks that double in size (see estimate_pose).
+and scored in fixed chunks (see estimate_pose).
 Deterministic for a fixed seed.
 """
 
@@ -38,16 +38,13 @@ from .graph import SemanticGraph, pairwise_distances
 from .matching import CandidateSet, extract_candidates, score_all_pairs
 
 
-# valid samples in the first chunk of P3P solves and alignment scores; each
-# further chunk doubles, up to _chunk_cap. A frame's time steps up with each
-# further call, so a size that about a tenth or half of the frames outgrow puts
-# that step at a latency percentile. Under the distance term, 24 is outgrown by
-# at most 5% of early-exit frames (noise-free criterion-4 orbits) and about
-# 30% of full-budget criterion-8 frames
+# valid samples per chunk of P3P solves and alignment scores. A stacked call
+# has a fixed cost far above its cost per sample, so a frame's time steps up
+# with each further call; a size that about a tenth or half of the frames
+# outgrow puts that step at a latency percentile. Under the distance term, 24
+# is outgrown by at most 5% of early-exit frames (noise-free criterion-4
+# orbits) and about 30% of full-budget criterion-8 frames
 _CHUNK = 24
-# (poses x candidate pairs) elements a chunk's scoring may allocate, at up to
-# four poses per sample
-_HYPOTHESIS_ELEMS = 1 << 16
 # m: the most by which two compatible pairs' prior-to-prior and
 # query-to-query distances may differ, beyond the two priors' radii (see
 # _compatibility). A query position is its box centre back-projected at a
@@ -270,15 +267,6 @@ def calculate_was(pose: Pose, scorer: _AlignmentScorer) -> tuple[float, list[tup
     return was, list(zip(scorer.prior_ids[prior[first]].tolist(), scorer.query_ids[query[first]].tolist()))
 
 
-def _chunk_cap(n_pairs: int) -> int:
-    """Most valid samples in one chunk of a frame with n_pairs candidate pairs.
-
-    Up to four poses per sample, each scored against every pair, stay within
-    _HYPOTHESIS_ELEMS; the first chunk, of _CHUNK samples, is never cut.
-    """
-    return max(_CHUNK, _HYPOTHESIS_ELEMS // (4 * n_pairs))
-
-
 def estimate_pose(
     query_graph: SemanticGraph,
     prior_graph: SemanticGraph,
@@ -300,13 +288,9 @@ def estimate_pose(
     and scored by one call on all of them. The chunk is then walked in draw
     order with array operations and cut where the early exit fires: the
     result is the one of solving and scoring each valid sample as it is
-    drawn. Only the best hypothesis becomes a Pose. The first chunk holds
-    _CHUNK valid samples and each further one twice as many, up to
-    _chunk_cap. A stacked P3P or scoring call has a fixed cost far above its
-    cost per sample, so a frame that spends its whole budget makes a few
-    large calls; small first chunks keep the work wasted past an early exit
-    small, since a frame never solves more than the rest of the chunk it
-    exits in.
+    drawn. Only the best hypothesis becomes a Pose. Every chunk holds
+    _CHUNK valid samples, the last one whatever is left, so each call's
+    arrays stay within _CHUNK x 4 poses x pairs.
     """
     if len(query_graph) < 3:
         return LocalizationResult(
@@ -333,47 +317,38 @@ def estimate_pose(
     rng = np.random.default_rng(config.rng_seed)
     triples = _draw_triples(rng, n_pairs, config.n_iter).tolist()
     valid = ((i, t) for i, t in enumerate(triples) if is_valid_sample(t, compatible))
-    cap = _chunk_cap(n_pairs)
-    size = _CHUNK
+    exit_was = math.inf if config.early_exit_was is None else config.early_exit_was
     best_w = 0.0
     best_pose: Pose | None = None
     history: list[tuple[int, float]] = []
     n_valid = 0
 
-    stop = False
-    while not stop:
-        # walk the draws until a chunk of valid samples is full or they run out
-        chunk = list(itertools.islice(valid, size))
-        if not chunk:
-            break
+    # walk the draws until a chunk of valid samples is full or they run out
+    while chunk := list(itertools.islice(valid, _CHUNK)):
         draws, picks = zip(*chunk)
         picked = np.array(picks)
         solved = p3p_solve(pair_world[picked], pair_rays[picked])
+        scores = scorer.score(solved.rotation_matrix, solved.translation)
         # walk the chunk in draw order, as a loop solving one sample per draw
         # would, and cut it where that loop would have stopped: per sample
         # its best score (-1 without a pose), the running best before and
         # after it
         top = np.full(len(draws), -1.0)
-        if len(solved):
-            scores = scorer.score(solved.rotation_matrix, solved.translation)
-            present, starts = np.unique(solved.sample, return_index=True)
-            top[present] = np.maximum.reduceat(scores, starts)
+        np.maximum.at(top, solved.sample, scores)
         after = np.maximum.accumulate(np.maximum(top, best_w))
         before = np.concatenate([[best_w], after[:-1]])
-        walked = len(draws)
-        if config.early_exit_was is not None:
-            exits = np.flatnonzero(after > config.early_exit_was)
-            if exits.size:
-                walked, stop = int(exits[0]) + 1, True
+        exits = np.flatnonzero(after > exit_was)
+        walked = int(exits[0]) + 1 if exits.size else len(draws)
         n_valid += walked
         improved = np.flatnonzero(top[:walked] > before[:walked]).tolist()
         history += [(draws[i], float(top[i])) for i in improved]
         if improved:
             i = improved[-1]
             best_w = float(top[i])
-            first = starts[np.searchsorted(present, i)]  # the sample's poses, first of equals
-            best_pose = solved.pose(int(first + np.argmax(scores[first:] == top[i])))
-        size = min(2 * size, cap)
+            # the sample's first pose of that score
+            best_pose = solved.pose(int(np.argmax((solved.sample == i) & (scores == top[i]))))
+        if exits.size:
+            break
 
     if n_valid == 0:
         return LocalizationResult(LocalizationStatus.NO_VALID_SAMPLE, history=history)

@@ -544,16 +544,15 @@ class TestQueryGraphBuilder:
     @given(
         dets=_DETECTIONS,
         depth=_DEPTH,
-        intrinsics=st.sampled_from([INTR, None]),
         k=st.integers(1, 3),
         k_edge=st.integers(1, 3),
     )
     def test_fuzz_keeps_finite_positive_depth_and_logs_every_drop(
-        self, caplog, dets, depth, intrinsics, k, k_edge
+        self, caplog, dets, depth, k, k_edge
     ):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="semloc.graph"):
-            g = build_query_graph(dets, k=k, k_edge=k_edge, depth=depth, intrinsics=intrinsics)
+            g = build_query_graph(dets, k=k, k_edge=k_edge, depth=depth, intrinsics=INTR)
         for node in g.nodes:
             assert np.isfinite(node.position).all() and node.position[2] > 0.0
         dropped = sorted(set(range(len(dets))) - set(g.ids()))

@@ -41,7 +41,6 @@ from semloc.pose import (
     _CHUNK,
     _DIST_TOL,
     _AlignmentScorer,
-    _chunk_cap,
     _compatibility,
     _draw_triples,
 )
@@ -1067,13 +1066,9 @@ def _n_pairs(query, prior, tau):
     return len(extract_candidates(score_all_pairs(prior, query), tau))
 
 
-def _chunk_ends(n_pairs: int, n_valid: int) -> list[int]:
+def _chunk_ends(n_valid: int) -> list[int]:
     """Valid-sample counts at which the sampling loop's chunks end, through n_valid."""
-    ends, size = [_CHUNK], _CHUNK
-    while ends[-1] < n_valid:
-        size = min(2 * size, _chunk_cap(n_pairs))
-        ends.append(ends[-1] + size)
-    return ends
+    return list(range(_CHUNK, n_valid + _CHUNK, _CHUNK))
 
 
 def _record_stacks(monkeypatch) -> list[int]:
@@ -1090,9 +1085,8 @@ def _record_stacks(monkeypatch) -> list[int]:
 
 
 class TestChunkedLoopMatchesSerial:
-    """estimate_pose solves and scores valid samples a chunk at a time, the
-    chunks doubling from _CHUNK up to a cap; it must return what the loop
-    solving one draw at a time returns."""
+    """estimate_pose solves and scores valid samples _CHUNK at a time; it
+    must return what the loop solving one draw at a time returns."""
 
     def test_criterion_8_frames(self):
         frame_ids = [0, 23, 42, 77, 101]
@@ -1106,25 +1100,23 @@ class TestChunkedLoopMatchesSerial:
 
     def test_early_exit_inside_a_chunk(self):
         pg, qg, _ = _perfect_scene(center_boxes=True)
-        n_pairs = _n_pairs(qg, pg, tau=3)
         cut_inside = 0
         for seed in range(12):
             res = _matches_serial(qg, pg, MatcherConfig(tau=3, rng_seed=seed))
             assert res.history[-1][1] > 0.99  # the loop stopped on early exit
-            cut_inside += res.n_valid_samples not in _chunk_ends(n_pairs, res.n_valid_samples)
+            cut_inside += res.n_valid_samples not in _chunk_ends(res.n_valid_samples)
         assert cut_inside > 0
 
     def test_early_exit_inside_grown_chunks(self):
         # ten landmarks and four candidates each: some seeds exit after 24
-        # valid samples, inside the second (48) or the third (96) chunk
+        # valid samples, inside the second (48) or the third (72) chunk
         pg, qg, _ = _perfect_scene(n=10, center_boxes=True, spread=_COMPACT)
         assert scipy.spatial.distance.pdist(pg.positions()).max() <= _DIST_TOL
-        n_pairs = _n_pairs(qg, pg, tau=4)
         cut_in = set()
-        for seed in range(30):
+        for seed in range(60):
             res = _matches_serial(qg, pg, MatcherConfig(tau=4, n_iter=1000, rng_seed=seed))
             assert res.history[-1][1] > 0.99
-            ends = _chunk_ends(n_pairs, res.n_valid_samples)
+            ends = _chunk_ends(res.n_valid_samples)
             if res.n_valid_samples not in ends:
                 cut_in.add(len(ends) - 1)  # index of the chunk the cut falls in
         assert {1, 2} <= cut_in
@@ -1136,43 +1128,32 @@ class TestChunkedLoopMatchesSerial:
                 qg, pg, MatcherConfig(tau=3, n_iter=120, rng_seed=seed, early_exit_was=None)
             )
 
-    def test_full_budget_spans_three_chunks(self, monkeypatch):
+    def test_full_budget_spans_four_chunks(self, monkeypatch):
         pg, qg, _ = _perfect_scene(spread=_COMPACT)
         assert scipy.spatial.distance.pdist(pg.positions()).max() <= _DIST_TOL
         stacks = _record_stacks(monkeypatch)
         config = MatcherConfig(tau=3, n_iter=600, rng_seed=2, early_exit_was=None)
         res = _matches_serial(qg, pg, config)
         assert res.n_valid_samples == 84
-        assert stacks == [24, 48, 12]
+        assert stacks == [24, 24, 24, 12]
 
     def test_stack_sizes_follow_the_schedule(self, monkeypatch):
         pg, qg, _ = _perfect_scene(n=10, center_boxes=True)
-        n_pairs = _n_pairs(qg, pg, tau=4)
         stacks = _record_stacks(monkeypatch)
         for seed in range(10):
             stacks.clear()
             res = estimate_pose(qg, pg, MatcherConfig(tau=4, n_iter=1000, rng_seed=seed), INTR)
-            ends = _chunk_ends(n_pairs, res.n_valid_samples)
+            ends = _chunk_ends(res.n_valid_samples)
             # the chunk the early exit cuts is drawn and solved in full, too
             assert stacks == np.diff([0] + ends).tolist()
 
-    def test_large_budget_never_exceeds_the_cap(self, monkeypatch):
+    def test_large_budget_stacks_stay_within_a_chunk(self, monkeypatch):
         pg, qg, _ = _perfect_scene()
-        n_pairs = _n_pairs(qg, pg, tau=3)
-        # a budget that caps this frame's chunks at 40 samples
-        monkeypatch.setattr(semloc.pose, "_HYPOTHESIS_ELEMS", 40 * 4 * n_pairs + 3)
-        assert _chunk_cap(n_pairs) == 40
         stacks = _record_stacks(monkeypatch)
         config = MatcherConfig(tau=3, n_iter=3000, rng_seed=0, early_exit_was=None)
         res = _matches_serial(qg, pg, config)
         assert sum(stacks) == res.n_valid_samples > 150
-        assert stacks[:3] == [24, 40, 40] and max(stacks) == 40
-
-    def test_chunk_cap_bounds_the_scoring_block(self):
-        for n_pairs in (3, 30, 192, 1000, 10_000):
-            cap = _chunk_cap(n_pairs)
-            assert cap >= _CHUNK
-            assert cap == _CHUNK or cap * 4 * n_pairs <= semloc.pose._HYPOTHESIS_ELEMS
+        assert max(stacks) == _CHUNK
 
     def test_triple_space_runs_out_before_n_iter(self, monkeypatch):
         pg, qg, _ = _perfect_scene(n=5)
