@@ -283,7 +283,16 @@ def _localize_frame(
     config: MatcherConfig,
     depth_dir: Path | None,
 ) -> FrameResult:
-    depth = None if frame.depth_file is None else dataio.load_depth(Path(depth_dir) / frame.depth_file)
+    depth = None
+    if frame.depth_file is not None:
+        path = Path(depth_dir) / frame.depth_file
+        depth = dataio.load_depth(path)
+        # robust_bbox_depth would clamp boxes into a smaller map and read the wrong pixels
+        if depth.shape != (intrinsics.height, intrinsics.width):
+            raise InputError(
+                f"{path}: bad depth map: shape {depth.shape} is not the intrinsics' "
+                f"(height, width) {(intrinsics.height, intrinsics.width)}"
+            )
     query_graph = build_query_graph(
         frame.detections, k=config.K, k_edge=config.k_edge, depth=depth, intrinsics=intrinsics
     )

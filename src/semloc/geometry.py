@@ -174,12 +174,13 @@ class Pose:
         return quat_to_rotmat(self.rotation)
 
     def transform(self, points) -> np.ndarray:
-        """Map world points (3,) or (n, 3) into the camera frame."""
+        """Map world points (3,) or (n, 3) into the camera frame.
+
+        One stacked matrix-vector product, so each point of a stack gets
+        the bits it gets alone.
+        """
         pts = np.asarray(points, dtype=float)
-        r = self.rotation_matrix()
-        if pts.ndim == 1:
-            return r @ pts + self.translation
-        return pts @ r.T + self.translation
+        return np.matmul(self.rotation_matrix(), pts[..., None])[..., 0] + self.translation
 
     def camera_center(self) -> np.ndarray:
         r = self.rotation_matrix()

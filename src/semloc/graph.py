@@ -160,18 +160,19 @@ class SemanticGraph:
     `edge_root` and `edge_nbr` are node indices, `edge_length`
     the root-to-neighbor distance and `edge_slot` the edge's place among its
     root's edges. `degree` counts each node's edges and `max_degree` is its
-    maximum (0 without edges). A prior graph's landmark quadrics and radii
-    are built on first use (`quadrics`, `radii`).
+    maximum (0 without edges). `ids`, `positions` (nodes, 3) and their
+    `pairwise_distances` (nodes, nodes) are built with the graph; a prior
+    graph's `quadrics`, `radii` and `label_table` on first use.
     """
 
     nodes: list
     edges: np.ndarray
 
     def __post_init__(self):
-        ids = self.ids()
-        if any(a >= b for a, b in zip(ids, ids[1:])):
+        self.ids = [node.id for node in self.nodes]
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
             raise ValueError("node ids not strictly increasing")
-        n = len(ids)
+        n = len(self.ids)
         pairs = np.asarray(self.edges, dtype=int).reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
             raise ValueError("self edge")
@@ -186,19 +187,12 @@ class SemanticGraph:
         self.max_degree = int(self.degree.max(initial=0))
         offsets = np.cumsum(self.degree) - self.degree
         self.edge_slot = np.arange(self.edge_root.size) - offsets[self.edge_root]
-        pos = self.positions()
-        self.edge_length = np.linalg.norm(pos[self.edge_nbr] - pos[self.edge_root], axis=1)
+        self.positions = np.reshape([node.position for node in self.nodes], (-1, 3))
+        self.distances = pairwise_distances(self.positions)
+        self.edge_length = self.distances[self.edge_root, self.edge_nbr]
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def ids(self) -> list[int]:
-        return [node.id for node in self.nodes]
-
-    def positions(self) -> np.ndarray:
-        if not self.nodes:
-            return np.zeros((0, 3))
-        return np.stack([node.position for node in self.nodes])
 
     @cached_property
     def quadrics(self) -> np.ndarray:
@@ -208,7 +202,7 @@ class SemanticGraph:
         Each row has the bits of `quadric_from_params` on that node alone.
         """
         return quadric_from_params(
-            self.positions(),
+            self.positions,
             np.reshape([node.rotation for node in self.nodes], (-1, 4)),
             np.reshape([node.scale for node in self.nodes], (-1, 3)),
         )
@@ -221,6 +215,23 @@ class SemanticGraph:
         centre. Built once, on first use, like `quadrics`.
         """
         return np.reshape([node.scale for node in self.nodes], (-1, 3)).max(axis=1)
+
+    @cached_property
+    def label_table(self) -> tuple[dict[str, int], np.ndarray]:
+        """A prior graph's label vocabulary (label to column, in first-seen node
+        order) and its landmarks' label frequencies (nodes, labels): entry
+        (i, c) is count / total_detections of node i's label c, 0 if node i
+        was never detected as c. Built once, on first use, like `quadrics`.
+        """
+        vocab: dict[str, int] = {}
+        for node in self.nodes:
+            for label in node.frequencies.per_label_counts:
+                vocab.setdefault(label, len(vocab))
+        freq = np.zeros((len(self.nodes), len(vocab)))
+        for i, node in enumerate(self.nodes):
+            for label, count in node.frequencies.per_label_counts.items():
+                freq[i, vocab[label]] = count / node.frequencies.total_detections
+        return vocab, freq
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Pairwise multi-label likelihoods, context propagation over graph
 neighborhoods (distance-consistency weighted, best prior neighbor per query
 neighbor), and extraction of the top-ranked candidate pairs per query node.
 Context propagation runs over the graphs' directed edge lists
-(`SemanticGraph.edge_root` and friends), so no work is spent on padding to
-the largest degree.
+(`SemanticGraph.edge_root` and friends): each prior root's best is taken
+over its own edges, and only the per-query-root sum pads its slots to the
+largest query degree.
 """
 
 from __future__ import annotations
@@ -43,26 +44,16 @@ class SimilarityTable:
 
 
 def _likelihood_matrix(prior_graph: SemanticGraph, query_graph: SemanticGraph) -> np.ndarray:
-    """Pairwise label likelihoods via a shared-vocabulary dot product.
+    """Pairwise label likelihoods via a shared-vocabulary dot product, (prior nodes, query nodes).
 
     Entry (i, j) sums, over the labels prior i and query j share, prior i's
     frequency times query j's confidence; it lies in [0, 1] because the
-    confidences sum to one.
+    confidences sum to one. The prior side is the graph's cached
+    `label_table`; only the query side is built here, and the result is a
+    new array.
     """
-    vocab: dict[str, int] = {}
-    for node in prior_graph.nodes:
-        for label in node.frequencies.per_label_counts:
-            vocab.setdefault(label, len(vocab))
-    n_p, n_q = len(prior_graph), len(query_graph)
-    n_l = len(vocab)
-    if n_l == 0 or n_q == 0 or n_p == 0:
-        return np.zeros((n_p, n_q))
-    freq = np.zeros((n_p, n_l))
-    for i, node in enumerate(prior_graph.nodes):
-        total = node.frequencies.total_detections
-        for label, count in node.frequencies.per_label_counts.items():
-            freq[i, vocab[label]] = count / total
-    conf = np.zeros((n_q, n_l))
+    vocab, freq = prior_graph.label_table
+    conf = np.zeros((len(query_graph), len(vocab)))
     for j, node in enumerate(query_graph.nodes):
         for label, score in node.confidences:
             col = vocab.get(label)
@@ -97,7 +88,7 @@ def score_all_pairs(
     """
     # the likelihood, to which each prior root's context term is added in place
     sim = _likelihood_matrix(prior_graph, query_graph)
-    table = SimilarityTable(prior_graph.ids(), query_graph.ids(), sim)
+    table = SimilarityTable(prior_graph.ids, query_graph.ids, sim)
     pg, qg = prior_graph, query_graph
     if not use_calp or qg.edge_root.size == 0:
         return table

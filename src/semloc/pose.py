@@ -34,7 +34,7 @@ from .geometry import (
     pixel_to_bearing,
     quat_to_rotmat,
 )
-from .graph import SemanticGraph, pairwise_distances
+from .graph import SemanticGraph
 from .matching import CandidateSet, extract_candidates, score_all_pairs
 
 
@@ -154,7 +154,6 @@ def _compatibility(
     candidates: CandidateSet,
     prior_graph: SemanticGraph,
     query_graph: SemanticGraph,
-    world: np.ndarray,
 ) -> np.ndarray:
     """(pairs, pairs) table of which two candidate pairs may share a sample.
 
@@ -164,20 +163,17 @@ def _compatibility(
     differ by at most _DIST_TOL plus the two priors' radii. The radii cover
     a depth-map query position: the median depth of the visible surface
     lies nearer the camera than the landmark's centre, by up to half the
-    object's depth. world is prior_graph.positions(). The
-    distances come from one table over the distinct candidate priors and
-    one over the query nodes, gathered to (pairs, pairs).
+    object's depth. Adjacency and distances are gathered per pair from the
+    two graphs' own (nodes, nodes) tables.
     """
     p, q = candidates.prior, candidates.query
-    unique_p, pair_p = np.unique(p, return_inverse=True)
-    prior_dist = _gather(pairwise_distances(world[unique_p]), pair_p)
-    query_dist = _gather(pairwise_distances(query_graph.positions()), q)
     reach = prior_graph.radii[p]
+    gap = np.abs(_gather(prior_graph.distances, p) - _gather(query_graph.distances, q))
     return (
         (p[:, None] != p)
         & (q[:, None] != q)
         & (_gather(prior_graph.adjacency, p) == _gather(query_graph.adjacency, q))
-        & (np.abs(prior_dist - query_dist) <= reach[:, None] + reach + _DIST_TOL)
+        & (gap <= reach[:, None] + reach + _DIST_TOL)
     )
 
 
@@ -203,7 +199,7 @@ class _AlignmentScorer:
         self.C = C
         self.intrinsics = intrinsics
         self.image_max = np.array([intrinsics.width, intrinsics.height] * 2, dtype=float)
-        self.prior_ids = np.asarray(prior_graph.ids(), dtype=int)
+        self.prior_ids = np.asarray(prior_graph.ids, dtype=int)
         self.query_ids = np.asarray(query_ids, dtype=int)
         self.pair_prior, self.pair_q = candidates.prior, candidates.query
         self.q_starts = np.flatnonzero(np.diff(self.pair_q, prepend=-1))  # first pair per node
@@ -307,11 +303,10 @@ def estimate_pose(
         )
 
     boxes = [node.bbox for node in query_graph.nodes]
-    scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids(), boxes, intrinsics, config.C)
-    world = prior_graph.positions()
-    compatible = _compatibility(candidates, prior_graph, query_graph, world)
+    scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids, boxes, intrinsics, config.C)
+    compatible = _compatibility(candidates, prior_graph, query_graph)
     # per candidate pair: the prior's world point and the query's bearing
-    pair_world = world[candidates.prior]
+    pair_world = prior_graph.positions[candidates.prior]
     pair_rays = pixel_to_bearing(scorer.q_means, intrinsics)[candidates.query]
 
     rng = np.random.default_rng(config.rng_seed)

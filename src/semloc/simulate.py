@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,15 @@ class Scene:
 
     def cluster_members(self, label: str) -> list[str]:
         return self._cluster_of.get(label, [label])
+
+    @cached_property
+    def quadrics(self) -> np.ndarray:
+        """Dual quadrics (landmarks, 4, 4) of the landmarks, in list order, built on first use."""
+        return quadric_from_params(
+            [lm.position for lm in self.landmarks],
+            [lm.rotation for lm in self.landmarks],
+            [lm.scale for lm in self.landmarks],
+        )
 
 
 def generate_scene(spec: SceneSpec) -> Scene:
@@ -276,16 +286,11 @@ def render_frame(
     """
     detections: list[DetectionRecord] = []
     associations: dict[int, int] = {}
-    quads = quadric_from_params(
-        [lm.position for lm in scene.landmarks],
-        [lm.rotation for lm in scene.landmarks],
-        [lm.scale for lm in scene.landmarks],
-    )
     extents, visible = _project_quadrics(
-        quads, quat_to_rotmat(pose.rotation[None]), pose.translation[None], intrinsics
+        scene.quadrics, quat_to_rotmat(pose.rotation[None]), pose.translation[None], intrinsics
     )
-    for lm, ext, ok in zip(scene.landmarks, extents[0].tolist(), visible[0].tolist()):
-        cam = pose.transform(lm.position)
+    cams = pose.transform([lm.position for lm in scene.landmarks])
+    for lm, ext, ok, cam in zip(scene.landmarks, extents[0].tolist(), visible[0].tolist(), cams):
         if not ok or cam[2] <= 0.0:
             continue
         u = intrinsics.fx * cam[0] / cam[2] + intrinsics.cx

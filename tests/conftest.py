@@ -125,7 +125,7 @@ def knn_graph(nodes, k_edge: int) -> SemanticGraph:
 
 def edge_ids(g: SemanticGraph) -> set:
     """The graph's undirected edges as (lower id, higher id) pairs."""
-    ids = g.ids()
+    ids = g.ids
     return {tuple(sorted((ids[a], ids[b]))) for a, b in g.edges.tolist()}
 
 
@@ -205,7 +205,7 @@ def large_object_frame(intrinsics):
 
 def candidate_set(pairs, prior_graph: SemanticGraph, query_graph: SemanticGraph) -> CandidateSet:
     """The candidate set of (prior id, query id) pairs, as node indices in pair order."""
-    prior_ids, query_ids = prior_graph.ids(), query_graph.ids()
+    prior_ids, query_ids = prior_graph.ids, query_graph.ids
     return CandidateSet(
         np.array([prior_ids.index(p) for p, _ in pairs], dtype=int),
         np.array([query_ids.index(q) for _, q in pairs], dtype=int),

@@ -65,12 +65,12 @@ from semloc.pose import (
 
 def node_of(graph: SemanticGraph, node_id: int):
     """The graph's node with this id."""
-    return graph.nodes[graph.ids().index(node_id)]
+    return graph.nodes[graph.ids.index(node_id)]
 
 
 def neighbors_of(graph: SemanticGraph, node_id: int) -> list[int]:
     """The ids of a node's neighbors, ascending, read off the adjacency matrix."""
-    ids = graph.ids()
+    ids = graph.ids
     return sorted(ids[j] for j in np.flatnonzero(graph.adjacency[ids.index(node_id)]))
 
 
@@ -182,7 +182,7 @@ def _padded_neighbors(graph: SemanticGraph) -> tuple[np.ndarray, np.ndarray, np.
     for i, l in enumerate(lists):
         nbr[i, : len(l)] = l
         mask[i, : len(l)] = True
-    pos = graph.positions()
+    pos = graph.positions
     dist = np.linalg.norm(pos[nbr] - pos[:, None, :], axis=2)
     return nbr, mask, dist
 
@@ -583,7 +583,7 @@ def scalar_p3p_solve(world_points, bearings) -> list[Pose]:
 
 def id_pairs(candidates, prior_graph: SemanticGraph, query_graph: SemanticGraph) -> list:
     """A candidate set's (prior id, query id) pairs, in its order."""
-    prior_ids, query_ids = prior_graph.ids(), query_graph.ids()
+    prior_ids, query_ids = prior_graph.ids, query_graph.ids
     return [(prior_ids[p], query_ids[q]) for p, q in zip(candidates.prior, candidates.query)]
 
 
@@ -655,7 +655,7 @@ def serial_estimate_pose(
         )
 
     boxes = [node.bbox for node in query_graph.nodes]
-    scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids(), boxes, intrinsics, config.C)
+    scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids, boxes, intrinsics, config.C)
     bearings = {
         q: pixel_to_bearing(node_of(query_graph, q).bbox.center, intrinsics)
         for q in {q for _, q in pairs}

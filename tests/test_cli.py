@@ -958,6 +958,8 @@ BAD_DEPTH = [
     ("pickled-npy", "d.npy", _npy(np.array([{"depth": 1.0}], dtype=object)), "d.npy: bad depth map"),
     ("pickle-not-npy", "d.npy", pickle.dumps(np.ones((4, 4))), "d.npy: bad depth map"),
     ("one-d-npy", "d.npy", _npy(np.ones(5)), "d.npy: bad depth map: expected a 2-D"),
+    # a map smaller than the 640 x 480 image would lend every box its last column's depth
+    ("wrong-shape-npy", "d.npy", _npy(np.full((12, 16), 9.0)), "d.npy: bad depth map: shape (12, 16)"),
 ]
 
 
@@ -1020,6 +1022,7 @@ class TestMalformedInputs:
         argv = _argv_for(dataset, tmp_path, "query.jsonl", query)
         argv[argv.index("--threads") + 1] = threads
         _assert_input_error(capsys, argv, fragment)
+        assert not (tmp_path / "run" / "results.jsonl").exists()
 
     def test_bad_depth_in_a_later_chunk_exits_one(self, long_dataset, tmp_path, capsys, monkeypatch):
         # the last frame goes to the pool in the last chunk, after the other workers' results

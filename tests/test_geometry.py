@@ -131,11 +131,12 @@ class TestPose:
         np.testing.assert_allclose(hom[:3], pose.transform(p), atol=1e-12)
 
     def test_single_and_batch_transform_agree(self, rng):
-        pose = random_pose(rng)
-        pts = rng.normal(size=(4, 3))
-        batch = pose.transform(pts)
-        for i in range(4):
-            np.testing.assert_allclose(pose.transform(pts[i]), batch[i], atol=1e-12)
+        # a stack gives each point the bits it gets alone
+        for _ in range(5):
+            pose = random_pose(rng)
+            pts = rng.normal(scale=3.0, size=(200, 3))
+            batch = pose.transform(pts)
+            np.testing.assert_array_equal([pose.transform(p) for p in pts], batch)
 
 
 class TestCameraIntrinsics:

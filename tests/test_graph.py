@@ -229,13 +229,13 @@ class TestSemanticGraph:
     def test_accessors(self):
         nodes = [prior_node(i, (i, 0, 0), {"a": 1}) for i in (5, 1, 3)]
         g = graph(nodes, [(1, 5), (3, 5)])
-        assert g.ids() == [1, 3, 5]
+        assert g.ids == [1, 3, 5]
         # node 5's neighbors, in id order
-        assert [g.ids()[j] for j in g.edge_nbr[g.edge_root == 2]] == [1, 3]
+        assert [g.ids[j] for j in g.edge_nbr[g.edge_root == 2]] == [1, 3]
         # rows and columns in node order: 1, 3, 5
         want = [[False, False, True], [False, False, True], [True, True, False]]
         assert g.adjacency.tolist() == want
-        np.testing.assert_allclose(g.positions()[2], [5.0, 0.0, 0.0])
+        np.testing.assert_allclose(g.positions[2], [5.0, 0.0, 0.0])
         assert len(g) == 3
 
 
@@ -243,7 +243,7 @@ class TestEdgeArrays:
     @staticmethod
     def _adjacency(g):
         """Sorted neighbor ids per node id, read off the undirected edges."""
-        adjacency = {nid: [] for nid in g.ids()}
+        adjacency = {nid: [] for nid in g.ids}
         for a, b in edge_ids(g):
             adjacency[a].append(b)
             adjacency[b].append(a)
@@ -252,11 +252,11 @@ class TestEdgeArrays:
     @classmethod
     def _expected(cls, g):
         """(root index, neighbor index, slot) per directed edge, from the undirected edges."""
-        index = {nid: i for i, nid in enumerate(g.ids())}
+        index = {nid: i for i, nid in enumerate(g.ids)}
         adjacency = cls._adjacency(g)
         return [
             (i, index[n], slot)
-            for i, nid in enumerate(g.ids())
+            for i, nid in enumerate(g.ids)
             for slot, n in enumerate(adjacency[nid])
         ]
 
@@ -268,14 +268,14 @@ class TestEdgeArrays:
         nodes = [prior_node(i, r.uniform(-3, 3, 3), {"a": 1}) for i in ids]
         knn = sorted(edge_ids(knn_graph(nodes, k_edge)))
         g = graph(nodes, [e for e in knn if r.random() < 0.6])
-        assert g.ids() == sorted(ids)
+        assert g.ids == sorted(ids)
         expected = self._expected(g)
         assert list(zip(g.edge_root, g.edge_nbr, g.edge_slot)) == expected
         assert {i: neighbors_of(g, i) for i in ids} == self._adjacency(g)
-        np.testing.assert_array_equal(g.degree, [len(neighbors_of(g, i)) for i in g.ids()])
+        np.testing.assert_array_equal(g.degree, [len(neighbors_of(g, i)) for i in g.ids])
         assert g.max_degree == max(len(neighbors_of(g, i)) for i in ids)
         assert g.edge_root.size == 2 * len(g.edges)
-        pos = g.positions()
+        pos = g.positions
         for root, nbr, length in zip(g.edge_root, g.edge_nbr, g.edge_length):
             assert length == pytest.approx(np.linalg.norm(pos[nbr] - pos[root]), abs=1e-12)
 
@@ -349,7 +349,7 @@ class TestPriorGraphBuilders:
         shuffled = [nodes[i] for i in r.permutation(n)]
         a = prior_graph_from_nodes(nodes, keyframes, k_edge=k_edge)
         b = prior_graph_from_nodes(shuffled, keyframes, k_edge=k_edge)
-        assert a.ids() == b.ids() == ids
+        assert a.ids == b.ids == ids
         assert a.edges.tolist() == b.edges.tolist()
         query = knn_graph(
             [query_node(j, r.uniform(-1, 1, 3) + [0, 0, 4], {"a": 0.6, "b": 0.4}) for j in range(5)], 2
@@ -433,21 +433,21 @@ class TestQueryGraphBuilder:
     def test_ids_are_detection_indices(self):
         dets = [self._det(100.0), self._det(200.0), self._det(300.0)]
         g = build_query_graph(dets, k=2, k_edge=2, intrinsics=INTR)
-        assert g.ids() == [0, 1, 2]
+        assert g.ids == [0, 1, 2]
         assert g.nodes[1].confidences == [("cup", 0.8), ("mug", 0.2)]
 
     def test_dropped_detection_leaves_gap(self, caplog):
         dets = [self._det(100.0), self._det(labels=(("cup", 0.0),)), self._det(300.0)]
         with caplog.at_level(logging.WARNING, logger="semloc.graph"):
             g = build_query_graph(dets, k=2, k_edge=2, intrinsics=INTR)
-        assert g.ids() == [0, 2]
+        assert g.ids == [0, 2]
         assert "detection 1 dropped" in caplog.text
 
     def test_box_outside_image_dropped(self, caplog):
         dets = [self._det(100.0), self._det(900.0), self._det(300.0)]
         with caplog.at_level(logging.WARNING, logger="semloc.graph"):
             g = build_query_graph(dets, k=2, k_edge=2, intrinsics=INTR)
-        assert g.ids() == [0, 2]
+        assert g.ids == [0, 2]
         assert "box outside image" in caplog.text
 
     def test_no_depth_source_dropped(self, caplog):
@@ -476,7 +476,7 @@ class TestQueryGraphBuilder:
         ]
         with caplog.at_level(logging.WARNING, logger="semloc.graph"):
             g = build_query_graph(dets, k=2, k_edge=3, intrinsics=INTR)
-        assert g.ids() == [0, 2, 3]
+        assert g.ids == [0, 2, 3]
         assert all(1 not in edge for edge in edge_ids(g))
         assert "detection 1 dropped: non-finite position" in caplog.text
 
@@ -485,7 +485,7 @@ class TestQueryGraphBuilder:
         dets = [self._det(100.0), self._det(labels=(("cup", bad), ("mug", 0.5))), self._det(300.0)]
         with caplog.at_level(logging.WARNING, logger="semloc.graph"):
             g = build_query_graph(dets, k=2, k_edge=2, intrinsics=INTR)
-        assert g.ids() == [0, 2]
+        assert g.ids == [0, 2]
         assert "detection 1 dropped: score" in caplog.text
 
     def test_nonpositive_depth_dropped(self, caplog):
@@ -555,7 +555,7 @@ class TestQueryGraphBuilder:
             g = build_query_graph(dets, k=k, k_edge=k_edge, depth=depth, intrinsics=INTR)
         for node in g.nodes:
             assert np.isfinite(node.position).all() and node.position[2] > 0.0
-        dropped = sorted(set(range(len(dets))) - set(g.ids()))
+        dropped = sorted(set(range(len(dets))) - set(g.ids))
         messages = [r.getMessage() for r in caplog.records]
         assert [int(m.split()[1]) for m in messages] == dropped
         assert all(m.split(" dropped: ", 1)[1] for m in messages)

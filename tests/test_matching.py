@@ -214,8 +214,8 @@ class TestSimilarityScore:
         for _ in range(20):
             pg, qg = _tie_fixture()
             like = node_likelihood(pg, qg)
-            for pid in pg.ids():
-                for qid in qg.ids():
+            for pid in pg.ids:
+                for qid in qg.ids:
                     sel = best_neighbor_set((pid, qid), pg, qg, like)
                     assert similarity_score(like(pid, qid), sel) >= like(pid, qid)
 

@@ -122,7 +122,7 @@ class TestRematchPredictions:
         assert len(boxes) >= 10 and list(boxes) != sorted(boxes)
         # the oracle reads each detection's box from a query graph with the same ids
         qg = graph([query_node(d, (0.0, 0.0, 1.0), {"a": 1.0}, bbox=box) for d, box in boxes.items()], [])
-        pairs = [(p, d) for d in boxes for p in pg.ids()]
+        pairs = [(p, d) for d in boxes for p in pg.ids]
         _, want = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
         assert rematch_predictions({7: pose}, pg, INTR, {7: boxes}) == {7: want}
 

@@ -287,7 +287,7 @@ class TestIsValidSample:
             [query_node(i, (float(i), 0, 5), {"a": 1.0}) for i in range(10, 14)],
             [(10, 11), (11, 12)],
         )
-        compatible = _compatibility(candidate_set(pairs, pg, qg), pg, qg, pg.positions())
+        compatible = _compatibility(candidate_set(pairs, pg, qg), pg, qg)
         valid = is_valid_sample([0, 1, 2], compatible)
         assert valid is scalar_is_valid_sample(pairs, pg, qg)
         return valid
@@ -362,7 +362,7 @@ class TestDrawTriples:
 def _all_triples_agree(query, prior, candidates) -> int:
     """is_valid_sample against the id-based oracle on every triple; the valid count."""
     pairs = id_pairs(candidates, prior, query)
-    compatible = _compatibility(candidates, prior, query, prior.positions())
+    compatible = _compatibility(candidates, prior, query)
     n_valid = 0
     for sample in itertools.combinations(range(len(pairs)), 3):
         valid = scalar_is_valid_sample([pairs[i] for i in sample], prior, query)
@@ -411,7 +411,7 @@ class TestCompatibility:
             (100 + r.permutation(20)[:n_q]).tolist(), lambda i, x: query_node(i, x, {"a": 1.0})
         )
         sim = r.integers(0, 3, (n_p, n_q)) / 3.0
-        table = SimilarityTable(prior.ids(), query.ids(), sim)
+        table = SimilarityTable(prior.ids, query.ids, sim)
         _all_triples_agree(query, prior, extract_candidates(table, tau))
 
 
@@ -443,7 +443,7 @@ class TestCompatibility:
             [(100 + a, 100 + b) for a, b in edges],
         )
         cands = candidate_set([(i, 100 + i) for i in range(n)], pg, qg)
-        compatible = _compatibility(cands, pg, qg, pg.positions())
+        compatible = _compatibility(cands, pg, qg)
         np.testing.assert_array_equal(compatible, ~np.eye(n, dtype=bool))
 
     @given(
@@ -474,7 +474,7 @@ class TestCompatibility:
         )
         qg = graph([query_node(10, qa, {"a": 1.0}), query_node(11, qb, {"a": 1.0})], [(10, 11)][:wired])
         cands = candidate_set([(1, 10), (2, 11)], pg, qg)
-        assert not _compatibility(cands, pg, qg, pg.positions()).any()
+        assert not _compatibility(cands, pg, qg).any()
 
     def test_depth_map_positions_of_large_objects_keep_every_correct_pair(self):
         # a depth-map position sits on the visible surface, up to 0.7 m
@@ -484,10 +484,10 @@ class TestCompatibility:
         pg = knn_graph(nodes, 3)
         qg = build_query_graph(detections, k=1, k_edge=3, depth=depth, intrinsics=INTR)
         np.testing.assert_array_equal(pg.edges, qg.edges)
-        gaps = scipy.spatial.distance.pdist(pg.positions()) - scipy.spatial.distance.pdist(qg.positions())
+        gaps = scipy.spatial.distance.pdist(pg.positions) - scipy.spatial.distance.pdist(qg.positions)
         assert np.abs(gaps).max() > _DIST_TOL
         cands = candidate_set([(node.id, i) for i, node in enumerate(nodes)], pg, qg)
-        compatible = _compatibility(cands, pg, qg, pg.positions())
+        compatible = _compatibility(cands, pg, qg)
         np.testing.assert_array_equal(compatible, ~np.eye(len(nodes), dtype=bool))
 
     @given(seed=st.integers(0, 2**16 - 1))
@@ -519,7 +519,7 @@ class TestCompatibility:
                 & (q[:, None] != q)
                 & (prior.adjacency[np.ix_(p, p)] == query.adjacency[np.ix_(q, q)])
             )
-            compatible = _compatibility(cands, prior, query, prior.positions())
+            compatible = _compatibility(cands, prior, query)
             np.testing.assert_array_equal(compatible[np.ix_(gt, gt)], wiring)
             n_triangles += sum(
                 is_valid_sample(t, wiring) for t in itertools.combinations(range(len(gt)), 3)
@@ -529,7 +529,7 @@ class TestCompatibility:
 
 def _scorer_of(cands, pg, qg):
     """The alignment scorer of a candidate set against the query graph's boxes."""
-    return _AlignmentScorer(cands, pg, qg.ids(), [node.bbox for node in qg.nodes], INTR, C=100.0)
+    return _AlignmentScorer(cands, pg, qg.ids, [node.bbox for node in qg.nodes], INTR, C=100.0)
 
 
 def _was(pose, cands, pg, qg):
@@ -681,7 +681,7 @@ class TestAlignmentScorer:
         with pytest.raises(ValueError, match="node ids not strictly increasing"):
             SemanticGraph(nodes, [])
         rebuilt = graph(nodes, edge_ids(qg))
-        assert rebuilt.ids() == qg.ids() and rebuilt.edges.tolist() == qg.edges.tolist()
+        assert rebuilt.ids == qg.ids and rebuilt.edges.tolist() == qg.edges.tolist()
         return rebuilt
 
     def test_query_nodes_out_of_id_order(self, rng):
@@ -932,21 +932,45 @@ class TestDegenerateStructure:
         qg, pg = _same_label_frame(seed, n)
         config = MatcherConfig(tau=tau, n_iter=60, rng_seed=seed, early_exit_was=early_exit_was)
         a = estimate_pose(qg, pg, config, INTR)
-        b = estimate_pose(qg, pg, config, INTR)
-        assert (a.status, a.message, a.history) == (b.status, b.message, b.history)
-        assert (a.n_valid_samples, a.correspondences, a.was) == (
-            b.n_valid_samples,
-            b.correspondences,
-            b.was,
-        )
-        assert (a.pose is None) == (b.pose is None)
-        if a.pose is not None:
-            assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
-            assert a.pose.translation.tobytes() == b.pose.translation.tobytes()
+        _assert_same_result(a, estimate_pose(qg, pg, config, INTR))
         if a.status == LocalizationStatus.SUCCESS:
             assert np.isfinite(a.pose.rotation).all() and np.isfinite(a.pose.translation).all()
             assert len(a.correspondences) >= 3
             assert 0.0 < a.was <= 1.0
+
+
+def _assert_same_result(a, b):
+    """Two localization results agree to the bit."""
+    assert (a.status, a.message, a.history) == (b.status, b.message, b.history)
+    assert (a.n_valid_samples, a.correspondences, a.was) == (b.n_valid_samples, b.correspondences, b.was)
+    assert (a.pose is None) == (b.pose is None)
+    if a.pose is not None:
+        assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+        assert a.pose.translation.tobytes() == b.pose.translation.tobytes()
+
+
+class TestReusedPriorGraph:
+    """A prior graph builds its tables once and serves every frame with them:
+    each frame localized against one graph gets the result a freshly built
+    graph gives. score_all_pairs adds into its likelihood matrix in place, so
+    a cached table handed out instead of a new array would leak into the
+    next frame."""
+
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            lambda: _latency_scene_frames(seed=0, frame_ids=[0, 23, 42, 77]),
+            lambda: _wide_scene_frames(seed=0, frame_ids=[5, 33, 60, 90], n_dets=64),
+        ],
+        ids=["criterion-8", "wide"],
+    )
+    def test_each_frame_matches_a_fresh_graph(self, frames):
+        prior, queries, _ = frames()
+        for i, query in enumerate(queries):
+            config = MatcherConfig(rng_seed=_localize_seed(i))
+            want = estimate_pose(query, SemanticGraph(prior.nodes, prior.edges), config, INTR)
+            _assert_same_result(estimate_pose(query, prior, config, INTR), want)
+        assert {"quadrics", "radii", "label_table"} <= vars(prior).keys()
 
 
 def _seen_frame(pos, labels, clutter):
@@ -1111,7 +1135,7 @@ class TestChunkedLoopMatchesSerial:
         # ten landmarks and four candidates each: some seeds exit after 24
         # valid samples, inside the second (48) or the third (72) chunk
         pg, qg, _ = _perfect_scene(n=10, center_boxes=True, spread=_COMPACT)
-        assert scipy.spatial.distance.pdist(pg.positions()).max() <= _DIST_TOL
+        assert scipy.spatial.distance.pdist(pg.positions).max() <= _DIST_TOL
         cut_in = set()
         for seed in range(60):
             res = _matches_serial(qg, pg, MatcherConfig(tau=4, n_iter=1000, rng_seed=seed))
@@ -1130,7 +1154,7 @@ class TestChunkedLoopMatchesSerial:
 
     def test_full_budget_spans_four_chunks(self, monkeypatch):
         pg, qg, _ = _perfect_scene(spread=_COMPACT)
-        assert scipy.spatial.distance.pdist(pg.positions()).max() <= _DIST_TOL
+        assert scipy.spatial.distance.pdist(pg.positions).max() <= _DIST_TOL
         stacks = _record_stacks(monkeypatch)
         config = MatcherConfig(tau=3, n_iter=600, rng_seed=2, early_exit_was=None)
         res = _matches_serial(qg, pg, config)
