@@ -13,7 +13,7 @@ import logging
 import math
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -161,12 +161,15 @@ class SemanticGraph:
     the root-to-neighbor distance and `edge_slot` the edge's place among its
     root's edges. `degree` counts each node's edges and `max_degree` is its
     maximum (0 without edges). `ids`, `positions` (nodes, 3) and their
-    `pairwise_distances` (nodes, nodes) are built with the graph; a prior
-    graph's `quadrics`, `radii` and `label_table` on first use.
+    `pairwise_distances` table `distances` (nodes, nodes) are built with the
+    graph, unless a builder passes in the table it wired the edges from; a
+    prior graph's `quadrics`, `radii`, `label_table` and `label_groups` on
+    first use.
     """
 
     nodes: list
     edges: np.ndarray
+    distances: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.ids = [node.id for node in self.nodes]
@@ -188,7 +191,8 @@ class SemanticGraph:
         offsets = np.cumsum(self.degree) - self.degree
         self.edge_slot = np.arange(self.edge_root.size) - offsets[self.edge_root]
         self.positions = np.reshape([node.position for node in self.nodes], (-1, 3))
-        self.distances = pairwise_distances(self.positions)
+        if self.distances is None:
+            self.distances = pairwise_distances(self.positions)
         self.edge_length = self.distances[self.edge_root, self.edge_nbr]
 
     def __len__(self) -> int:
@@ -233,6 +237,39 @@ class SemanticGraph:
                 freq[i, vocab[label]] = count / node.frequencies.total_detections
         return vocab, freq
 
+    @cached_property
+    def label_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A prior graph's partition of its labels into groups, as group numbers.
+
+        Two labels share a group when some landmark carries both (the union
+        over landmarks, so the relation is closed transitively). Groups are
+        numbered in the order of their first `label_table` column. Returns
+        the group of each label column (labels,), of each node (nodes,) and
+        of each directed edge's neighbor (edges,), and the number of directed
+        edges whose neighbor is in each group (groups,); a node without
+        labels is in group -1. A node's likelihood against a detection is
+        zero unless the detection carries a label of the node's group. Built
+        once, on first use, like `quadrics`.
+        """
+        vocab, freq = self.label_table
+        parent = list(range(len(vocab)))
+
+        def find(col: int) -> int:
+            while parent[col] != col:
+                col = parent[col]
+            return col
+
+        rows, cols = np.nonzero(freq)
+        for i in np.flatnonzero(rows[1:] == rows[:-1]).tolist():  # two labels of one node
+            a, b = find(int(cols[i])), find(int(cols[i + 1]))
+            parent[max(a, b)] = min(a, b)  # each group's root is its first column
+        label_group = np.unique([find(col) for col in range(len(vocab))], return_inverse=True)[1]
+        node_group = np.full(len(self.nodes), -1)
+        node_group[rows] = label_group[cols]
+        edge_group = node_group[self.edge_nbr]
+        group_edges = np.bincount(edge_group + 1, minlength=int(label_group.max(initial=-1)) + 2)[1:]
+        return label_group, node_group, edge_group, group_edges
+
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance between every two of the points (n, 3), (n, n).
@@ -253,13 +290,17 @@ def build_knn_edges(positions: np.ndarray, k_edge: int) -> np.ndarray:
     k is k_edge, or n - 1 when fewer nodes exist. Rows run by root, then by
     distance; a distance tie goes to the lower index.
     """
+    return _knn_edges(pairwise_distances(np.asarray(positions, dtype=float).reshape(-1, 3)), k_edge)
+
+
+def _knn_edges(distances: np.ndarray, k_edge: int) -> np.ndarray:
+    """`build_knn_edges` over the points' `pairwise_distances` table (n, n), left unchanged."""
     if k_edge <= 0:
         raise ValueError("k_edge must be positive")
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    n = pos.shape[0]
+    n = len(distances)
     if n < 2:
         return np.zeros((0, 2), dtype=int)
-    dists = pairwise_distances(pos)
+    dists = distances.copy()
     np.fill_diagonal(dists, np.inf)
     nbr = np.argsort(dists, axis=1, kind="stable")[:, : min(k_edge, n - 1)]
     return np.stack((np.repeat(np.arange(n), nbr.shape[1]), nbr.ravel()), axis=1)
@@ -279,7 +320,8 @@ def prior_graph_from_nodes(
     The nodes may come in any order; the graph holds them sorted by id.
     Edges are the union over keyframes of per-keyframe k-NN among the
     landmarks visible in that keyframe. A map without keyframes counts as
-    one keyframe that sees every landmark.
+    one keyframe that sees every landmark. One distance table serves every
+    keyframe's k-NN and the graph.
     """
     nodes = sorted(nodes, key=lambda node: node.id)
     row = {node.id: i for i, node in enumerate(nodes)}
@@ -289,9 +331,11 @@ def prior_graph_from_nodes(
                 raise ValueError(f"keyframe references unknown landmark {lm_id}")
     if not keyframes:
         keyframes = [list(row)]
-    pos = np.reshape([node.position for node in nodes], (-1, 3))
+    dist = pairwise_distances(np.reshape([node.position for node in nodes], (-1, 3)))
     rows = [np.array(sorted({row[i] for i in members}), dtype=int) for members in keyframes]
-    return SemanticGraph(nodes, np.concatenate([r[build_knn_edges(pos[r], k_edge)] for r in rows]))
+    # a keyframe's sub-table has the bits of the table over its landmarks alone
+    edges = np.concatenate([r[_knn_edges(dist[np.ix_(r, r)], k_edge)] for r in rows])
+    return SemanticGraph(nodes, edges, dist)
 
 
 @dataclass
@@ -380,4 +424,5 @@ def build_query_graph(
             logger.warning("detection %d dropped: nonpositive depth", idx)
             continue
         nodes.append(QueryDetectionNode(idx, bbox, position, conf))
-    return SemanticGraph(nodes, build_knn_edges([node.position for node in nodes], k_edge))
+    dist = pairwise_distances(np.reshape([node.position for node in nodes], (-1, 3)))
+    return SemanticGraph(nodes, _knn_edges(dist, k_edge), dist)

@@ -85,6 +85,48 @@ def random_conf(rng: np.random.Generator, vocab=VOCAB) -> list[tuple[str, float]
     return make_conf([(vocab[i], float(s)) for i, s in zip(labels, w)])
 
 
+# four clusters of three confusable labels
+CLUSTERS = [[f"group{c}_{x}" for x in "abc"] for c in range(4)]
+
+
+def clustered_nodes(rng, n_p, n_q, weights=(1, 1, 1, 1), bridges=0, unmapped=0, zero_conf=0):
+    """Prior and query nodes whose labels each come from one of CLUSTERS.
+
+    weights are the clusters' shares of the nodes. Of the query nodes, the
+    first `bridges` also carry a label of the next cluster, the next
+    `unmapped` a label the map never saw (the first of them no other
+    label), and the next `zero_conf` a label of the next cluster at
+    confidence 0.
+    """
+    share = np.asarray(weights, dtype=float) / sum(weights)
+
+    def labels_of(c):
+        return [CLUSTERS[c][i] for i in sorted(rng.choice(3, size=int(rng.integers(1, 4)), replace=False))]
+
+    p_nodes = []
+    for i in range(n_p):
+        counts = {label: int(rng.integers(1, 10)) for label in labels_of(rng.choice(4, p=share))}
+        total = sum(counts.values()) + int(rng.integers(0, 5))
+        p_nodes.append(prior_node(i * 3 + 1, rng.uniform(-3, 3, 3), counts, total))
+    q_nodes = []
+    for j in range(n_q):
+        c = int(rng.choice(4, p=share))
+        scores = {label: float(rng.random()) + 1e-3 for label in labels_of(c)}
+        other = CLUSTERS[(c + 1) % 4]
+        if j < bridges:
+            scores[other[0]] = float(rng.random()) + 1e-3
+        elif j < bridges + unmapped:
+            if j == bridges:
+                scores = {}
+            scores["unmapped"] = float(rng.random()) + 1e-3
+        elif j < bridges + unmapped + zero_conf:
+            scores[other[1]] = 0.0
+        total = sum(scores.values())
+        conf = {label: score / total for label, score in scores.items()}
+        q_nodes.append(query_node(j * 2, rng.uniform(-3, 3, 3) + [0, 0, 6], conf))
+    return p_nodes, q_nodes
+
+
 def prior_node(node_id: int, position, counts: dict, total: int | None = None) -> PriorObjectNode:
     return PriorObjectNode(
         id=node_id,

@@ -23,9 +23,9 @@ from semloc import (
 )
 from semloc.cli import _accumulate_map
 from semloc.dataio import FrameRecord
-from semloc.graph import backproject_pixel, robust_bbox_depth
+from semloc.graph import backproject_pixel, pairwise_distances, robust_bbox_depth
 
-from conftest import edge_ids, graph, knn_graph, make_table, prior_node, query_node
+from conftest import clustered_nodes, edge_ids, graph, knn_graph, make_table, prior_node, query_node
 from oracles import neighbors_of, node_of
 
 INTR = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
@@ -358,6 +358,24 @@ class TestPriorGraphBuilders:
             ta, tb = score_all_pairs(a, query, use_calp), score_all_pairs(b, query, use_calp)
             assert ta.similarity.tobytes() == tb.similarity.tobytes()
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_one_distance_table_per_build(self, seed, k_edge):
+        # the graph keeps the table its k-NN edges were read from, with the bits
+        # of a table built on its own; each keyframe's edges are those of its landmarks alone
+        r = np.random.default_rng(seed)
+        n = int(r.integers(0, 15))
+        nodes = [prior_node(i, r.integers(0, 3, 3).astype(float), {"a": 1}) for i in range(n)]
+        keyframes = [[i for i in range(n) if r.random() < 0.6] for _ in range(3)]
+        g = prior_graph_from_nodes(nodes, keyframes, k_edge=k_edge)
+        assert g.distances.tobytes() == pairwise_distances(g.positions).tobytes()
+        pos = g.positions
+        expected = set()
+        for members in keyframes:
+            rows = np.array(sorted(members), dtype=int)
+            expected |= {tuple(sorted(e)) for e in rows[build_knn_edges(pos[rows], k_edge)].tolist()}
+        assert {tuple(e) for e in g.edges.tolist()} == expected
+
     def test_unknown_keyframe_member_raises(self):
         nodes = [prior_node(0, (0, 0, 0), {"a": 1})]
         with pytest.raises(ValueError, match="unknown landmark"):
@@ -386,6 +404,61 @@ class TestPriorGraphBuilders:
         assert node_of(g, 5).frequencies.total_detections == 1
         assert node_of(g, 5).frequencies.per_label_counts == {"mug": 1}
         assert edge_ids(g) == {(4, 5)}
+
+
+class TestLabelGroups:
+    def test_hand_value(self):
+        nodes = [
+            prior_node(1, (0, 0, 0), {"a": 1, "b": 1}),
+            prior_node(2, (1, 0, 0), {"d": 1}),
+            prior_node(3, (2, 0, 0), {"c": 1, "b": 2}),
+            prior_node(4, (3, 0, 0), {"e": 1, "f": 1}),
+            prior_node(5, (4, 0, 0), {}, total=1),  # never given a label
+        ]
+        g = graph(nodes, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        assert list(g.label_table[0]) == ["a", "b", "d", "c", "e", "f"]
+        label_group, node_group, edge_group, group_edges = g.label_groups
+        assert label_group.tolist() == [0, 0, 1, 0, 2, 2]
+        assert node_group.tolist() == [0, 1, 0, 2, -1]
+        assert edge_group.tolist() == node_group[g.edge_nbr].tolist()
+        # the chain 1-2-3-4-5: nodes 1 and 3 have 1 and 2 edges, 2 has 2, 4 has 2
+        assert group_edges.tolist() == [3, 2, 2]
+
+    def test_chained_labels_are_one_group(self):
+        # a-b, c-d and then b-c: one group, whoever came first
+        nodes = [
+            prior_node(1, (0, 0, 0), {"a": 1, "b": 1}),
+            prior_node(2, (1, 0, 0), {"c": 1, "d": 1}),
+            prior_node(3, (2, 0, 0), {"e": 1}),
+            prior_node(4, (3, 0, 0), {"b": 1, "c": 1}),
+        ]
+        label_group, node_group, _, group_edges = graph(nodes, []).label_groups
+        assert label_group.tolist() == [0, 0, 0, 0, 1]
+        assert node_group.tolist() == [0, 0, 1, 0]
+        assert group_edges.tolist() == [0, 0]
+
+    def test_survive_pickle(self):
+        # spawn workers unpickle the map graph: the groups come with it
+        r = np.random.default_rng(3)
+        p_nodes, _ = clustered_nodes(r, 30, 0)
+        g = prior_graph_from_nodes(p_nodes, [], k_edge=4)
+        groups = g.label_groups
+        h = pickle.loads(pickle.dumps(g))
+        assert "label_groups" in vars(h)
+        for a, b in zip(groups, h.label_groups):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reversed_map_gives_the_same_groups_and_similarity(self, seed):
+        r = np.random.default_rng(seed)
+        p_nodes, q_nodes = clustered_nodes(r, 40, 20, bridges=1)
+        keyframes = [[node.id for node in p_nodes if r.random() < 0.7] for _ in range(3)]
+        a = prior_graph_from_nodes(p_nodes, keyframes, k_edge=4)
+        b = prior_graph_from_nodes(p_nodes[::-1], keyframes, k_edge=4)
+        for x, y in zip(a.label_groups, b.label_groups):
+            assert x.tobytes() == y.tobytes()
+        query = knn_graph(q_nodes, 4)
+        assert score_all_pairs(a, query).similarity.tobytes() == score_all_pairs(b, query).similarity.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +576,7 @@ class TestQueryGraphBuilder:
         ]
         g = build_query_graph(dets, k=2, k_edge=1, intrinsics=INTR)
         assert edge_ids(g) == {(0, 1), (1, 2)}
+        assert g.distances.tobytes() == pairwise_distances(g.positions).tobytes()
 
     @staticmethod
     def _mostly(good, *bad):

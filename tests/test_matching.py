@@ -11,7 +11,9 @@ from semloc import extract_candidates, score_all_pairs
 from semloc.matching import SimilarityTable
 
 from conftest import (
+    CLUSTERS,
     VOCAB,
+    clustered_nodes,
     edge_ids,
     graph,
     knn_graph,
@@ -271,6 +273,12 @@ class TestScoreAllPairs:
         np.testing.assert_array_equal(full.similarity, chunked.similarity)
 
 
+def _thinned(r, nodes, keep, k_edge):
+    """The nodes' k-NN graph with each edge kept at a rate."""
+    edges = sorted(edge_ids(knn_graph(nodes, k_edge)))
+    return graph(nodes, [e for e in edges if r.random() < keep])
+
+
 def _thinned_graphs(seed, n_p, n_q, keep_p, keep_q, same_labels, k_edge=4):
     """Random prior and query graphs: k-NN wiring with each edge kept at a rate.
 
@@ -281,8 +289,7 @@ def _thinned_graphs(seed, n_p, n_q, keep_p, keep_q, same_labels, k_edge=4):
     table, conf = random_table(r), random_conf(r)
 
     def thinned(nodes, keep):
-        edges = sorted(edge_ids(knn_graph(nodes, k_edge)))
-        return graph(nodes, [e for e in edges if r.random() < keep])
+        return _thinned(r, nodes, keep, k_edge)
 
     p_nodes = []
     for i in range(n_p):
@@ -297,14 +304,44 @@ def _thinned_graphs(seed, n_p, n_q, keep_p, keep_q, same_labels, k_edge=4):
     return thinned(p_nodes, keep_p), thinned(q_nodes, keep_q)
 
 
+def _clustered_graphs(seed, n_p, n_q, keep=1.0, k_edge=4, **labels):
+    """Prior and query k-NN graphs over `clustered_nodes`, each edge kept at a rate."""
+    r = np.random.default_rng(seed)
+    p_nodes, q_nodes = clustered_nodes(r, n_p, n_q, **labels)
+    return _thinned(r, p_nodes, keep, k_edge), _thinned(r, q_nodes, keep, k_edge)
+
+
+# clustered-label frames; at the default _BLOCK_ELEMS only "one large group"
+# has a group of its own, and at _BLOCK_ELEMS = 1 every group is one
+_CLUSTERED = {
+    "four clusters": dict(n_p=40, n_q=20),
+    "one large group": dict(n_p=90, n_q=40, weights=(12, 1, 1, 1), k_edge=5),
+    "bridged": dict(n_p=40, n_q=20, bridges=2),
+    "unmapped labels": dict(n_p=40, n_q=20, unmapped=3),
+    "zero confidences": dict(n_p=40, n_q=20, zero_conf=3),
+    "isolated nodes": dict(n_p=40, n_q=20, keep=0.3, k_edge=2),
+}
+
+
+def _blocks(pg, qg, block_elems=None):
+    """The query-edge spans and prior edges of `_label_blocks` for this frame."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_elems is not None:
+            mp.setattr(semloc.matching, "_BLOCK_ELEMS", block_elems)
+        _, spans, edges = semloc.matching._label_blocks(pg, qg, *semloc.matching._query_confidences(pg, qg))
+    return spans, edges
+
+
 class TestMatchesPaddedOracle:
     """The edge-list context propagation against the padded-tensor oracle, bit for bit."""
 
     @staticmethod
-    def _check(pg, qg, chunk_elems):
+    def _check(pg, qg, chunk_elems, block_elems=None):
         with pytest.MonkeyPatch.context() as mp:
             if chunk_elems is not None:
                 mp.setattr(semloc.matching, "_CHUNK_ELEMS", chunk_elems)
+            if block_elems is not None:
+                mp.setattr(semloc.matching, "_BLOCK_ELEMS", block_elems)
             table = score_all_pairs(pg, qg)
         assert np.array_equal(table.similarity, padded_score_all_pairs(pg, qg))
 
@@ -351,6 +388,95 @@ class TestMatchesPaddedOracle:
         for seed in range(5):
             pg, qg = _thinned_graphs(seed, 12, 14, 1.0, 1.0, False, 10)
             assert min(pg.max_degree, qg.max_degree) >= 8
+
+    @pytest.mark.parametrize("block_elems", [None, 1])
+    @pytest.mark.parametrize("chunk_elems", [None, 16])
+    @pytest.mark.parametrize("case", list(_CLUSTERED))
+    def test_clustered_labels(self, case, chunk_elems, block_elems):
+        for seed in range(5):
+            pg, qg = _clustered_graphs(seed, **_CLUSTERED[case])
+            self._check(pg, qg, chunk_elems, block_elems)
+
+    @pytest.mark.parametrize("chunk_elems, block_elems", [(None, None), (16, 1), (None, 64)])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_p=st.integers(1, 40),
+        n_q=st.integers(1, 20),
+        weights=st.sampled_from([(1, 1, 1, 1), (12, 1, 1, 1), (1, 1, 0, 0)]),
+        bridges=st.integers(0, 2),
+        unmapped=st.integers(0, 2),
+        zero_conf=st.integers(0, 2),
+        keep=st.sampled_from([0.3, 1.0]),
+        k_edge=st.integers(1, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_clustered_graphs(
+        self, chunk_elems, block_elems, seed, n_p, n_q, weights, bridges, unmapped, zero_conf, keep, k_edge
+    ):
+        pg, qg = _clustered_graphs(
+            seed, n_p, n_q, keep, k_edge,
+            weights=weights, bridges=bridges, unmapped=unmapped, zero_conf=zero_conf,
+        )
+        self._check(pg, qg, chunk_elems, block_elems)
+
+    def test_clustered_cases_reach_their_structure(self):
+        def groups_of(pg, qg, j):
+            """The prior label groups of query node j's positive-confidence labels."""
+            conf, _ = semloc.matching._query_confidences(pg, qg)
+            return set(pg.label_groups[0][np.flatnonzero(conf[j])].tolist())
+
+        for seed in range(5):
+            frames = {case: _clustered_graphs(seed, **kw) for case, kw in _CLUSTERED.items()}
+            for pg, _ in frames.values():
+                # 4 groups of 3 labels, one per cluster
+                assert sorted(pg.label_table[0]) == sorted(l for c in CLUSTERS for l in c)
+                assert np.bincount(pg.label_groups[0]).tolist() == [3, 3, 3, 3]
+            # a small frame is one block, and splits into one block per group
+            pg, qg = frames["four clusters"]
+            assert len(_blocks(pg, qg)[0]) == 1
+            assert len(_blocks(pg, qg, block_elems=1)[0]) == 4
+            # one group holds too many edges to share a block
+            pg, qg = frames["one large group"]
+            spans, edges = _blocks(pg, qg)
+            assert len(spans) == 2
+            assert (spans[0][1] - spans[0][0]) * edges[0].size >= semloc.matching._BLOCK_ELEMS
+            # a detection with labels of two groups merges them for the frame
+            pg, qg = frames["bridged"]
+            assert len(groups_of(pg, qg, 0)) == 2
+            assert len(_blocks(pg, qg, block_elems=1)[0]) <= 3
+            # no label the map saw leaves a zero likelihood column and no group
+            pg, qg = frames["unmapped labels"]
+            assert groups_of(pg, qg, 0) == set()
+            assert not score_all_pairs(pg, qg, use_calp=False).similarity[:, 0].any()
+            assert "unmapped" in dict(qg.nodes[1].confidences) and groups_of(pg, qg, 1)
+            # a zero confidence in another group's label merges nothing
+            pg, qg = frames["zero confidences"]
+            assert 0.0 in dict(qg.nodes[0].confidences).values()
+            assert len(_blocks(pg, qg, block_elems=1)[0]) == 4
+            # isolated nodes on both sides
+            pg, qg = frames["isolated nodes"]
+            assert (pg.degree == 0).any() and (qg.degree == 0).any() and qg.max_degree > 0
+
+    def test_detections_merging_small_groups_make_a_large_block(self):
+        # every landmark its own label, so each prior group is small; detections
+        # carrying three labels each merge them all into one large group
+        r = np.random.default_rng(5)
+        labels = [f"solo{i:02d}" for i in range(60)]
+        pg = _thinned(r, [prior_node(i, r.uniform(-3, 3, 3), {labels[i]: 2}, 3) for i in range(60)], 1.0, 4)
+        q_nodes = [
+            query_node(j, r.uniform(-3, 3, 3) + [0, 0, 6], {labels[(2 * j + d) % 60]: 1 / 3 for d in range(3)})
+            for j in range(30)
+        ]
+        qg = _thinned(r, q_nodes, 1.0, 4)
+        conf, extra = semloc.matching._query_confidences(pg, qg)
+        assert extra == 60
+        assert qg.edge_root.size * pg.label_groups[3].max() < semloc.matching._BLOCK_ELEMS
+        # the shortcut past the group count, and the count itself, find one large block
+        blocks = semloc.matching._label_blocks(pg, qg, conf, extra)
+        full = semloc.matching._label_blocks(pg, qg, conf, 10**9)
+        assert len(blocks[1]) == len(full[1]) == 1
+        assert not isinstance(blocks[2][0], slice)
+        self._check(pg, qg, None)
 
     def test_empty_graphs(self):
         pg, qg = _thinned_graphs(0, 4, 3, 1.0, 1.0, False)
