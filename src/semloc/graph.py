@@ -163,8 +163,7 @@ class SemanticGraph:
     maximum (0 without edges). `ids`, `positions` (nodes, 3) and their
     `pairwise_distances` table `distances` (nodes, nodes) are built with the
     graph, unless a builder passes in the table it wired the edges from; a
-    prior graph's `quadrics`, `radii`, `label_table` and `label_groups` on
-    first use.
+    prior graph's `quadrics`, `radii` and `label_table` on first use.
     """
 
     nodes: list
@@ -236,39 +235,6 @@ class SemanticGraph:
             for label, count in node.frequencies.per_label_counts.items():
                 freq[i, vocab[label]] = count / node.frequencies.total_detections
         return vocab, freq
-
-    @cached_property
-    def label_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """A prior graph's partition of its labels into groups, as group numbers.
-
-        Two labels share a group when some landmark carries both (the union
-        over landmarks, so the relation is closed transitively). Groups are
-        numbered in the order of their first `label_table` column. Returns
-        the group of each label column (labels,), of each node (nodes,) and
-        of each directed edge's neighbor (edges,), and the number of directed
-        edges whose neighbor is in each group (groups,); a node without
-        labels is in group -1. A node's likelihood against a detection is
-        zero unless the detection carries a label of the node's group. Built
-        once, on first use, like `quadrics`.
-        """
-        vocab, freq = self.label_table
-        parent = list(range(len(vocab)))
-
-        def find(col: int) -> int:
-            while parent[col] != col:
-                col = parent[col]
-            return col
-
-        rows, cols = np.nonzero(freq)
-        for i in np.flatnonzero(rows[1:] == rows[:-1]).tolist():  # two labels of one node
-            a, b = find(int(cols[i])), find(int(cols[i + 1]))
-            parent[max(a, b)] = min(a, b)  # each group's root is its first column
-        label_group = np.unique([find(col) for col in range(len(vocab))], return_inverse=True)[1]
-        node_group = np.full(len(self.nodes), -1)
-        node_group[rows] = label_group[cols]
-        edge_group = node_group[self.edge_nbr]
-        group_edges = np.bincount(edge_group + 1, minlength=int(label_group.max(initial=-1)) + 2)[1:]
-        return label_group, node_group, edge_group, group_edges
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:

@@ -7,10 +7,10 @@ Context propagation runs over the graphs' directed edge lists
 (`SemanticGraph.edge_root` and friends): each prior root's best is taken
 over its own edges, and only the per-query-root sum pads its slots to the
 largest query degree. A landmark and a detection that share no label have
-likelihood exactly zero, so the (query edge, prior edge) products are formed
-one label-group block at a time (the prior graph's `label_groups`, merged
-per frame where a detection carries labels of two groups), and the zeros
-between blocks are never formed.
+likelihood exactly zero, so the frame's positive likelihoods link landmarks
+and detections into components, the (query edge, prior edge) products are
+formed one block of components at a time, and the zeros between components
+are never formed.
 """
 
 from __future__ import annotations
@@ -27,20 +27,21 @@ logger = logging.getLogger(__name__)
 # elements of score_all_pairs' padded (query edges, longest run, prior roots) gather
 # per chunk of a block's prior roots. The products and their gather are built and
 # reduced in several passes, so it pays to keep them in cache. On a 2-core Xeon
-# (2.0 GHz, 4 MB L2) a wide-ambiguous call, whose label-group blocks pad to 37k-285k
-# elements, took within 5% of one median anywhere from 40k to 100k and 22% longer
-# at 150k; crit8-sampling and cli-early-exit frames (55k-69k padded, one block)
-# took 4-5% longer when cut below 70k into two chunks.
+# (2.0 GHz, 4 MB L2) a wide-ambiguous call, whose blocks pad to 37k-302k elements,
+# took within 5% of one median anywhere from 40k to 100k and 22% longer at 150k;
+# cli-early-exit frames (55k-61k padded, one block) took 4-5% longer when cut into
+# two chunks. crit8-sampling frames pad to 14k-23k, one chunk.
 _CHUNK_ELEMS = 100_000
 
-# (query edges, prior edges) elements from which a frame's label group is a block
-# of its own in score_all_pairs; smaller groups share one block. On the same host
-# a block costs some 35 us of fixed numpy calls, the time of about 3,500 elements
-# of a shared block (10 ns each). wide-ambiguous groups hold 17k-122k elements, so
-# any cut from 1 to 16k gives the same blocks and a call takes half the time of
-# one shared block. crit8-sampling and cli-early-exit groups (one landmark per
-# label) hold under 256, so their frames are one block: with every group a block
-# of its own, crit8 calls took 1.6x and cli calls 3.4x as long.
+# (query edges, prior edges) elements from which a frame's likelihood component is
+# a block of its own in score_all_pairs; smaller components share one block. On the
+# same host a block costs some 18 us of fixed numpy calls, the time of about 2,500
+# elements of a shared block (7 ns each). wide-ambiguous frames have four components
+# of 16k-130k elements, so any cut from 190 to 16k gives the same blocks and a call
+# takes half the time of one shared block. crit8-sampling and cli-early-exit
+# components (one landmark per label; 10 and 27-30 a frame) hold under 190, so
+# their frames are one block: with every component a block of its own, crit8 calls
+# took 2.3-2.5x and cli calls 2.7-2.8x as long.
 _BLOCK_ELEMS = 4096
 
 
@@ -58,69 +59,56 @@ class SimilarityTable:
     similarity: np.ndarray
 
 
-def _query_confidences(prior_graph: SemanticGraph, query_graph: SemanticGraph) -> tuple[np.ndarray, int]:
-    """The query nodes' confidences over the prior graph's label columns, (query nodes, labels),
-    and the number of positive ones beyond the first of each node.
+def _query_confidences(prior_graph: SemanticGraph, query_graph: SemanticGraph) -> np.ndarray:
+    """The query nodes' confidences over the prior graph's label columns, (query nodes, labels).
 
     Labels the map never saw have no column and are dropped: they share no
-    landmark's label, so they add nothing to any likelihood. Each positive
-    label beyond a node's first can merge at most one more label group into
-    the node's (`_label_blocks`).
+    landmark's label, so they add nothing to any likelihood.
     """
     vocab, _ = prior_graph.label_table
     conf = np.zeros((len(query_graph), len(vocab)))
-    extra = 0
     for j, node in enumerate(query_graph.nodes):
-        known = 0
         for label, score in node.confidences:
             col = vocab.get(label)
             if col is not None:
                 conf[j, col] = score
-                known += score > 0.0
-        extra += max(known - 1, 0)
-    return conf, extra
+    return conf
 
 
-def _label_blocks(prior_graph: SemanticGraph, query_graph: SemanticGraph, conf: np.ndarray, extra: int):
+def _likelihood_blocks(prior_graph: SemanticGraph, query_graph: SemanticGraph, like: np.ndarray):
     """Query edges in block order, each block's (start, stop) in that order, and its prior edges.
 
-    An edge falls in the frame's label group of its neighbor: the prior
-    graph's groups (`label_groups`), merged where one query node carries
-    positive confidence in labels of two groups. w * likelihood(n, m) is
-    exactly zero between groups. A group whose (query edges, prior edges)
-    rectangle holds at least _BLOCK_ELEMS elements is a block of its own; the
-    rest, edges without a group included, share the last block. Prior edges
-    are index arrays in edge order, and a frame without a large group is one
-    block of slices over every edge. No group is large, and the groups need
-    not be formed, when even all query edges against 1 + extra of the widest
-    prior groups fall short.
+    The positive entries of the likelihood `like` (prior nodes, query nodes)
+    link landmarks and detections into components, numbered by their lowest
+    query node: starting from its own index, each round gives every
+    landmark the least number among its detections and then every
+    detection the least among its landmarks, until no number changes. A
+    node with no positive entry is in no component (number: the count of
+    query nodes).
+    w * like[n, m] is exactly zero unless n and m are in one component. An
+    edge is in its neighbor's component, so an edge into a node of no
+    component is in no block. A component whose (query edges, prior edges)
+    rectangle holds at least _BLOCK_ELEMS elements is a block of its own;
+    the rest share the last block. Blocks without query or prior edges are
+    left out, and prior edges are index arrays in edge order.
     """
-    label_group, _, edge_group, group_edges = prior_graph.label_groups
-    n_edges = query_graph.edge_root.size
-    if n_edges * int(group_edges.max(initial=0)) * (1 + extra) < _BLOCK_ELEMS:
-        return slice(None), [(0, n_edges)], [slice(None)]
-    n_groups = group_edges.size
-    rows, cols = np.nonzero(conf)
-    groups = label_group[cols]
-    node_group = np.full(len(query_graph), -1)
-    node_group[rows] = groups
-    q_group, p_group = node_group[query_graph.edge_nbr], edge_group
-    bridges = np.flatnonzero((rows[1:] == rows[:-1]) & (groups[1:] != groups[:-1]))
-    if bridges.size:
-        # merged[g] is group g's group in this frame; index -1 (no group) stays -1
-        merged = np.append(np.arange(n_groups), -1)
-        for i in bridges.tolist():
-            a, b = merged[groups[i]], merged[groups[i + 1]]
-            merged[merged == max(a, b)] = min(a, b)
-        q_group, p_group = merged[q_group], merged[p_group]
-    q_count = np.bincount(q_group + 1, minlength=n_groups + 1)
-    p_count = np.bincount(p_group + 1, minlength=n_groups + 1)
-    large = np.flatnonzero(q_count[1:] * p_count[1:] >= _BLOCK_ELEMS)
-    if large.size == 0:
-        return slice(None), [(0, n_edges)], [slice(None)]
-    block = np.full(n_groups + 1, large.size)  # the last entry takes group -1
+    linked = like > 0.0
+    n_q = linked.shape[1]
+    comp = np.arange(n_q)
+    while True:
+        node_comp = np.where(linked, comp, n_q).min(axis=1)
+        new = np.where(linked, node_comp[:, None], n_q).min(axis=0)
+        if np.array_equal(new, comp):
+            break
+        comp = new
+    q_comp, p_comp = comp[query_graph.edge_nbr], node_comp[prior_graph.edge_nbr]
+    q_count = np.bincount(q_comp, minlength=n_q + 1)
+    p_count = np.bincount(p_comp, minlength=n_q + 1)
+    large = np.flatnonzero(q_count[:n_q] * p_count[:n_q] >= _BLOCK_ELEMS)
+    block = np.full(n_q + 1, large.size)  # small components share block large.size
     block[large] = np.arange(large.size)
-    q_block, p_block = block[q_group], block[p_group]
+    block[n_q] = large.size + 1  # no component: past every block
+    q_block, p_block = block[q_comp], block[p_comp]
     order = np.argsort(q_block, kind="stable")
     q_bounds = np.searchsorted(q_block[order], np.arange(large.size + 2)).tolist()
     spans, edges = [], []
@@ -150,31 +138,30 @@ def score_all_pairs(
     w = 1 / (1 + |d_prior(root, n) - d_query(root, m)|). A root without
     neighbors on either side gets no context term.
 
-    Works on the graphs' directed edge lists, one label block at a time
-    (`_label_blocks`): within a block, w * likelihood is formed for every
-    (query edge, prior edge) pair, gathered into each prior root's run of
-    edges padded with repeats of its last edge, and maxed over the run; a
-    pair in no common block has likelihood exactly 0.0, which is the value
-    its slot starts at. Prior roots are chunked so that no chunk's padded
-    gather exceeds _CHUNK_ELEMS, with at least one root per chunk. The bests
-    are then summed per query root over its edge slots, padded with zeros
-    to the largest query degree, in one fixed slot order, so the table has
-    the same bits however the edges fall into blocks and chunks. A frame
-    without a large label group is one block.
+    Works on the graphs' directed edge lists, one block of likelihood
+    components at a time (`_likelihood_blocks`): within a block,
+    w * likelihood is formed for every (query edge, prior edge) pair,
+    gathered into each prior root's run of edges padded with repeats of its
+    last edge, and maxed over the run; a pair in no common block has
+    likelihood exactly 0.0, which is the value its slot starts at. Prior
+    roots are chunked so that no chunk's padded gather exceeds _CHUNK_ELEMS,
+    with at least one root per chunk. The bests are then summed per query
+    root over its edge slots, padded with zeros to the largest query
+    degree, in one fixed slot order, so the table has the same bits however
+    the edges fall into blocks and chunks.
 
     use_calp=False skips context propagation: the similarity is the
     likelihood, which is the ablation baseline. So is the similarity when
     either graph has no edges.
     """
     pg, qg = prior_graph, query_graph
-    conf, extra = _query_confidences(pg, qg)
     # the likelihood, to which the context term is added in place
-    sim = pg.label_table[1] @ conf.T
+    sim = pg.label_table[1] @ _query_confidences(pg, qg).T
     table = SimilarityTable(pg.ids, qg.ids, sim)
     if not use_calp or qg.edge_root.size == 0 or pg.edge_root.size == 0:
         return table
 
-    order, spans, prior_edges = _label_blocks(pg, qg, conf, extra)
+    order, spans, prior_edges = _likelihood_blocks(pg, qg, sim)
     like_qn = sim.T[qg.edge_nbr[order]]  # (query edges, prior nodes): likelihood[n, m] for m
     q_len = qg.edge_length[order]
     best = np.zeros((len(pg), qg.edge_root.size))  # (prior roots, query edges): best w * like[n, m]

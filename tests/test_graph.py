@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import semloc.matching
 from semloc import (
     BoundingBox,
     CameraIntrinsics,
@@ -406,57 +407,52 @@ class TestPriorGraphBuilders:
         assert edge_ids(g) == {(4, 5)}
 
 
-class TestLabelGroups:
+class TestLikelihoodBlocks:
     def test_hand_value(self):
-        nodes = [
-            prior_node(1, (0, 0, 0), {"a": 1, "b": 1}),
-            prior_node(2, (1, 0, 0), {"d": 1}),
-            prior_node(3, (2, 0, 0), {"c": 1, "b": 2}),
-            prior_node(4, (3, 0, 0), {"e": 1, "f": 1}),
-            prior_node(5, (4, 0, 0), {}, total=1),  # never given a label
+        # landmarks 1-4 form one component through detection 1, which bridges
+        # the a-b and c clusters; 6 and 7 another; landmark 5 no detection
+        # supports, and detection 3's one label the map never saw
+        p_nodes = [
+            prior_node(1, (0, 0, 0), {"a": 1}),
+            prior_node(2, (1, 0, 0), {"a": 1, "b": 1}),
+            prior_node(3, (2, 0, 0), {"c": 1}),
+            prior_node(4, (3, 0, 0), {"c": 1}),
+            prior_node(5, (4, 0, 0), {"e": 1}),
+            prior_node(6, (5, 0, 0), {"f": 1}),
+            prior_node(7, (6, 0, 0), {"f": 1}),
         ]
-        g = graph(nodes, [(1, 2), (2, 3), (3, 4), (4, 5)])
-        assert list(g.label_table[0]) == ["a", "b", "d", "c", "e", "f"]
-        label_group, node_group, edge_group, group_edges = g.label_groups
-        assert label_group.tolist() == [0, 0, 1, 0, 2, 2]
-        assert node_group.tolist() == [0, 1, 0, 2, -1]
-        assert edge_group.tolist() == node_group[g.edge_nbr].tolist()
-        # the chain 1-2-3-4-5: nodes 1 and 3 have 1 and 2 edges, 2 has 2, 4 has 2
-        assert group_edges.tolist() == [3, 2, 2]
-
-    def test_chained_labels_are_one_group(self):
-        # a-b, c-d and then b-c: one group, whoever came first
-        nodes = [
-            prior_node(1, (0, 0, 0), {"a": 1, "b": 1}),
-            prior_node(2, (1, 0, 0), {"c": 1, "d": 1}),
-            prior_node(3, (2, 0, 0), {"e": 1}),
-            prior_node(4, (3, 0, 0), {"b": 1, "c": 1}),
+        q_nodes = [
+            query_node(0, (0, 0, 5), {"a": 1.0}),
+            query_node(1, (1, 0, 5), {"b": 0.5, "c": 0.5}),
+            query_node(2, (2, 0, 5), {"c": 1.0}),
+            query_node(3, (3, 0, 5), {"unmapped": 1.0}),
+            query_node(4, (4, 0, 5), {"f": 1.0}),
         ]
-        label_group, node_group, _, group_edges = graph(nodes, []).label_groups
-        assert label_group.tolist() == [0, 0, 0, 0, 1]
-        assert node_group.tolist() == [0, 0, 1, 0]
-        assert group_edges.tolist() == [0, 0]
-
-    def test_survive_pickle(self):
-        # spawn workers unpickle the map graph: the groups come with it
-        r = np.random.default_rng(3)
-        p_nodes, _ = clustered_nodes(r, 30, 0)
-        g = prior_graph_from_nodes(p_nodes, [], k_edge=4)
-        groups = g.label_groups
-        h = pickle.loads(pickle.dumps(g))
-        assert "label_groups" in vars(h)
-        for a, b in zip(groups, h.label_groups):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        pg = graph(p_nodes, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
+        qg = graph(q_nodes, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        like = score_all_pairs(pg, qg, use_calp=False).similarity
+        # prior edges 6 (4 -> 5) and 9 (6 -> 5) run into landmark 5, query
+        # edges 4 (2 -> 3) and 7 (4 -> 3) into detection 3: they are in no block
+        assert pg.edge_nbr[[6, 9]].tolist() == [4, 4] and qg.edge_nbr[[4, 7]].tolist() == [3, 3]
+        order, spans, edges = semloc.matching._likelihood_blocks(pg, qg, like)
+        assert order.tolist() == [0, 1, 2, 3, 5, 6, 4, 7]
+        assert spans == [(0, 6)]
+        assert [e.tolist() for e in edges] == [[0, 1, 2, 3, 4, 5, 7, 8, 10, 11]]
+        # a block per component when every component is large enough
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semloc.matching, "_BLOCK_ELEMS", 1)
+            order, spans, edges = semloc.matching._likelihood_blocks(pg, qg, like)
+        assert order.tolist() == [0, 1, 2, 3, 5, 6, 4, 7]
+        assert spans == [(0, 5), (5, 6)]
+        assert [e.tolist() for e in edges] == [[0, 1, 2, 3, 4, 5, 7], [8, 10, 11]]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_reversed_map_gives_the_same_groups_and_similarity(self, seed):
+    def test_reversed_map_gives_the_same_similarity(self, seed):
         r = np.random.default_rng(seed)
         p_nodes, q_nodes = clustered_nodes(r, 40, 20, bridges=1)
         keyframes = [[node.id for node in p_nodes if r.random() < 0.7] for _ in range(3)]
         a = prior_graph_from_nodes(p_nodes, keyframes, k_edge=4)
         b = prior_graph_from_nodes(p_nodes[::-1], keyframes, k_edge=4)
-        for x, y in zip(a.label_groups, b.label_groups):
-            assert x.tobytes() == y.tobytes()
         query = knn_graph(q_nodes, 4)
         assert score_all_pairs(a, query).similarity.tobytes() == score_all_pairs(b, query).similarity.tobytes()
 

@@ -34,6 +34,7 @@ from oracles import (
     per_column_extract_candidates,
     similarity_score,
 )
+from test_pose import _latency_scene_frames
 
 
 def node_likelihood(prior_graph, query_graph):
@@ -312,7 +313,7 @@ def _clustered_graphs(seed, n_p, n_q, keep=1.0, k_edge=4, **labels):
 
 
 # clustered-label frames; at the default _BLOCK_ELEMS only "one large group"
-# has a group of its own, and at _BLOCK_ELEMS = 1 every group is one
+# has a component of its own, and at _BLOCK_ELEMS = 1 every component is one
 _CLUSTERED = {
     "four clusters": dict(n_p=40, n_q=20),
     "one large group": dict(n_p=90, n_q=40, weights=(12, 1, 1, 1), k_edge=5),
@@ -324,12 +325,26 @@ _CLUSTERED = {
 
 
 def _blocks(pg, qg, block_elems=None):
-    """The query-edge spans and prior edges of `_label_blocks` for this frame."""
+    """The query-edge spans and prior edges of `_likelihood_blocks` for this frame."""
+    like = score_all_pairs(pg, qg, use_calp=False).similarity
     with pytest.MonkeyPatch.context() as mp:
         if block_elems is not None:
             mp.setattr(semloc.matching, "_BLOCK_ELEMS", block_elems)
-        _, spans, edges = semloc.matching._label_blocks(pg, qg, *semloc.matching._query_confidences(pg, qg))
+        _, spans, edges = semloc.matching._likelihood_blocks(pg, qg, like)
     return spans, edges
+
+
+def _solo_graphs(seed, n_p, labels_of):
+    """Landmarks 0..n_p-1 with one label each, "solo<i>", and a detection per
+    entry of labels_of, carrying those landmarks' labels at equal confidence;
+    k-NN graphs with k_edge 4."""
+    r = np.random.default_rng(seed)
+    p_nodes = [prior_node(i, r.uniform(-3, 3, 3), {f"solo{i:02d}": 2}, 3) for i in range(n_p)]
+    q_nodes = [
+        query_node(j, r.uniform(-3, 3, 3) + [0, 0, 6], {f"solo{i:02d}": 1 / len(ls) for i in ls})
+        for j, ls in enumerate(labels_of)
+    ]
+    return _thinned(r, p_nodes, 1.0, 4), _thinned(r, q_nodes, 1.0, 4)
 
 
 class TestMatchesPaddedOracle:
@@ -420,36 +435,35 @@ class TestMatchesPaddedOracle:
         self._check(pg, qg, chunk_elems, block_elems)
 
     def test_clustered_cases_reach_their_structure(self):
-        def groups_of(pg, qg, j):
-            """The prior label groups of query node j's positive-confidence labels."""
-            conf, _ = semloc.matching._query_confidences(pg, qg)
-            return set(pg.label_groups[0][np.flatnonzero(conf[j])].tolist())
+        def clusters_of(pg, qg, j):
+            """The label clusters of the landmarks with positive likelihood against query node j."""
+            like = score_all_pairs(pg, qg, use_calp=False).similarity
+            labels = [set(pg.nodes[i].frequencies.per_label_counts) for i in np.flatnonzero(like[:, j])]
+            return {c for c, cluster in enumerate(CLUSTERS) for mine in labels if mine & set(cluster)}
 
         for seed in range(5):
             frames = {case: _clustered_graphs(seed, **kw) for case, kw in _CLUSTERED.items()}
             for pg, _ in frames.values():
-                # 4 groups of 3 labels, one per cluster
                 assert sorted(pg.label_table[0]) == sorted(l for c in CLUSTERS for l in c)
-                assert np.bincount(pg.label_groups[0]).tolist() == [3, 3, 3, 3]
-            # a small frame is one block, and splits into one block per group
+            # a small frame is one block, and splits into one block per cluster
             pg, qg = frames["four clusters"]
             assert len(_blocks(pg, qg)[0]) == 1
             assert len(_blocks(pg, qg, block_elems=1)[0]) == 4
-            # one group holds too many edges to share a block
+            # one component holds too many edges to share a block
             pg, qg = frames["one large group"]
             spans, edges = _blocks(pg, qg)
             assert len(spans) == 2
             assert (spans[0][1] - spans[0][0]) * edges[0].size >= semloc.matching._BLOCK_ELEMS
-            # a detection with labels of two groups merges them for the frame
+            # a detection with labels of two clusters links them into one component
             pg, qg = frames["bridged"]
-            assert len(groups_of(pg, qg, 0)) == 2
+            assert len(clusters_of(pg, qg, 0)) == 2
             assert len(_blocks(pg, qg, block_elems=1)[0]) <= 3
-            # no label the map saw leaves a zero likelihood column and no group
+            # no label the map saw leaves a zero likelihood column and no component
             pg, qg = frames["unmapped labels"]
-            assert groups_of(pg, qg, 0) == set()
+            assert clusters_of(pg, qg, 0) == set()
             assert not score_all_pairs(pg, qg, use_calp=False).similarity[:, 0].any()
-            assert "unmapped" in dict(qg.nodes[1].confidences) and groups_of(pg, qg, 1)
-            # a zero confidence in another group's label merges nothing
+            assert "unmapped" in dict(qg.nodes[1].confidences) and clusters_of(pg, qg, 1)
+            # a zero confidence in another cluster's label links nothing
             pg, qg = frames["zero confidences"]
             assert 0.0 in dict(qg.nodes[0].confidences).values()
             assert len(_blocks(pg, qg, block_elems=1)[0]) == 4
@@ -458,25 +472,52 @@ class TestMatchesPaddedOracle:
             assert (pg.degree == 0).any() and (qg.degree == 0).any() and qg.max_degree > 0
 
     def test_detections_merging_small_groups_make_a_large_block(self):
-        # every landmark its own label, so each prior group is small; detections
-        # carrying three labels each merge them all into one large group
-        r = np.random.default_rng(5)
-        labels = [f"solo{i:02d}" for i in range(60)]
-        pg = _thinned(r, [prior_node(i, r.uniform(-3, 3, 3), {labels[i]: 2}, 3) for i in range(60)], 1.0, 4)
-        q_nodes = [
-            query_node(j, r.uniform(-3, 3, 3) + [0, 0, 6], {labels[(2 * j + d) % 60]: 1 / 3 for d in range(3)})
-            for j in range(30)
-        ]
-        qg = _thinned(r, q_nodes, 1.0, 4)
-        conf, extra = semloc.matching._query_confidences(pg, qg)
-        assert extra == 60
-        assert qg.edge_root.size * pg.label_groups[3].max() < semloc.matching._BLOCK_ELEMS
-        # the shortcut past the group count, and the count itself, find one large block
-        blocks = semloc.matching._label_blocks(pg, qg, conf, extra)
-        full = semloc.matching._label_blocks(pg, qg, conf, 10**9)
-        assert len(blocks[1]) == len(full[1]) == 1
-        assert not isinstance(blocks[2][0], slice)
+        # every landmark its own label, so no landmark's edges make a large
+        # block; detections carrying three labels each link them all into one
+        pg, qg = _solo_graphs(5, 60, [[(2 * j + d) % 60 for d in range(3)] for j in range(30)])
+        assert qg.edge_root.size * pg.max_degree < semloc.matching._BLOCK_ELEMS
+        for block_elems in (None, 1):
+            spans, edges = _blocks(pg, qg, block_elems)
+            assert spans == [(0, qg.edge_root.size)]
+            assert edges[0].tolist() == list(range(pg.edge_root.size))
+        assert qg.edge_root.size * pg.edge_root.size >= semloc.matching._BLOCK_ELEMS
         self._check(pg, qg, None)
+
+    @pytest.mark.parametrize("chunk_elems, block_elems", [(None, None), (16, 1)])
+    def test_chain_of_detections(self, chunk_elems, block_elems):
+        # detection j carries the labels of landmarks j and j + 1: one
+        # component, which the fixpoint reaches one landmark a round
+        pg, qg = _solo_graphs(6, 30, [[j, j + 1] for j in range(29)])
+        spans, edges = _blocks(pg, qg, block_elems)
+        assert spans == [(0, qg.edge_root.size)]
+        assert edges[0].tolist() == list(range(pg.edge_root.size))
+        self._check(pg, qg, chunk_elems, block_elems)
+
+    @pytest.mark.parametrize("chunk_elems, block_elems", [(None, None), (16, 1)])
+    def test_every_detection_unmapped(self, chunk_elems, block_elems):
+        # no detection shares a label with the map: no block, and the
+        # similarity is the likelihood, zero everywhere
+        r = np.random.default_rng(7)
+        p_nodes, _ = clustered_nodes(r, 20, 0)
+        q_nodes = [query_node(j, r.uniform(-3, 3, 3) + [0, 0, 6], {"unmapped": 1.0}) for j in range(8)]
+        pg, qg = knn_graph(p_nodes, 4), knn_graph(q_nodes, 4)
+        assert _blocks(pg, qg, block_elems) == ([], [])
+        table = score_all_pairs(pg, qg)
+        assert table.similarity.shape == (20, 8) and not table.similarity.any()
+        self._check(pg, qg, chunk_elems, block_elems)
+
+    def test_criterion_8_block_holds_the_edges_into_shared_labels(self):
+        # one landmark a label, so most prior edges run into a landmark no
+        # detection of the frame shares a label with, and are in no block
+        prior, queries, _ = _latency_scene_frames(seed=0, frame_ids=[0, 23, 42, 77, 101])
+        for query in queries:
+            seen = {label for node in query.nodes for label, score in node.confidences if score > 0.0}
+            shared = np.array([bool(seen & set(node.frequencies.per_label_counts)) for node in prior.nodes])
+            spans, edges = _blocks(prior, query)
+            assert spans == [(0, query.edge_root.size)]
+            assert edges[0].tolist() == np.flatnonzero(shared[prior.edge_nbr]).tolist()
+            assert edges[0].size < prior.edge_root.size // 2
+            self._check(prior, query, None)
 
     def test_empty_graphs(self):
         pg, qg = _thinned_graphs(0, 4, 3, 1.0, 1.0, False)
