@@ -39,8 +39,10 @@ from .matching import CandidateSet, extract_candidates, score_all_pairs
 
 
 # valid samples per chunk of P3P solves and alignment scores. A stacked call
-# has a fixed cost far above its cost per sample, so a frame's time steps up
-# with each further call; a size that about a tenth or half of the frames
+# has a fixed cost far above its cost per sample (on a 2-core Xeon host,
+# p3p_solve about 0.4 ms a call and 4 us a sample, a criterion-8 scoring
+# call about 0.1 ms and 3 us a pose), so a frame's time steps up with each
+# further call; a size that about a tenth or half of the frames
 # outgrow puts that step at a latency percentile. Under the distance term, 24
 # is outgrown by at most 5% of early-exit frames (noise-free criterion-4
 # orbits) and about 30% of full-budget criterion-8 frames
@@ -202,41 +204,44 @@ class _AlignmentScorer:
         self.prior_ids = np.asarray(prior_graph.ids, dtype=int)
         self.query_ids = np.asarray(query_ids, dtype=int)
         self.pair_prior, self.pair_q = candidates.prior, candidates.query
-        self.q_starts = np.flatnonzero(np.diff(self.pair_q, prepend=-1))  # first pair per node
-        unique_p, self.pair_p = np.unique(self.pair_prior, return_inverse=True)
-        self.quads = prior_graph.quadrics[unique_p]
-        self.q_means = np.array([box.center for box in boxes]).reshape(-1, 2)
-        self.q_halves = np.array([[b.width / 2.0, b.height / 2.0] for b in boxes]).reshape(-1, 2)
+        first = np.ones(len(self.pair_q), dtype=bool)
+        first[1:] = self.pair_q[1:] != self.pair_q[:-1]
+        self.q_starts = np.flatnonzero(first)  # first pair per node
+        # the candidate priors, ascending, and each pair's index among them
+        seen = np.zeros(len(prior_graph), dtype=bool)
+        seen[self.pair_prior] = True
+        self.pair_p = np.cumsum(seen).take(self.pair_prior) - 1
+        self.quads = prior_graph.quadrics[np.flatnonzero(seen)]
+        box = np.array([b.as_list() for b in boxes], dtype=float).reshape(-1, 4)
+        self.q_means = 0.5 * (box[:, :2] + box[:, 2:])
+        # per pair, its query box's centre and half-extents, (4, 1, pairs)
+        query_box = np.concatenate([self.q_means, (box[:, 2:] - box[:, :2]) / 2.0], axis=1)
+        self.pair_box = np.ascontiguousarray(query_box[self.pair_q].T[:, None, :])
 
     def _pair_scores(self, rotation, translation) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair similarity (0 where the prior is not visible) and visibility, (n, pairs)."""
         ext, ok = _project_quadrics(self.quads, rotation, translation, self.intrinsics)
-        xa, ya, xb, yb = np.moveaxis(np.clip(ext, 0.0, self.image_max), -1, 0)
-        ok &= (xb - xa > 0.0) & (yb - ya > 0.0)
-
-        mean_x = 0.5 * (xa + xb)
-        mean_y = 0.5 * (ya + yb)
-        half_x = 0.5 * (xb - xa)
-        half_y = 0.5 * (yb - ya)
-
-        pp = self.pair_p
-        pq = self.pair_q
-        d2 = (
-            (mean_x[:, pp] - self.q_means[pq, 0]) ** 2
-            + (mean_y[:, pp] - self.q_means[pq, 1]) ** 2
-            + (half_x[:, pp] - self.q_halves[pq, 0]) ** 2
-            + (half_y[:, pp] - self.q_halves[pq, 1]) ** 2
-        )
-        visible = ok[:, pp]
+        # (x_min, y_min, x_max, y_max) first, clamped to the image (np.clip, unwrapped)
+        box = np.minimum(np.maximum(ext.transpose(2, 0, 1), 0.0), self.image_max[:, None, None])
+        size = box[2:] - box[:2]
+        ok &= (size > 0.0).all(axis=0)
+        # each projected box's centre and half-extents, per pair; W2 between
+        # the two boxes' Gaussians is the distance between these
+        d = np.concatenate([0.5 * (box[:2] + box[2:]), 0.5 * size]).take(self.pair_p, axis=2)
+        d -= self.pair_box
+        d *= d
+        d2 = d[0] + d[1] + d[2] + d[3]
+        visible = ok.take(self.pair_p, axis=1)
         return np.where(visible, np.exp(-np.sqrt(d2) / self.C), 0.0), visible
 
     def _was(self, wn: np.ndarray, visible: np.ndarray) -> np.ndarray:
-        """Mean over query nodes with a visible prior of their best pair score; 0 if none."""
+        """Mean over query nodes with a visible prior of their best pair score; 0 if none.
+
+        A query node with no visible prior has only zero scores, so its best is 0.
+        """
         best = np.maximum.reduceat(wn, self.q_starts, axis=1)  # (n, query nodes)
         have = np.logical_or.reduceat(visible, self.q_starts, axis=1)
-        sums = np.where(have, best, 0.0).sum(axis=1)
-        denom = have.sum(axis=1)
-        return np.where(denom > 0, sums / np.maximum(denom, 1), 0.0)
+        return best.sum(axis=1) / np.maximum(have.sum(axis=1), 1)
 
     def score(self, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
         """WAS of each pose, given as rotation matrices (n, 3, 3) and translations (n, 3)."""

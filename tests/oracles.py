@@ -13,6 +13,10 @@ one column of the similarity table at a time, the reference of
 projects one dual quadric under one pose, as the stacked
 `geometry._project_quadrics` does for each of its (quadric, pose) pairs;
 `project_quadric_to_bbox` reads one box off that kernel.
+Quaternions: `scalar_quat_normalize`, `scalar_quat_to_rotmat` and
+`scalar_rotmat_to_quat` (Shepperd's branches written out) take one
+quaternion or matrix at a time in Python floats, in the operation order the
+stacked helpers' docstrings state, so the two agree to the bit.
 Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
 `normalized_wasserstein` score one box pair, and `scalar_calculate_was`
 scores one pose the way `calculate_was` does.
@@ -356,6 +360,66 @@ def scalar_calculate_was(pose, pairs, prior_graph, query_graph, intrinsics, C):
         return 0.0, []
     score = sum(best[q][1] for q in sorted(best)) / len(best)
     return score, [(best[q][0], q) for q in sorted(best)]
+
+
+# ---------------------------------------------------------------------------
+# quaternions
+
+
+def scalar_quat_normalize(q) -> np.ndarray:
+    """quat_normalize of one quaternion (4,), entry by entry in Python floats.
+
+    The norm is the square root of the 1-D dot `q @ q` (the BLAS dot the
+    stacked helper's `_dot` runs per vector); each entry is divided by it,
+    then multiplied by the sign of the first nonzero quotient.
+    """
+    q = np.asarray(q, dtype=float)
+    norm = math.sqrt(float(q @ q))
+    if not 0.0 < norm < math.inf:
+        raise ValueError("zero quaternion, NaN or norm overflow")
+    unit = [v / norm for v in q.tolist()]
+    sign = math.copysign(1.0, next(v for v in unit if v != 0.0))
+    return np.array([v * sign for v in unit])
+
+
+def scalar_quat_to_rotmat(q) -> np.ndarray:
+    """quat_to_rotmat of one unit quaternion (w, x, y, z), entry by entry:
+    2 (x y - w z) off the diagonal, 1 - 2 (y y + z z) on it, and so on."""
+    w, x, y, z = (float(v) for v in q)
+    return np.array(
+        [
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+        ]
+    )
+
+
+def scalar_rotmat_to_quat(r) -> np.ndarray:
+    """rotmat_to_quat of one matrix (3, 3), Shepperd's branches written out.
+
+    The w branch when the trace is positive, else the axis of the first
+    largest diagonal entry: that component is s / 4, with s twice the
+    square root of 1 + trace or of 1 + r_aa - r_bb - r_cc, and the others
+    (r_ij +- r_ji) / s. Then scalar_quat_normalize.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(r, dtype=float).tolist()
+    trace = r00 + r11 + r22
+    diag = [r00, r11, r22]
+    axis = max(range(3), key=diag.__getitem__)  # the first of equals
+    if trace > 0.0:
+        s = math.sqrt(trace + 1.0) * 2.0
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    elif axis == 0:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    elif axis == 1:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
+    else:
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+    return scalar_quat_normalize(q)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ from oracles import (
     project_quadric_to_bbox,
     scalar_p3p_solve,
     scalar_project_quadric_to_bbox,
+    scalar_quat_normalize,
+    scalar_quat_to_rotmat,
+    scalar_rotmat_to_quat,
     wasserstein2_squared,
 )
 
@@ -53,6 +56,14 @@ def rotz(a):
 
 # ---------------------------------------------------------------------------
 # quaternions
+
+# rotations whose trace is near -1, where Shepperd leaves the w branch
+_BRANCH_POINTS = np.array([rotx(math.pi), rotz(math.pi), rotx(math.pi) @ rotz(math.pi)])
+
+
+def _bits(x) -> bytes:
+    """The bytes of a float64 array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, dtype=float).tobytes()
 
 
 class TestQuaternions:
@@ -86,8 +97,43 @@ class TestQuaternions:
 
     def test_round_trip_near_branch_points(self):
         # trace near -1 exercises the non-principal Shepperd branches
-        for r in (rotx(math.pi), rotz(math.pi), rotx(math.pi) @ rotz(math.pi)):
+        for r in _BRANCH_POINTS:
             np.testing.assert_allclose(quat_to_rotmat(rotmat_to_quat(r)), r, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "helper, bad",
+        [
+            (quat_normalize, [math.nan, 0.0, 0.0, 0.0]),
+            (quat_normalize, [[1.0, 0.0, 0.0, 0.0], [0.5, math.nan, 0.5, 0.5]]),
+            (quat_to_rotmat, [math.nan, 0.0, 0.0, 0.0]),
+            (quat_to_rotmat, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, math.nan, 1.0]]),
+            (rotmat_to_quat, np.full((3, 3), math.nan)),
+            (rotmat_to_quat, np.where(np.eye(3) > 0.0, 1.0, [[0.0, math.nan, 0.0]] * 3)),
+        ],
+    )
+    def test_nan_raises(self, helper, bad):
+        with pytest.raises(ValueError):
+            helper(bad)
+
+    def test_helpers_match_scalar_oracles_to_the_bit(self):
+        rng = np.random.default_rng(21)
+        raw = rng.normal(size=(10_000, 4)) * 10.0 ** rng.uniform(-3, 3, size=(10_000, 1))
+        # zeros ahead of the first nonzero entry, whose sign decides the result's
+        rows = np.arange(0, len(raw), 7)
+        raw[rows, rng.integers(0, 3, size=len(rows))] = 0.0
+        raw[rows[::2], 0] = 0.0
+        q = quat_normalize(raw)
+        r = quat_to_rotmat(q)
+        # near rotations too: Shepperd reads any finite matrix
+        mats = np.concatenate([r, r + rng.normal(scale=1e-3, size=r.shape), _BRANCH_POINTS])
+        back = rotmat_to_quat(mats)
+        assert _bits(q) == _bits([scalar_quat_normalize(v) for v in raw])
+        assert _bits(r) == _bits([scalar_quat_to_rotmat(v) for v in q])
+        assert _bits(back) == _bits([scalar_rotmat_to_quat(m) for m in mats])
+        # every Shepperd branch is taken
+        trace = np.trace(mats, axis1=1, axis2=2)
+        axes = np.diagonal(mats, axis1=1, axis2=2)[trace <= 0.0].argmax(axis=1)
+        assert (trace > 0.0).any() and set(axes.tolist()) == {0, 1, 2}
 
     def test_distance_sign_invariant(self, rng):
         q = rotmat_to_quat(random_rotation(rng))
@@ -697,6 +743,10 @@ class TestP3PStack:
                 single = p3p_solve(pts[i], bearings[i])
                 assert np.array_equal(single.rotation, q1)
                 assert np.array_equal(single.translation, t1)
+        # the matrices are the quaternions' own, to the bit, over the whole stack
+        whole = p3p_solve(pts, bearings)
+        assert len(whole) == sum(len(q) for q, _ in first)
+        assert _bits(whole.rotation_matrix) == _bits(quat_to_rotmat(whole.rotation))
 
     def test_result_layout(self, rng):
         _, pts, cams = _non_degenerate_triple(rng)

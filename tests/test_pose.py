@@ -1108,6 +1108,38 @@ def _record_stacks(monkeypatch) -> list[int]:
     return sizes
 
 
+class TestBenchmarkHooks:
+    """perfbench traces `p3p_solve`, `_AlignmentScorer.score`, `calculate_was`
+    and `is_valid_sample` by name on semloc.pose; a refactor that inlines
+    one of them must fail here, not only in the benchmark's smoke test."""
+
+    def test_each_hook_is_called_per_chunk_draw_and_frame(self, monkeypatch):
+        prior, queries, _ = _latency_scene_frames(seed=0, frame_ids=[5])
+        config = MatcherConfig(rng_seed=_localize_seed(5), early_exit_was=None)
+        calls = dict.fromkeys(["p3p_solve", "score", "calculate_was", "is_valid_sample"], 0)
+        for owner, name in (
+            (semloc.pose, "p3p_solve"),
+            (_AlignmentScorer, "score"),
+            (semloc.pose, "calculate_was"),
+            (semloc.pose, "is_valid_sample"),
+        ):
+
+            def counting(*args, _name=name, _wrapped=getattr(owner, name)):
+                calls[_name] += 1
+                return _wrapped(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        res = estimate_pose(queries[0], prior, config, INTR)
+        assert res.status == LocalizationStatus.SUCCESS
+        chunks = len(_chunk_ends(res.n_valid_samples))
+        assert chunks == 2
+        assert calls["p3p_solve"] == calls["score"] == chunks
+        assert calls["calculate_was"] == 1
+        # without an early exit every draw is checked
+        n_pairs = _n_pairs(queries[0], prior, config.tau)
+        assert calls["is_valid_sample"] == min(config.n_iter, math.comb(n_pairs, 3))
+
+
 class TestChunkedLoopMatchesSerial:
     """estimate_pose solves and scores valid samples _CHUNK at a time; it
     must return what the loop solving one draw at a time returns."""
