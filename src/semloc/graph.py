@@ -160,7 +160,9 @@ class SemanticGraph:
     `edge_root` and `edge_nbr` are node indices, `edge_length`
     the root-to-neighbor distance and `edge_slot` the edge's place among its
     root's edges. `degree` counts each node's edges and `max_degree` is its
-    maximum (0 without edges). `ids`, `positions` (nodes, 3) and their
+    maximum (0 without edges). `edge_reverse` maps each directed edge to the
+    one the other way, so `edge_reverse` over a node's own run of edges
+    lists the edges into it, by root. `ids`, `positions` (nodes, 3) and their
     `pairwise_distances` table `distances` (nodes, nodes) are built with the
     graph, unless a builder passes in the table it wired the edges from; a
     prior graph's `quadrics`, `radii` and `label_table` on first use.
@@ -189,6 +191,8 @@ class SemanticGraph:
         self.max_degree = int(self.degree.max(initial=0))
         offsets = np.cumsum(self.degree) - self.degree
         self.edge_slot = np.arange(self.edge_root.size) - offsets[self.edge_root]
+        # (neighbor, root) keys are the (root, neighbor) keys of the reversed edges
+        self.edge_reverse = np.argsort(self.edge_nbr * n + self.edge_root)
         self.positions = np.reshape([node.position for node in self.nodes], (-1, 3))
         if self.distances is None:
             self.distances = pairwise_distances(self.positions)

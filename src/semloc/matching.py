@@ -4,13 +4,15 @@ Pairwise multi-label likelihoods, context propagation over graph
 neighborhoods (distance-consistency weighted, best prior neighbor per query
 neighbor), and extraction of the top-ranked candidate pairs per query node.
 Context propagation runs over the graphs' directed edge lists
-(`SemanticGraph.edge_root` and friends): each prior root's best is taken
-over its own edges, and only the per-query-root sum pads its slots to the
-largest query degree. A landmark and a detection that share no label have
-likelihood exactly zero, so the frame's positive likelihoods link landmarks
-and detections into components, the (query edge, prior edge) products are
-formed one block of components at a time, and the zeros between components
-are never formed.
+(`SemanticGraph.edge_root` and friends): every (query edge, prior edge)
+product is max-reduced into one flat (prior roots, query edges) array, and
+only the per-query-root sum pads its slots to the largest query degree. A
+landmark and a detection that share no label have likelihood exactly zero,
+so the frame's positive likelihoods link landmarks and detections into
+components. A large component's products are formed as one dense
+rectangle; in the others only the products of a positive likelihood are
+formed, by joining it to the edges into its two nodes. The zeros between
+components are never formed.
 """
 
 from __future__ import annotations
@@ -24,24 +26,24 @@ from .graph import SemanticGraph
 
 logger = logging.getLogger(__name__)
 
-# elements of score_all_pairs' padded (query edges, longest run, prior roots) gather
-# per chunk of a block's prior roots. The products and their gather are built and
-# reduced in several passes, so it pays to keep them in cache. On a 2-core Xeon
-# (2.0 GHz, 4 MB L2) a wide-ambiguous call, whose blocks pad to 37k-302k elements,
-# took within 5% of one median anywhere from 40k to 100k and 22% longer at 150k;
-# cli-early-exit frames (55k-61k padded, one block) took 4-5% longer when cut into
-# two chunks. crit8-sampling frames pad to 14k-23k, one chunk.
-_CHUNK_ELEMS = 100_000
+# products per slice of a dense block's prior edges in score_all_pairs. Each
+# slice's products and their flat indices are built and then scattered by
+# `np.maximum.at`, so it pays to keep them in cache; a slice is cut from the
+# block's own prior edges and pads nothing. On a 2-core Xeon (2.0 GHz, 4 MB L2)
+# wide-ambiguous calls, whose four blocks hold 17k-122k products, took within 5%
+# of one time at 10k to 50k, 6% longer at 65k and 35% longer at 100k and more.
+# The other two workloads form no dense block.
+_CHUNK_ELEMS = 50_000
 
-# (query edges, prior edges) elements from which a frame's likelihood component is
-# a block of its own in score_all_pairs; smaller components share one block. On the
-# same host a block costs some 18 us of fixed numpy calls, the time of about 2,500
-# elements of a shared block (7 ns each). wide-ambiguous frames have four components
-# of 16k-130k elements, so any cut from 190 to 16k gives the same blocks and a call
-# takes half the time of one shared block. crit8-sampling and cli-early-exit
-# components (one landmark per label; 10 and 27-30 a frame) hold under 190, so
-# their frames are one block: with every component a block of its own, crit8 calls
-# took 2.3-2.5x and cli calls 2.7-2.8x as long.
+# (query edges, prior edges) products from which a likelihood component is formed
+# as a dense block in score_all_pairs; the positive likelihoods of smaller
+# components are joined to their edges, which forms only products that can be
+# nonzero but costs several times as much a product. On the same host,
+# wide-ambiguous frames have four components of 17k-122k products, nearly all
+# nonzero, and joining them took 4.9x as long as the blocks. crit8-sampling and
+# cli-early-exit components (one landmark per label; 10 and 27-30 a frame) hold
+# 25-189 products, mostly zero, and as blocks crit8 calls took 2.8x and cli calls
+# 5.2x as long as joined. Any cut from 190 to 16k gives these frames the same split.
 _BLOCK_ELEMS = 4096
 
 
@@ -75,22 +77,22 @@ def _query_confidences(prior_graph: SemanticGraph, query_graph: SemanticGraph) -
     return conf
 
 
-def _likelihood_blocks(prior_graph: SemanticGraph, query_graph: SemanticGraph, like: np.ndarray):
-    """Query edges in block order, each block's (start, stop) in that order, and its prior edges.
+def _components(prior_graph: SemanticGraph, query_graph: SemanticGraph, like: np.ndarray):
+    """The frame's likelihood components: dense blocks, and the pairs to join.
 
     The positive entries of the likelihood `like` (prior nodes, query nodes)
     link landmarks and detections into components, numbered by their lowest
     query node: starting from its own index, each round gives every
     landmark the least number among its detections and then every
     detection the least among its landmarks, until no number changes. A
-    node with no positive entry is in no component (number: the count of
-    query nodes).
-    w * like[n, m] is exactly zero unless n and m are in one component. An
-    edge is in its neighbor's component, so an edge into a node of no
-    component is in no block. A component whose (query edges, prior edges)
-    rectangle holds at least _BLOCK_ELEMS elements is a block of its own;
-    the rest share the last block. Blocks without query or prior edges are
-    left out, and prior edges are index arrays in edge order.
+    node with no positive entry is in no component.
+    w * like[n, m] is exactly zero unless n and m are in one component, and
+    an edge is in its neighbor's component. A component whose (query edges,
+    prior edges) rectangle holds at least _BLOCK_ELEMS elements is a dense
+    block, given as its query edges and its prior edges (index arrays in
+    edge order), blocks by component number. The positive likelihoods of
+    every other component are the pairs to join, as (prior nodes, query
+    nodes) index arrays in row-major order.
     """
     linked = like > 0.0
     n_q = linked.shape[1]
@@ -102,22 +104,28 @@ def _likelihood_blocks(prior_graph: SemanticGraph, query_graph: SemanticGraph, l
             break
         comp = new
     q_comp, p_comp = comp[query_graph.edge_nbr], node_comp[prior_graph.edge_nbr]
-    q_count = np.bincount(q_comp, minlength=n_q + 1)
-    p_count = np.bincount(p_comp, minlength=n_q + 1)
-    large = np.flatnonzero(q_count[:n_q] * p_count[:n_q] >= _BLOCK_ELEMS)
-    block = np.full(n_q + 1, large.size)  # small components share block large.size
-    block[large] = np.arange(large.size)
-    block[n_q] = large.size + 1  # no component: past every block
-    q_block, p_block = block[q_comp], block[p_comp]
-    order = np.argsort(q_block, kind="stable")
-    q_bounds = np.searchsorted(q_block[order], np.arange(large.size + 2)).tolist()
-    spans, edges = [], []
-    for b in range(large.size + 1):
-        prior_edges = np.flatnonzero(p_block == b)
-        if prior_edges.size and q_bounds[b] < q_bounds[b + 1]:
-            spans.append((q_bounds[b], q_bounds[b + 1]))
-            edges.append(prior_edges)
-    return order, spans, edges
+    size = np.bincount(q_comp, minlength=n_q + 1) * np.bincount(p_comp, minlength=n_q + 1)
+    dense = size >= _BLOCK_ELEMS
+    dense[n_q] = False  # number n_q: no component
+    blocks = [(np.flatnonzero(q_comp == c), np.flatnonzero(p_comp == c)) for c in np.flatnonzero(dense)]
+    return blocks, np.nonzero(linked & ~dense[comp])
+
+
+def _weighted(p_len: np.ndarray, q_len: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """w * like with w = 1 / (1 + |p_len - q_len|), broadcast, one operation after another.
+
+    Written into a new float64 array: numpy's fast `ufunc.at` loop needs the
+    values to share `best`'s dtype object, and arrays unpickled in a spawned
+    worker carry a float64 dtype that is equal to it but another object,
+    which sends `np.maximum.at` down a path more than ten times as slow.
+    """
+    prod = np.empty(np.broadcast_shapes(p_len.shape, q_len.shape))
+    np.subtract(p_len, q_len, out=prod)
+    np.abs(prod, out=prod)
+    prod += 1.0
+    np.divide(1.0, prod, out=prod)
+    prod *= like
+    return prod
 
 
 def score_all_pairs(
@@ -138,17 +146,19 @@ def score_all_pairs(
     w = 1 / (1 + |d_prior(root, n) - d_query(root, m)|). A root without
     neighbors on either side gets no context term.
 
-    Works on the graphs' directed edge lists, one block of likelihood
-    components at a time (`_likelihood_blocks`): within a block,
-    w * likelihood is formed for every (query edge, prior edge) pair,
-    gathered into each prior root's run of edges padded with repeats of its
-    last edge, and maxed over the run; a pair in no common block has
-    likelihood exactly 0.0, which is the value its slot starts at. Prior
-    roots are chunked so that no chunk's padded gather exceeds _CHUNK_ELEMS,
-    with at least one root per chunk. The bests are then summed per query
-    root over its edge slots, padded with zeros to the largest query
-    degree, in one fixed slot order, so the table has the same bits however
-    the edges fall into blocks and chunks.
+    Works on the graphs' directed edge lists: every (query edge, prior edge)
+    product it forms is max-reduced with `np.maximum.at` into one flat
+    (prior roots, query edges) array of bests, which starts at 0.0, the
+    product of any pair it does not form. The frame's likelihood
+    components (`_components`) decide which pairs are formed. A dense
+    block's products are formed for its whole rectangle, in slices of its
+    prior edges of at most _CHUNK_ELEMS products; every other positive
+    likelihood(n, m) is joined to each pair of an edge into n and an edge
+    into m (`SemanticGraph.edge_reverse`), and the rest is never formed.
+    The bests are then summed per query root over its edge slots, padded
+    with zeros to the largest query degree, in one fixed slot order. A max
+    does not depend on the order of its operands, so the table has the same
+    bits however the products are formed.
 
     use_calp=False skips context propagation: the similarity is the
     likelihood, which is the ablation baseline. So is the similarity when
@@ -161,34 +171,28 @@ def score_all_pairs(
     if not use_calp or qg.edge_root.size == 0 or pg.edge_root.size == 0:
         return table
 
-    order, spans, prior_edges = _likelihood_blocks(pg, qg, sim)
-    like_qn = sim.T[qg.edge_nbr[order]]  # (query edges, prior nodes): likelihood[n, m] for m
-    q_len = qg.edge_length[order]
-    best = np.zeros((len(pg), qg.edge_root.size))  # (prior roots, query edges): best w * like[n, m]
-    for (q_start, q_stop), edges in zip(spans, prior_edges):
-        roots = pg.edge_root[edges]
-        runs = np.bincount(roots)
-        runs = runs[runs > 0]  # the lengths of the prior roots' runs of edges
-        tails = np.cumsum(runs)
-        heads = tails - runs
-        # (longest run, runs): each run's edges, its last repeated, which leaves its max as it is
-        pad = heads + np.minimum(np.arange(runs.max())[:, None], runs - 1)
-        p_len, p_nbr = pg.edge_length[edges], pg.edge_nbr[edges]
-        q_like, q_dist = like_qn[q_start:q_stop], q_len[q_start:q_stop, None]
-        step = max(1, _CHUNK_ELEMS // ((q_stop - q_start) * pad.shape[0]))  # prior roots per chunk
-        for start in range(0, heads.size, step):
-            stop = min(start + step, heads.size)
-            first, last = heads[start], tails[stop - 1]
-            # (query edges, prior edges) of w * like[n, m], built in place
-            prod = p_len[None, first:last] - q_dist
-            np.abs(prod, out=prod)
-            prod += 1.0
-            np.divide(1.0, prod, out=prod)
-            prod *= q_like[:, p_nbr[first:last]]
-            # max per prior root
-            best[roots[heads[start:stop]], q_start:q_stop] = prod[:, pad[:, start:stop] - first].max(axis=1).T
+    blocks, (n, m) = _components(pg, qg, sim)
+    n_qe = qg.edge_root.size
+    best = np.zeros(len(pg) * n_qe)  # (prior roots, query edges), flat: best w * like[n, m]
+    for q_edges, p_edges in blocks:
+        q_like, q_len = sim.T[qg.edge_nbr[q_edges]], qg.edge_length[q_edges, None]
+        step = max(1, _CHUNK_ELEMS // q_edges.size)  # prior edges per slice
+        for start in range(0, p_edges.size, step):
+            e = p_edges[start : start + step]
+            prod = _weighted(pg.edge_length[e], q_len, q_like[:, pg.edge_nbr[e]])
+            np.maximum.at(best, (pg.edge_root[e] * n_qe + q_edges[:, None]).ravel(), prod.ravel())
+    # each joined pair (n, m) times each (edge into n, edge into m): the a-th
+    # and b-th of them, counted from n's and m's own runs of edges
+    q_deg = qg.degree[m]
+    count = pg.degree[n] * q_deg
+    pair = np.repeat(np.arange(count.size), count)
+    a, b = np.divmod(np.arange(pair.size) - (np.cumsum(count) - count)[pair], q_deg[pair])
+    p_edge = pg.edge_reverse[(np.cumsum(pg.degree) - pg.degree)[n][pair] + a]
+    q_edge = qg.edge_reverse[(np.cumsum(qg.degree) - qg.degree)[m][pair] + b]
+    prod = _weighted(pg.edge_length[p_edge], qg.edge_length[q_edge], sim[n, m][pair])
+    np.maximum.at(best, pg.edge_root[p_edge] * n_qe + q_edge, prod)
     slots = np.zeros((len(pg), len(qg), qg.max_degree))
-    slots[:, qg.edge_root[order], qg.edge_slot[order]] = best
+    slots[:, qg.edge_root, qg.edge_slot] = best.reshape(len(pg), n_qe)
     sim += slots.sum(axis=2) / np.maximum(qg.degree, 1)
     return table
 
@@ -210,11 +214,23 @@ class CandidateSet:
 def extract_candidates(table: SimilarityTable, tau: int) -> CandidateSet:
     """Keep the tau best-scored priors per query node.
 
-    One stable sort of the whole table ranks every column by similarity, ties
-    to the lower prior index (so id), and exactly tau pairs are kept per query
-    node (fewer only when the prior graph is smaller). Zero-score pairs stay eligible.
+    Every column is ranked by similarity, ties to the lower prior index (so
+    id), and exactly tau pairs are kept per query node (fewer only when the
+    prior graph is smaller). Zero-score pairs stay eligible. No column is
+    sorted whole: `np.partition` finds each column's tau-th best score, and
+    only the scores at least as good are sorted, of which each column keeps
+    its first tau.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    rows = np.argsort(-table.similarity, axis=0, kind="stable")[:tau]  # (kept per node, query nodes)
-    return CandidateSet(rows.T.ravel(), np.repeat(np.arange(rows.shape[1]), len(rows)))
+    n_p, n_q = table.similarity.shape
+    k = min(tau, n_p)
+    if k == 0:
+        return CandidateSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    neg = np.negative(table.similarity.T, order="C")  # a row per query node, best lowest
+    cut = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    col, row = np.nonzero(neg <= cut)
+    order = np.lexsort((neg[col, row], col))  # by column, then best first, ties to the lower index
+    if col.size > n_q * k:  # ties at the cut: each column's first k
+        order = order[(np.searchsorted(col, np.arange(n_q))[:, None] + np.arange(k)).ravel()]
+    return CandidateSet(row[order], np.repeat(np.arange(n_q), k))

@@ -146,7 +146,9 @@ def rematch_predictions(
             np.tile(np.arange(n_priors), len(det_ids)), np.repeat(np.arange(len(det_ids)), n_priors)
         )
         scorer = _AlignmentScorer(pairs, prior_graph, det_ids, boxes, intrinsics, MatcherConfig.C)
-        out[frame_id] = calculate_was(gt_poses[frame_id], scorer)[1]
+        pose = gt_poses[frame_id]
+        _, pair_scores, visible = scorer.score(pose.rotation_matrix()[None], pose.translation[None])
+        out[frame_id] = calculate_was(pair_scores[0], visible[0], scorer)
     return out
 
 

@@ -32,7 +32,6 @@ from .geometry import (
     _project_quadrics,
     p3p_solve,
     pixel_to_bearing,
-    quat_to_rotmat,
 )
 from .graph import SemanticGraph
 from .matching import CandidateSet, extract_candidates, score_all_pairs
@@ -243,29 +242,34 @@ class _AlignmentScorer:
         have = np.logical_or.reduceat(visible, self.q_starts, axis=1)
         return best.sum(axis=1) / np.maximum(have.sum(axis=1), 1)
 
-    def score(self, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
-        """WAS of each pose, given as rotation matrices (n, 3, 3) and translations (n, 3)."""
-        return self._was(*self._pair_scores(rotation, translation))
+    def score(
+        self, rotation: np.ndarray, translation: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """WAS of each pose, given as rotation matrices (n, 3, 3) and translations (n, 3),
+        and the per-pair scores and visibility it is taken from, (n, pairs) each."""
+        wn, visible = self._pair_scores(rotation, translation)
+        return self._was(wn, visible), wn, visible
 
 
-def calculate_was(pose: Pose, scorer: _AlignmentScorer) -> tuple[float, list[tuple[int, int]]]:
-    """WAS of one pose against the scorer's candidate pairs, and the (prior id, query id) pairs it selects.
+def calculate_was(
+    pair_scores: np.ndarray, visible: np.ndarray, scorer: _AlignmentScorer
+) -> list[tuple[int, int]]:
+    """The (prior id, query id) pairs whose scores make up one pose's WAS.
 
-    The score is the mean, over query nodes with a visible candidate prior,
-    of the best exp(-W2/C) box similarity. Per query node the best visible
-    prior is selected, ties to the lower prior index (so id); pairs are
-    ordered by query index (so id). Nothing visible gives 0 and no pairs.
+    pair_scores and visible are the pose's row of `_AlignmentScorer.score`,
+    (pairs,) each; its WAS is the mean, over query nodes with a visible
+    candidate prior, of the best exp(-W2/C) box similarity. Per query node
+    the best visible prior is selected, ties to the lower prior index (so
+    id); pairs are ordered by query index (so id). Nothing visible selects
+    no pairs.
     """
-    rotation = quat_to_rotmat(pose.rotation[None])
-    wn, visible = scorer._pair_scores(rotation, pose.translation[None])
-    was = float(scorer._was(wn, visible)[0])
-    idx = np.flatnonzero(visible[0])
+    idx = np.flatnonzero(visible)
     prior, query = scorer.pair_prior[idx], scorer.pair_q[idx]
-    order = np.lexsort((prior, -wn[0, idx], query))  # best first within each query node
+    order = np.lexsort((prior, -pair_scores[idx], query))  # best first within each query node
     prior, query = prior[order], query[order]
     first = np.ones(query.size, dtype=bool)
     first[1:] = query[1:] != query[:-1]
-    return was, list(zip(scorer.prior_ids[prior[first]].tolist(), scorer.query_ids[query[first]].tolist()))
+    return list(zip(scorer.prior_ids[prior[first]].tolist(), scorer.query_ids[query[first]].tolist()))
 
 
 def estimate_pose(
@@ -289,9 +293,12 @@ def estimate_pose(
     and scored by one call on all of them. The chunk is then walked in draw
     order with array operations and cut where the early exit fires: the
     result is the one of solving and scoring each valid sample as it is
-    drawn. Only the best hypothesis becomes a Pose. Every chunk holds
-    _CHUNK valid samples, the last one whatever is left, so each call's
-    arrays stay within _CHUNK x 4 poses x pairs.
+    drawn. Only the best hypothesis becomes a Pose, and its row of per-pair
+    scores and visibility is kept from its chunk: the result's WAS is its
+    score in the loop, and `calculate_was` selects the correspondences from
+    that row, so no pose is projected twice. Every chunk holds _CHUNK valid
+    samples, the last one whatever is left, so each call's arrays stay
+    within _CHUNK x 4 poses x pairs.
     """
     if len(query_graph) < 3:
         return LocalizationResult(
@@ -328,7 +335,7 @@ def estimate_pose(
         draws, picks = zip(*chunk)
         picked = np.array(picks)
         solved = p3p_solve(pair_world[picked], pair_rays[picked])
-        scores = scorer.score(solved.rotation_matrix, solved.translation)
+        scores, pair_scores, visible = scorer.score(solved.rotation_matrix, solved.translation)
         # walk the chunk in draw order, as a loop solving one sample per draw
         # would, and cut it where that loop would have stopped: per sample
         # its best score (-1 without a pose), the running best before and
@@ -345,8 +352,9 @@ def estimate_pose(
         if improved:
             i = improved[-1]
             best_w = float(top[i])
-            # the sample's first pose of that score
-            best_pose = solved.pose(int(np.argmax((solved.sample == i) & (scores == top[i]))))
+            # the sample's first pose of that score, and its row of pair scores
+            k = int(np.argmax((solved.sample == i) & (scores == top[i])))
+            best_pose, best_row = solved.pose(k), (pair_scores[k], visible[k])
         if exits.size:
             break
 
@@ -357,7 +365,7 @@ def estimate_pose(
             LocalizationStatus.DEGENERATE, history=history, n_valid_samples=n_valid
         )
 
-    was, correspondences = calculate_was(best_pose, scorer)
+    correspondences = calculate_was(*best_row, scorer)
     if len(correspondences) < 3:
         return LocalizationResult(
             LocalizationStatus.DEGENERATE,
@@ -369,7 +377,7 @@ def estimate_pose(
         LocalizationStatus.SUCCESS,
         pose=best_pose,
         correspondences=correspondences,
-        was=was,
+        was=best_w,
         history=history,
         n_valid_samples=n_valid,
     )

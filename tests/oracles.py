@@ -8,8 +8,8 @@ Matching: `multilabel_likelihood`, `neighbor_weight`, `best_neighbor_set` and
 similarity tables at a time, and `padded_score_all_pairs` computes the whole
 similarity table over padded neighbor tensors, the bit-exact reference of
 the edge-list context propagation. `per_column_extract_candidates` ranks
-one column of the similarity table at a time, the reference of
-`extract_candidates`' one sort. Projection: `scalar_project_quadric_to_bbox`
+one column of the similarity table at a time by a full sort, the reference
+of `extract_candidates`' partition. Projection: `scalar_project_quadric_to_bbox`
 projects one dual quadric under one pose, as the stacked
 `geometry._project_quadrics` does for each of its (quadric, pose) pairs;
 `project_quadric_to_bbox` reads one box off that kernel.
@@ -19,7 +19,8 @@ quaternion or matrix at a time in Python floats, in the operation order the
 stacked helpers' docstrings state, so the two agree to the bit.
 Alignment: `bbox_to_gaussian`, `wasserstein2_squared` and
 `normalized_wasserstein` score one box pair, and `scalar_calculate_was`
-scores one pose the way `calculate_was` does.
+scores one pose and selects its pairs the way `_AlignmentScorer.score` and
+`calculate_was` do.
 Pose search: `scalar_is_valid_sample` checks one sample of (prior id,
 query id) pairs against the graphs' neighbor ids and node positions, the
 reference of the compatibility table `estimate_pose` checks draws against.
@@ -702,7 +703,9 @@ def serial_estimate_pose(
     draw list (`_draw_triples`, the one `estimate_pose` draws), solving and
     scoring each valid sample before checking the next. Samples are
     (prior id, query id) pairs checked by `scalar_is_valid_sample`; the loop
-    stops early on a high enough alignment.
+    stops early on a high enough alignment. The best pose is then projected
+    once more on its own, and its WAS and correspondences are read from that
+    projection, where `estimate_pose` keeps its row from the loop.
     """
     if len(query_graph) < 3:
         return LocalizationResult(
@@ -741,7 +744,7 @@ def serial_estimate_pose(
         poses = p3p_solve(world, rays)
         if not len(poses):
             continue
-        scores = scorer.score(poses.rotation_matrix, poses.translation)
+        scores = scorer.score(poses.rotation_matrix, poses.translation)[0]
         k = int(np.argmax(scores))
         if scores[k] > best_w:
             best_w = float(scores[k])
@@ -757,7 +760,9 @@ def serial_estimate_pose(
             LocalizationStatus.DEGENERATE, history=history, n_valid_samples=n_valid
         )
 
-    was, correspondences = calculate_was(best_pose, scorer)
+    # the best pose projected once more, on its own
+    was, pair_scores, visible = scorer.score(best_pose.rotation_matrix()[None], best_pose.translation[None])
+    correspondences = calculate_was(pair_scores[0], visible[0], scorer)
     if len(correspondences) < 3:
         return LocalizationResult(
             LocalizationStatus.DEGENERATE,
@@ -769,7 +774,7 @@ def serial_estimate_pose(
         LocalizationStatus.SUCCESS,
         pose=best_pose,
         correspondences=correspondences,
-        was=was,
+        was=float(was[0]),
         history=history,
         n_valid_samples=n_valid,
     )

@@ -279,11 +279,18 @@ class TestEdgeArrays:
         pos = g.positions
         for root, nbr, length in zip(g.edge_root, g.edge_nbr, g.edge_length):
             assert length == pytest.approx(np.linalg.norm(pos[nbr] - pos[root]), abs=1e-12)
+        # each edge's reverse, and over a node's own run the edges into it, by root
+        rev = g.edge_reverse
+        assert list(zip(g.edge_root[rev], g.edge_nbr[rev])) == list(zip(g.edge_nbr, g.edge_root))
+        start = np.cumsum(g.degree) - g.degree
+        for i in range(n):
+            into = rev[start[i] : start[i] + g.degree[i]].tolist()
+            assert into == [e for e, (_, nbr, _) in enumerate(expected) if nbr == i]
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_empty_without_edges(self, n):
         g = SemanticGraph([prior_node(i, (i, 0, 0), {"a": 1}) for i in range(n)], [])
-        for arr in (g.edge_root, g.edge_nbr, g.edge_slot, g.edge_length):
+        for arr in (g.edge_root, g.edge_nbr, g.edge_slot, g.edge_length, g.edge_reverse):
             assert arr.shape == (0,)
         assert g.edges.shape == (0, 2)
         np.testing.assert_array_equal(g.degree, np.zeros(n, dtype=int))
@@ -293,7 +300,7 @@ class TestEdgeArrays:
         nodes = [prior_node(i, (i, 0.5 * i * i, 0), {"a": 1}) for i in (5, 1, 3, 7)]
         g = graph(nodes, [(1, 5), (3, 5), (1, 3)])  # 7 is isolated
         h = pickle.loads(pickle.dumps(g))
-        for name in ("edges", "edge_root", "edge_nbr", "edge_slot", "edge_length", "degree"):
+        for name in ("edges", "edge_root", "edge_nbr", "edge_slot", "edge_length", "edge_reverse", "degree"):
             a, b = getattr(g, name), getattr(h, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert h.max_degree == g.max_degree == 2
@@ -329,7 +336,7 @@ class TestPriorGraphBuilders:
         nodes = [prior_node(i, r.integers(0, 3, 3).astype(float), {"a": 1}) for i in ids]
         a = prior_graph_from_nodes(nodes, [], k_edge=k_edge)
         b = prior_graph_from_nodes(nodes, [ids], k_edge=k_edge)
-        for name in ("edges", "edge_root", "edge_nbr", "edge_slot", "edge_length", "degree"):
+        for name in ("edges", "edge_root", "edge_nbr", "edge_slot", "edge_length", "edge_reverse", "degree"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
@@ -432,19 +439,32 @@ class TestLikelihoodBlocks:
         qg = graph(q_nodes, [(0, 1), (1, 2), (2, 3), (3, 4)])
         like = score_all_pairs(pg, qg, use_calp=False).similarity
         # prior edges 6 (4 -> 5) and 9 (6 -> 5) run into landmark 5, query
-        # edges 4 (2 -> 3) and 7 (4 -> 3) into detection 3: they are in no block
+        # edges 4 (2 -> 3) and 7 (4 -> 3) into detection 3: they are in no
+        # block, and no joined pair reaches them
         assert pg.edge_nbr[[6, 9]].tolist() == [4, 4] and qg.edge_nbr[[4, 7]].tolist() == [3, 3]
-        order, spans, edges = semloc.matching._likelihood_blocks(pg, qg, like)
-        assert order.tolist() == [0, 1, 2, 3, 5, 6, 4, 7]
-        assert spans == [(0, 6)]
-        assert [e.tolist() for e in edges] == [[0, 1, 2, 3, 4, 5, 7, 8, 10, 11]]
+        assert pg.edge_reverse.tolist() == [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10]
+        assert qg.edge_reverse.tolist() == [1, 0, 3, 2, 5, 4, 7, 6]
+        # both components are small: every positive likelihood is joined, row-major
+        blocks, (n, m) = semloc.matching._components(pg, qg, like)
+        assert blocks == []
+        assert list(zip(n.tolist(), m.tolist())) == [
+            (0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (5, 4), (6, 4)
+        ]
         # a block per component when every component is large enough
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(semloc.matching, "_BLOCK_ELEMS", 1)
-            order, spans, edges = semloc.matching._likelihood_blocks(pg, qg, like)
-        assert order.tolist() == [0, 1, 2, 3, 5, 6, 4, 7]
-        assert spans == [(0, 5), (5, 6)]
-        assert [e.tolist() for e in edges] == [[0, 1, 2, 3, 4, 5, 7], [8, 10, 11]]
+            blocks, (n, m) = semloc.matching._components(pg, qg, like)
+        assert [(q.tolist(), p.tolist()) for q, p in blocks] == [
+            ([0, 1, 2, 3, 5], [0, 1, 2, 3, 4, 5, 7]),
+            ([6], [8, 10, 11]),
+        ]
+        assert n.size == m.size == 0
+        # at 35 products, the first component's rectangle is a block and the second is joined
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semloc.matching, "_BLOCK_ELEMS", 35)
+            blocks, (n, m) = semloc.matching._components(pg, qg, like)
+        assert [(q.tolist(), p.tolist()) for q, p in blocks] == [([0, 1, 2, 3, 5], [0, 1, 2, 3, 4, 5, 7])]
+        assert list(zip(n.tolist(), m.tolist())) == [(5, 4), (6, 4)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reversed_map_gives_the_same_similarity(self, seed):

@@ -269,6 +269,7 @@ class TestScoreAllPairs:
     def test_chunking_matches_single_pass(self, rng, monkeypatch):
         pg, qg = _random_graphs(rng, n_p=8, n_q=6)
         full = score_all_pairs(pg, qg)
+        monkeypatch.setattr(semloc.matching, "_BLOCK_ELEMS", 1)  # dense blocks, sliced
         monkeypatch.setattr(semloc.matching, "_CHUNK_ELEMS", 16)
         chunked = score_all_pairs(pg, qg)
         np.testing.assert_array_equal(full.similarity, chunked.similarity)
@@ -313,7 +314,7 @@ def _clustered_graphs(seed, n_p, n_q, keep=1.0, k_edge=4, **labels):
 
 
 # clustered-label frames; at the default _BLOCK_ELEMS only "one large group"
-# has a component of its own, and at _BLOCK_ELEMS = 1 every component is one
+# has a dense block, and at _BLOCK_ELEMS = 1 every component is one
 _CLUSTERED = {
     "four clusters": dict(n_p=40, n_q=20),
     "one large group": dict(n_p=90, n_q=40, weights=(12, 1, 1, 1), k_edge=5),
@@ -324,41 +325,68 @@ _CLUSTERED = {
 }
 
 
-def _blocks(pg, qg, block_elems=None):
-    """The query-edge spans and prior edges of `_likelihood_blocks` for this frame."""
+def _components(pg, qg, block_elems=None):
+    """The dense blocks, as lists of query edges and of prior edges, and the
+    joined (prior node, query node) pairs of `_components` for this frame.
+
+    Checks that they split the frame's products: each positive likelihood
+    whose nodes both have edges is either joined or in exactly one block,
+    with every edge into its two nodes, and no edge is in two blocks.
+    """
     like = score_all_pairs(pg, qg, use_calp=False).similarity
     with pytest.MonkeyPatch.context() as mp:
         if block_elems is not None:
             mp.setattr(semloc.matching, "_BLOCK_ELEMS", block_elems)
-        _, spans, edges = semloc.matching._likelihood_blocks(pg, qg, like)
-    return spans, edges
+        blocks, pairs = semloc.matching._components(pg, qg, like)
+    blocks = [(q_edges.tolist(), p_edges.tolist()) for q_edges, p_edges in blocks]
+    pairs = list(zip(pairs[0].tolist(), pairs[1].tolist()))
+    for edges in zip(*blocks):
+        assert len(set(itertools.chain(*edges))) == sum(map(len, edges))
+    for n, m in zip(*np.nonzero(like > 0.0)):
+        into_n = set(np.flatnonzero(pg.edge_nbr == n).tolist())
+        into_m = set(np.flatnonzero(qg.edge_nbr == m).tolist())
+        inside = [b for b in blocks if into_m <= set(b[0]) and into_n <= set(b[1])]
+        if into_n and into_m:
+            assert ((n, m) in pairs) + len(inside) == 1
+    assert all(like[n, m] > 0.0 for n, m in pairs)
+    return blocks, pairs
 
 
-def _solo_graphs(seed, n_p, labels_of):
+def _solo_graphs(seed, n_p, labels_of, k_edge=4):
     """Landmarks 0..n_p-1 with one label each, "solo<i>", and a detection per
-    entry of labels_of, carrying those landmarks' labels at equal confidence;
-    k-NN graphs with k_edge 4."""
+    entry of labels_of, carrying those landmarks' labels at equal confidence
+    (an empty entry: one label the map never saw); k-NN graphs."""
     r = np.random.default_rng(seed)
     p_nodes = [prior_node(i, r.uniform(-3, 3, 3), {f"solo{i:02d}": 2}, 3) for i in range(n_p)]
     q_nodes = [
-        query_node(j, r.uniform(-3, 3, 3) + [0, 0, 6], {f"solo{i:02d}": 1 / len(ls) for i in ls})
+        query_node(
+            j,
+            r.uniform(-3, 3, 3) + [0, 0, 6],
+            {f"solo{i:02d}": 1 / len(ls) for i in ls} if ls else {"unmapped": 1.0},
+        )
         for j, ls in enumerate(labels_of)
     ]
-    return _thinned(r, p_nodes, 1.0, 4), _thinned(r, q_nodes, 1.0, 4)
+    return _thinned(r, p_nodes, 1.0, k_edge), _thinned(r, q_nodes, 1.0, k_edge)
 
 
 class TestMatchesPaddedOracle:
-    """The edge-list context propagation against the padded-tensor oracle, bit for bit."""
+    """The edge-list context propagation against the padded-tensor oracle, bit for bit.
+
+    Each frame is checked at the given _BLOCK_ELEMS, at 1 (every component
+    a dense block) and at a size no frame reaches (every pair joined).
+    """
 
     @staticmethod
     def _check(pg, qg, chunk_elems, block_elems=None):
-        with pytest.MonkeyPatch.context() as mp:
-            if chunk_elems is not None:
-                mp.setattr(semloc.matching, "_CHUNK_ELEMS", chunk_elems)
-            if block_elems is not None:
-                mp.setattr(semloc.matching, "_BLOCK_ELEMS", block_elems)
-            table = score_all_pairs(pg, qg)
-        assert np.array_equal(table.similarity, padded_score_all_pairs(pg, qg))
+        want = padded_score_all_pairs(pg, qg)
+        for block in (block_elems, 1, math.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                if chunk_elems is not None:
+                    mp.setattr(semloc.matching, "_CHUNK_ELEMS", chunk_elems)
+                if block is not None:
+                    mp.setattr(semloc.matching, "_BLOCK_ELEMS", block)
+                table = score_all_pairs(pg, qg)
+            assert np.array_equal(table.similarity, want)
 
     @pytest.mark.parametrize("chunk_elems", [None, 16])
     @given(
@@ -445,19 +473,21 @@ class TestMatchesPaddedOracle:
             frames = {case: _clustered_graphs(seed, **kw) for case, kw in _CLUSTERED.items()}
             for pg, _ in frames.values():
                 assert sorted(pg.label_table[0]) == sorted(l for c in CLUSTERS for l in c)
-            # a small frame is one block, and splits into one block per cluster
+            # a small frame is joined whole, and splits into one block per cluster
             pg, qg = frames["four clusters"]
-            assert len(_blocks(pg, qg)[0]) == 1
-            assert len(_blocks(pg, qg, block_elems=1)[0]) == 4
-            # one component holds too many edges to share a block
+            like = score_all_pairs(pg, qg, use_calp=False).similarity
+            assert _components(pg, qg) == ([], list(zip(*np.nonzero(like > 0.0))))
+            blocks, pairs = _components(pg, qg, block_elems=1)
+            assert len(blocks) == 4 and pairs == []
+            # one component holds enough products for a dense block; the rest are joined
             pg, qg = frames["one large group"]
-            spans, edges = _blocks(pg, qg)
-            assert len(spans) == 2
-            assert (spans[0][1] - spans[0][0]) * edges[0].size >= semloc.matching._BLOCK_ELEMS
+            blocks, pairs = _components(pg, qg)
+            assert len(blocks) == 1 and pairs
+            assert len(blocks[0][0]) * len(blocks[0][1]) >= semloc.matching._BLOCK_ELEMS
             # a detection with labels of two clusters links them into one component
             pg, qg = frames["bridged"]
             assert len(clusters_of(pg, qg, 0)) == 2
-            assert len(_blocks(pg, qg, block_elems=1)[0]) <= 3
+            assert len(_components(pg, qg, block_elems=1)[0]) <= 3
             # no label the map saw leaves a zero likelihood column and no component
             pg, qg = frames["unmapped labels"]
             assert clusters_of(pg, qg, 0) == set()
@@ -466,7 +496,7 @@ class TestMatchesPaddedOracle:
             # a zero confidence in another cluster's label links nothing
             pg, qg = frames["zero confidences"]
             assert 0.0 in dict(qg.nodes[0].confidences).values()
-            assert len(_blocks(pg, qg, block_elems=1)[0]) == 4
+            assert len(_components(pg, qg, block_elems=1)[0]) == 4
             # isolated nodes on both sides
             pg, qg = frames["isolated nodes"]
             assert (pg.degree == 0).any() and (qg.degree == 0).any() and qg.max_degree > 0
@@ -477,9 +507,9 @@ class TestMatchesPaddedOracle:
         pg, qg = _solo_graphs(5, 60, [[(2 * j + d) % 60 for d in range(3)] for j in range(30)])
         assert qg.edge_root.size * pg.max_degree < semloc.matching._BLOCK_ELEMS
         for block_elems in (None, 1):
-            spans, edges = _blocks(pg, qg, block_elems)
-            assert spans == [(0, qg.edge_root.size)]
-            assert edges[0].tolist() == list(range(pg.edge_root.size))
+            blocks, pairs = _components(pg, qg, block_elems)
+            assert blocks == [(list(range(qg.edge_root.size)), list(range(pg.edge_root.size)))]
+            assert pairs == []
         assert qg.edge_root.size * pg.edge_root.size >= semloc.matching._BLOCK_ELEMS
         self._check(pg, qg, None)
 
@@ -488,20 +518,23 @@ class TestMatchesPaddedOracle:
         # detection j carries the labels of landmarks j and j + 1: one
         # component, which the fixpoint reaches one landmark a round
         pg, qg = _solo_graphs(6, 30, [[j, j + 1] for j in range(29)])
-        spans, edges = _blocks(pg, qg, block_elems)
-        assert spans == [(0, qg.edge_root.size)]
-        assert edges[0].tolist() == list(range(pg.edge_root.size))
+        blocks, pairs = _components(pg, qg, block_elems)
+        assert blocks == [(list(range(qg.edge_root.size)), list(range(pg.edge_root.size)))]
+        assert pairs == []
+        # with no dense block, every positive likelihood is joined
+        like = score_all_pairs(pg, qg, use_calp=False).similarity
+        assert _components(pg, qg, math.inf) == ([], list(zip(*np.nonzero(like > 0.0))))
         self._check(pg, qg, chunk_elems, block_elems)
 
     @pytest.mark.parametrize("chunk_elems, block_elems", [(None, None), (16, 1)])
     def test_every_detection_unmapped(self, chunk_elems, block_elems):
-        # no detection shares a label with the map: no block, and the
-        # similarity is the likelihood, zero everywhere
+        # no detection shares a label with the map: no block, nothing
+        # joined, and the similarity is the likelihood, zero everywhere
         r = np.random.default_rng(7)
         p_nodes, _ = clustered_nodes(r, 20, 0)
         q_nodes = [query_node(j, r.uniform(-3, 3, 3) + [0, 0, 6], {"unmapped": 1.0}) for j in range(8)]
         pg, qg = knn_graph(p_nodes, 4), knn_graph(q_nodes, 4)
-        assert _blocks(pg, qg, block_elems) == ([], [])
+        assert _components(pg, qg, block_elems) == ([], [])
         table = score_all_pairs(pg, qg)
         assert table.similarity.shape == (20, 8) and not table.similarity.any()
         self._check(pg, qg, chunk_elems, block_elems)
@@ -509,15 +542,49 @@ class TestMatchesPaddedOracle:
     def test_criterion_8_block_holds_the_edges_into_shared_labels(self):
         # one landmark a label, so most prior edges run into a landmark no
         # detection of the frame shares a label with, and are in no block
+        # and no joined pair's edges
         prior, queries, _ = _latency_scene_frames(seed=0, frame_ids=[0, 23, 42, 77, 101])
         for query in queries:
             seen = {label for node in query.nodes for label, score in node.confidences if score > 0.0}
             shared = np.array([bool(seen & set(node.frequencies.per_label_counts)) for node in prior.nodes])
-            spans, edges = _blocks(prior, query)
-            assert spans == [(0, query.edge_root.size)]
-            assert edges[0].tolist() == np.flatnonzero(shared[prior.edge_nbr]).tolist()
-            assert edges[0].size < prior.edge_root.size // 2
+            into_shared = np.flatnonzero(shared[prior.edge_nbr]).tolist()
+            assert len(into_shared) < prior.edge_root.size // 2
+            # each detection carries one label, so each component is one
+            # detection and one landmark, too small for a block: the frame
+            # is joined whole, a pair per detection
+            blocks, pairs = _components(prior, query)
+            assert blocks == [] and len(pairs) == sum(shared) == len(query)
+            assert sorted(n for n, _ in pairs) == np.flatnonzero(shared).tolist()
+            # as one block per component, the blocks hold exactly the edges into shared labels
+            blocks, pairs = _components(prior, query, block_elems=1)
+            assert len(blocks) == sum(shared) and pairs == []
+            assert sorted(itertools.chain(*(p for _, p in blocks))) == into_shared
             self._check(prior, query, None)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_p=st.integers(1, 40),
+        n_q=st.integers(1, 20),
+        per_detection=st.integers(0, 3),
+        k_edge=st.integers(1, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_solo_labels(self, seed, n_p, n_q, per_detection, k_edge):
+        # one label per landmark, as on the noise-free command line scene:
+        # detections carry the labels of up to three landmarks, or one no
+        # landmark has
+        r = np.random.default_rng(seed)
+        labels_of = [r.choice(n_p, min(per_detection, n_p), replace=False).tolist() for _ in range(n_q)]
+        pg, qg = _solo_graphs(seed, n_p, labels_of, k_edge)
+        self._check(pg, qg, None)
+
+    def test_solo_labels_are_joined(self):
+        # one label per detection, each another landmark's: every component
+        # is one landmark and one detection, and every pair is joined
+        pg, qg = _solo_graphs(3, 30, [[j] for j in range(0, 30, 2)])
+        blocks, pairs = _components(pg, qg)
+        assert blocks == [] and pairs == [(2 * j, j) for j in range(15)]
+        self._check(pg, qg, 16)
 
     def test_empty_graphs(self):
         pg, qg = _thinned_graphs(0, 4, 3, 1.0, 1.0, False)
@@ -594,6 +661,25 @@ class TestExtractCandidates:
         sim = r.integers(0, levels, (n_p, n_q)) / levels
         pairs = _candidates(_table(prior_ids, range(10, 10 + n_q), sim), tau)
         assert len(pairs) == n_q * min(tau, n_p)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_p=st.integers(1, 40),
+        n_q=st.integers(1, 12),
+        levels=st.integers(1, 3),
+        tau=st.integers(1, 45),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_tables(self, seed, n_p, n_q, levels, tau):
+        # one to three distinct scores, so the tau-th best of most columns
+        # is tied with entries on both sides of the cut; tau up to past the
+        # prior count, and a column of one score throughout
+        r = np.random.default_rng(seed)
+        sim = r.integers(0, levels, (n_p, n_q)) / levels
+        sim[:, 0] = 0.5
+        pairs = _candidates(_table(range(n_p), range(10, 10 + n_q), sim), tau)
+        assert len(pairs) == n_q * min(tau, n_p)
+        assert [p for p, q in pairs if q == 10] == list(range(min(tau, n_p)))
 
     def test_monotone_transform_invariance(self, rng):
         sim = rng.random((6, 4))

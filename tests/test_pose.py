@@ -532,9 +532,15 @@ def _scorer_of(cands, pg, qg):
     return _AlignmentScorer(cands, pg, qg.ids, [node.bbox for node in qg.nodes], INTR, C=100.0)
 
 
+def _selected(pose, scorer):
+    """One pose's WAS and the pairs calculate_was selects from its row of per-pair scores."""
+    pair_scores, visible = scorer._pair_scores(*pose_arrays([pose]))
+    return float(scorer._was(pair_scores, visible)[0]), calculate_was(pair_scores[0], visible[0], scorer)
+
+
 def _was(pose, cands, pg, qg):
-    """calculate_was, checked against the scalar oracle."""
-    score, pairs = calculate_was(pose, _scorer_of(cands, pg, qg))
+    """A pose's WAS and selected pairs, checked against the scalar oracle."""
+    score, pairs = _selected(pose, _scorer_of(cands, pg, qg))
     candidates = id_pairs(cands, pg, qg)
     ref_score, ref_pairs = scalar_calculate_was(pose, candidates, pg, qg, INTR, C=100.0)
     assert score == pytest.approx(ref_score, abs=1e-9)
@@ -613,11 +619,11 @@ class TestAlignmentScorer:
         poses.append(Pose.from_rt(np.eye(3), np.array([0.0, 0.0, -10.0])))
         pairs = id_pairs(cands, pg, qg)
         scorer = _scorer_of(cands, pg, qg)
-        batch = scorer.score(*pose_arrays(poses))
+        batch = scorer.score(*pose_arrays(poses))[0]
         n_partly_visible = 0
         for i, pose in enumerate(poses):
             ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
-            was, selected = calculate_was(pose, scorer)
+            was, selected = _selected(pose, scorer)
             assert batch[i] == pytest.approx(ref, abs=1e-9)
             assert was == pytest.approx(ref, abs=1e-9)
             assert selected == ref_pairs
@@ -651,20 +657,22 @@ class TestAlignmentScorer:
             cands = CandidateSet(np.array([index[assoc[d]] for d in det_ids]), np.arange(len(det_ids)))
             boxes = [dets[d].bbox for d in det_ids]
             scorer = _AlignmentScorer(cands, pg, det_ids, boxes, INTR, C=100.0)
-            assert scorer.score(*pose_arrays([pose]))[0] == 1.0
+            assert scorer.score(*pose_arrays([pose]))[0][0] == 1.0
 
     @staticmethod
     def _matches_oracle(cands, pg, qg, poses):
         """A scorer's score and calculate_was over a candidate set, checked against the scalar oracle."""
         scorer = _scorer_of(cands, pg, qg)
         pairs = id_pairs(cands, pg, qg)
-        batch = scorer.score(*pose_arrays(poses))
+        batch, pair_scores, visible = scorer.score(*pose_arrays(poses))
         for i, pose in enumerate(poses):
             ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
-            was, selected = calculate_was(pose, scorer)
+            was, selected = _selected(pose, scorer)
             assert batch[i] == pytest.approx(ref, abs=1e-9)
             assert was == pytest.approx(ref, abs=1e-9)
             assert selected == ref_pairs
+            # the pose's row of the stacked call selects the same pairs
+            assert calculate_was(pair_scores[i], visible[i], scorer) == ref_pairs
 
     @staticmethod
     def _poses(gt, rng, n=8):
@@ -691,7 +699,7 @@ class TestAlignmentScorer:
         pairs = id_pairs(cands, pg, qg)
         scorer = _scorer_of(cands, pg, qg)
         for pose in self._poses(gt, rng):
-            was, selected = calculate_was(pose, scorer)
+            was, selected = _selected(pose, scorer)
             ref, ref_pairs = scalar_calculate_was(pose, pairs, pg, qg, INTR, C=100.0)
             assert abs(was - ref) <= 1e-12
             assert selected == ref_pairs
@@ -729,7 +737,7 @@ class TestAlignmentScorer:
         self._matches_oracle(cands, pg, qg, poses)
         scorer = _scorer_of(cands, pg, qg)
         for pose in poses:
-            assert 102 not in [q for _, q in calculate_was(pose, scorer)[1]]
+            assert 102 not in [q for _, q in _selected(pose, scorer)[1]]
 
     def test_infinite_extents_are_not_visible(self):
         # a dual quadric whose conic (0, 2) entry squares past the float range:
@@ -749,8 +757,8 @@ class TestAlignmentScorer:
         scorer = _AlignmentScorer(one, pg, [10], [wide], INTR, C=100.0)
         scorer.quads = q[None]
         # clipped to the image, the box would match `wide` exactly and score 1
-        assert scorer.score(*pose_arrays([pose]))[0] == 0.0
-        assert calculate_was(pose, scorer) == (0.0, [])
+        assert scorer.score(*pose_arrays([pose]))[0][0] == 0.0
+        assert _selected(pose, scorer) == (0.0, [])
 
 
 class TestEstimatePose:
@@ -1075,8 +1083,14 @@ def _matches_serial(query, prior, config):
     )
     assert got.was == pytest.approx(want.was, abs=1e-12)
     if got.status == LocalizationStatus.SUCCESS:
-        # the winner scores the same bits in the loop and in calculate_was
+        # the result's WAS is the winner's score in the loop, and the winner
+        # projected on its own gives the bits of its row there
         assert got.was == got.history[-1][1]
+        table = score_all_pairs(prior, query, use_calp=config.use_calp)
+        scorer = _AlignmentScorer(
+            extract_candidates(table, config.tau), prior, query.ids, [n.bbox for n in query.nodes], INTR, config.C
+        )
+        assert _selected(got.pose, scorer) == (got.was, got.correspondences)
     assert (got.pose is None) == (want.pose is None)
     if want.pose is not None:
         np.testing.assert_allclose(got.pose.rotation, want.pose.rotation, rtol=0.0, atol=1e-9)
@@ -1111,17 +1125,20 @@ def _record_stacks(monkeypatch) -> list[int]:
 class TestBenchmarkHooks:
     """perfbench traces `p3p_solve`, `_AlignmentScorer.score`, `calculate_was`
     and `is_valid_sample` by name on semloc.pose; a refactor that inlines
-    one of them must fail here, not only in the benchmark's smoke test."""
+    one of them must fail here, not only in the benchmark's smoke test.
+    Projections are counted too: one per chunk, none for the winner."""
 
     def test_each_hook_is_called_per_chunk_draw_and_frame(self, monkeypatch):
         prior, queries, _ = _latency_scene_frames(seed=0, frame_ids=[5])
         config = MatcherConfig(rng_seed=_localize_seed(5), early_exit_was=None)
-        calls = dict.fromkeys(["p3p_solve", "score", "calculate_was", "is_valid_sample"], 0)
+        names = ["p3p_solve", "score", "calculate_was", "is_valid_sample", "_project_quadrics"]
+        calls = dict.fromkeys(names, 0)
         for owner, name in (
             (semloc.pose, "p3p_solve"),
             (_AlignmentScorer, "score"),
             (semloc.pose, "calculate_was"),
             (semloc.pose, "is_valid_sample"),
+            (semloc.pose, "_project_quadrics"),
         ):
 
             def counting(*args, _name=name, _wrapped=getattr(owner, name)):
@@ -1135,6 +1152,8 @@ class TestBenchmarkHooks:
         assert chunks == 2
         assert calls["p3p_solve"] == calls["score"] == chunks
         assert calls["calculate_was"] == 1
+        # calculate_was reads the winner's row of its chunk: no projection of its own
+        assert calls["_project_quadrics"] == calls["score"]
         # without an early exit every draw is checked
         n_pairs = _n_pairs(queries[0], prior, config.tau)
         assert calls["is_valid_sample"] == min(config.n_iter, math.comb(n_pairs, 3))
