@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import BoundingBox, CameraIntrinsics, Pose, quat_normalize, quat_to_rotmat
+from .geometry import BoundingBox, CameraIntrinsics, Pose, quat_normalize, quat_to_rotmat, rotmat_to_quat
 from .graph import DetectionRecord, LabelFrequencyTable, PriorObjectNode
 from .pose import LocalizationStatus, MatcherConfig
 
@@ -317,11 +317,19 @@ def load_associations(path) -> dict[int, dict[int, int]]:
 # trajectories (TUM text format; file poses are camera-to-world)
 
 
-def _tum_row(pose: Pose) -> list[float]:
-    """A world-to-camera pose as the TUM values tx ty tz qx qy qz qw of its inverse."""
-    inv = pose.inverse()
-    t, q = inv.translation, inv.rotation
-    return [float(v) for v in (t[0], t[1], t[2], q[1], q[2], q[3], q[0])]
+def _tum_rows(poses: Sequence[Pose]) -> list[list[float]]:
+    """World-to-camera poses as the TUM values tx ty tz qx qy qz qw of their inverses.
+
+    One stacked pass with the bits of `Pose.inverse` on each pose: rotation
+    R^T, through `rotmat_to_quat`, and translation -R^T t, one stacked
+    matrix-vector product.
+    """
+    if not poses:
+        return []
+    r = quat_to_rotmat(np.reshape([pose.rotation for pose in poses], (-1, 4))).swapaxes(1, 2)
+    t = np.matmul(-r, np.reshape([pose.translation for pose in poses], (-1, 3, 1)))[..., 0]
+    q = rotmat_to_quat(r)
+    return np.concatenate((t, q[:, 1:], q[:, :1]), axis=1).tolist()
 
 
 def _pose_from_tum_row(values: Sequence[float]) -> Pose:
@@ -333,7 +341,8 @@ def _pose_from_tum_row(values: Sequence[float]) -> Pose:
 
 
 def save_trajectory(path, trajectory: Sequence[tuple[float, Pose]]):
-    lines = [" ".join(f"{v:.9f}" for v in (ts, *_tum_row(pose))) for ts, pose in trajectory]
+    rows = _tum_rows([pose for _, pose in trajectory])
+    lines = [" ".join(f"{v:.9f}" for v in (ts, *row)) for (ts, _), row in zip(trajectory, rows)]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -370,6 +379,7 @@ class FrameResult:
 
 
 def save_results(path, results: Sequence[FrameResult]):
+    rows = iter(_tum_rows([res.pose for res in results if res.pose is not None]))
     with Path(path).open("w") as fh:
         for res in results:
             fh.write(
@@ -378,7 +388,7 @@ def save_results(path, results: Sequence[FrameResult]):
                         "frame_id": res.frame_id,
                         "timestamp": res.timestamp,
                         "status": res.status,
-                        "pose": None if res.pose is None else _tum_row(res.pose),
+                        "pose": None if res.pose is None else next(rows),
                         "was": res.was,
                         "correspondences": [[int(p), int(q_)] for p, q_ in res.correspondences],
                         "mean_entropy": res.mean_entropy,

@@ -22,6 +22,16 @@ from .geometry import BoundingBox, CameraIntrinsics, quadric_from_params
 
 logger = logging.getLogger(__name__)
 
+# distance-table entries per stack of keyframes in prior_graph_from_nodes; a
+# keyframe larger than this makes a stack of its own. A stack's gathered table
+# and its flat indices take 16 bytes an entry. On a 2-core Xeon (4 MB L2),
+# builds of the three benchmark maps (keyframes of 9-29, 27-30 and 39-154
+# landmarks) took within 10% of one time from 16k to 65k entries, but for the
+# wide map's, which took 1.2x as long at 16k as at 65k; at one keyframe a
+# stack crit8's took 3.4x as long. At 65k crit8's build peaked at 1.1 MB of
+# numpy memory, against 0.32 MB sorting one keyframe at a time; at 16k, 0.40 MB.
+_STACK_ELEMS = 16_384
+
 
 # ---------------------------------------------------------------------------
 # label statistics
@@ -258,22 +268,44 @@ def build_knn_edges(positions: np.ndarray, k_edge: int) -> np.ndarray:
     """Each node's k nearest neighbors as (root, neighbor) index pairs, shape (n * k, 2).
 
     k is k_edge, or n - 1 when fewer nodes exist. Rows run by root, then by
-    distance; a distance tie goes to the lower index.
+    distance; a distance tie goes to the lower index. The neighbors are
+    selected by `_k_smallest`, not sorted.
     """
     return _knn_edges(pairwise_distances(np.asarray(positions, dtype=float).reshape(-1, 3)), k_edge)
 
 
 def _knn_edges(distances: np.ndarray, k_edge: int) -> np.ndarray:
-    """`build_knn_edges` over the points' `pairwise_distances` table (n, n), left unchanged."""
+    """`build_knn_edges` over the points' `pairwise_distances` table (n, n), left unchanged.
+
+    One copy of the table with its diagonal blanked to inf goes through `_k_smallest`.
+    """
     if k_edge <= 0:
         raise ValueError("k_edge must be positive")
     n = len(distances)
-    if n < 2:
+    k = min(k_edge, n - 1)
+    if k <= 0:
         return np.zeros((0, 2), dtype=int)
     dists = distances.copy()
     np.fill_diagonal(dists, np.inf)
-    nbr = np.argsort(dists, axis=1, kind="stable")[:, : min(k_edge, n - 1)]
-    return np.stack((np.repeat(np.arange(n), nbr.shape[1]), nbr.ravel()), axis=1)
+    nbr = _k_smallest(dists, k)
+    return np.stack((np.repeat(np.arange(n), k), nbr.ravel()), axis=1)
+
+
+def _k_smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """Column indices (rows, k) of each row's k smallest values, smallest first.
+
+    k rounds of row-wise `argmin`, each of which blanks its picks to inf in
+    `values`, which is overwritten. `argmin` returns the first minimum, so a
+    tie goes to the lower column, as in a stable sort. Values must not be
+    NaN; a row's picks past its count of values below inf are arbitrary.
+    This selection serves the k-NN wiring and the top-tau candidates.
+    """
+    picks = np.empty((k, len(values)), dtype=int)
+    rows = np.arange(len(values))
+    for pick in picks:
+        values.argmin(axis=1, out=pick)
+        values[rows, pick] = np.inf
+    return picks.T
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +323,12 @@ def prior_graph_from_nodes(
     Edges are the union over keyframes of per-keyframe k-NN among the
     landmarks visible in that keyframe. A map without keyframes counts as
     one keyframe that sees every landmark. One distance table serves every
-    keyframe's k-NN and the graph.
+    keyframe's k-NN and the graph. Keyframes of like size are wired
+    together, in stacks of at most _STACK_ELEMS table entries
+    (`_stacked_knn_edges`).
     """
+    if k_edge <= 0:
+        raise ValueError("k_edge must be positive")
     nodes = sorted(nodes, key=lambda node: node.id)
     row = {node.id: i for i, node in enumerate(nodes)}
     for members in keyframes:
@@ -303,9 +339,42 @@ def prior_graph_from_nodes(
         keyframes = [list(row)]
     dist = pairwise_distances(np.reshape([node.position for node in nodes], (-1, 3)))
     rows = [np.array(sorted({row[i] for i in members}), dtype=int) for members in keyframes]
-    # a keyframe's sub-table has the bits of the table over its landmarks alone
-    edges = np.concatenate([r[_knn_edges(dist[np.ix_(r, r)], k_edge)] for r in rows])
-    return SemanticGraph(nodes, edges, dist)
+    # largest first, so each stack pads its keyframes to the width of its first;
+    # keyframes of one landmark have no edges
+    rows = sorted((r for r in rows if r.size > 1), key=len, reverse=True)
+    edges = [np.zeros((0, 2), dtype=int)]
+    start = 0
+    while start < len(rows):
+        stop = start + max(1, _STACK_ELEMS // rows[start].size**2)
+        edges.append(_stacked_knn_edges(dist, rows[start:stop], k_edge))
+        start = stop
+    return SemanticGraph(nodes, np.concatenate(edges), dist)
+
+
+def _stacked_knn_edges(dist: np.ndarray, rows: Sequence[np.ndarray], k_edge: int) -> np.ndarray:
+    """The k-NN edges (root, neighbor) of keyframes of at most rows[0].size landmarks.
+
+    Each keyframe's rows of the map's distance table `dist` gather into one
+    (keyframes, width, width) stack, its diagonal and the padding past the
+    keyframe's own landmarks blanked to inf; one `_k_smallest` picks every
+    row's neighbors, and a row keeps min(k_edge, landmarks - 1) of them. A
+    gathered row has the bits of that keyframe's own sub-table, and the
+    padding comes after its landmarks, so each keyframe gets the edges of
+    `_knn_edges` on its landmarks alone.
+    """
+    width = rows[0].size
+    size = np.array([r.size for r in rows])
+    real = np.arange(width) < size[:, None]  # (keyframes, width)
+    idx = np.zeros(real.shape, dtype=int)
+    idx[real] = np.concatenate(rows)
+    table = dist.take(idx[:, :, None] * len(dist) + idx[:, None, :])  # flat indices gather fastest
+    np.copyto(table, np.inf, where=~real[:, None, :])
+    table.reshape(len(rows), -1)[:, :: width + 1] = np.inf
+    k = min(k_edge, width - 1)
+    nbr = _k_smallest(table.reshape(-1, width), k).reshape(len(rows), width, k)
+    keep = real[:, :, None] & (np.arange(k) < np.minimum(k_edge, size - 1)[:, None, None])
+    root = np.broadcast_to(idx[:, :, None], keep.shape)
+    return np.stack((root[keep], np.take_along_axis(idx[:, :, None], nbr, axis=1)[keep]), axis=1)
 
 
 @dataclass

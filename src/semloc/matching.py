@@ -5,14 +5,14 @@ neighborhoods (distance-consistency weighted, best prior neighbor per query
 neighbor), and extraction of the top-ranked candidate pairs per query node.
 Context propagation runs over the graphs' directed edge lists
 (`SemanticGraph.edge_root` and friends): every (query edge, prior edge)
-product is max-reduced into one flat (prior roots, query edges) array, and
-only the per-query-root sum pads its slots to the largest query degree. A
-landmark and a detection that share no label have likelihood exactly zero,
-so the frame's positive likelihoods link landmarks and detections into
-components. A large component's products are formed as one dense
-rectangle; in the others only the products of a positive likelihood are
-formed, by joining it to the edges into its two nodes. The zeros between
-components are never formed.
+product is max-reduced into one flat array of bests laid out as (prior
+roots, query roots, edge slots), the slots padded to the largest query
+degree. A landmark and a detection that share no label have likelihood
+exactly zero, so the frame's positive likelihoods link landmarks and
+detections into components. A large component's products are formed as
+one dense rectangle; in the others only the products of a positive
+likelihood are formed, by joining it to the edges into its two nodes. The
+zeros between components are never formed.
 """
 
 from __future__ import annotations
@@ -22,18 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SemanticGraph
+from .graph import SemanticGraph, _k_smallest
 
 logger = logging.getLogger(__name__)
 
 # products per slice of a dense block's prior edges in score_all_pairs. Each
 # slice's products and their flat indices are built and then scattered by
-# `np.maximum.at`, so it pays to keep them in cache; a slice is cut from the
-# block's own prior edges and pads nothing. On a 2-core Xeon (2.0 GHz, 4 MB L2)
-# wide-ambiguous calls, whose four blocks hold 17k-122k products, took within 5%
-# of one time at 10k to 50k, 6% longer at 65k and 35% longer at 100k and more.
-# The other two workloads form no dense block.
-_CHUNK_ELEMS = 50_000
+# `np.maximum.at` into the bests, so it pays to keep them in cache beside the
+# bests; a slice is cut from the block's own prior edges and pads nothing. On a
+# 2-core Xeon (2.0 GHz, 4 MB L2) wide-ambiguous calls, whose four blocks hold
+# 17k-122k products and whose bests take 1.0-1.2 MB, took within 5% of one
+# time at 10k to 30k, 45% longer at 50k and 50% longer at 65k. The other two
+# workloads form no dense block.
+_CHUNK_ELEMS = 25_000
 
 # (query edges, prior edges) products from which a likelihood component is formed
 # as a dense block in score_all_pairs; the positive likelihoods of smaller
@@ -148,17 +149,17 @@ def score_all_pairs(
 
     Works on the graphs' directed edge lists: every (query edge, prior edge)
     product it forms is max-reduced with `np.maximum.at` into one flat
-    (prior roots, query edges) array of bests, which starts at 0.0, the
-    product of any pair it does not form. The frame's likelihood
+    (prior roots, query roots, edge slots) array of bests, the slots padded
+    to the largest query degree, which starts at 0.0, the product of any
+    pair it does not form and of every padding slot. The frame's likelihood
     components (`_components`) decide which pairs are formed. A dense
     block's products are formed for its whole rectangle, in slices of its
     prior edges of at most _CHUNK_ELEMS products; every other positive
     likelihood(n, m) is joined to each pair of an edge into n and an edge
     into m (`SemanticGraph.edge_reverse`), and the rest is never formed.
-    The bests are then summed per query root over its edge slots, padded
-    with zeros to the largest query degree, in one fixed slot order. A max
-    does not depend on the order of its operands, so the table has the same
-    bits however the products are formed.
+    The bests are then summed per query root over its edge slots, in one
+    fixed slot order. A max does not depend on the order of its operands,
+    so the table has the same bits however the products are formed.
 
     use_calp=False skips context propagation: the similarity is the
     likelihood, which is the ablation baseline. So is the similarity when
@@ -172,15 +173,17 @@ def score_all_pairs(
         return table
 
     blocks, (n, m) = _components(pg, qg, sim)
-    n_qe = qg.edge_root.size
-    best = np.zeros(len(pg) * n_qe)  # (prior roots, query edges), flat: best w * like[n, m]
+    # (prior roots, query roots, query edge slots), flat: best w * like[n, m]
+    stride = len(qg) * qg.max_degree  # per prior root
+    best = np.zeros(len(pg) * stride)
+    q_slot = qg.edge_root * qg.max_degree + qg.edge_slot  # each query edge's place in a prior root's run
     for q_edges, p_edges in blocks:
         q_like, q_len = sim.T[qg.edge_nbr[q_edges]], qg.edge_length[q_edges, None]
         step = max(1, _CHUNK_ELEMS // q_edges.size)  # prior edges per slice
         for start in range(0, p_edges.size, step):
             e = p_edges[start : start + step]
             prod = _weighted(pg.edge_length[e], q_len, q_like[:, pg.edge_nbr[e]])
-            np.maximum.at(best, (pg.edge_root[e] * n_qe + q_edges[:, None]).ravel(), prod.ravel())
+            np.maximum.at(best, (pg.edge_root[e] * stride + q_slot[q_edges, None]).ravel(), prod.ravel())
     # each joined pair (n, m) times each (edge into n, edge into m): the a-th
     # and b-th of them, counted from n's and m's own runs of edges
     q_deg = qg.degree[m]
@@ -190,10 +193,8 @@ def score_all_pairs(
     p_edge = pg.edge_reverse[(np.cumsum(pg.degree) - pg.degree)[n][pair] + a]
     q_edge = qg.edge_reverse[(np.cumsum(qg.degree) - qg.degree)[m][pair] + b]
     prod = _weighted(pg.edge_length[p_edge], qg.edge_length[q_edge], sim[n, m][pair])
-    np.maximum.at(best, pg.edge_root[p_edge] * n_qe + q_edge, prod)
-    slots = np.zeros((len(pg), len(qg), qg.max_degree))
-    slots[:, qg.edge_root, qg.edge_slot] = best.reshape(len(pg), n_qe)
-    sim += slots.sum(axis=2) / np.maximum(qg.degree, 1)
+    np.maximum.at(best, pg.edge_root[p_edge] * stride + q_slot[q_edge], prod)
+    sim += best.reshape(len(pg), len(qg), qg.max_degree).sum(axis=2) / np.maximum(qg.degree, 1)
     return table
 
 
@@ -217,20 +218,12 @@ def extract_candidates(table: SimilarityTable, tau: int) -> CandidateSet:
     Every column is ranked by similarity, ties to the lower prior index (so
     id), and exactly tau pairs are kept per query node (fewer only when the
     prior graph is smaller). Zero-score pairs stay eligible. No column is
-    sorted whole: `np.partition` finds each column's tau-th best score, and
-    only the scores at least as good are sorted, of which each column keeps
-    its first tau.
+    sorted: `_k_smallest` selects each column's tau best from the negated
+    table, one round of `argmin` per pick.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     n_p, n_q = table.similarity.shape
     k = min(tau, n_p)
-    if k == 0:
-        return CandidateSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     neg = np.negative(table.similarity.T, order="C")  # a row per query node, best lowest
-    cut = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
-    col, row = np.nonzero(neg <= cut)
-    order = np.lexsort((neg[col, row], col))  # by column, then best first, ties to the lower index
-    if col.size > n_q * k:  # ties at the cut: each column's first k
-        order = order[(np.searchsorted(col, np.arange(n_q))[:, None] + np.arange(k)).ravel()]
-    return CandidateSet(row[order], np.repeat(np.arange(n_q), k))
+    return CandidateSet(_k_smallest(neg, k).ravel(), np.repeat(np.arange(n_q), k))

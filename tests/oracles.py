@@ -9,7 +9,10 @@ similarity tables at a time, and `padded_score_all_pairs` computes the whole
 similarity table over padded neighbor tensors, the bit-exact reference of
 the edge-list context propagation. `per_column_extract_candidates` ranks
 one column of the similarity table at a time by a full sort, the reference
-of `extract_candidates`' partition. Projection: `scalar_project_quadric_to_bbox`
+of `extract_candidates`' selection.
+k-NN wiring: `knn_oracle` sorts each node's distances to the others, the
+reference of the selection that `build_knn_edges` and the keyframe stacks
+of `prior_graph_from_nodes` make. Projection: `scalar_project_quadric_to_bbox`
 projects one dual quadric under one pose, as the stacked
 `geometry._project_quadrics` does for each of its (quadric, pose) pairs;
 `project_quadric_to_bbox` reads one box off that kernel.
@@ -232,6 +235,19 @@ def per_column_extract_candidates(table: SimilarityTable, tau: int) -> tuple[np.
         prior += order.tolist()
         query += [j] * len(order)
     return np.array(prior, dtype=int), np.array(query, dtype=int)
+
+
+# ---------------------------------------------------------------------------
+# k-NN wiring
+
+
+def knn_oracle(positions, k):
+    """Plain O(n^2) loop: per node, sort the others by (distance, index) and take k."""
+    pairs = []
+    for i in range(len(positions)):
+        others = sorted((math.dist(positions[i], positions[j]), j) for j in range(len(positions)) if j != i)
+        pairs += [[i, j] for _, j in others[:k]]
+    return pairs
 
 
 # ---------------------------------------------------------------------------

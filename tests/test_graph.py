@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import semloc.graph
 import semloc.matching
 from semloc import (
     BoundingBox,
@@ -27,7 +28,7 @@ from semloc.dataio import FrameRecord
 from semloc.graph import backproject_pixel, pairwise_distances, robust_bbox_depth
 
 from conftest import clustered_nodes, edge_ids, graph, knn_graph, make_table, prior_node, query_node
-from oracles import neighbors_of, node_of
+from oracles import knn_oracle, neighbors_of, node_of
 
 INTR = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
 
@@ -130,15 +131,6 @@ class TestConfidences:
 
 # ---------------------------------------------------------------------------
 # k-NN edges
-
-
-def knn_oracle(positions, k):
-    """Plain O(n^2) loop: per node, sort the others by (distance, index) and take k."""
-    pairs = []
-    for i in range(len(positions)):
-        others = sorted((math.dist(positions[i], positions[j]), j) for j in range(len(positions)) if j != i)
-        pairs += [[i, j] for _, j in others[:k]]
-    return pairs
 
 
 class TestKnnEdges:
@@ -382,6 +374,40 @@ class TestPriorGraphBuilders:
         for members in keyframes:
             rows = np.array(sorted(members), dtype=int)
             expected |= {tuple(sorted(e)) for e in rows[build_knn_edges(pos[rows], k_edge)].tolist()}
+        assert {tuple(e) for e in g.edges.tolist()} == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([1, 40, 400]))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_keyframes_match_the_oracle(self, seed, k_edge, bound):
+        # keyframes of 0 to n landmarks, among them 1 and 2 and a repeated
+        # member, wired in stacks of at most `bound` table entries (or one
+        # keyframe); k_edge is often at least a keyframe's size
+        r = np.random.default_rng(seed)
+        n = int(r.integers(2, 25))
+        nodes = [prior_node(i, r.integers(0, 3, 3).astype(float), {"a": 1}) for i in range(n)]
+        sizes = [1, 2, *r.integers(0, n + 1, 6).tolist()]
+        keyframes = [r.choice(n, size, replace=False).tolist() for size in sizes]
+        keyframes[1] += keyframes[1][:1]
+        stacks = []
+
+        def spy(dist, rows, k):
+            stacks.append([len(row) for row in rows])
+            return wire(dist, rows, k)
+
+        wire = semloc.graph._stacked_knn_edges
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semloc.graph, "_STACK_ELEMS", bound)
+            mp.setattr(semloc.graph, "_stacked_knn_edges", spy)
+            g = prior_graph_from_nodes(nodes, keyframes, k_edge=k_edge)
+        # largest first, every keyframe of two or more landmarks in one stack
+        widths = sorted((len(set(m)) for m in keyframes if len(set(m)) > 1), reverse=True)
+        assert [w for stack in stacks for w in stack] == widths
+        assert bound > 1 or all(len(stack) == 1 for stack in stacks)
+        expected = set()
+        for members in keyframes:
+            rows = sorted(set(members))
+            pairs = knn_oracle(g.positions[rows], k_edge)
+            expected |= {tuple(sorted((rows[a], rows[b]))) for a, b in pairs}
         assert {tuple(e) for e in g.edges.tolist()} == expected
 
     def test_unknown_keyframe_member_raises(self):

@@ -243,6 +243,24 @@ class TestResults:
         assert loaded[1].correspondences == []
         assert loaded[1].mean_entropy is None
 
+    def test_poses_written_with_the_bits_of_each_inverse(self, tmp_path, rng):
+        # the stacked inversion writes what Pose.inverse gives pose by pose,
+        # in results and trajectories alike
+        poses = [random_pose(rng) for _ in range(40)]
+        rows = [FrameResult(i, 0.1 * i, "success", pose, 0.5) for i, pose in enumerate(poses)]
+        rows.insert(3, FrameResult(99, 0.35, "insufficient-detections"))
+        save_results(tmp_path / "results.jsonl", rows)
+        save_trajectory(tmp_path / "traj.txt", [(0.1 * i, pose) for i, pose in enumerate(poses)])
+        expected = []
+        for pose in poses:
+            inv = pose.inverse()
+            expected.append([*inv.translation.tolist(), *inv.rotation[1:].tolist(), float(inv.rotation[0])])
+        written = [json.loads(line)["pose"] for line in (tmp_path / "results.jsonl").read_text().splitlines()]
+        assert written.pop(3) is None
+        assert written == expected
+        lines = (tmp_path / "traj.txt").read_text().splitlines()
+        assert lines == [" ".join(f"{v:.9f}" for v in (0.1 * i, *row)) for i, row in enumerate(expected)]
+
     def test_bad_record(self, tmp_path):
         p = tmp_path / "results.jsonl"
         p.write_text('{"frame_id": "x"}\n')

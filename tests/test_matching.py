@@ -681,6 +681,25 @@ class TestExtractCandidates:
         assert len(pairs) == n_q * min(tau, n_p)
         assert [p for p, q in pairs if q == 10] == list(range(min(tau, n_p)))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_p=st.integers(1, 30),
+        n_q=st.integers(2, 8),
+        tau=st.integers(1, 35),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_signed_zeros_and_equal_columns(self, seed, n_p, n_q, tau):
+        # +0.0 and -0.0 compare equal, so they tie and go to the lower
+        # index; a column of one positive score and a column of zeros of
+        # either sign keep the tau lowest indices
+        r = np.random.default_rng(seed)
+        sim = r.choice([0.0, -0.0, 0.25, 0.5], (n_p, n_q))
+        sim[:, 0] = 0.25
+        sim[:, 1] = r.choice([0.0, -0.0], n_p)
+        pairs = _candidates(_table(range(n_p), range(10, 10 + n_q), sim), tau)
+        first = list(range(min(tau, n_p)))
+        assert [p for p, q in pairs if q == 10] == [p for p, q in pairs if q == 11] == first
+
     def test_monotone_transform_invariance(self, rng):
         sim = rng.random((6, 4))
         table = _table(range(6), range(10, 14), sim)
