@@ -15,6 +15,7 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -22,15 +23,14 @@ from .geometry import BoundingBox, CameraIntrinsics, quadric_from_params
 
 logger = logging.getLogger(__name__)
 
-# distance-table entries per stack of keyframes in prior_graph_from_nodes; a
-# keyframe larger than this makes a stack of its own. A stack's gathered table
-# and its flat indices take 16 bytes an entry. On a 2-core Xeon (4 MB L2),
-# builds of the three benchmark maps (keyframes of 9-29, 27-30 and 39-154
-# landmarks) took within 10% of one time from 16k to 65k entries, but for the
-# wide map's, which took 1.2x as long at 16k as at 65k; at one keyframe a
-# stack crit8's took 3.4x as long. At 65k crit8's build peaked at 1.1 MB of
-# numpy memory, against 0.32 MB sorting one keyframe at a time; at 16k, 0.40 MB.
-_STACK_ELEMS = 16_384
+# neighbours of each landmark, nearest first, that prior_graph_from_nodes walks
+# before the (keyframe, member) pairs still short walk their landmark's full
+# order; also the distance-table rows copied at a time. On a 2-core Xeon at
+# k_edge 5, 16 left 50 to 1,423 pairs short on the criterion-8, wide-room and
+# 2 m grid maps (whose distance ties cut it to 12), and their full orders took
+# a 3,000-landmark build from 0.25 to 0.38 s; 24 left at most 13 short and
+# built every map within noise of 32 and 48.
+_PREFIX = 24
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +257,14 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     Summed x, y, z in turn, so each entry has the bits of the scalar
     sqrt(dx * dx + dy * dy + dz * dz).
     """
-    squared = 0.0
+    # two (n, n) tables at a time: the sum and one axis's squared differences
+    squared = np.zeros((len(points), len(points)))
+    diff = np.empty_like(squared)
     for axis in points.T:
-        diff = axis[:, None] - axis
-        squared = squared + diff * diff
-    return np.sqrt(squared)
+        np.subtract(axis[:, None], axis, out=diff)
+        diff *= diff
+        squared += diff
+    return np.sqrt(squared, out=squared)
 
 
 def build_knn_edges(positions: np.ndarray, k_edge: int) -> np.ndarray:
@@ -323,58 +326,106 @@ def prior_graph_from_nodes(
     Edges are the union over keyframes of per-keyframe k-NN among the
     landmarks visible in that keyframe. A map without keyframes counts as
     one keyframe that sees every landmark. One distance table serves every
-    keyframe's k-NN and the graph. Keyframes of like size are wired
-    together, in stacks of at most _STACK_ELEMS table entries
-    (`_stacked_knn_edges`).
+    keyframe's k-NN and the graph. A (keyframes, landmarks) membership table
+    drives one walk over each landmark's neighbours, nearest first: each
+    (keyframe, member) pair keeps its first min(k_edge, members - 1)
+    co-members. The walk reads the first _PREFIX neighbours of each
+    landmark; the few pairs still short after them walk their landmark's
+    full order (`_walk`).
     """
     if k_edge <= 0:
         raise ValueError("k_edge must be positive")
     nodes = sorted(nodes, key=lambda node: node.id)
-    row = {node.id: i for i, node in enumerate(nodes)}
-    for members in keyframes:
-        for lm_id in members:
-            if lm_id not in row:
-                raise ValueError(f"keyframe references unknown landmark {lm_id}")
+    ids = np.array([node.id for node in nodes])
+    n = len(nodes)
     if not keyframes:
-        keyframes = [list(row)]
+        keyframes = [ids]
+    flat = np.array(list(chain.from_iterable(keyframes)))
+    at = np.searchsorted(ids, flat)
+    unknown = at == n
+    unknown[~unknown] = ids[at[~unknown]] != flat[~unknown]
+    if unknown.any():
+        raise ValueError(f"keyframe references unknown landmark {flat[unknown.argmax()]}")
+    # column n, in no keyframe, stands for the neighbours past a truncated prefix
+    member = np.zeros((len(keyframes), n + 1), dtype=bool)
+    f = np.repeat(np.arange(len(keyframes)), [len(m) for m in keyframes])
+    member[f, at] = True
+    need = np.minimum(k_edge, np.count_nonzero(member, axis=1) - 1)  # per keyframe
+    wired = need[f] > 0  # a repeated member walks twice and finds the same edges
     dist = pairwise_distances(np.reshape([node.position for node in nodes], (-1, 3)))
-    rows = [np.array(sorted({row[i] for i in members}), dtype=int) for members in keyframes]
-    # largest first, so each stack pads its keyframes to the width of its first;
-    # keyframes of one landmark have no edges
-    rows = sorted((r for r in rows if r.size > 1), key=len, reverse=True)
-    edges = [np.zeros((0, 2), dtype=int)]
-    start = 0
-    while start < len(rows):
-        stop = start + max(1, _STACK_ELEMS // rows[start].size**2)
-        edges.append(_stacked_knn_edges(dist, rows[start:stop], k_edge))
-        start = stop
-    return SemanticGraph(nodes, np.concatenate(edges), dist)
+    edges = [np.zeros((2, 0), dtype=int)]  # (roots, neighbours) found at each rank
+    short = _walk(dist, member, need, (f[wired], at[wired]), _PREFIX, edges)
+    _walk(dist, member, need, short, n - 1, edges)
+    return SemanticGraph(nodes, np.concatenate(edges, axis=1).T, dist)
 
 
-def _stacked_knn_edges(dist: np.ndarray, rows: Sequence[np.ndarray], k_edge: int) -> np.ndarray:
-    """The k-NN edges (root, neighbor) of keyframes of at most rows[0].size landmarks.
+def _walk(
+    dist: np.ndarray,
+    member: np.ndarray,
+    need: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray],
+    length: int,
+    edges: list,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk each (keyframe, landmark) pair's first `length` neighbours, nearest first.
 
-    Each keyframe's rows of the map's distance table `dist` gather into one
-    (keyframes, width, width) stack, its diagonal and the padding past the
-    keyframe's own landmarks blanked to inf; one `_k_smallest` picks every
-    row's neighbors, and a row keeps min(k_edge, landmarks - 1) of them. A
-    gathered row has the bits of that keyframe's own sub-table, and the
-    padding comes after its landmarks, so each keyframe gets the edges of
-    `_knn_edges` on its landmarks alone.
+    A rank at a time, every pair still short takes its landmark's neighbour
+    at that rank if the keyframe holds it, appending the (2, found) roots
+    and neighbours to `edges`, and drops out once it has its keyframe's
+    `need` of them. Returns the pairs still short: their landmark's order
+    (`_nearest`) was cut before its last co-member. At length
+    landmarks - 1 no pair is left short.
     """
-    width = rows[0].size
-    size = np.array([r.size for r in rows])
-    real = np.arange(width) < size[:, None]  # (keyframes, width)
-    idx = np.zeros(real.shape, dtype=int)
-    idx[real] = np.concatenate(rows)
-    table = dist.take(idx[:, :, None] * len(dist) + idx[:, None, :])  # flat indices gather fastest
-    np.copyto(table, np.inf, where=~real[:, None, :])
-    table.reshape(len(rows), -1)[:, :: width + 1] = np.inf
-    k = min(k_edge, width - 1)
-    nbr = _k_smallest(table.reshape(-1, width), k).reshape(len(rows), width, k)
-    keep = real[:, :, None] & (np.arange(k) < np.minimum(k_edge, size - 1)[:, None, None])
-    root = np.broadcast_to(idx[:, :, None], keep.shape)
-    return np.stack((root[keep], np.take_along_axis(idx[:, :, None], nbr, axis=1)[keep]), axis=1)
+    f, i = pairs
+    if not f.size:
+        return pairs
+    n = len(dist)
+    used = np.bincount(i, minlength=n) > 0
+    order = _nearest(dist, np.flatnonzero(used), length)
+    width = order.shape[1]
+    in_keyframe, order = member.ravel(), order.ravel()
+    base, pos, left = f * (n + 1), (np.cumsum(used) - 1)[i] * width, need[f]
+    for rank in range(width):
+        nbr = order[pos + rank]
+        hit = in_keyframe[base + nbr]
+        edges.append(np.stack((i[hit], nbr[hit])))
+        left = left - hit
+        go = left > 0
+        i, base, pos, left = i[go], base[go], pos[go], left[go]
+        if not i.size:
+            break
+    return base // (n + 1), i
+
+
+def _nearest(dist: np.ndarray, rows: np.ndarray, length: int) -> np.ndarray:
+    """Each row's first min(length, n - 1) other landmarks of the (n, n) table
+    `dist`, in (distance, index) order, (rows, min(length, n - 1)).
+
+    Below n - 1, `argpartition` finds the length + 1 nearest. Only those
+    nearer than the (length + 1)-th are certain to precede every landmark
+    left out, so the rest of the prefix is cut to index n, a landmark in no
+    keyframe; a distance tie at the cut thus never goes to a higher index.
+    At n - 1 whole rows are sorted stably. Rows are read _PREFIX at a time,
+    so no copy of the whole table is made.
+    """
+    n = len(dist)
+    full = length >= n - 1
+    idx = np.empty((len(rows), n - 1 if full else length + 1), dtype=int)
+    for start in range(0, len(rows), _PREFIX):
+        part = rows[start : start + _PREFIX]
+        near = dist[part]
+        near[np.arange(len(part)), part] = np.inf
+        if full:
+            idx[start : start + _PREFIX] = np.argsort(near, axis=1, kind="stable")[:, : n - 1]
+        else:
+            idx[start : start + _PREFIX] = np.argpartition(near, length, axis=1)[:, : length + 1]
+    if full:
+        return idx
+    idx.sort(axis=1)  # so the stable sort by distance breaks ties to the lower index
+    vals = dist[rows[:, None], idx]  # a row's own inf is past its length + 1 nearest
+    rank = np.argsort(vals, axis=1, kind="stable")
+    idx, vals = np.take_along_axis(idx, rank, axis=1), np.take_along_axis(vals, rank, axis=1)
+    return np.where(vals[:, :length] < vals[:, length:], idx[:, :length], n)
 
 
 @dataclass

@@ -11,8 +11,8 @@ the edge-list context propagation. `per_column_extract_candidates` ranks
 one column of the similarity table at a time by a full sort, the reference
 of `extract_candidates`' selection.
 k-NN wiring: `knn_oracle` sorts each node's distances to the others, the
-reference of the selection that `build_knn_edges` and the keyframe stacks
-of `prior_graph_from_nodes` make. Projection: `scalar_project_quadric_to_bbox`
+reference of the selection that `build_knn_edges` makes and of each
+keyframe's share of the nearest-first walk in `prior_graph_from_nodes`. Projection: `scalar_project_quadric_to_bbox`
 projects one dual quadric under one pose, as the stacked
 `geometry._project_quadrics` does for each of its (quadric, pose) pairs;
 `project_quadric_to_bbox` reads one box off that kernel.

@@ -33,6 +33,37 @@ from oracles import knn_oracle, neighbors_of, node_of
 INTR = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
 
 
+def edge_set(g):
+    return {tuple(e) for e in g.edges.tolist()}
+
+
+def oracle_edges(g, keyframes, k_edge):
+    """The union of each keyframe's `knn_oracle` edges, as (lower, higher) node-index pairs."""
+    expected = set()
+    for members in keyframes:
+        rows = sorted(set(members))
+        expected |= {tuple(sorted((rows[a], rows[b]))) for a, b in knn_oracle(g.positions[rows], k_edge)}
+    return expected
+
+
+def walk_spy(nodes, keyframes, k_edge, prefix):
+    """The prior graph built with `prefix` neighbours walked before the
+    fallback, and the count of pairs each `_walk` call was given."""
+    walked = []
+    walk = semloc.graph._walk
+
+    def spy(dist, member, need, pairs, length, edges):
+        walked.append(len(pairs[0]))
+        return walk(dist, member, need, pairs, length, edges)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semloc.graph, "_PREFIX", prefix)
+        mp.setattr(semloc.graph, "_walk", spy)
+        g = prior_graph_from_nodes(nodes, keyframes, k_edge=k_edge)
+    assert len(walked) == 2
+    return g, walked
+
+
 # ---------------------------------------------------------------------------
 # frequency tables
 
@@ -376,44 +407,61 @@ class TestPriorGraphBuilders:
             expected |= {tuple(sorted(e)) for e in rows[build_knn_edges(pos[rows], k_edge)].tolist()}
         assert {tuple(e) for e in g.edges.tolist()} == expected
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([1, 40, 400]))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([1, 24]))
     @settings(max_examples=40, deadline=None)
-    def test_stacked_keyframes_match_the_oracle(self, seed, k_edge, bound):
+    def test_walk_matches_the_oracle(self, seed, k_edge, prefix):
         # keyframes of 0 to n landmarks, among them 1 and 2 and a repeated
-        # member, wired in stacks of at most `bound` table entries (or one
-        # keyframe); k_edge is often at least a keyframe's size
+        # member; k_edge is often at least a keyframe's size. A prefix of one
+        # neighbour sends every pair that needs two or more to the full order.
         r = np.random.default_rng(seed)
         n = int(r.integers(2, 25))
         nodes = [prior_node(i, r.integers(0, 3, 3).astype(float), {"a": 1}) for i in range(n)]
         sizes = [1, 2, *r.integers(0, n + 1, 6).tolist()]
         keyframes = [r.choice(n, size, replace=False).tolist() for size in sizes]
         keyframes[1] += keyframes[1][:1]
-        stacks = []
+        g, walked = walk_spy(nodes, keyframes, k_edge, prefix)
+        if prefix == 1:
+            needs = [min(k_edge, len(set(m)) - 1) for m in keyframes for _ in m]
+            assert walked[1] >= sum(need >= 2 for need in needs)
+        assert edge_set(g) == oracle_edges(g, keyframes, k_edge)
 
-        def spy(dist, rows, k):
-            stacks.append([len(row) for row in rows])
-            return wire(dist, rows, k)
+    def test_sparse_map_falls_back_at_keyframe_edges(self):
+        # 306 landmarks on a 2 m grid, keyframes of those within 4 m of a 3 m
+        # grid: a member at a keyframe's rim has most of its nearest
+        # neighbours outside it, so some pairs walk past the prefix
+        xy = np.stack(np.meshgrid(np.arange(17) * 2.0, np.arange(18) * 2.0, indexing="ij"), -1).reshape(-1, 2)
+        nodes = [prior_node(i, (x, y, 0.0), {"a": 1}) for i, (x, y) in enumerate(xy.tolist())]
+        keyframes = [
+            np.flatnonzero(np.hypot(*(xy - (cx, cy)).T) <= 4.0).tolist()
+            for cx in np.arange(0.0, 34.0, 3.0)
+            for cy in np.arange(0.0, 36.0, 3.0)
+        ]
+        g, walked = walk_spy(nodes, keyframes, 8, semloc.graph._PREFIX)
+        assert walked[1] > 0
+        assert edge_set(g) == oracle_edges(g, keyframes, 8)
 
-        wire = semloc.graph._stacked_knn_edges
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(semloc.graph, "_STACK_ELEMS", bound)
-            mp.setattr(semloc.graph, "_stacked_knn_edges", spy)
-            g = prior_graph_from_nodes(nodes, keyframes, k_edge=k_edge)
-        # largest first, every keyframe of two or more landmarks in one stack
-        widths = sorted((len(set(m)) for m in keyframes if len(set(m)) > 1), reverse=True)
-        assert [w for stack in stacks for w in stack] == widths
-        assert bound > 1 or all(len(stack) == 1 for stack in stacks)
-        expected = set()
-        for members in keyframes:
-            rows = sorted(set(members))
-            pairs = knn_oracle(g.positions[rows], k_edge)
-            expected |= {tuple(sorted((rows[a], rows[b]))) for a, b in pairs}
-        assert {tuple(e) for e in g.edges.tolist()} == expected
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_keyframe_and_member_order_do_not_matter(self, seed, k_edge):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(2, 30))
+        ids = [int(i) for i in r.permutation(60)[:n]]
+        nodes = [prior_node(i, r.integers(0, 3, 3).astype(float), {"a": 1}) for i in ids]
+        keyframes = [[i for i in ids if r.random() < 0.5] for _ in range(5)]
+        shuffled = [[m[j] for j in r.permutation(len(m))] for m in (keyframes[j] for j in r.permutation(5))]
+        a = prior_graph_from_nodes(nodes, keyframes, k_edge=k_edge)
+        b = prior_graph_from_nodes(nodes, shuffled, k_edge=k_edge)
+        assert a.edges.dtype == b.edges.dtype and a.edges.tobytes() == b.edges.tobytes()
 
     def test_unknown_keyframe_member_raises(self):
-        nodes = [prior_node(0, (0, 0, 0), {"a": 1})]
-        with pytest.raises(ValueError, match="unknown landmark"):
+        nodes = [prior_node(0, (0, 0, 0), {"a": 1}), prior_node(20, (1, 0, 0), {"a": 1})]
+        with pytest.raises(ValueError, match="unknown landmark 9$"):
             prior_graph_from_nodes(nodes, [[0, 9]], k_edge=1)
+        # the first unknown id in keyframe order, not the least
+        with pytest.raises(ValueError, match="unknown landmark 12$"):
+            prior_graph_from_nodes(nodes, [[0, 20], [20, 12, 0, 9], [5]], k_edge=1)
+        with pytest.raises(ValueError, match="unknown landmark 3$"):
+            prior_graph_from_nodes([], [[3]], k_edge=1)
 
     def test_build_prior_graph_accumulates(self):
         # the map is accumulated from keyframe detections, then wired
