@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -84,6 +85,9 @@ def top_k_labels(raw: Sequence[tuple[str, float]], k: int) -> list[tuple[str, fl
     """
     if k <= 0:
         raise ValueError("k must be positive")
+    if len(raw) == 1:  # nothing to merge or order
+        ((label, score),) = raw
+        return [(label, float(score))]
     best: dict[str, float] = {}
     for label, score in raw:
         score = float(score)
@@ -98,11 +102,15 @@ def normalize_confidences(raw: Sequence[tuple[str, float]], k: int) -> list[tupl
 
     Returns (label, confidence) pairs in `top_k_labels` order: distinct
     labels, confidences in [0, 1] summing to one. Fewer than k labels are
-    retained as-is. A non-finite or negative raw score, or retained scores
-    that sum to zero or overflow to infinity, make the normalization
-    undefined and raise.
+    retained as-is. A raw score that is not a real number (a bool is not
+    one), is non-finite or negative, or retained scores that sum to zero or
+    overflow to infinity, make the normalization undefined and raise
+    ValueError.
     """
     for label, score in raw:
+        # a float passes at once: the abstract-class check costs some 0.5 us a score (2-core Xeon)
+        if type(score) is not float and (isinstance(score, bool) or not isinstance(score, numbers.Real)):
+            raise ValueError(f"score {score!r} for label {label!r} is not a real number")
         if not (math.isfinite(score) and score >= 0.0):
             raise ValueError(f"score {score} for label {label!r} is not finite and nonnegative")
     kept = top_k_labels(raw, k)
@@ -195,14 +203,16 @@ class SemanticGraph:
         self.adjacency = np.zeros((n, n), dtype=bool)
         self.adjacency[pairs[:, 0], pairs[:, 1]] = True
         self.adjacency |= self.adjacency.T
-        self.edges = np.argwhere(np.triu(self.adjacency))
         self.edge_root, self.edge_nbr = np.nonzero(self.adjacency)
+        upper = self.edge_root < self.edge_nbr
+        self.edges = np.stack((self.edge_root[upper], self.edge_nbr[upper]), axis=1)
         self.degree = np.bincount(self.edge_root, minlength=n)
         self.max_degree = int(self.degree.max(initial=0))
         offsets = np.cumsum(self.degree) - self.degree
         self.edge_slot = np.arange(self.edge_root.size) - offsets[self.edge_root]
-        # (neighbor, root) keys are the (root, neighbor) keys of the reversed edges
-        self.edge_reverse = np.argsort(self.edge_nbr * n + self.edge_root)
+        # the (root, neighbor) keys ascend, and each edge's (neighbor, root) key is its reverse's
+        keys = self.edge_root * n + self.edge_nbr
+        self.edge_reverse = np.searchsorted(keys, self.edge_nbr * n + self.edge_root)
         self.positions = np.reshape([node.position for node in self.nodes], (-1, 3))
         if self.distances is None:
             self.distances = pairwise_distances(self.positions)
@@ -479,40 +489,62 @@ def build_query_graph(
     Node ids are the original detection indices, so dropped detections leave
     gaps instead of shifting ground-truth alignment. Detections are dropped
     (with a logged warning) when the box degenerates after clamping to the
-    image of intrinsics, a label score is non-finite or negative, the
-    confidence vector is all-zero, no positive-depth source exists, or the
-    position is not finite or so far away that distances between positions
-    overflow.
+    image of intrinsics, a label score is not a real number or is
+    non-finite or negative, the confidence vector is all-zero, no
+    positive-depth source exists, or the position is not finite or so far
+    away that distances between positions overflow. A detection is checked
+    in that order and dropped for the first reason that applies, and the
+    warnings come in detection order.
+
+    The frame is checked as arrays: one pass clamps every box (as
+    `BoundingBox.clamped` does; a box the clamp leaves unchanged is reused)
+    and finds the degenerate ones, and one pass checks every position,
+    given or back-projected from `depth` at the box's `robust_bbox_depth`.
+    Only the label lists (`normalize_confidences`), the depth look-ups and
+    the nodes are made one detection at a time. A position that is not 3
+    numbers raises ValueError.
     """
-    nodes: list[QueryDetectionNode] = []
-    for idx, det in enumerate(detections):
-        bbox = det.bbox.clamped(intrinsics.width, intrinsics.height)
-        if bbox is None:
-            logger.warning("detection %d dropped: box outside image", idx)
-            continue
+    given = np.array([det.bbox.as_list() for det in detections], dtype=float).reshape(-1, 4)
+    limit = np.array([intrinsics.width, intrinsics.height] * 2, dtype=float)
+    # min(max(v, 0.0), limit) per coordinate, the Python floats' clamp, signed zeros included
+    floor = np.where(given < 0.0, 0.0, given)
+    boxes = np.where(floor > limit, limit, floor)
+    inside = (boxes[:, 2:] - boxes[:, :2] > 0.0).all(axis=1)
+    unchanged = (boxes == given).all(axis=1).tolist()
+    dropped = dict.fromkeys(np.flatnonzero(~inside).tolist(), "box outside image")
+    placed = []  # (index, box, confidences) of each detection given a position
+    points = []
+    for i in np.flatnonzero(inside).tolist():
+        det = detections[i]
         try:
             conf = normalize_confidences(det.labels, k)
         except ValueError as exc:
-            logger.warning("detection %d dropped: %s", idx, exc)
+            dropped[i] = str(exc)
             continue
+        box = det.bbox if unchanged[i] else BoundingBox(*boxes[i].tolist())
         position = det.position
         if position is None:
-            if depth is None:
-                logger.warning("detection %d dropped: no depth source", idx)
-                continue
-            z = robust_bbox_depth(depth, bbox)
+            z = None if depth is None else robust_bbox_depth(depth, box)
             if z is None:
-                logger.warning("detection %d dropped: no valid depth", idx)
+                dropped[i] = "no depth source" if depth is None else "no valid depth"
                 continue
-            position = backproject_pixel(bbox.center, z, intrinsics)
-        position = np.asarray(position, dtype=float).reshape(3)
-        # 4 |p|^2 bounds the squared distance between two kept positions
-        if not math.isfinite(4.0 * sum(v * v for v in position.tolist())):
-            logger.warning("detection %d dropped: non-finite position or distance", idx)
-            continue
-        if position[2] <= 0.0:
-            logger.warning("detection %d dropped: nonpositive depth", idx)
-            continue
-        nodes.append(QueryDetectionNode(idx, bbox, position, conf))
-    dist = pairwise_distances(np.reshape([node.position for node in nodes], (-1, 3)))
+            position = backproject_pixel(box.center, z, intrinsics)
+        placed.append((i, box, conf))
+        points.append(position)
+    points = np.array(points, dtype=float).reshape(len(points), 3)
+    # 4 |p|^2 bounds the squared distance between two kept positions
+    with np.errstate(over="ignore"):
+        square = points * points
+        finite = np.isfinite(4.0 * (square[:, 0] + square[:, 1] + square[:, 2]))
+    keep = finite & (points[:, 2] > 0.0)
+    for j in np.flatnonzero(~keep).tolist():
+        dropped[placed[j][0]] = "nonpositive depth" if finite[j] else "non-finite position or distance"
+    for i in sorted(dropped):
+        logger.warning("detection %d dropped: %s", i, dropped[i])
+    kept = points[keep]
+    nodes = [
+        QueryDetectionNode(i, box, position, conf)
+        for (i, box, conf), position in zip(compress(placed, keep.tolist()), kept)
+    ]
+    dist = pairwise_distances(kept)
     return SemanticGraph(nodes, _knn_edges(dist, k_edge), dist)

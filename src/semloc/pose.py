@@ -4,9 +4,10 @@ Samples distinct triples of candidate pairs, checks structural validity,
 solves perspective-three-point, and keeps the pose with the best
 normalized-Wasserstein alignment between projected landmarks and detected
 boxes. Structural validity is read from one boolean (pairs, pairs)
-compatibility table per frame: two pairs are compatible when the graphs'
-adjacency agrees on them and the distance between their priors matches the
-distance between their query nodes, within a tolerance that grows with the
+compatibility table per frame, filled only at the entries the frame's draws
+read: two pairs are compatible when the graphs' adjacency agrees on them
+and the distance between their priors matches the distance between their
+query nodes, within a tolerance that grows with the
 two landmarks' sizes; the distance is a pairwise invariant of the unknown
 rigid pose (TEASER++, Yang et al., T-RO 2020). Valid samples are the
 triangles of this consistency graph, as in CLIPPER (Lusk et al., ICRA
@@ -155,32 +156,38 @@ def _compatibility(
     candidates: CandidateSet,
     prior_graph: SemanticGraph,
     query_graph: SemanticGraph,
+    triples: np.ndarray,
 ) -> np.ndarray:
-    """(pairs, pairs) table of which two candidate pairs may share a sample.
+    """(pairs, pairs) table of which two candidate pairs may share a sample,
+    filled where the frame's draws read it.
 
-    Two pairs are compatible when their priors differ, their query nodes
-    differ, the priors share an edge exactly when the query nodes do, and
-    the priors' world distance and the query nodes' camera-frame distance
-    differ by at most _DIST_TOL plus the two priors' radii. The radii cover
-    a depth-map query position: the median depth of the visible surface
-    lies nearer the camera than the landmark's centre, by up to half the
-    object's depth. Adjacency and distances are gathered per pair from the
-    two graphs' own (nodes, nodes) tables.
+    triples are the drawn (draws, 3) candidate indices i < j < k; only their
+    (i, j), (i, k) and (j, k) entries, the ones `is_valid_sample` reads, are
+    evaluated, and every other entry is False. Two pairs are compatible when
+    their priors differ, their query nodes differ, the priors share an edge
+    exactly when the query nodes do, and the priors' world distance and the
+    query nodes' camera-frame distance differ by at most _DIST_TOL plus the
+    two priors' radii. The radii cover a depth-map query position: the
+    median depth of the visible surface lies nearer the camera than the
+    landmark's centre, by up to half the object's depth. Adjacency and
+    distances are read per entry from the two graphs' own (nodes, nodes)
+    tables.
     """
-    p, q = candidates.prior, candidates.query
-    reach = prior_graph.radii[p]
-    gap = np.abs(_gather(prior_graph.distances, p) - _gather(query_graph.distances, q))
-    return (
-        (p[:, None] != p)
-        & (q[:, None] != q)
-        & (_gather(prior_graph.adjacency, p) == _gather(query_graph.adjacency, q))
-        & (gap <= reach[:, None] + reach + _DIST_TOL)
+    m = len(candidates)
+    # row 0 holds each draw's i, i, j and row 1 its j, k, k
+    ab = triples.T.take((0, 0, 1, 1, 2, 2), axis=0).reshape(2, -1)
+    p, q = candidates.prior.take(ab), candidates.query.take(ab)
+    at_p, at_q = p[0] * len(prior_graph) + p[1], q[0] * len(query_graph) + q[1]
+    gap = np.abs(prior_graph.distances.take(at_p) - query_graph.distances.take(at_q))
+    reach = prior_graph.radii.take(p)
+    table = np.zeros(m * m, dtype=bool)
+    table[ab[0] * m + ab[1]] = (
+        (p[0] != p[1])
+        & (q[0] != q[1])
+        & (prior_graph.adjacency.take(at_p) == query_graph.adjacency.take(at_q))
+        & (gap <= reach[0] + reach[1] + _DIST_TOL)
     )
-
-
-def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """table[index][:, index], a per-node table read per candidate pair."""
-    return table.take(index, axis=0).take(index, axis=1)
+    return table.reshape(m, m)
 
 
 class _AlignmentScorer:
@@ -282,11 +289,13 @@ def estimate_pose(
 
     Scores all pairs, extracts per-query candidates, then draws the frame's
     whole budget up front: min(n_iter, C(pairs, 3)) distinct triples of
-    candidate indices, in seeded random order (`_draw_triples`). One lazy
-    filter walks them in order and yields the valid ones, checked against
-    the frame's compatibility table; each chunk takes the next valid samples
-    from it, so a draw is checked only when a chunk needs it, and none past
-    an early exit is. History entries are indices into this draw list.
+    candidate indices, in seeded random order (`_draw_triples`). The
+    frame's compatibility table is then filled at the entries these draws
+    read (`_compatibility`). One lazy filter walks the draws in order and
+    yields the valid ones, checked against that table; each chunk takes the
+    next valid samples from it, so a draw is checked only when a chunk needs
+    it, and none past an early exit is. History entries are indices into
+    this draw list.
 
     Valid samples are solved a chunk at a time by one stacked Lambda Twist
     `p3p_solve` call, whose poses stay rotation and translation arrays,
@@ -316,14 +325,14 @@ def estimate_pose(
 
     boxes = [node.bbox for node in query_graph.nodes]
     scorer = _AlignmentScorer(candidates, prior_graph, query_graph.ids, boxes, intrinsics, config.C)
-    compatible = _compatibility(candidates, prior_graph, query_graph)
     # per candidate pair: the prior's world point and the query's bearing
     pair_world = prior_graph.positions[candidates.prior]
     pair_rays = pixel_to_bearing(scorer.q_means, intrinsics)[candidates.query]
 
     rng = np.random.default_rng(config.rng_seed)
-    triples = _draw_triples(rng, n_pairs, config.n_iter).tolist()
-    valid = ((i, t) for i, t in enumerate(triples) if is_valid_sample(t, compatible))
+    triples = _draw_triples(rng, n_pairs, config.n_iter)
+    compatible = _compatibility(candidates, prior_graph, query_graph, triples)
+    valid = ((i, t) for i, t in enumerate(triples.tolist()) if is_valid_sample(t, compatible))
     exit_was = math.inf if config.early_exit_was is None else config.early_exit_was
     best_w = 0.0
     best_pose: Pose | None = None

@@ -12,8 +12,13 @@ one column of the similarity table at a time by a full sort, the reference
 of `extract_candidates`' selection.
 k-NN wiring: `knn_oracle` sorts each node's distances to the others, the
 reference of the selection that `build_knn_edges` makes and of each
-keyframe's share of the nearest-first walk in `prior_graph_from_nodes`. Projection: `scalar_project_quadric_to_bbox`
-projects one dual quadric under one pose, as the stacked
+keyframe's share of the nearest-first walk in `prior_graph_from_nodes`.
+`dense_edge_arrays` derives a graph's edge arrays from a dense adjacency
+table, the reference of `SemanticGraph`'s derivation from its directed
+edges. Query graph: `serial_build_query_graph` checks one detection at a
+time, the reference of `build_query_graph`'s array passes.
+Projection: `scalar_project_quadric_to_bbox` projects one dual quadric
+under one pose, as the stacked
 `geometry._project_quadrics` does for each of its (quadric, pose) pairs;
 `project_quadric_to_bbox` reads one box off that kernel.
 Quaternions: `scalar_quat_normalize`, `scalar_quat_to_rotmat` and
@@ -26,7 +31,9 @@ scores one pose and selects its pairs the way `_AlignmentScorer.score` and
 `calculate_was` do.
 Pose search: `scalar_is_valid_sample` checks one sample of (prior id,
 query id) pairs against the graphs' neighbor ids and node positions, the
-reference of the compatibility table `estimate_pose` checks draws against.
+reference of the compatibility table `estimate_pose` checks draws against;
+`full_compatibility` fills every entry of that table, which must agree with
+`pose._compatibility` on every entry a drawn triple reads.
 `scalar_p3p_solve` solves one P3P sample by another method than the stacked
 Lambda Twist `p3p_solve` (a quartic in a depth ratio, then the Kabsch fit
 `absolute_orientation`), so the two are checked to find the same poses
@@ -37,6 +44,7 @@ before checking the next.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -54,7 +62,15 @@ from semloc.geometry import (
     quadric_from_params,
     quat_distance,
 )
-from semloc.graph import LabelFrequencyTable, SemanticGraph
+from semloc.graph import (
+    LabelFrequencyTable,
+    QueryDetectionNode,
+    SemanticGraph,
+    backproject_pixel,
+    build_knn_edges,
+    normalize_confidences,
+    robust_bbox_depth,
+)
 from semloc.matching import SimilarityTable, extract_candidates, score_all_pairs
 from semloc.pose import (
     LocalizationResult,
@@ -65,6 +81,8 @@ from semloc.pose import (
     _draw_triples,
     calculate_was,
 )
+
+_graph_logger = logging.getLogger("semloc.graph")  # the logger build_query_graph warns on
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +266,69 @@ def knn_oracle(positions, k):
         others = sorted((math.dist(positions[i], positions[j]), j) for j in range(len(positions)) if j != i)
         pairs += [[i, j] for _, j in others[:k]]
     return pairs
+
+
+def dense_edge_arrays(n: int, pairs) -> dict[str, np.ndarray]:
+    """A graph's `edges`, `edge_root`, `edge_nbr` and `edge_reverse`, read off a
+    dense (n, n) bool table: the upper triangle's `argwhere`, the table's
+    `nonzero`, and the stable sort of the reversed (neighbor, root) keys.
+    The reference of `SemanticGraph`'s sparse derivation."""
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[pairs[:, 0], pairs[:, 1]] = True
+    adjacency |= adjacency.T
+    root, nbr = np.nonzero(adjacency)
+    return {
+        "edges": np.argwhere(np.triu(adjacency)),
+        "edge_root": root,
+        "edge_nbr": nbr,
+        "edge_reverse": np.argsort(nbr * n + root, kind="stable"),
+    }
+
+
+# ---------------------------------------------------------------------------
+# query graph
+
+
+def serial_build_query_graph(
+    detections, k: int, k_edge: int = 5, depth=None, *, intrinsics: CameraIntrinsics
+) -> SemanticGraph:
+    """`build_query_graph` one detection at a time: clamp its box, normalize its
+    labels, find its position (given, or back-projected at the box's
+    `robust_bbox_depth`) and check it, logging a drop as soon as one check
+    fails. The reference of the array-shaped build."""
+    nodes = []
+    for idx, det in enumerate(detections):
+        bbox = det.bbox.clamped(intrinsics.width, intrinsics.height)
+        if bbox is None:
+            _graph_logger.warning("detection %d dropped: box outside image", idx)
+            continue
+        try:
+            conf = normalize_confidences(det.labels, k)
+        except ValueError as exc:
+            _graph_logger.warning("detection %d dropped: %s", idx, exc)
+            continue
+        position = det.position
+        if position is None:
+            if depth is None:
+                _graph_logger.warning("detection %d dropped: no depth source", idx)
+                continue
+            z = robust_bbox_depth(depth, bbox)
+            if z is None:
+                _graph_logger.warning("detection %d dropped: no valid depth", idx)
+                continue
+            position = backproject_pixel(bbox.center, z, intrinsics)
+        position = np.asarray(position, dtype=float).reshape(3)
+        # 4 |p|^2 bounds the squared distance between two kept positions
+        if not math.isfinite(4.0 * sum(v * v for v in position.tolist())):
+            _graph_logger.warning("detection %d dropped: non-finite position or distance", idx)
+            continue
+        if position[2] <= 0.0:
+            _graph_logger.warning("detection %d dropped: nonpositive depth", idx)
+            continue
+        nodes.append(QueryDetectionNode(idx, bbox, position, conf))
+    positions = np.reshape([node.position for node in nodes], (-1, 3))
+    return SemanticGraph(nodes, build_knn_edges(positions, k_edge))
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +747,21 @@ def id_pairs(candidates, prior_graph: SemanticGraph, query_graph: SemanticGraph)
     """A candidate set's (prior id, query id) pairs, in its order."""
     prior_ids, query_ids = prior_graph.ids, query_graph.ids
     return [(prior_ids[p], query_ids[q]) for p, q in zip(candidates.prior, candidates.query)]
+
+
+def full_compatibility(candidates, prior_graph: SemanticGraph, query_graph: SemanticGraph) -> np.ndarray:
+    """Every entry of the (pairs, pairs) compatibility table, gathered per pair
+    from the two graphs' (nodes, nodes) tables and compared by broadcasting.
+    `pose._compatibility` must equal it on every entry a drawn triple reads."""
+    p, q = candidates.prior, candidates.query
+    reach = prior_graph.radii[p]
+    gap = np.abs(prior_graph.distances[np.ix_(p, p)] - query_graph.distances[np.ix_(q, q)])
+    return (
+        (p[:, None] != p)
+        & (q[:, None] != q)
+        & (prior_graph.adjacency[np.ix_(p, p)] == query_graph.adjacency[np.ix_(q, q)])
+        & (gap <= reach[:, None] + reach + _DIST_TOL)
+    )
 
 
 def scalar_is_valid_sample(sample, prior_graph, query_graph) -> bool:

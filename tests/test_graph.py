@@ -28,7 +28,7 @@ from semloc.dataio import FrameRecord
 from semloc.graph import backproject_pixel, pairwise_distances, robust_bbox_depth
 
 from conftest import clustered_nodes, edge_ids, graph, knn_graph, make_table, prior_node, query_node
-from oracles import knn_oracle, neighbors_of, node_of
+from oracles import dense_edge_arrays, knn_oracle, neighbors_of, node_of, serial_build_query_graph
 
 INTR = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
 
@@ -148,6 +148,20 @@ class TestConfidences:
         # a bad score is rejected even when the top-k cut would drop it
         with pytest.raises(ValueError, match="not finite and nonnegative"):
             normalize_confidences([("b", 0.5), ("c", 0.4), ("a", bad)], k=1)
+
+    @pytest.mark.parametrize("bad", ["0.5", None, True, np.bool_(True), [0.5]])
+    def test_normalize_rejects_non_real_and_bool(self, bad):
+        with pytest.raises(ValueError, match="not a real number"):
+            normalize_confidences([("a", bad)], k=5)
+        with pytest.raises(ValueError, match="not a real number"):
+            normalize_confidences([("b", 0.5), ("c", 0.4), ("a", bad)], k=1)
+
+    @pytest.mark.parametrize("score", [2, 0.25, np.float32(0.5), np.int64(3), 0.0])
+    def test_top_k_one_label_is_the_general_path(self, score):
+        # the one-label list skips the merge and the sort, not what they give
+        assert top_k_labels([("a", score)], 3) == [("a", float(score))]
+        assert type(top_k_labels([("a", score)], 1)[0][1]) is float
+        assert top_k_labels([("a", score), ("a", score)], 3) == [("a", float(score))]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -309,6 +323,18 @@ class TestEdgeArrays:
         for i in range(n):
             into = rev[start[i] : start[i] + g.degree[i]].tolist()
             assert into == [e for e, (_, nbr, _) in enumerate(expected) if nbr == i]
+
+    @given(n=st.integers(0, 12), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_match_the_dense_derivation(self, n, data):
+        # repeated and reversed pairs, and nodes on no edge
+        edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        pairs = data.draw(st.lists(edge, max_size=40)) if n >= 2 else []
+        g = SemanticGraph([prior_node(i, (i, 0.5 * i * i, 0), {"a": 1}) for i in range(n)], pairs)
+        for name, want in dense_edge_arrays(n, pairs).items():
+            got = getattr(g, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_empty_without_edges(self, n):
@@ -643,7 +669,7 @@ class TestQueryGraphBuilder:
         assert all(1 not in edge for edge in edge_ids(g))
         assert "detection 1 dropped: non-finite position" in caplog.text
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "0.5", None, True])
     def test_bad_label_score_dropped(self, bad, caplog):
         dets = [self._det(100.0), self._det(labels=(("cup", bad), ("mug", 0.5))), self._det(300.0)]
         with caplog.at_level(logging.WARNING, logger="semloc.graph"):
@@ -670,12 +696,12 @@ class TestQueryGraphBuilder:
 
     @staticmethod
     def _mostly(good, *bad):
-        """Draws from `good` about three times in four, else one of the bad values."""
-        return st.sampled_from([None] * 3 * len(bad) + list(bad)).flatmap(
-            lambda b: good if b is None else st.just(b)
-        )
+        """Draws from `good` about three times in four, else one of the bad values
+        (None among them: a missing position, a score that is no number)."""
+        return st.integers(0, 4 * len(bad) - 1).flatmap(lambda i: st.just(bad[i]) if i < len(bad) else good)
 
-    _SCORE = _mostly(st.floats(0.01, 1.0), 0.0, math.nan, math.inf, -math.inf, -1.0, 1e308)
+    # 0.5 repeats a score, within a list and across detections
+    _SCORE = _mostly(st.floats(0.01, 1.0), 0.5, 0.0, math.nan, math.inf, -math.inf, -1.0, 1e308, "0.5", None, True)
     _COORD = _mostly(st.floats(-5.0, 5.0), math.nan, math.inf, -math.inf, 1e154, -1e200)
     _DETECTIONS = st.lists(
         st.builds(
@@ -723,3 +749,69 @@ class TestQueryGraphBuilder:
         messages = [r.getMessage() for r in caplog.records]
         assert [int(m.split()[1]) for m in messages] == dropped
         assert all(m.split(" dropped: ", 1)[1] for m in messages)
+
+    _GRAPH_ARRAYS = (
+        "edges",
+        "adjacency",
+        "edge_root",
+        "edge_nbr",
+        "edge_slot",
+        "edge_length",
+        "edge_reverse",
+        "degree",
+        "positions",
+        "distances",
+    )
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        dets=_DETECTIONS,
+        depth=_DEPTH | st.just(np.full((6, 8), math.nan)),
+        k=st.integers(1, 3),
+        k_edge=st.integers(1, 3),
+        four=st.integers(-1, 7),
+    )
+    def test_matches_the_serial_build(self, caplog, dets, depth, k, k_edge, four):
+        # the array passes drop, log, place and wire every detection as the
+        # one-at-a-time oracle does; `four` gives one detection a 4-vector position
+        if 0 <= four < len(dets):
+            dets[four] = DetectionRecord(dets[four].bbox, dets[four].labels, np.array([0.1, 0.2, 1.0, 1.0]))
+        graphs, logs = [], []
+        for build in (serial_build_query_graph, build_query_graph):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="semloc.graph"):
+                try:
+                    graphs.append(build(dets, k=k, k_edge=k_edge, depth=depth, intrinsics=INTR))
+                except ValueError as exc:
+                    graphs.append(exc)
+            logs.append([r.getMessage() for r in caplog.records])
+        want, got = graphs
+        if isinstance(want, ValueError):
+            assert isinstance(got, ValueError)
+            return
+        assert logs[1] == logs[0]
+        assert got.ids == want.ids
+        for a, b in zip(got.nodes, want.nodes):
+            assert np.array(a.bbox.as_list()).tobytes() == np.array(b.bbox.as_list()).tobytes()
+            assert a.position.dtype == b.position.dtype and a.position.tobytes() == b.position.tobytes()
+            assert a.confidences == b.confidences
+        for name in self._GRAPH_ARRAYS:
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        assert got.max_degree == want.max_degree
+
+    def test_clamp_keeps_a_signed_zero(self):
+        # Python's max(-0.0, 0.0) is -0.0, also in a box the clamp changes elsewhere
+        det = DetectionRecord(BoundingBox(-0.0, 100.0, 700.0, 140.0), [("cup", 1.0)], np.array([0.0, 0.0, 2.0]))
+        boxes = [
+            build([det], k=2, k_edge=2, intrinsics=INTR).nodes[0].bbox
+            for build in (build_query_graph, serial_build_query_graph)
+        ]
+        assert boxes[0] == boxes[1] == BoundingBox(0.0, 100.0, 640.0, 140.0)
+        assert [math.copysign(1.0, b.x_min) for b in boxes] == [-1.0, -1.0]
+
+    def test_four_vector_position_raises(self):
+        det = self._det(position=(0.0, 0.0, 2.0, 1.0))
+        for build in (serial_build_query_graph, build_query_graph):
+            with pytest.raises(ValueError):
+                build([self._det(), det], k=2, k_edge=2, intrinsics=INTR)

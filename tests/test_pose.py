@@ -60,6 +60,7 @@ from conftest import (
     random_rotation,
 )
 from oracles import (
+    full_compatibility,
     id_pairs,
     project_quadric_to_bbox,
     scalar_calculate_was,
@@ -287,7 +288,7 @@ class TestIsValidSample:
             [query_node(i, (float(i), 0, 5), {"a": 1.0}) for i in range(10, 14)],
             [(10, 11), (11, 12)],
         )
-        compatible = _compatibility(candidate_set(pairs, pg, qg), pg, qg)
+        compatible = _compatibility(candidate_set(pairs, pg, qg), pg, qg, np.array([[0, 1, 2]]))
         valid = is_valid_sample([0, 1, 2], compatible)
         assert valid is scalar_is_valid_sample(pairs, pg, qg)
         return valid
@@ -359,10 +360,21 @@ class TestDrawTriples:
         assert scipy.stats.chisquare(np.bincount(draws.ravel(), minlength=50)).pvalue > 1e-3
 
 
+def _every_triple(n: int) -> np.ndarray:
+    """All C(n, 3) index triples i < j < k, (C(n, 3), 3): drawn together, they
+    read every entry above the compatibility table's diagonal."""
+    return np.array(list(itertools.combinations(range(n), 3)), dtype=int).reshape(-1, 3)
+
+
+def _upper(n: int) -> np.ndarray:
+    """The (n, n) entries above the diagonal, the ones `_every_triple(n)` reads."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
 def _all_triples_agree(query, prior, candidates) -> int:
     """is_valid_sample against the id-based oracle on every triple; the valid count."""
     pairs = id_pairs(candidates, prior, query)
-    compatible = _compatibility(candidates, prior, query)
+    compatible = _compatibility(candidates, prior, query, _every_triple(len(pairs)))
     n_valid = 0
     for sample in itertools.combinations(range(len(pairs)), 3):
         valid = scalar_is_valid_sample([pairs[i] for i in sample], prior, query)
@@ -414,10 +426,30 @@ class TestCompatibility:
         table = SimilarityTable(prior.ids, query.ids, sim)
         _all_triples_agree(query, prior, extract_candidates(table, tau))
 
+    def test_only_the_drawn_entries_are_filled(self):
+        # a frame's draws read their (i, j), (i, k) and (j, k) entries: those
+        # equal the full table, and every other entry stays False
+        prior, queries, _ = _latency_scene_frames(seed=0, frame_ids=[0, 42])
+        wide_prior, wide_queries, _ = _wide_scene_frames(seed=0, frame_ids=[5], n_dets=16)
+        seen = np.zeros((2, 2), dtype=int)  # compatible entries (read, unread), (True, False)
+        for pg, qg in [(prior, q) for q in queries] + [(wide_prior, q) for q in wide_queries]:
+            cands = extract_candidates(score_all_pairs(pg, qg), tau=3)
+            full = full_compatibility(cands, pg, qg)
+            for seed, n_iter in itertools.product(range(3), (1, 7, 200, 5000)):
+                triples = _draw_triples(np.random.default_rng(seed), len(cands), n_iter)
+                read = np.zeros_like(full)
+                for i, j, k in triples.tolist():
+                    read[[i, i, j], [j, k, k]] = True
+                compatible = _compatibility(cands, pg, qg, triples)
+                np.testing.assert_array_equal(compatible[read], full[read])
+                assert not compatible[~read].any()
+                seen += [[full[read].sum(), (~full[read]).sum()], [full[~read].sum(), 0]]
+        assert (seen[0] > 0).all() and seen[1, 0] > 0
+
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 8),
+        n=st.integers(3, 8),
         density=st.sampled_from([0.0, 0.5, 1.0]),
         reach=st.floats(0.0, 1.0),
     )
@@ -443,8 +475,8 @@ class TestCompatibility:
             [(100 + a, 100 + b) for a, b in edges],
         )
         cands = candidate_set([(i, 100 + i) for i in range(n)], pg, qg)
-        compatible = _compatibility(cands, pg, qg)
-        np.testing.assert_array_equal(compatible, ~np.eye(n, dtype=bool))
+        compatible = _compatibility(cands, pg, qg, _every_triple(n))
+        np.testing.assert_array_equal(compatible, _upper(n))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -473,8 +505,9 @@ class TestCompatibility:
             [(1, 2)][:wired],
         )
         qg = graph([query_node(10, qa, {"a": 1.0}), query_node(11, qb, {"a": 1.0})], [(10, 11)][:wired])
-        cands = candidate_set([(1, 10), (2, 11)], pg, qg)
-        assert not _compatibility(cands, pg, qg).any()
+        # a third pair, sharing a prior and a query node with the two, makes a triple to draw
+        cands = candidate_set([(1, 10), (2, 11), (1, 11)], pg, qg)
+        assert not _compatibility(cands, pg, qg, np.array([[0, 1, 2]])).any()
 
     def test_depth_map_positions_of_large_objects_keep_every_correct_pair(self):
         # a depth-map position sits on the visible surface, up to 0.7 m
@@ -487,8 +520,8 @@ class TestCompatibility:
         gaps = scipy.spatial.distance.pdist(pg.positions) - scipy.spatial.distance.pdist(qg.positions)
         assert np.abs(gaps).max() > _DIST_TOL
         cands = candidate_set([(node.id, i) for i, node in enumerate(nodes)], pg, qg)
-        compatible = _compatibility(cands, pg, qg)
-        np.testing.assert_array_equal(compatible, ~np.eye(len(nodes), dtype=bool))
+        compatible = _compatibility(cands, pg, qg, _every_triple(len(nodes)))
+        np.testing.assert_array_equal(compatible, _upper(len(nodes)))
 
     @given(seed=st.integers(0, 2**16 - 1))
     @settings(max_examples=6, deadline=None)
@@ -519,8 +552,8 @@ class TestCompatibility:
                 & (q[:, None] != q)
                 & (prior.adjacency[np.ix_(p, p)] == query.adjacency[np.ix_(q, q)])
             )
-            compatible = _compatibility(cands, prior, query)
-            np.testing.assert_array_equal(compatible[np.ix_(gt, gt)], wiring)
+            compatible = _compatibility(cands, prior, query, _every_triple(len(cands)))
+            np.testing.assert_array_equal(compatible[np.ix_(gt, gt)], wiring & _upper(len(gt)))
             n_triangles += sum(
                 is_valid_sample(t, wiring) for t in itertools.combinations(range(len(gt)), 3)
             )
